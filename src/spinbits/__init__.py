@@ -30,6 +30,7 @@ from .clifford import (
 )
 from .matrices import (
     Matrix,
+    Subspace,
     e_basis_decompose,
     kappa_matrix,
     kappa_pm_matrix,
@@ -39,8 +40,7 @@ from .matrices import (
 )
 from .triality import (
     OuterMap,
-    build_sigma_star,
-    build_tau_star,
+    build_outer,
     center_images,
     eigenspace,
     g2_action_matrix,

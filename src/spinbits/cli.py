@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -22,6 +21,7 @@ from .matrices import (
     kappa_matrix,
     kappa_pm_matrix,
     lambda_matrix,
+    max_oracle_dim,
     real_rep_matrix,
 )
 from .octonions import algebra_checks, octonion_table, quaternion_table
@@ -49,6 +49,39 @@ def parse_word(text: str) -> List[int]:
     if not re.fullmatch(r"(e\d+)*", text):
         raise UsageError(f"cannot parse generator word {text!r}")
     return [int(m) for m in re.findall(r"e(\d+)", text)]
+
+
+# argparse ``type=`` callables: a bad value is a usage error (exit 2)
+
+
+def _int_range(low: int, high: Optional[int] = None):
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low or (high is not None and n > high):
+            bound = f"between {low} and {high}" if high is not None else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"{n} is not {bound}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in its message
+    return parse
+
+
+def _split_pair(text: str) -> Tuple[int, int]:
+    try:
+        m1, m2 = (int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"--split needs two integers m1,m2, not {text!r}")
+    return m1, m2
+
+
+def _g2_coefficients(text: str) -> List[Fraction]:
+    try:
+        alphas = [Fraction(t) for t in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"cannot parse coefficients {text!r}")
+    if len(alphas) != 14:
+        raise argparse.ArgumentTypeError("need 14 comma-separated coefficients")
+    return alphas
 
 
 def _print(payload, fmt: str, latex_fn=None, text_fn=None):
@@ -180,10 +213,7 @@ def cmd_triality(args) -> int:
                    text_fn=lambda: "\n".join(str(p) for p in payload))
             return 0
         if args.matrix is not None:
-            alphas = [Fraction(t) for t in args.matrix.split(",")]
-            if len(alphas) != 14:
-                raise UsageError("need 14 comma-separated coefficients")
-            M = g2_action_matrix(alphas)
+            M = g2_action_matrix(args.matrix)
             if args.format == "latex":
                 print(M.latex())
             elif args.format == "json":
@@ -264,14 +294,8 @@ def cmd_forms(args) -> int:
 
 def cmd_fields(args) -> int:
     N = args.sphere + 1
-    split: Optional[Tuple[int, int]] = None
-    if args.split:
-        parts = args.split.split(",")
-        if len(parts) != 2:
-            raise UsageError("--split needs m1,m2")
-        split = (int(parts[0]), int(parts[1]))
     try:
-        system = build_field_system(N, split=split)
+        system = build_field_system(N, split=args.split)
     except ValueError as e:
         raise UsageError(str(e))
     if args.verify:
@@ -306,7 +330,7 @@ def cmd_fields(args) -> int:
                 for row in rows:
                     print("  " + " ".join(f"{x:2d}" for x in row))
         return 0
-    out = emit_coordinates(N, fmt=args.format, split=split)
+    out = emit_coordinates(N, fmt=args.format, split=args.split)
     if args.format == "json":
         print(json.dumps(out))
     else:
@@ -329,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spinor", help="generator action on basic spinors")
     spsub = sp.add_subparsers(dest="what", required=True)
     mul = spsub.add_parser("mul", help="image of u_index under e_p")
-    mul.add_argument("--n", type=int, required=True)
+    mul.add_argument("--n", type=_int_range(1), required=True)
     mul.add_argument("--p", type=int, required=True)
     mul.add_argument("--index", type=int, required=True)
     mul.add_argument("--format", choices=("text", "json", "latex"), default="json")
@@ -338,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("rep", help="representation matrices")
     repsub = rep.add_subparsers(dest="what", required=True)
     mat = repsub.add_parser("matrix")
-    mat.add_argument("--n", type=int, required=True)
+    mat.add_argument("--n", type=_int_range(1), required=True)
     mat.add_argument("--word", type=str, required=True, help="e.g. e1e2")
     mat.add_argument(
         "--space",
@@ -350,21 +374,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     tri = sub.add_parser("triality", help="outer automorphisms and g2")
     tri.add_argument("what", choices=("sigma", "tau", "g2", "s3", "center"))
-    tri.add_argument("--matrix", nargs="?", const="", default=None,
+    tri.add_argument("--matrix", type=_g2_coefficients, default=None,
                      help="for g2: 14 comma-separated coefficients")
     tri.add_argument("--check-order", action="store_true")
     tri.add_argument("--eigen", type=str, default=None,
                      help="1, -1, omega, omega-bar")
     tri.add_argument("--generators", action="store_true")
-    tri.add_argument("--annihilator-check", action="store_true")
     tri.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    tri.set_defaults(func=_triality_dispatch)
+    tri.set_defaults(func=cmd_triality)
 
     octo = sub.add_parser("octonion", help="division-algebra tables")
     octo.add_argument("what", choices=("table", "check", "quaternions"))
-    octo.add_argument("--samples", type=int, default=100)
+    octo.add_argument("--samples", type=_int_range(0), default=100)
     octo.add_argument("--seed", type=int, default=1)
-    octo.add_argument("--format", choices=("ascii", "text", "json", "latex"), default="text")
+    octo.add_argument("--format", choices=("text", "json", "latex"), default="text")
     octo.set_defaults(func=cmd_octonion)
 
     fo = sub.add_parser("forms", help="invariant exterior forms")
@@ -377,37 +400,26 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--sphere", type=int, required=True, help="M for S^M")
     fl.add_argument("--emit", choices=("coords", "matrices"), default="coords")
     fl.add_argument("--verify", action="store_true")
-    fl.add_argument("--samples", type=int, default=20)
+    fl.add_argument("--samples", type=_int_range(0), default=20)
     fl.add_argument("--seed", type=int, default=1)
-    fl.add_argument("--split", type=str, default=None, help="m1,m2")
+    fl.add_argument("--split", type=_split_pair, default=None, help="m1,m2")
     fl.add_argument("--format", choices=("text", "json", "latex"), default="text")
     fl.set_defaults(func=cmd_fields)
 
     va = sub.add_parser("verify-all", help="run the full certificate suite")
     va.add_argument("--seed", type=int, default=1)
-    va.add_argument("--samples", type=int, default=100)
-    va.add_argument("--max-n", type=int, default=int(os.environ.get("SPINBITS_MAX_N", "12")))
+    va.add_argument("--samples", type=_int_range(0), default=100)
+    va.add_argument("--max-n", type=_int_range(2, max_oracle_dim()),
+                    default=max_oracle_dim())
     va.add_argument("--format", choices=("text", "json"), default="text")
     va.set_defaults(func=cmd_verify_all)
 
     return top
 
 
-def _triality_dispatch(args) -> int:
-    if args.what == "g2" and args.annihilator_check:
-        res = g2_structure()
-        rep = _report_from_pairs(
-            [c for c in res["checks"] if "annihilates" in c[0]]
-        )
-        return _emit_report(rep, args.format)
-    return cmd_triality(args)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "format", None) == "ascii":
-        args.format = "text"
     try:
         return args.func(args)
     except UsageError as e:

@@ -189,12 +189,6 @@ class CliffordElem:
         out.n, out.terms = self.n, t
         return out
 
-    def grade_part(self, g: int) -> "CliffordElem":
-        out = CliffordElem.__new__(CliffordElem)
-        out.n = self.n
-        out.terms = {m: c for m, c in self.terms.items() if bin(m).count("1") == g}
-        return out
-
     def grades(self) -> set:
         return {bin(m).count("1") for m in self.terms}
 

@@ -188,13 +188,6 @@ class FieldSystem:
     def field_count(self) -> int:
         return self.r - 1
 
-    def evaluate(self, j: int, Z: Sequence) -> List[Fraction]:
-        """Value of the j-th field (1-based) at coordinates Z."""
-        if not 1 <= j <= self.r - 1:
-            raise ValueError(f"field index {j} out of range")
-        z = [Fraction(x) for x in Z]
-        return self.J[j - 1].apply(z)
-
 
 def build_field_system(N: int, split: Optional[Tuple[int, int]] = None) -> FieldSystem:
     """Maximal system of tangent fields on S^(N-1).

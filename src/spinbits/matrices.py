@@ -137,27 +137,6 @@ class Matrix:
     def rank(self) -> int:
         return len(self._echelon()[1])
 
-    def det(self) -> Scalar:
-        if self.rows != self.cols:
-            raise ValueError("determinant needs a square matrix")
-        m = [row[:] for row in self.data]
-        n = self.rows
-        out = ONE
-        for c in range(n):
-            pr = next((i for i in range(c, n) if m[i][c]), None)
-            if pr is None:
-                return ZERO
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                out = -out
-            out = out * m[c][c]
-            inv = m[c][c].inverse()
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [m[i][j] - f * m[c][j] for j in range(n)]
-        return out
-
     def nullspace(self) -> Tuple[int, List[List[Scalar]]]:
         """Exact (rank, kernel basis); rank + len(basis) == cols."""
         ech, pivots = self._echelon()
@@ -200,16 +179,6 @@ class Matrix:
                 break
         return m, pivots
 
-    def inverse(self) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("not square")
-        n = self.rows
-        aug = Matrix([self.data[i] + Matrix.identity(n).data[i] for i in range(n)])
-        ech, pivots = aug._echelon()
-        if pivots != list(range(n)):
-            raise ValueError("singular matrix")
-        return Matrix([row[n:] for row in ech])
-
     def to_json(self) -> dict:
         return {
             "rows": self.rows,
@@ -229,6 +198,73 @@ class Matrix:
 
     def __repr__(self):
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.data)
+
+
+def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    """Bilinear coordinate product (no complex conjugation)."""
+    acc = ZERO
+    for x, y in zip(u, v):
+        if x and y:
+            acc = acc + x * y
+    return acc
+
+
+class Subspace:
+    """The span of some vectors in an n-dimensional coordinate space.
+
+    The span is held as its reduced row echelon form, computed once: its
+    ``rows`` have unit pivots in the ``pivots`` columns and zeros above
+    and below them.  That form is unique, so two spans are equal exactly
+    when their rows are, and membership is a single reduction.
+    """
+
+    __slots__ = ("n", "rows", "pivots")
+
+    def __init__(self, vectors: Sequence[Sequence[Scalar]], n: int | None = None):
+        vectors = [list(v) for v in vectors]
+        self.n = len(vectors[0]) if vectors else n
+        if self.n is None:
+            raise ValueError("the span of no vectors needs its dimension n")
+        ech, self.pivots = Matrix(vectors)._echelon()
+        self.rows = ech[: len(self.pivots)]
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def __contains__(self, vec: Sequence[Scalar]) -> bool:
+        """Clear each pivot coordinate of ``vec``; a member leaves nothing."""
+        vec = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = vec[p]
+            if c:
+                vec = [x - c * y if y else x for x, y in zip(vec, row)]
+        return not any(vec)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Subspace)
+            and self.n == other.n
+            and self.pivots == other.pivots
+            and self.rows == other.rows
+        )
+
+    def __and__(self, other: "Subspace") -> "Subspace":
+        """Intersection, by Zassenhaus: reduce the rows (a | a) and (b | 0);
+        the rows left with a zero first half span a & b in their second."""
+        n, pad = self.n, [ZERO] * self.n
+        ech, pivots = Matrix([r + r for r in self.rows] + [r + pad for r in other.rows])._echelon()
+        return Subspace([row[n:] for row, p in zip(ech, pivots) if p >= n], n)
+
+    def complement_in(self, outer: "Subspace") -> "Subspace":
+        """Members of ``outer`` orthogonal to this span under _dot."""
+        if not self.rows:
+            return outer
+        gram = Matrix([[_dot(s, t) for t in outer.rows] for s in self.rows])
+        _, kernel = gram.nullspace()
+        return Subspace(
+            [[_dot(c, col) for col in zip(*outer.rows)] for c in kernel], self.n
+        )
 
 
 def max_oracle_dim() -> int:
@@ -424,13 +460,12 @@ def real_rep_matrix(r: int, word: Sequence[int], source: str) -> Matrix:
     return Matrix.from_columns(cols)
 
 
-def lambda_matrix(n: int, word: Sequence[int]) -> Matrix:
-    """n x n matrix of the conjugation action of an even word on vectors."""
-    if len(word) % 2:
-        raise ValueError("need an even word")
+def lambda_matrix(n: int, g) -> Matrix:
+    """n x n matrix of the conjugation action on vectors of an even word
+    or of an even CliffordElem (see clifford.lambda_vector)."""
     cols = []
     for i in range(1, n + 1):
-        img = lambda_vector(n, list(word), CliffordElem.generator(n, i))
+        img = lambda_vector(n, g, CliffordElem.generator(n, i))
         col = [ZERO] * n
         for m, c in img.terms.items():
             col[m.bit_length() - 1] = c

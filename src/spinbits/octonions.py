@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from functools import lru_cache
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .clifford import clifford_apply
 from .matrices import real_basis_frame
@@ -133,13 +134,9 @@ class Octonion:
         return " + ".join(parts) if parts else "0"
 
 
-_TABLE_CACHE: Dict[int, List[List[SignedIndex]]] = {}
-
-
+@lru_cache(maxsize=None)
 def _table() -> List[List[SignedIndex]]:
-    if 8 not in _TABLE_CACHE:
-        _TABLE_CACHE[8] = octonion_table()
-    return _TABLE_CACHE[8]
+    return octonion_table()
 
 
 def octonion_mul(x: Octonion, y: Octonion) -> Octonion:

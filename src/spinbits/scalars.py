@@ -16,7 +16,7 @@ components omitted.  Values are immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 RADICALS = (1, 2, 3, 6)
 
@@ -186,6 +186,9 @@ class Scalar:
         return self._c == _coerce(other)._c
 
     def __hash__(self):
+        # a rational value hashes as its Fraction, as __eq__ demands
+        if self.is_rational():
+            return hash(self.as_fraction())
         return hash(tuple(sorted(self._c.items())))
 
     def real_part(self) -> "Scalar":
@@ -350,10 +353,3 @@ class Angle:
 
 def cos_sin(theta: Angle) -> Tuple[Scalar, Scalar]:
     return theta.cos(), theta.sin()
-
-
-def scalar_sum(values: Iterable[Scalar]) -> Scalar:
-    total = ZERO
-    for v in values:
-        total = total + v
-    return total

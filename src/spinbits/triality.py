@@ -12,10 +12,11 @@ of the construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import CliffordElem, bivector_combo_to_elem, volume_element
-from .matrices import Matrix, e_basis_decompose, real_rep_matrix
+from .matrices import Matrix, Subspace, e_basis_decompose, real_rep_matrix
 from .scalars import Angle, HALF, I, ONE, SQRT3, Scalar, ZERO, INV_SQRT2
 from .spinors import Spinor
 
@@ -23,6 +24,24 @@ PAIR_ORDER: List[Tuple[int, int]] = [(i, j) for i in range(1, 9) for j in range(
 _PAIR_POS = {p: n for n, p in enumerate(PAIR_ORDER)}
 
 BivectorCoeffs = Dict[Tuple[int, int], Scalar]
+
+
+def to_vector(coeffs: BivectorCoeffs) -> List[Scalar]:
+    """Coordinates of a bivector combination over PAIR_ORDER."""
+    vec = [ZERO] * 28
+    for p, c in coeffs.items():
+        vec[_PAIR_POS[p]] = c
+    return vec
+
+
+def to_coeffs(vec: Sequence[Scalar]) -> BivectorCoeffs:
+    """The bivector combination with these PAIR_ORDER coordinates."""
+    return {PAIR_ORDER[r]: c for r, c in enumerate(vec) if c}
+
+
+def bivector_span(vectors: Iterable[BivectorCoeffs]) -> Subspace:
+    """The span of some bivector combinations, in PAIR_ORDER coordinates."""
+    return Subspace([to_vector(v) for v in vectors], 28)
 
 
 class OuterMap:
@@ -45,21 +64,10 @@ class OuterMap:
 
     def image_coeffs(self, pair: Tuple[int, int]) -> BivectorCoeffs:
         c = _PAIR_POS[pair]
-        return {
-            PAIR_ORDER[r]: self.matrix.data[r][c]
-            for r in range(28)
-            if self.matrix.data[r][c]
-        }
+        return to_coeffs([row[c] for row in self.matrix.data])
 
     def apply_coeffs(self, coeffs: BivectorCoeffs) -> BivectorCoeffs:
-        vec = [ZERO] * 28
-        for p, c in coeffs.items():
-            vec[_PAIR_POS[p]] = c
-        out = self.matrix.apply(vec)
-        return {PAIR_ORDER[r]: c for r, c in enumerate(out) if c}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OuterMap) and self.matrix == other.matrix
+        return to_coeffs(self.matrix.apply(to_vector(coeffs)))
 
 
 # Orientation of the half-spinor frames used throughout this module:
@@ -95,13 +103,9 @@ def _half_spinor_decomposition(sign: str) -> Dict[Tuple[int, int], Dict[Tuple[in
     return out
 
 
-_cache: Dict[str, OuterMap] = {}
-
-
+@lru_cache(maxsize=None)
 def build_outer(name: str) -> OuterMap:
     """sigma* from the minus half-spinor action, tau* from the plus one."""
-    if name in _cache:
-        return _cache[name]
     if name not in ("sigma", "tau"):
         raise ValueError("name must be sigma or tau")
     source = "minus" if name == "sigma" else "plus"
@@ -112,35 +116,15 @@ def build_outer(name: str) -> OuterMap:
         for q, c in deco[p].items():
             col[_PAIR_POS[q]] = Scalar.from_fraction(c / 2)
         cols.append(col)
-    out = OuterMap(name, Matrix.from_columns(cols))
-    _cache[name] = out
-    return out
-
-
-def build_sigma_star() -> OuterMap:
-    return build_outer("sigma")
-
-
-def build_tau_star() -> OuterMap:
-    return build_outer("tau")
+    return OuterMap(name, Matrix.from_columns(cols))
 
 
 def eigenspace(outer: OuterMap, lam: Scalar) -> Tuple[int, List[BivectorCoeffs]]:
     """Exact kernel of (map - lambda Id) over the scalar field."""
-    allowed = {
-        ONE,
-        -ONE,
-        (SQRT3 * I - ONE) * HALF,
-        (-SQRT3 * I - ONE) * HALF,
-    }
-    if lam not in allowed:
+    if lam not in (ONE, -ONE, (SQRT3 * I - ONE) * HALF, (-SQRT3 * I - ONE) * HALF):
         raise ValueError("unsupported eigenvalue")
-    shifted = outer.matrix - Matrix.identity(28).scale(lam)
-    _, kernel = shifted.nullspace()
-    basis = []
-    for vec in kernel:
-        basis.append({PAIR_ORDER[r]: c for r, c in enumerate(vec) if c})
-    return len(basis), basis
+    _, kernel = (outer.matrix - Matrix.identity(28).scale(lam)).nullspace()
+    return len(kernel), [to_coeffs(v) for v in kernel]
 
 
 def omega_eigenvalue(conj: bool = False) -> Scalar:
@@ -159,7 +143,7 @@ def kappa_star_matrix(pairs_coeffs: BivectorCoeffs, sign: str) -> Matrix:
 
 def s3_relations() -> List[Tuple[str, bool]]:
     """The S3 presentation and representation-permutation identities."""
-    sig, tau = build_sigma_star(), build_tau_star()
+    sig, tau = build_outer("sigma"), build_outer("tau")
     ident = Matrix.identity(28)
     results = [
         ("tau*^2 = Id", (tau * tau).matrix == ident),
@@ -183,29 +167,9 @@ def s3_relations() -> List[Tuple[str, bool]]:
     return results
 
 
-def _coeffs_to_vector(coeffs: BivectorCoeffs) -> List[Scalar]:
-    vec = [ZERO] * 28
-    for p, c in coeffs.items():
-        vec[_PAIR_POS[p]] = c
-    return vec
-
-
-def span_contains(span: Sequence[BivectorCoeffs], vec: BivectorCoeffs) -> bool:
-    """Exact membership of a bivector combination in a rational span."""
-    rows = [_coeffs_to_vector(v) for v in span]
-    base = Matrix(rows).transpose()
-    r0 = base.rank()
-    extended = Matrix(rows + [_coeffs_to_vector(vec)]).transpose()
-    return extended.rank() == r0
-
-
-def spans_equal(a: Sequence[BivectorCoeffs], b: Sequence[BivectorCoeffs]) -> bool:
-    ra = Matrix([_coeffs_to_vector(v) for v in a]).transpose().rank()
-    rb = Matrix([_coeffs_to_vector(v) for v in b]).transpose().rank()
-    rab = Matrix(
-        [_coeffs_to_vector(v) for v in a] + [_coeffs_to_vector(v) for v in b]
-    ).transpose().rank()
-    return ra == rb == rab
+def span_contains(span: Subspace, vec: BivectorCoeffs) -> bool:
+    """Exact membership of a bivector combination in a span."""
+    return to_vector(vec) in span
 
 
 def g2_generators() -> List[BivectorCoeffs]:
@@ -241,31 +205,11 @@ def apply_bivector_to_spinor(coeffs: BivectorCoeffs, psi: Spinor) -> Spinor:
     return out
 
 
-def _orthocomplement_in(span: Sequence[BivectorCoeffs], sub: Sequence[BivectorCoeffs]) -> List[BivectorCoeffs]:
-    """Vectors of `span` orthogonal to `sub` in the pair-coefficient dot product."""
-    span_vecs = [_coeffs_to_vector(v) for v in span]
-    rows = []
-    for s in sub:
-        sv = _coeffs_to_vector(s)
-        rows.append([
-            sum((v[t] * sv[t] for t in range(28)), ZERO) for v in span_vecs
-        ])
-    _, kern = Matrix(rows).nullspace()
-    out = []
-    for combo in kern:
-        vec = [ZERO] * 28
-        for t, c in enumerate(combo):
-            if c:
-                for r in range(28):
-                    vec[r] = vec[r] + c * span_vecs[t][r]
-        out.append({PAIR_ORDER[r]: c for r, c in enumerate(vec) if c})
-    return out
-
-
 def g2_structure() -> Dict[str, object]:
     """The g2 generators plus the full battery of structural checks."""
-    sig, tau = build_sigma_star(), build_tau_star()
+    sig, tau = build_outer("sigma"), build_outer("tau")
     gens = g2_generators()
+    g2 = bivector_span(gens)
     checks: List[Tuple[str, bool]] = []
 
     k4 = 4
@@ -282,34 +226,27 @@ def g2_structure() -> Dict[str, object]:
 
     dim_fix_sigma, fix_sigma = eigenspace(sig, ONE)
     checks.append(("fixed space of sigma* has dimension 14", dim_fix_sigma == 14))
-    checks.append(("generators span the fixed space of sigma*", spans_equal(gens, fix_sigma)))
+    checks.append(("generators span the fixed space of sigma*", g2 == bivector_span(fix_sigma)))
 
-    _, fix_tau = eigenspace(tau, ONE)
-    spin7_low = [
-        {(i, j): ONE} for (i, j) in PAIR_ORDER if i >= 2
-    ]
-    inter = _span_intersection(fix_tau, spin7_low)
-    checks.append(("g2 = spin7(e2..e8) intersect Fix(tau*)",
-                   len(inter) == 14 and spans_equal(gens, inter)))
+    _, fix_tau_basis = eigenspace(tau, ONE)
+    fix_tau = bivector_span(fix_tau_basis)
+    spin7_low = bivector_span({(i, j): ONE} for (i, j) in PAIR_ORDER if i >= 2)
+    inter = fix_tau & spin7_low
+    checks.append(("g2 = spin7(e2..e8) intersect Fix(tau*)", inter.dim == 14 and g2 == inter))
 
-    ts = tau * sig
-    ts2 = tau * sig.power(2)
-    _, fix_ts = eigenspace_of(ts)
-    _, fix_ts2 = eigenspace_of(ts2)
-    checks.append(("Fix(tau* sigma*) = spin7(e2..e8)", spans_equal(fix_ts, spin7_low)))
-    inter2 = _span_intersection(fix_tau, fix_ts2)
-    inter3 = _span_intersection(fix_tau, fix_ts)
-    checks.append(("g2 = Fix(tau*) intersect Fix(tau* sigma*^2)",
-                   len(inter2) == 14 and spans_equal(gens, inter2)))
-    checks.append(("g2 = Fix(tau*) intersect Fix(tau* sigma*)",
-                   len(inter3) == 14 and spans_equal(gens, inter3)))
+    fix_ts = bivector_span(eigenspace(tau * sig, ONE)[1])
+    fix_ts2 = bivector_span(eigenspace(tau * sig.power(2), ONE)[1])
+    checks.append(("Fix(tau* sigma*) = spin7(e2..e8)", fix_ts == spin7_low))
+    for label, fix in (("tau* sigma*^2", fix_ts2), ("tau* sigma*", fix_ts)):
+        inter = fix_tau & fix
+        checks.append((f"g2 = Fix(tau*) intersect Fix({label})", inter.dim == 14 and g2 == inter))
 
-    sig2 = sig.power(2)
-    image = [sig2.apply_coeffs(v) for v in fix_ts]
-    checks.append(("sigma*^2 maps Fix(tau* sigma*) onto Fix(tau*)", spans_equal(image, fix_tau)))
+    sig2 = sig.power(2).matrix
+    image = Subspace([sig2.apply(v) for v in fix_ts.rows], 28)
+    checks.append(("sigma*^2 maps Fix(tau* sigma*) onto Fix(tau*)", image == fix_tau))
 
     closure = all(
-        span_contains(gens, bivector_bracket(a, b)) for a in gens for b in gens
+        span_contains(g2, bivector_bracket(a, b)) for a in gens for b in gens
     )
     checks.append(("bracket closure of g2", closure))
 
@@ -317,62 +254,23 @@ def g2_structure() -> Dict[str, object]:
     # both spin7 copies, symmetric pair only one level up via the tau*
     # involution (spin8 = Fix(tau*) + m with [m, m] inside Fix(tau*))
     for label, copy in (("e2..e8 copy", spin7_low), ("Fix(tau*) copy", fix_tau)):
-        m = _orthocomplement_in(copy, gens)
-        ok_dim = len(m) == 7
-        gm = all(span_contains(m, bivector_bracket(g, x)) for g in gens for x in m)
-        mm = all(span_contains(copy, bivector_bracket(x, y)) for x in m for y in m)
+        m = g2.complement_in(copy)
+        m_basis = [to_coeffs(v) for v in m.rows]
+        gm = all(span_contains(m, bivector_bracket(g, x)) for g in gens for x in m_basis)
+        mm = all(span_contains(copy, bivector_bracket(x, y)) for x in m_basis for y in m_basis)
         checks.append(
             (f"reductive pair (spin7, g2) in the {label}: [g2,m] in m, [m,m] in spin7",
-             ok_dim and gm and mm)
+             m.dim == 7 and gm and mm)
         )
-    _, m_tau = eigenspace(tau, -ONE)
-    sym_mm = all(span_contains(fix_tau, bivector_bracket(x, y)) for x in m_tau for y in m_tau)
-    sym_gm = all(span_contains(m_tau, bivector_bracket(g, x)) for g in fix_tau for x in m_tau)
+    _, m_tau_basis = eigenspace(tau, -ONE)
+    m_tau = bivector_span(m_tau_basis)
+    sym_mm = all(span_contains(fix_tau, bivector_bracket(x, y)) for x in m_tau_basis for y in m_tau_basis)
+    sym_gm = all(span_contains(m_tau, bivector_bracket(g, x)) for g in fix_tau_basis for x in m_tau_basis)
     checks.append(
         ("symmetric pair (spin8, spin7) from the tau* involution", sym_mm and sym_gm)
     )
 
     return {"generators": gens, "checks": checks}
-
-
-def eigenspace_of(outer: OuterMap) -> Tuple[int, List[BivectorCoeffs]]:
-    """(+1)-eigenspace of an arbitrary composite."""
-    shifted = outer.matrix - Matrix.identity(28)
-    _, kernel = shifted.nullspace()
-    return len(kernel), [
-        {PAIR_ORDER[r]: c for r, c in enumerate(vec) if c} for vec in kernel
-    ]
-
-
-def _span_intersection(a: Sequence[BivectorCoeffs], b: Sequence[BivectorCoeffs]) -> List[BivectorCoeffs]:
-    """Basis of span(a) intersect span(b), exactly."""
-    va = [_coeffs_to_vector(v) for v in a]
-    vb = [_coeffs_to_vector(v) for v in b]
-    # solve sum x_s a_s - sum y_t b_t = 0
-    cols = []
-    for v in va:
-        cols.append(v)
-    for v in vb:
-        cols.append([-c for c in v])
-    M = Matrix.from_columns(cols)
-    _, kern = M.nullspace()
-    seen = []
-    for combo in kern:
-        vec = [ZERO] * 28
-        for s, c in enumerate(combo[: len(va)]):
-            if c:
-                for r in range(28):
-                    vec[r] = vec[r] + c * va[s][r]
-        if any(vec):
-            seen.append(vec)
-    # reduce to a basis
-    if not seen:
-        return []
-    reduced, pivots = Matrix(seen)._echelon()
-    out = []
-    for row in reduced[: len(pivots)]:
-        out.append({PAIR_ORDER[r]: c for r, c in enumerate(row) if c})
-    return out
 
 
 def g2_action_matrix(alphas: Sequence) -> Matrix:

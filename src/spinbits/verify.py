@@ -56,10 +56,8 @@ from .spinors import (
 )
 from .triality import (
     PAIR_ORDER,
-    build_sigma_star,
-    build_tau_star,
+    build_outer,
     center_images,
-    eigenspace,
     g2_action_matrix,
     g2_action_matrix_on,
     g2_structure,
@@ -211,7 +209,7 @@ def check_golden_matrices(report: Report):
                 entries.append(theta.cos() + I * theta.sin() * Scalar.rational(sgn))
             if got != _diag_matrix(entries):
                 ok = False
-            rot = lambda_matrix_of_elem(elem)
+            rot = lambda_matrix(6, elem)
             dbl = Angle(2 * kk)
             expected = [[ONE if i == j else ZERO for j in range(6)] for i in range(6)]
             lo, hi = pair[0] - 1, pair[1] - 1
@@ -240,25 +238,11 @@ def check_golden_matrices(report: Report):
     report.add("C2 general torus element acts by exact weight phases", ok)
 
 
-def lambda_matrix_of_elem(elem: CliffordElem) -> Matrix:
-    from .clifford import lambda_vector
-
-    n = elem.n
-    cols = []
-    for i in range(1, n + 1):
-        img = lambda_vector(n, elem, CliffordElem.generator(n, i))
-        col = [ZERO] * n
-        for m, c in img.terms.items():
-            col[m.bit_length() - 1] = c
-        cols.append(col)
-    return Matrix.from_columns(cols)
-
-
 # -- criterion 3 -----------------------------------------------------
 
 
 def check_triality(report: Report, corrupt_sigma: bool = False):
-    sig, tau = build_sigma_star(), build_tau_star()
+    sig, tau = build_outer("sigma"), build_outer("tau")
 
     sig_matrix = sig.matrix
     if corrupt_sigma:
@@ -299,14 +283,16 @@ def check_triality(report: Report, corrupt_sigma: bool = False):
     report.add("C3 sigma*^3 = Id", sig.power(3).matrix == Matrix.identity(28))
     report.add("C3 tau*^2 = Id", (tau * tau).matrix == Matrix.identity(28))
 
+    # an eigenspace of lambda has dimension 28 - rank(M - lambda Id)
     dims = {
-        "sigma fixed": (eigenspace(sig, ONE)[0], 14),
-        "sigma omega": (eigenspace(sig, omega_eigenvalue())[0], 7),
-        "sigma omega-bar": (eigenspace(sig, omega_eigenvalue(True))[0], 7),
-        "tau fixed": (eigenspace(tau, ONE)[0], 21),
-        "tau minus": (eigenspace(tau, -ONE)[0], 7),
+        "sigma fixed": (sig, ONE, 14),
+        "sigma omega": (sig, omega_eigenvalue(), 7),
+        "sigma omega-bar": (sig, omega_eigenvalue(True), 7),
+        "tau fixed": (tau, ONE, 21),
+        "tau minus": (tau, -ONE, 7),
     }
-    for label, (got, want) in dims.items():
+    for label, (outer, lam, want) in dims.items():
+        got = 28 - (outer.matrix - Matrix.identity(28).scale(lam)).rank()
         report.add(f"C3 eigenspace dimension: {label} = {want}", got == want)
 
     report.extend((f"C3 {name}", ok) for name, ok in s3_relations())

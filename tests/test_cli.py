@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def load_perfbench(name):
+    """A module of the benchmark in perfbench/, which is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load_perfbench("workloads")
 
 
 def test_parse_word():
@@ -193,3 +208,41 @@ def test_fault_injection_hits_exactly_one_check():
     fails = [c.name for c in rep.checks if not c.passed]
     assert fails == ["C3 sigma* equals the tabulated 28x28 array"]
     assert rep.exit_code() == 1
+
+
+@pytest.mark.parametrize("command", workloads.CLI_COMMANDS)
+def test_readme_command_matches_golden(capsys, command):
+    argv = command.split()
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == workloads.golden(argv)
+
+
+def test_tracer_targets_resolve():
+    missing = []
+    for name, (modname, path) in load_perfbench("tracer").TARGETS.items():
+        obj = importlib.import_module(modname)
+        try:
+            for attr in path.split("."):
+                obj = getattr(obj, attr)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []
+
+
+@pytest.mark.parametrize("command", [
+    "fields --sphere 31 --split a,b",
+    "triality g2 --matrix 1,x,0,0,0,0,0,0,0,0,0,0,0,0",
+    "triality g2 --matrix",
+    "spinor mul --n -2 --p 1 --index 0",
+    "verify-all --max-n 14",
+    "octonion check --samples -3",
+])
+def test_bad_input_is_a_usage_error(capsys, monkeypatch, command):
+    monkeypatch.delenv("SPINBITS_MAX_N", raising=False)
+    try:
+        code = main(command.split())
+    except SystemExit as e:
+        code = e.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -152,3 +152,16 @@ def test_rationality_queries():
     assert not (SQRT2).is_rational()
     with pytest.raises(ValueError):
         SQRT2.as_fraction()
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_rational_hash_agrees_with_fraction(p, q):
+    assert hash(Scalar.rational(p, q)) == hash(Fraction(p, q))
+
+
+def test_rational_scalars_find_int_and_fraction_keys():
+    assert hash(ZERO) == hash(0)
+    assert {1: "x"}.get(Scalar.rational(1)) == "x"
+    assert {Fraction(1, 2): "h"}.get(HALF) == "h"
+    assert {ONE: "s"}.get(1) == "s"

@@ -12,8 +12,8 @@ from spinbits.triality import (
     PAIR_ORDER,
     apply_bivector_to_spinor,
     bivector_bracket,
-    build_sigma_star,
-    build_tau_star,
+    bivector_span,
+    build_outer,
     center_images,
     eigenspace,
     g2_action_matrix,
@@ -32,29 +32,29 @@ def as_scalar_map(fracs):
 
 
 def test_sigma_star_matches_all_tabulated_lines():
-    sig = build_sigma_star()
+    sig = build_outer("sigma")
     expected = ref.sigma_star_expected()
     for p in PAIR_ORDER:
         assert sig.image_coeffs(p) == as_scalar_map(expected[p])
 
 
 def test_tau_star_matches_all_tabulated_lines():
-    tau = build_tau_star()
+    tau = build_outer("tau")
     expected = ref.tau_star_expected()
     for p in PAIR_ORDER:
         assert tau.image_coeffs(p) == as_scalar_map(expected[p])
 
 
 def test_outer_maps_match_printed_arrays():
-    for which, build in (("sigma", build_sigma_star), ("tau", build_tau_star)):
+    for which in ("sigma", "tau"):
         want = Matrix(
             [[Scalar.from_fraction(f) for f in row] for row in ref.outer_matrix_expected(which)]
         )
-        assert build().matrix == want
+        assert build_outer(which).matrix == want
 
 
 def test_sigma_star_iterates_example():
-    sig = build_sigma_star()
+    sig = build_outer("sigma")
     first = sig.image_coeffs((1, 2))
     assert first == as_scalar_map(
         {(1, 2): Fraction(-1, 2), (3, 4): Fraction(-1, 2), (5, 6): Fraction(-1, 2), (7, 8): Fraction(-1, 2)}
@@ -68,13 +68,13 @@ def test_sigma_star_iterates_example():
 
 
 def test_orders():
-    assert build_sigma_star().power(3).matrix == Matrix.identity(28)
-    tau = build_tau_star()
+    assert build_outer("sigma").power(3).matrix == Matrix.identity(28)
+    tau = build_outer("tau")
     assert (tau * tau).matrix == Matrix.identity(28)
 
 
 def test_tau_star_line_example():
-    tau = build_tau_star()
+    tau = build_outer("tau")
     assert tau.image_coeffs((2, 3)) == as_scalar_map(
         {(1, 4): Fraction(1, 2), (2, 3): Fraction(1, 2), (5, 8): Fraction(1, 2), (6, 7): Fraction(1, 2)}
     )
@@ -86,18 +86,18 @@ def test_s3_relations_all_pass():
 
 
 def test_eigenspace_dimensions_and_members():
-    sig, tau = build_sigma_star(), build_tau_star()
+    sig, tau = build_outer("sigma"), build_outer("tau")
     dim, basis = eigenspace(sig, ONE)
     assert dim == 14
     g1 = {(2, 3): ONE, (6, 7): ONE}
-    assert span_contains(basis, g1)
+    assert span_contains(bivector_span(basis), g1)
 
     dim, basis = eigenspace(sig, omega_eigenvalue())
     assert dim == 7
     member = {
         (6, 8): ONE, (5, 7): -ONE, (2, 4): ONE, (1, 3): I * SQRT3,
     }
-    assert span_contains(basis, member)
+    assert span_contains(bivector_span(basis), member)
 
     dim, _ = eigenspace(tau, ONE)
     assert dim == 21
@@ -107,11 +107,11 @@ def test_eigenspace_dimensions_and_members():
 
 def test_eigenspace_rejects_unsupported_values():
     with pytest.raises(ValueError):
-        eigenspace(build_sigma_star(), I)
+        eigenspace(build_outer("sigma"), I)
 
 
 def test_tabulated_eigenvectors_satisfy_equations():
-    sig = build_sigma_star()
+    sig = build_outer("sigma")
     for line, conj in ((ref.SIGMA_OMEGA_EIGENVECTORS, False), (ref.SIGMA_OMEGABAR_EIGENVECTORS, True)):
         lam = omega_eigenvalue(conj)
         for text in line:
@@ -141,7 +141,7 @@ def test_g2_bracket_example():
     gens = g2_generators()
     a = {(2, 3): ONE, (6, 7): ONE}
     b = {(2, 4): ONE, (6, 8): -ONE}
-    assert span_contains(gens, bivector_bracket(a, b))
+    assert span_contains(bivector_span(gens), bivector_bracket(a, b))
 
 
 def test_g2_action_matrix_display():
