@@ -14,7 +14,13 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .clifford import clifford_apply
-from .fields import build_field_system, emit_coordinates, gram_is_scaled_identity, random_point
+from .fields import (
+    build_field_system,
+    emit_coordinates,
+    gram_is_scaled_identity,
+    random_point,
+    structure_failure,
+)
 from .forms import g2_three_form, omega_square, spin7_four_form
 from .matrices import (
     Matrix,
@@ -122,6 +128,12 @@ def cmd_rep(args) -> int:
     word = parse_word(args.word)
     n = args.n
     space = args.space
+    # every space but the vector one is dense of dimension up to 2^(n/2)
+    if space != "vector" and n > max_oracle_dim():
+        raise UsageError(
+            f"--n {n} is above SPINBITS_MAX_N = {max_oracle_dim()} for the dense "
+            f"{space} space (dimension up to 2^{n // 2}); --space vector has no cap"
+        )
     try:
         if space == "full":
             M = kappa_matrix(n, word)
@@ -302,13 +314,7 @@ def cmd_fields(args) -> int:
         import random as _random
 
         rng = _random.Random(args.seed)
-        ok = all(J.is_antisymmetric() for J in system.J)
-        ok = ok and all(J.compose(J).is_minus_identity() for J in system.J)
-        ok = ok and all(
-            system.J[a].anticommutes_with(system.J[b])
-            for a in range(len(system.J))
-            for b in range(a + 1, len(system.J))
-        )
+        ok = structure_failure(system) is None
         gram = all(
             gram_is_scaled_identity(system, random_point(N, rng))
             for _ in range(args.samples)

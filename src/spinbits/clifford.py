@@ -26,16 +26,16 @@ def generator_action(n: int, p: int, a: int) -> Tuple[Scalar, int]:
     k = n // 2
     if p == n and n % 2 == 1:
         # diagonal action of the odd top generator
-        sign = (k + bin(a).count("1")) & 1
+        sign = (k + a.bit_count()) & 1
         return Scalar.i_power(1 + 2 * sign), a
     j = (p + 1) // 2
     if p % 2 == 1:
         # e_{2j-1}: i * (-1)^(j-1) * (-1)^(sum of bits below j-1)
-        low = bin(a & ((1 << (j - 1)) - 1)).count("1")
+        low = (a & ((1 << (j - 1)) - 1)).bit_count()
         coeff = Scalar.i_power(1 + 2 * ((j - 1 + low) & 1))
     else:
         # e_{2j}: (-1)^(j-1) * (-1)^(sum of bits below j)
-        low = bin(a & ((1 << j) - 1)).count("1")
+        low = (a & ((1 << j) - 1)).bit_count()
         coeff = Scalar.i_power(2 * ((j - 1 + low) & 1))
     return coeff, a ^ (1 << (j - 1))
 
@@ -73,7 +73,7 @@ def blade_product(mask_i: int, mask_j: int) -> Tuple[int, int]:
         b = j & -j  # lowest set bit of the remaining right factor
         bpos = b.bit_length() - 1
         above = cur >> (bpos + 1)
-        count += bin(above).count("1")
+        count += above.bit_count()
         if cur & b:
             count += 1  # contraction with signature -1
         cur ^= b
@@ -183,14 +183,14 @@ class CliffordElem:
         """Reversion anti-automorphism: a grade-m monomial picks up (-1)^(m(m-1)/2)."""
         t = {}
         for m, c in self.terms.items():
-            g = bin(m).count("1")
+            g = m.bit_count()
             t[m] = -c if (g * (g - 1) // 2) & 1 else c
         out = CliffordElem.__new__(CliffordElem)
         out.n, out.terms = self.n, t
         return out
 
     def grades(self) -> set:
-        return {bin(m).count("1") for m in self.terms}
+        return {m.bit_count() for m in self.terms}
 
     def apply(self, psi: Spinor) -> Spinor:
         """Spinor representation of this element (each monomial acts by bit flips)."""

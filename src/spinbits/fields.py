@@ -4,19 +4,26 @@ For the largest stage r whose irreducible real module dimension divides
 N, the images of e_1 e_j (j = 2..r) on R^N give r-1 antisymmetric
 complex structures J with pairwise anticommutation, so Z, J_2 Z, ...,
 J_r Z is an exact orthogonal frame at every point Z of the sphere.
+
+Everything runs on integers.  e_1 e_p u_a is a power of i times one
+basic spinor (``e1ep_phase``), so each J block is read straight off that
+bit rule as a signed permutation, and the Gram check clears denominators
+once and multiplies ints.  The route through real frame vectors and
+``RealBasisFrame.expand`` survives only in the tests, as the oracle.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .clifford import word_apply
-from .matrices import real_basis_frame
 from .scalars import Scalar
-from .spinors import Spinor, parity, real_structure
+from .spinors import Spinor, frame_index_set, real_structure, real_structure_phase
 
 
 @dataclass(frozen=True)
@@ -103,14 +110,12 @@ class SignedPermMatrix:
                 raise ValueError("not a permutation")
             self.row_to_col[r] = (c, s)
 
-    def apply(self, z: Sequence[Fraction]) -> List[Fraction]:
+    def apply(self, z: Sequence) -> List:
+        """The image of z, with z's own entry type (ints stay ints)."""
         if len(z) != self.n:
             raise ValueError("length mismatch")
-        out = [Fraction(0)] * self.n
-        for c, (r, s) in self.col_to_row.items():
-            if z[c]:
-                out[r] = s * z[c]
-        return out
+        return [z[c] if s > 0 else -z[c]
+                for c, s in map(self.row_to_col.__getitem__, range(self.n))]
 
     def compose(self, other: "SignedPermMatrix") -> "SignedPermMatrix":
         # self * other as matrices
@@ -152,19 +157,34 @@ class SignedPermMatrix:
         return rows
 
 
+@lru_cache(maxsize=None)
 def _irrep_block(r: int, which: str, p: int) -> SignedPermMatrix:
-    """The image of e_1 e_p on one irreducible real frame, as a signed permutation."""
-    frame = real_basis_frame(r, which)
-    d = len(frame.vectors)
+    """The image of e_1 e_p on one irreducible real frame, read off the bit rule.
+
+    Frame column 2t+q is i^q u_a, gamma-symmetrized at stages 0, 1 mod 8,
+    for the t-th frame index a.  e_1 e_p sends it to i^s u_b, s = q + e,
+    which is frame vector 2 pos[b] + s mod 2 with sign + iff s mod 4 < 2.
+    At stages 0, 1 mod 8 (gamma^2 = +1) an image index outside the frame
+    folds through gamma: w + gamma w = w' + gamma w' for w = i^s u_b and
+    w' = gamma w = i^(g-s) u_~b.  The minus frame is e_1 times the plus
+    one and e_1 e_p e_1 = -e_1 e_1 e_p, so its block is the plus block
+    negated.
+    """
+    if which == "minus":
+        return -_irrep_block(r, "plus", p)
+    idx = frame_index_set(r)
+    pos = {a: t for t, a in enumerate(idx)}
     col_to_row = {}
-    for c in range(d):
-        img = word_apply(r, [1, p], frame.vectors[c])
-        coords = frame.expand(img)
-        hits = [(m, v) for m, v in enumerate(coords) if v]
-        if len(hits) != 1 or abs(hits[0][1]) != 1:
-            raise AssertionError("field generator is not a signed permutation")
-        col_to_row[c] = (hits[0][0], 1 if hits[0][1] > 0 else -1)
-    return SignedPermMatrix(d, col_to_row)
+    for t, a in enumerate(idx):
+        e, b = e1ep_phase(r, p, a)
+        if b in pos:
+            phases = (e, e + 1)
+        else:
+            g, b = real_structure_phase(r, b)
+            phases = (g - e, g - e - 1)
+        for q, s in enumerate(phases):
+            col_to_row[2 * t + q] = (2 * pos[b] + s % 2, 1 if s % 4 < 2 else -1)
+    return SignedPermMatrix(2 * len(idx), col_to_row)
 
 
 def _tensor_identity(block: SignedPermMatrix, copies: int, offset: int, n: int,
@@ -229,26 +249,27 @@ def build_field_system(N: int, split: Optional[Tuple[int, int]] = None) -> Field
     return FieldSystem(N=N, r=rr, multiplicities=(m1, m2), J=Js)
 
 
-def e1ep_closed_form(r: int, p: int, a: int) -> Tuple[Scalar, int]:
-    """Single-formula action of e_1 e_p on u_a (the composite bit rule)."""
+def e1ep_phase(r: int, p: int, a: int) -> Tuple[int, int]:
+    """The composite bit rule: e_1 e_p u_a = i^e u_b, returned as (e, b), 0 <= e < 4."""
     if not 2 <= p <= r:
         raise ValueError("p out of range")
     a0 = a & 1
     if p == 2:
-        sign = 1 if a0 == 0 else -1
-        return Scalar.i_power(1 if sign > 0 else 3), a
-    k2 = r // 2
+        return (3 if a0 else 1), a
     if p == r and r % 2 == 1:
-        exp = (r // 2) + 1 + bin(a & ((1 << (r // 2)) - 1)).count("1")
-        coeff = Scalar.rational(1 if exp % 2 == 0 else -1)
-        return coeff, a + (1 if a0 == 0 else -1)
+        k = r // 2
+        return 2 * ((k + 1 + (a & ((1 << k) - 1)).bit_count()) & 1), a ^ 1
     j = (p + 1) // 2
     ajm1 = (a >> (j - 1)) & 1
-    low = bin(a & ((1 << (j - 1)) - 1)).count("1")
+    low = (a & ((1 << (j - 1)) - 1)).bit_count()
     exp2 = (2 * j - 1 + low + ajm1 * (-2 * j + p + 1)) % 2
-    coeff = Scalar.i_power(1 - p + 2 * exp2)
-    b = a + ((1 << (j - 1)) if ajm1 == 0 else -(1 << (j - 1))) + (1 if a0 == 0 else -1)
-    return coeff, b
+    return (1 - p + 2 * exp2) % 4, a ^ (1 << (j - 1)) ^ 1
+
+
+def e1ep_closed_form(r: int, p: int, a: int) -> Tuple[Scalar, int]:
+    """Single-formula action of e_1 e_p on u_a (the composite bit rule)."""
+    e, b = e1ep_phase(r, p, a)
+    return Scalar.i_power(e), b
 
 
 def field_formula_value(r: int, p: int, x: Dict[int, Fraction], y: Dict[int, Fraction]) -> Spinor:
@@ -258,17 +279,9 @@ def field_formula_value(r: int, p: int, x: Dict[int, Fraction], y: Dict[int, Fra
     Follows the per-residue recipes: plain unit spinors for stages 2, 4
     mod 8 and gamma-symmetrized ones for stages 0, 1 mod 8.
     """
-    res = r % 8
+    idx = frame_index_set(r)
+    symmetrize = r % 8 in (0, 1)
     k = r // 2
-    if res in (2, 4):
-        idx = [a for a in range(1 << k) if parity(a) == 0]
-        symmetrize = False
-    elif res in (0, 1):
-        idx = [a for a in range(1 << (k - 1)) if res == 1 or parity(a) == 0]
-        symmetrize = True
-    else:
-        raise ValueError("stage without its own frame")
-
     out = Spinor.zero(k)
     inv_sqrt2 = Scalar.sqrt(2) * Scalar.rational(1, 2)
     for a in idx:
@@ -299,18 +312,6 @@ def frame_point_spinor(r: int, x: Dict[int, Fraction], y: Dict[int, Fraction]) -
             term = (term + real_structure(r, term)).scale(inv_sqrt2)
         out = out + term
     return out
-
-
-def frame_index_set(r: int) -> List[int]:
-    res = r % 8
-    k = r // 2
-    if res in (2, 4):
-        return [a for a in range(1 << k) if parity(a) == 0]
-    if res == 0:
-        return [a for a in range(1 << (k - 1)) if parity(a) == 0]
-    if res == 1:
-        return list(range(1 << (k - 1)))
-    raise ValueError("stage without its own frame")
 
 
 def emit_coordinates(N: int, fmt: str = "text",
@@ -347,15 +348,41 @@ def emit_coordinates(N: int, fmt: str = "text",
     return "\n".join(lines)
 
 
+def structure_failure(system: FieldSystem) -> Optional[dict]:
+    """The first structure equation the system breaks, or None.
+
+    Checks each J for antisymmetry and J^2 = -1, then every pair for
+    anticommutation; a failure names N, the 1-based J (or pair) and the
+    equation.
+    """
+    for j, J in enumerate(system.J, start=1):
+        if not J.is_antisymmetric():
+            return {"N": system.N, "J": j, "equation": "J^T = -J"}
+        if not J.compose(J).is_minus_identity():
+            return {"N": system.N, "J": j, "equation": "J^2 = -1"}
+    for a in range(len(system.J)):
+        for b in range(a + 1, len(system.J)):
+            if not system.J[a].anticommutes_with(system.J[b]):
+                return {"N": system.N, "J": [a + 1, b + 1], "equation": "J_a J_b = -J_b J_a"}
+    return None
+
+
 def gram_is_scaled_identity(system: FieldSystem, Z: Sequence[Fraction]) -> bool:
-    """Gram matrix of (Z, V_1(Z), ..., V_{r-1}(Z)) equals |Z|^2 Id, exactly."""
-    z = [Fraction(v) for v in Z]
-    vecs = [z] + [system.J[j].apply(z) for j in range(system.r - 1)]
-    norm = sum((v * v for v in z), Fraction(0))
-    for a in range(len(vecs)):
-        for b in range(a, len(vecs)):
-            dot = sum((vecs[a][t] * vecs[b][t] for t in range(system.N)), Fraction(0))
-            if dot != (norm if a == b else 0):
+    """Gram matrix of (Z, V_1(Z), ..., V_{r-1}(Z)) equals |Z|^2 Id, exactly.
+
+    Works on ints: Z times the lcm D of its denominators has a Gram matrix
+    D^2 times that of Z, which is a scaled identity exactly when Z's is.
+    """
+    fracs = [Fraction(v) for v in Z]
+    D = math.lcm(*(f.denominator for f in fracs))
+    z = [f.numerator * (D // f.denominator) for f in fracs]
+    vecs = [z] + [J.apply(z) for J in system.J]
+    norm = sum(map(mul, z, z))
+    for a, u in enumerate(vecs):
+        if sum(map(mul, u, u)) != norm:
+            return False
+        for v in vecs[a + 1:]:
+            if sum(map(mul, u, v)):
                 return False
     return True
 

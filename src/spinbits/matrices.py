@@ -456,7 +456,7 @@ def real_rep_matrix(r: int, word: Sequence[int], source: str) -> Matrix:
             coords = dst.expand(img)
         except ValueError as e:
             raise ValueError(f"word {list(word)} does not preserve the real spans: {e}")
-        cols.append([Scalar.from_fraction(f) for f in coords])
+        cols.append([Scalar.from_fraction(f) if f else ZERO for f in coords])
     return Matrix.from_columns(cols)
 
 

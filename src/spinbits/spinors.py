@@ -41,7 +41,7 @@ def bit(a: int, l: int) -> int:
 
 def parity(a: int) -> int:
     """Number of set bits mod 2."""
-    return bin(a).count("1") & 1
+    return a.bit_count() & 1
 
 def chirality(a: int) -> int:
     """+1 on even bit-parity indices, -1 on odd ones."""
@@ -191,23 +191,28 @@ def hermitian(psi1: Spinor, psi2: Spinor) -> Scalar:
     return total
 
 
-def real_structure_on_basis(n: int, a: int) -> Tuple[Scalar, int]:
-    """gamma_n applied to u_a: returns (coefficient, image index).
+def real_structure_phase(n: int, a: int) -> Tuple[int, int]:
+    """gamma_n applied to u_a as (e, b): gamma_n u_a = i**e u_b, 0 <= e < 4.
 
     gamma_n is the tensor product over the k = floor(n/2) factors of the
     standard quaternionic structure on odd slots and the real structure
     on even slots (slot 1 = most significant bit), each of which flips
-    the slot sign; the product of the odd-slot factors -s*i gives the
-    coefficient.
+    the slot sign; the odd-slot factor -s*i is i**3 for s = +1 and i for
+    s = -1, so e = #odd slots + 2 * #odd slots with s = +1.
     """
     k = n // 2
     if k == 0:
         raise ValueError("need n >= 2")
-    signs = signs_from_index(a, k)
-    coeff = ONE
-    for s_pos in range(1, k + 1, 2):
-        coeff = coeff * (-signs[s_pos - 1]) * I
-    return coeff, (1 << k) - 1 - a
+    # slot j sits at bit k - j, so the odd slots are the bits k-1, k-3, ...
+    odd_slots = sum(1 << (k - j) for j in range(1, k + 1, 2))
+    plus = (odd_slots & ~a).bit_count()
+    return ((k + 1) // 2 + 2 * plus) % 4, (1 << k) - 1 - a
+
+
+def real_structure_on_basis(n: int, a: int) -> Tuple[Scalar, int]:
+    """gamma_n applied to u_a: returns (coefficient, image index)."""
+    e, b = real_structure_phase(n, a)
+    return Scalar.i_power(e), b
 
 
 def real_structure(n: int, psi: Spinor) -> Spinor:
@@ -228,6 +233,24 @@ def gamma_squares_to(n: int) -> int:
     return 1 if n % 8 in (0, 1, 6, 7) else -1
 
 
+def frame_index_set(r: int) -> List[int]:
+    """The indices a whose u_a (and i u_a) span the real frame at stage r.
+
+    Even-parity a < 2**k at stages 2, 4 mod 8; at stages 0, 1 mod 8 the
+    frame vectors are gamma-symmetrized, so the indices stop below
+    2**(k-1) (even parity only at stage 0 mod 8).
+    """
+    res = r % 8
+    k = r // 2
+    if res in (2, 4):
+        return [a for a in range(1 << k) if parity(a) == 0]
+    if res == 0:
+        return [a for a in range(1 << (k - 1)) if parity(a) == 0]
+    if res == 1:
+        return list(range(1 << (k - 1)))
+    raise ValueError("stage without its own frame")
+
+
 def real_form_basis(r: int, which: str = "full") -> List[Spinor]:
     """Ordered real basis of the real (half-)spinor representation at stage r.
 
@@ -243,21 +266,14 @@ def real_form_basis(r: int, which: str = "full") -> List[Spinor]:
     if res in (1, 2) and which != "full":
         raise ValueError(f"stage {r} has a single real form; got {which!r}")
 
-    if res == 0:
-        idx = [a for a in range(1 << (k - 1)) if parity(a) == 0]
+    if res in (0, 1):
         basis = []
-        for a in idx:
-            for u in (Spinor.basis(k, a), Spinor.basis(k, a, I)):
-                basis.append((u + real_structure(r, u)).scale(INV_SQRT2))
-    elif res == 1:
-        basis = []
-        for a in range(1 << (k - 1)):
+        for a in frame_index_set(r):
             for u in (Spinor.basis(k, a), Spinor.basis(k, a, I)):
                 basis.append((u + real_structure(r, u)).scale(INV_SQRT2))
     elif res in (2, 4):
-        idx = [a for a in range(1 << k) if parity(a) == 0]
         basis = []
-        for a in idx:
+        for a in frame_index_set(r):
             basis.append(Spinor.basis(k, a))
             basis.append(Spinor.basis(k, a, I))
     else:

@@ -82,16 +82,24 @@ def _reframe(M: Matrix) -> Matrix:
     return Matrix(
         [
             [
-                M.data[r][c] if FRAME_SIGNS[r] * FRAME_SIGNS[c] > 0 else -M.data[r][c]
-                for c in range(M.cols)
+                -x if x and FRAME_SIGNS[r] * FRAME_SIGNS[c] < 0 else x
+                for c, x in enumerate(row)
             ]
-            for r in range(M.rows)
+            for r, row in enumerate(M.data)
         ]
     )
 
 
 def kappa_real_matrix(word: Sequence[int], sign: str) -> Matrix:
-    """Real half-spinor matrix of a word, in this module's frame orientation."""
+    """Real half-spinor matrix of a word, in this module's frame orientation.
+
+    Built once per (word, sign): callers share the Matrix and never mutate it.
+    """
+    return _kappa_real_matrix(tuple(word), sign)
+
+
+@lru_cache(maxsize=None)
+def _kappa_real_matrix(word: Tuple[int, ...], sign: str) -> Matrix:
     return _reframe(real_rep_matrix(8, word, sign))
 
 

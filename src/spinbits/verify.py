@@ -27,12 +27,12 @@ from .fields import (
     e1ep_closed_form,
     emit_coordinates,
     field_formula_value,
-    frame_index_set,
     frame_point_spinor,
     gram_is_scaled_identity,
     hurwitz_radon,
     max_stage,
     random_point,
+    structure_failure,
 )
 from .forms import ExtForm, derivation_action, dualize_endomorphism, g2_three_form, omega_square, spin7_four_form
 from .matrices import (
@@ -48,6 +48,7 @@ from .scalars import Angle, I, ONE, SQRT3, Scalar, ZERO
 from .spinors import (
     Spinor,
     chirality,
+    frame_index_set,
     gamma_squares_to,
     hermitian,
     parity,
@@ -521,23 +522,24 @@ def check_fields(report: Report, samples: int, rng: random.Random):
         {"corrected_cells": {f"V{j} slot {s}": v for (j, s), v in mismatches.items()}},
     )
 
-    ok = True
+    # the witness is the first failure: a structure equation, or the
+    # index of the first random point whose Gram matrix is not |Z|^2 Id
+    witness = None
     npoints = min(50, samples) if samples else 0
     for N in (2, 4, 8, 16, 32, 64, 128):
         system = build_field_system(N)
-        good = all(J.is_antisymmetric() for J in system.J)
-        good = good and all(J.compose(J).is_minus_identity() for J in system.J)
-        good = good and all(
-            system.J[a].anticommutes_with(system.J[b])
-            for a in range(len(system.J))
-            for b in range(a + 1, len(system.J))
-        )
-        for _ in range(npoints):
-            good = good and gram_is_scaled_identity(system, random_point(N, rng))
-        if not good:
-            ok = False
+        failure = structure_failure(system)
+        if failure is None:
+            for t in range(npoints):
+                if not gram_is_scaled_identity(system, random_point(N, rng)):
+                    failure = {"N": N, "point": t}
+                    break
+        if witness is None:
+            witness = failure
     report.add(
-        "C8 structure equations and exact Gram frames for N in {2,...,128}", ok
+        "C8 structure equations and exact Gram frames for N in {2,...,128}",
+        witness is None,
+        witness,
     )
 
     ok = True

@@ -90,6 +90,20 @@ def test_rep_matrix_chirality_spaces(capsys):
         assert M.rows == M.cols == size
 
 
+def test_rep_matrix_dense_spaces_are_capped(capsys, monkeypatch):
+    # checked before any matrix is built: 2^20 x 2^20 would never finish
+    monkeypatch.delenv("SPINBITS_MAX_N", raising=False)
+    for space in ("full", "plus", "minus", "real-plus", "real-minus"):
+        code = main(["rep", "matrix", "--n", "40", "--word", "e1e2", "--space", space])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "SPINBITS_MAX_N = 12" in captured.err and "Traceback" not in captured.err
+    code, out = run(capsys, "rep", "matrix", "--n", "40", "--word", "e1e2",
+                    "--space", "vector", "--format", "json")
+    assert code == 0
+    assert Matrix.from_json(json.loads(out)).rows == 40
+
+
 def test_rep_matrix_bad_space_word(capsys):
     code, _ = run(
         capsys, "rep", "matrix", "--n", "8", "--word", "e1", "--space", "plus",
@@ -237,6 +251,7 @@ def test_tracer_targets_resolve():
     "spinor mul --n -2 --p 1 --index 0",
     "verify-all --max-n 14",
     "octonion check --samples -3",
+    "rep matrix --n 40 --word e1e2",
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, command):
     monkeypatch.delenv("SPINBITS_MAX_N", raising=False)

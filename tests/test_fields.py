@@ -2,23 +2,67 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinbits import reference as ref
+from spinbits import verify
 from spinbits.clifford import word_apply
 from spinbits.fields import (
+    FieldSystem,
+    SignedPermMatrix,
+    _irrep_block,
     build_field_system,
     e1ep_closed_form,
+    e1ep_phase,
     emit_coordinates,
     field_formula_value,
-    frame_index_set,
     frame_point_spinor,
     gram_is_scaled_identity,
     hurwitz_radon,
     irrep_info,
     max_stage,
     random_point,
+    structure_failure,
 )
-from spinbits.spinors import Spinor
+from spinbits.matrices import real_basis_frame
+from spinbits.scalars import Scalar
+from spinbits.spinors import Spinor, frame_index_set
+
+
+def frame_block(r, which, p):
+    """Oracle for _irrep_block: push each real frame vector through e_1 e_p
+    as a spinor and expand the image in the frame."""
+    frame = real_basis_frame(r, which)
+    col_to_row = {}
+    for c, v in enumerate(frame.vectors):
+        coords = frame.expand(word_apply(r, [1, p], v))
+        hits = [(m, x) for m, x in enumerate(coords) if x]
+        assert len(hits) == 1 and abs(hits[0][1]) == 1
+        col_to_row[c] = (hits[0][0], 1 if hits[0][1] > 0 else -1)
+    return SignedPermMatrix(len(frame.vectors), col_to_row)
+
+
+def fraction_gram(system, Z):
+    """Oracle for gram_is_scaled_identity: the Gram matrix in Fractions."""
+    z = [Fraction(v) for v in Z]
+    vecs = [z] + [J.apply(z) for J in system.J]
+    norm = sum((v * v for v in z), Fraction(0))
+    for a in range(len(vecs)):
+        for b in range(a, len(vecs)):
+            dot = sum((vecs[a][t] * vecs[b][t] for t in range(system.N)), Fraction(0))
+            if dot != (norm if a == b else 0):
+                return False
+    return True
+
+
+def flip_one_sign(system, j, col):
+    """A copy of the system with the sign of one entry of J_j negated."""
+    c2r = dict(system.J[j - 1].col_to_row)
+    row, s = c2r[col]
+    c2r[col] = (row, -s)
+    Js = list(system.J)
+    Js[j - 1] = SignedPermMatrix(system.N, c2r)
+    return FieldSystem(system.N, system.r, system.multiplicities, Js)
 
 
 def test_irrep_info_examples():
@@ -61,6 +105,82 @@ def test_closed_forms_match_generator_composition():
             for a in range(1 << k):
                 c, b = e1ep_closed_form(r, p, a)
                 assert Spinor.basis(k, b, c) == word_apply(r, [1, p], Spinor.basis(k, a))
+                e, _ = e1ep_phase(r, p, a)
+                assert 0 <= e < 4 and c == Scalar.i_power(e)
+
+
+# every stage with its own real frame (0, 1, 2, 4 mod 8) up to 18
+FRAME_STAGES = [r for r in range(2, 19) if r % 8 in (0, 1, 2, 4)]
+
+
+@pytest.mark.parametrize("r", FRAME_STAGES)
+def test_bit_rule_blocks_match_frame_expansion(r):
+    whiches = ("plus", "minus") if r % 4 == 0 else ("full",)
+    for which in whiches:
+        for p in range(2, r + 1):
+            assert _irrep_block(r, which, p) == frame_block(r, which, p), (which, p)
+
+
+def test_apply_keeps_the_entry_type():
+    J = build_field_system(8).J[2]
+    out = J.apply(list(range(1, 9)))
+    assert all(type(x) is int for x in out)
+    assert out == J.apply([Fraction(x) for x in range(1, 9)])
+
+
+_GRAM_SYSTEMS = {N: build_field_system(N) for N in (4, 16, 24, 32)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_int_gram_equals_fraction_gram(data):
+    N = data.draw(st.sampled_from(sorted(_GRAM_SYSTEMS)))
+    system = _GRAM_SYSTEMS[N]
+    nums = data.draw(st.lists(st.integers(-9, 9).filter(bool), min_size=N, max_size=N))
+    dens = data.draw(st.lists(st.integers(1, 12), min_size=N, max_size=N)
+                     .filter(lambda ds: any(d > 1 for d in ds)))
+    z = [Fraction(n, d) for n, d in zip(nums, dens)]
+    assert gram_is_scaled_identity(system, z) is fraction_gram(system, z) is True
+    j = data.draw(st.integers(1, len(system.J)))
+    col = data.draw(st.integers(0, N - 1))
+    broken = flip_one_sign(system, j, col)
+    assert gram_is_scaled_identity(broken, z) is fraction_gram(broken, z) is False
+
+
+def test_structure_failure_names_the_first_broken_equation():
+    system = build_field_system(32)
+    assert structure_failure(system) is None
+    broken = flip_one_sign(system, 3, 5)
+    assert structure_failure(broken) == {"N": 32, "J": 3, "equation": "J^T = -J"}
+
+
+def test_c8_witness_names_a_broken_system(monkeypatch):
+    real_build = verify.build_field_system
+
+    def build(N, split=None):
+        system = real_build(N, split=split)
+        return flip_one_sign(system, 2, 0) if N == 16 else system
+
+    monkeypatch.setattr(verify, "build_field_system", build)
+    report = verify.Report()
+    verify.check_fields(report, 3, random.Random(1))
+    check = next(c for c in report.checks if c.name.startswith("C8 structure equations"))
+    assert not check.passed
+    assert check.witness == {"N": 16, "J": 2, "equation": "J^T = -J"}
+
+
+def test_c8_witness_names_the_failing_point(monkeypatch):
+    calls = []
+
+    def gram(system, z):
+        calls.append(system.N)
+        return not (system.N == 8 and calls.count(8) == 2)
+
+    monkeypatch.setattr(verify, "gram_is_scaled_identity", gram)
+    report = verify.Report()
+    verify.check_fields(report, 3, random.Random(1))
+    check = next(c for c in report.checks if c.name.startswith("C8 structure equations"))
+    assert check.witness == {"N": 8, "point": 1}
 
 
 def test_build_field_system_32_matches_tabulated_rows():
@@ -183,8 +303,6 @@ def test_field_formula_matches_matrix_route():
 def test_frame_closure_under_top_generator():
     # stage 9: e_1 e_9 maps the symmetrized frame into itself (the
     # reflection partner lands on the same frame member up to sign)
-    from spinbits.matrices import real_basis_frame
-
     frame = real_basis_frame(9, "full")
     for v in frame.vectors:
         img = word_apply(9, [1, 9], v)

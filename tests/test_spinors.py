@@ -16,6 +16,8 @@ from spinbits.spinors import (
     index_from_signs,
     real_form_basis,
     real_structure,
+    real_structure_on_basis,
+    real_structure_phase,
     signs_from_index,
     weight,
 )
@@ -87,6 +89,19 @@ def test_real_structure_basis_values():
     assert g == Spinor.basis(4, 15, -ONE)
     sym = (Spinor.basis(4, 0) + g).scale(INV_SQRT2)
     assert sym == (Spinor.basis(4, 0) - Spinor.basis(4, 15)).scale(INV_SQRT2)
+
+
+def test_real_structure_phase_is_the_odd_slot_product():
+    # gamma_n u_a = prod over odd slots of (-s_slot * i), times u_(~a)
+    for n in range(2, 17):
+        k = n // 2
+        for a in range(1 << k):
+            coeff = ONE
+            for slot in range(1, k + 1, 2):
+                coeff = coeff * (-signs_from_index(a, k)[slot - 1]) * I
+            e, b = real_structure_phase(n, a)
+            assert 0 <= e < 4 and b == (1 << k) - 1 - a
+            assert real_structure_on_basis(n, a) == (coeff, b) == (Scalar.i_power(e), b)
 
 
 def test_real_structure_is_conjugate_linear():

@@ -5,7 +5,7 @@ import pytest
 
 from spinbits import reference as ref
 from spinbits.clifford import CliffordElem, volume_element
-from spinbits.matrices import Matrix
+from spinbits.matrices import Matrix, real_rep_matrix
 from spinbits.scalars import Angle, I, ONE, SQRT3, Scalar, INV_SQRT2
 from spinbits.spinors import Spinor
 from spinbits.triality import (
@@ -20,7 +20,9 @@ from spinbits.triality import (
     g2_action_matrix_on,
     g2_generators,
     g2_structure,
+    _reframe,
     group_automorphism,
+    kappa_real_matrix,
     omega_eigenvalue,
     s3_relations,
     span_contains,
@@ -218,3 +220,12 @@ def test_center_images():
     tau = center_images("tau")
     assert tau["-1"] == vol
     assert tau["vol"] == -one
+
+
+def test_kappa_real_matrix_cache_matches_a_fresh_build():
+    # the 56 inputs verify-all uses: every generator pair on both half-spinors
+    for p in PAIR_ORDER:
+        for sign in ("plus", "minus"):
+            cached = kappa_real_matrix(list(p), sign)
+            assert kappa_real_matrix(p, sign) is cached
+            assert cached == _reframe(real_rep_matrix(8, list(p), sign))
