@@ -47,6 +47,16 @@ from .verify import Report, verify_all
 from .scalars import ONE
 
 
+# Fixed caps on the flags whose cost grows without bound; a larger value
+# exits 2 before anything is built.  S^16383 (N = 16384) builds in about
+# 2 s; the N x N field matrices and the n x n vector matrix print in about
+# 10 s at 300 MiB for N, n = 1024; a basic spinor index is an int below
+# 2^(n/2).
+MAX_SPHERE = 16383
+MAX_DENSE_N = 1024
+MAX_SPINOR_N = 1 << 16
+
+
 class UsageError(Exception):
     pass
 
@@ -77,10 +87,15 @@ def _split_pair(text: str) -> Tuple[int, int]:
         m1, m2 = (int(t) for t in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"--split needs two integers m1,m2, not {text!r}")
+    if m1 < 0 or m2 < 0:
+        raise argparse.ArgumentTypeError(f"--split needs m1, m2 >= 0, not {text!r}")
     return m1, m2
 
 
 def _g2_coefficients(text: str) -> List[Fraction]:
+    # Fraction("1e99999999999") would build a 10^11-digit integer
+    if "e" in text.lower():
+        raise argparse.ArgumentTypeError(f"coefficients take no exponent: {text!r}")
     try:
         alphas = [Fraction(t) for t in text.split(",")]
     except (ValueError, ZeroDivisionError):
@@ -132,8 +147,11 @@ def cmd_rep(args) -> int:
     if space != "vector" and n > max_oracle_dim():
         raise UsageError(
             f"--n {n} is above SPINBITS_MAX_N = {max_oracle_dim()} for the dense "
-            f"{space} space (dimension up to 2^{n // 2}); --space vector has no cap"
+            f"{space} space (dimension up to 2^{n // 2}); --space vector allows "
+            f"n <= {MAX_DENSE_N}"
         )
+    if n > MAX_DENSE_N:
+        raise UsageError(f"--n {n} is above {MAX_DENSE_N} for the n x n vector matrix")
     try:
         if space == "full":
             M = kappa_matrix(n, word)
@@ -294,7 +312,7 @@ def cmd_forms(args) -> int:
             vol = sq.coefficient((1, 2, 3, 4, 5, 6, 7, 8))
             ok = len(sq.terms) == 1 and vol == 504
             rep = _report_from_pairs([("omega wedge omega = 504 vol", ok)])
-            return _emit_report(rep, "text" if not args.latex else "text")
+            return _emit_report(rep, "text")
         print(om.latex() if args.latex else repr(om))
         return 0
     if args.what == "phi":
@@ -306,6 +324,8 @@ def cmd_forms(args) -> int:
 
 def cmd_fields(args) -> int:
     N = args.sphere + 1
+    if args.emit == "matrices" and not args.verify and N > MAX_DENSE_N:
+        raise UsageError(f"--emit matrices prints N x N matrices; N = {N} is above {MAX_DENSE_N}")
     try:
         system = build_field_system(N, split=args.split)
     except ValueError as e:
@@ -359,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spinor", help="generator action on basic spinors")
     spsub = sp.add_subparsers(dest="what", required=True)
     mul = spsub.add_parser("mul", help="image of u_index under e_p")
-    mul.add_argument("--n", type=_int_range(1), required=True)
+    mul.add_argument("--n", type=_int_range(1, MAX_SPINOR_N), required=True)
     mul.add_argument("--p", type=int, required=True)
     mul.add_argument("--index", type=int, required=True)
     mul.add_argument("--format", choices=("text", "json", "latex"), default="json")
@@ -403,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     fo.set_defaults(func=cmd_forms)
 
     fl = sub.add_parser("fields", help="tangent vector fields on spheres")
-    fl.add_argument("--sphere", type=int, required=True, help="M for S^M")
+    fl.add_argument("--sphere", type=_int_range(1, MAX_SPHERE), required=True,
+                    help=f"M for S^M, at most {MAX_SPHERE}")
     fl.add_argument("--emit", choices=("coords", "matrices"), default="coords")
     fl.add_argument("--verify", action="store_true")
     fl.add_argument("--samples", type=_int_range(0), default=20)
@@ -426,6 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse before Python 3.12 parses "--flag=--" to an empty list
+    if any(value == [] for value in vars(args).values()):
+        parser.error("'--' is not a value")
     try:
         return args.func(args)
     except UsageError as e:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .clifford import clifford_apply
@@ -139,18 +140,28 @@ def _table() -> List[List[SignedIndex]]:
     return octonion_table()
 
 
+def _numerators(x: Octonion) -> Tuple[List[int], int]:
+    """Integer numerators of x over the lcm d of its denominators."""
+    d = lcm(*(c.denominator for c in x.coeffs))
+    return [c.numerator * (d // c.denominator) for c in x.coeffs], d
+
+
 def octonion_mul(x: Octonion, y: Octonion) -> Octonion:
+    """The product, summed on integer numerators over one denominator."""
     table = _table()
-    out = [Fraction(0)] * 8
-    for i, a in enumerate(x.coeffs):
+    xn, xd = _numerators(x)
+    yn, yd = _numerators(y)
+    out = [0] * 8
+    for i, a in enumerate(xn):
         if not a:
             continue
-        for j, b in enumerate(y.coeffs):
-            if not b:
-                continue
-            cell = table[i][j]
-            out[cell.index] += cell.sign * a * b
-    return Octonion(out)
+        row = table[i]
+        for j, b in enumerate(yn):
+            if b:
+                sign, k = row[j]
+                out[k] += sign * a * b
+    d = xd * yd
+    return Octonion([Fraction(c, d) for c in out])
 
 
 def random_octonion(rng: random.Random, span: int = 9) -> Octonion:

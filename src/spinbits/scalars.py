@@ -4,18 +4,22 @@ Every coefficient that shows up downstream (powers of i, 1/sqrt2
 normalizations, sqrt3 eigenvalues, cosines and sines at multiples of
 pi/12) lives in this field, so nothing is ever rounded.
 
-A Scalar is stored as a map from a squarefree radical in {1, 2, 3, 6}
-to a complex rational pair, i.e.
+A Scalar is eight integer numerators over one common denominator d > 0,
 
-    x = sum_r (re_r + im_r * i) * sqrt(r),   r in {1, 2, 3, 6}
+    x = (n0 + n1 i + n2 sqrt2 + n3 i sqrt2 + n4 sqrt3 + n5 i sqrt3
+         + n6 sqrt6 + n7 i sqrt6) / d,
 
-with all re_r, im_r exact ``fractions.Fraction`` values and zero
-components omitted.  Values are immutable after construction.
+kept canonical (gcd(n0, ..., n7, d) = 1, trailing zero numerators
+dropped), so equal values have equal (numerators, d) and a rational
+value has at most one numerator.  Products run a fixed 8 x 8 table built
+from sqrt(a) sqrt(b) = f sqrt(c); rational operands skip it.  Values are
+immutable after construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Tuple
 
 RADICALS = (1, 2, 3, 6)
@@ -33,8 +37,20 @@ for _a in RADICALS:
                 break
         _RADMUL[(_a, _b)] = (_f, _prod)
 
+# slot k holds i^(k % 2) sqrt(RADICALS[k // 2]); slot a times slot b is
+# _MUL[a][b][1] times slot _MUL[a][b][0]
+_MUL = []
+for _a in range(8):
+    _MUL.append([])
+    for _b in range(8):
+        _f, _rad = _RADMUL[RADICALS[_a // 2], RADICALS[_b // 2]]
+        _MUL[_a].append((2 * RADICALS.index(_rad) + (_a + _b) % 2, -_f if _a & _b & 1 else _f))
+
+# sign masks of i -> -i and of sqrt3 -> -sqrt3, sqrt2 -> -sqrt2 (sqrt6 flips too)
+_CONJ = (1, -1) * 4
+_FLIP = {3: (1, 1, 1, 1, -1, -1, -1, -1), 2: (1, 1, -1, -1, 1, 1, -1, -1)}
+
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -45,94 +61,131 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _new(n: tuple, d: int) -> "Scalar":
+    # (n, d) must already be canonical
+    out = object.__new__(Scalar)
+    out._n = n
+    out._d = d
+    return out
+
+
+def _make(n: list, d: int) -> "Scalar":
+    """The canonical Scalar of numerators n (a list, consumed) over d > 0."""
+    while n and not n[-1]:
+        n.pop()
+    if not n:
+        return ZERO
+    g = gcd(d, *n)
+    if g != 1:
+        n = [x // g for x in n]
+        d //= g
+    return _new(tuple(n), d)
+
+
+def _ratio(p: int, q: int) -> "Scalar":
+    """The rational p/q for ints p and q != 0."""
+    if not p:
+        return ZERO
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    return _new((p // g,), q // g)
+
+
 class Scalar:
     """An element of Q(i, sqrt2, sqrt3) with exact field operations."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, components: Dict[int, Tuple[Fraction, Fraction]] | None = None):
-        c = {}
-        if components:
-            for rad, (re, im) in components.items():
-                if rad not in RADICALS:
-                    raise ValueError(f"unsupported radical {rad}")
-                re, im = _frac(re), _frac(im)
-                if re or im:
-                    c[rad] = (re, im)
-        self._c = c
+        fracs = [_ZERO] * 8
+        for rad, (re, im) in (components or {}).items():
+            if rad not in RADICALS:
+                raise ValueError(f"unsupported radical {rad}")
+            k = 2 * RADICALS.index(rad)
+            fracs[k], fracs[k + 1] = _frac(re), _frac(im)
+        d = lcm(*(f.denominator for f in fracs))
+        x = _make([f.numerator * (d // f.denominator) for f in fracs], d)
+        self._n, self._d = x._n, x._d
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def zero() -> "Scalar":
-        return Scalar()
+        return ZERO
 
     @staticmethod
     def one() -> "Scalar":
-        return Scalar({1: (_ONE, _ZERO)})
+        return ONE
 
     @staticmethod
     def i() -> "Scalar":
-        return Scalar({1: (_ZERO, _ONE)})
+        return I
 
     @staticmethod
     def rational(p, q=1) -> "Scalar":
-        return Scalar({1: (Fraction(p, q), _ZERO)})
+        return _coerce(Fraction(p, q))
 
     @staticmethod
     def from_fraction(f: Fraction) -> "Scalar":
-        return Scalar({1: (_frac(f), _ZERO)})
+        return _coerce(_frac(f))
 
     @staticmethod
     def sqrt(r: int) -> "Scalar":
         if r not in (2, 3, 6):
             raise ValueError("only sqrt2, sqrt3, sqrt6 are representable")
-        return Scalar({r: (_ONE, _ZERO)})
+        return _new((0,) * (2 * RADICALS.index(r)) + (1,), 1)
 
     @staticmethod
     def i_power(e: int) -> "Scalar":
         """i**e for any integer e."""
-        e %= 4
-        re, im = [(1, 0), (0, 1), (-1, 0), (0, -1)][e]
-        return Scalar({1: (Fraction(re), Fraction(im))})
+        return _I_POWERS[e % 4]
 
     # -- ring / field operations --------------------------------------
 
     def __add__(self, other) -> "Scalar":
-        other = _coerce(other)
-        c = dict(self._c)
-        for rad, (re, im) in other._c.items():
-            r0, i0 = c.get(rad, (_ZERO, _ZERO))
-            re, im = r0 + re, i0 + im
-            if re or im:
-                c[rad] = (re, im)
-            elif rad in c:
-                del c[rad]
-        out = Scalar.__new__(Scalar)
-        out._c = c
-        return out
+        if type(other) is not Scalar:
+            other = _coerce(other)
+        an, bn = self._n, other._n
+        if not bn:
+            return self
+        if not an:
+            return other
+        ad, bd = self._d, other._d
+        if len(an) == 1 == len(bn):
+            return _ratio(an[0] * bd + bn[0] * ad, ad * bd)
+        if ad != bd:
+            an = [x * bd for x in an]
+            bn = [y * ad for y in bn]
+            ad *= bd
+        if len(an) < len(bn):
+            an, bn = bn, an
+        n = list(an)
+        for k, y in enumerate(bn):
+            n[k] += y
+        return _make(n, ad)
 
     def __sub__(self, other) -> "Scalar":
         return self + (-_coerce(other))
 
     def __neg__(self) -> "Scalar":
-        out = Scalar.__new__(Scalar)
-        out._c = {rad: (-re, -im) for rad, (re, im) in self._c.items()}
-        return out
+        return _new(tuple([-x for x in self._n]), self._d)
 
     def __mul__(self, other) -> "Scalar":
-        other = _coerce(other)
-        c: Dict[int, Tuple[Fraction, Fraction]] = {}
-        for ra, (ar, ai) in self._c.items():
-            for rb, (br, bi) in other._c.items():
-                f, rad = _RADMUL[(ra, rb)]
-                re = f * (ar * br - ai * bi)
-                im = f * (ar * bi + ai * br)
-                r0, i0 = c.get(rad, (_ZERO, _ZERO))
-                c[rad] = (r0 + re, i0 + im)
-        out = Scalar.__new__(Scalar)
-        out._c = {rad: v for rad, v in c.items() if v[0] or v[1]}
-        return out
+        if type(other) is not Scalar:
+            other = _coerce(other)
+        an, bn = self._n, other._n
+        if not an or not bn:
+            return ZERO
+        if len(an) == 1 == len(bn):
+            return _ratio(an[0] * bn[0], self._d * other._d)
+        n = [0] * 8
+        for a, x in enumerate(an):
+            if x:
+                row = _MUL[a]
+                for b, y in enumerate(bn):
+                    if y:
+                        k, f = row[b]
+                        n[k] += f * x * y
+        return _make(n, self._d * other._d)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -143,80 +196,76 @@ class Scalar:
     def __truediv__(self, other) -> "Scalar":
         return self * _coerce(other).inverse()
 
+    def _signed(self, mask) -> "Scalar":
+        return _new(tuple([s * x for s, x in zip(mask, self._n)]), self._d)
+
     def conjugate(self) -> "Scalar":
         """Complex conjugation: i -> -i, radicals fixed."""
-        out = Scalar.__new__(Scalar)
-        out._c = {rad: (re, -im) for rad, (re, im) in self._c.items()}
-        return out
-
-    def _flip(self, r: int) -> "Scalar":
-        # Galois conjugation sqrt(r) -> -sqrt(r); flips sqrt6 alongside.
-        out = Scalar.__new__(Scalar)
-        out._c = {
-            rad: ((-re, -im) if rad % r == 0 and rad > 1 else (re, im))
-            for rad, (re, im) in self._c.items()
-        }
-        return out
+        return self._signed(_CONJ)
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse, by successive rationalization over sqrt3, sqrt2, i."""
-        if not self._c:
+        if not self._n:
             raise ZeroDivisionError("inverse of zero scalar")
-        num = Scalar.one()
+        if len(self._n) == 1:
+            return _ratio(self._d, self._n[0])
+        num = ONE
         x = self
-        for r in (3, 2):
-            y = x._flip(r)
+        for mask in (_FLIP[3], _FLIP[2], _CONJ):
+            y = x._signed(mask)
             num = num * y
             x = x * y
-        y = x.conjugate()
-        num = num * y
-        x = x * y
-        (re, im) = x._c.get(1, (_ZERO, _ZERO))
-        assert im == 0 and set(x._c) <= {1}, "rationalization failed"
-        return num * Scalar.rational(re.denominator, re.numerator)
+        assert len(x._n) == 1, "rationalization failed"
+        return num * _ratio(x._d, x._n[0])
 
     # -- queries -------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
-        return self._c == _coerce(other)._c
+        other = _coerce(other)
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
         # a rational value hashes as its Fraction, as __eq__ demands
         if self.is_rational():
             return hash(self.as_fraction())
-        return hash(tuple(sorted(self._c.items())))
+        return hash((self._n, self._d))
 
     def real_part(self) -> "Scalar":
         """(x + conj x) / 2; drops every i-component."""
-        out = Scalar.__new__(Scalar)
-        out._c = {rad: (re, _ZERO) for rad, (re, im) in self._c.items() if re}
-        return out
+        n = list(self._n)
+        n[1::2] = [0] * len(n[1::2])
+        return _make(n, self._d)
 
     def imag_part(self) -> "Scalar":
         """The coefficient of i, as a real Scalar."""
-        out = Scalar.__new__(Scalar)
-        out._c = {rad: (im, _ZERO) for rad, (re, im) in self._c.items() if im}
-        return out
+        n = [0] * 8
+        n[0:2 * len(self._n[1::2]):2] = self._n[1::2]
+        return _make(n, self._d)
 
     def is_rational(self) -> bool:
-        if not self._c:
-            return True
-        return set(self._c) == {1} and self._c[1][1] == 0
+        return len(self._n) <= 1
 
     def as_fraction(self) -> Fraction:
-        if not self._c:
+        if not self._n:
             return _ZERO
         if not self.is_rational():
             raise ValueError(f"not a rational scalar: {self}")
-        return self._c[1][0]
+        return Fraction(self._n[0], self._d)
 
     def component(self, rad: int) -> Tuple[Fraction, Fraction]:
-        return self._c.get(rad, (_ZERO, _ZERO))
+        return next(((re, im) for r, re, im in self._pairs() if r == rad), (_ZERO, _ZERO))
+
+    def _pairs(self):
+        """(rad, re, im) as Fractions for every nonzero radical, in RADICALS order."""
+        n = self._n + (0,) * (8 - len(self._n))
+        for k, rad in enumerate(RADICALS):
+            if n[2 * k] or n[2 * k + 1]:
+                yield rad, Fraction(n[2 * k], self._d), Fraction(n[2 * k + 1], self._d)
 
     # -- encodings -----------------------------------------------------
 
@@ -224,15 +273,13 @@ class Scalar:
     _RKEYS = {v: k for k, v in _KEYS.items()}
 
     def to_json(self) -> dict:
-        out = {}
-        for rad in RADICALS:
-            if rad in self._c:
-                re, im = self._c[rad]
-                out[self._KEYS[rad]] = {
-                    "re": f"{re.numerator}/{re.denominator}",
-                    "im": f"{im.numerator}/{im.denominator}",
-                }
-        return out
+        return {
+            self._KEYS[rad]: {
+                "re": f"{re.numerator}/{re.denominator}",
+                "im": f"{im.numerator}/{im.denominator}",
+            }
+            for rad, re, im in self._pairs()
+        }
 
     @staticmethod
     def from_json(obj: dict) -> "Scalar":
@@ -243,13 +290,10 @@ class Scalar:
         return Scalar(comps)
 
     def latex(self) -> str:
-        if not self._c:
+        if not self._n:
             return "0"
         parts = []
-        for rad in RADICALS:
-            if rad not in self._c:
-                continue
-            re, im = self._c[rad]
+        for rad, re, im in self._pairs():
             radtex = "" if rad == 1 else f"\\sqrt{{{rad}}}"
             for val, unit in ((re, ""), (im, "i")):
                 if not val:
@@ -264,13 +308,10 @@ class Scalar:
         return body
 
     def __repr__(self) -> str:
-        if not self._c:
+        if not self._n:
             return "0"
         parts = []
-        for rad in RADICALS:
-            if rad not in self._c:
-                continue
-            re, im = self._c[rad]
+        for rad, re, im in self._pairs():
             tag = "" if rad == 1 else f"*sqrt{rad}"
             if re:
                 parts.append(f"{re}{tag}")
@@ -288,16 +329,19 @@ def _frac_tex(f: Fraction) -> str:
 
 
 def _coerce(x) -> Scalar:
-    if isinstance(x, Scalar):
+    if type(x) is Scalar:
         return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar({1: (_frac(x), _ZERO)})
+    if isinstance(x, int):
+        return _new((int(x),), 1) if x else ZERO
+    if isinstance(x, Fraction):
+        return _new((x.numerator,), x.denominator) if x else ZERO
     raise TypeError(f"cannot coerce {x!r} to Scalar")
 
 
-ZERO = Scalar.zero()
-ONE = Scalar.one()
-I = Scalar.i()
+ZERO = _new((), 1)
+ONE = _new((1,), 1)
+I = _new((0, 1), 1)
+_I_POWERS = (ONE, I, -ONE, -I)
 SQRT2 = Scalar.sqrt(2)
 SQRT3 = Scalar.sqrt(3)
 SQRT6 = Scalar.sqrt(6)

@@ -1,11 +1,15 @@
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spinbits.cli import main, parse_word
+from spinbits.cli import MAX_DENSE_N, MAX_SPHERE, MAX_SPINOR_N, main, parse_word
 from spinbits.matrices import Matrix
 from spinbits.scalars import Scalar
 from spinbits.spinors import Spinor
@@ -252,6 +256,13 @@ def test_tracer_targets_resolve():
     "verify-all --max-n 14",
     "octonion check --samples -3",
     "rep matrix --n 40 --word e1e2",
+    "fields --sphere 65535",
+    "fields --sphere 2047 --emit matrices",
+    "rep matrix --n 1000000 --word e1e2 --space vector",
+    "spinor mul --n 100000000000000000000 --p 1 --index 0",
+    "triality g2 --matrix 1e99999999999,0,0,0,0,0,0,0,0,0,0,0,0,0",
+    "fields --sphere 23 --split=-1,4",
+    "spinor mul --n=-- --p 5 --index 11",
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, command):
     monkeypatch.delenv("SPINBITS_MAX_N", raising=False)
@@ -261,3 +272,103 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, command):
         code = e.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# -- fuzz: bad values for every numeric or word flag --------------------------
+
+# no digit in the alphabet, so no draw parses as an int or spells a valid
+# choice, generator word or eigenvalue; argparse before Python 3.12 reads
+# "--flag=--" as an empty list, so "--" is always among the draws
+non_numeric = st.one_of(st.just("--"), st.text(st.sampled_from("abcxyz,./+-_ "), min_size=1))
+bad_word = st.text(st.sampled_from("abcxyz,./+-_ "))  # empty included
+empty = st.just("")
+
+
+def below(bound):
+    return st.integers(max_value=bound - 1).map(str)
+
+
+def above(bound):
+    return st.integers(min_value=bound + 1, max_value=10**40).map(str)
+
+
+def bad_int(low, high=None):
+    """Bad values of an int flag that must lie in [low, high]."""
+    options = [below(low), empty, non_numeric]
+    if high is not None:
+        options.append(above(high))
+    return st.one_of(options)
+
+
+seed = st.one_of(empty, non_numeric)  # every int is a valid seed
+pair = st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
+
+# (command with "{}" where the bad value goes, strategy of bad values);
+# --samples and --seed take any large value, so they get no huge draw
+FUZZ = {
+    "spinor --n": ("spinor mul --n={} --p 5 --index 11", bad_int(1, MAX_SPINOR_N)),
+    "spinor --p": ("spinor mul --n 8 --p={} --index 11", bad_int(1, 8)),
+    "spinor --index": ("spinor mul --n 8 --p 5 --index={}", bad_int(0, 15)),
+    "spinor --format": ("spinor mul --n 8 --p 5 --index 11 --format={}", bad_word),
+    "rep --n": ("rep matrix --n={} --word e1e2 --space full", bad_int(1, 12)),
+    "rep --n vector": ("rep matrix --n={} --word e1e2 --space vector", bad_int(1, MAX_DENSE_N)),
+    "rep --word": ("rep matrix --n 6 --word={} --space full", st.one_of(
+        non_numeric, st.sampled_from(["e0", "e", "1e", "e1x"]),
+        st.integers(7, 10**40).map(lambda k: f"e{k}"))),
+    "rep --word chiral": ("rep matrix --n 6 --word={} --space plus",
+                          st.sampled_from(["e1", "e1e2e3", "e6"])),
+    "rep --space": ("rep matrix --n 6 --word e1e2 --space={}", bad_word),
+    "rep --format": ("rep matrix --n 6 --word e1e2 --format={}", bad_word),
+    "triality what": ("triality {}", bad_word),
+    "triality --eigen": ("triality sigma --eigen={}", st.one_of(
+        bad_word, st.integers().filter(lambda k: k not in (1, -1)).map(str))),
+    "triality --matrix": ("triality g2 --matrix={}", st.one_of(
+        empty, non_numeric,
+        st.lists(st.integers(-9, 9).map(str), min_size=1, max_size=30)
+        .filter(lambda xs: len(xs) != 14).map(",".join),
+        st.integers(1, 10**12).map(lambda e: ",".join([f"1e{e}"] + ["0"] * 13)))),
+    "triality --format": ("triality s3 --format={}", bad_word),
+    "octonion what": ("octonion {}", bad_word),
+    "octonion --samples": ("octonion check --samples={} --seed 3", bad_int(0)),
+    "octonion --seed": ("octonion check --samples 2 --seed={}", seed),
+    "octonion --format": ("octonion table --format={}", bad_word),
+    "forms what": ("forms {}", bad_word),
+    "fields --sphere": ("fields --sphere={}", bad_int(1, MAX_SPHERE)),
+    "fields --sphere matrices": ("fields --sphere={} --emit matrices",
+                                 st.integers(MAX_DENSE_N, MAX_SPHERE).map(str)),
+    "fields --samples": ("fields --sphere 15 --verify --samples={}", bad_int(0)),
+    "fields --seed": ("fields --sphere 15 --verify --samples 2 --seed={}", seed),
+    "fields --split": ("fields --sphere 23 --split={}", st.one_of(
+        empty, non_numeric,  # 3 copies of the 8-dimensional module fill N = 24
+        pair.filter(lambda p: p not in {(3, 0), (2, 1), (1, 2), (0, 3)}).map("{0[0]},{0[1]}".format))),
+    "fields --emit": ("fields --sphere 15 --emit={}", bad_word),
+    "fields --format": ("fields --sphere 15 --format={}", bad_word),
+    "verify-all --seed": ("verify-all --samples 0 --max-n 4 --seed={}", seed),
+    "verify-all --samples": ("verify-all --max-n 4 --samples={}", bad_int(0)),
+    "verify-all --max-n": ("verify-all --samples 0 --max-n={}", bad_int(2, 12)),
+    "verify-all --format": ("verify-all --samples 0 --max-n 4 --format={}", bad_word),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUZZ))
+def test_fuzzed_bad_flag_is_a_usage_error(case):
+    template, values = FUZZ[case]
+
+    @given(values)
+    @settings(max_examples=8, deadline=None)
+    def check(value):
+        argv = [t.format(value) if "{}" in t else t for t in template.split()]
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        assert code == 2, argv
+        assert "Traceback" not in err.getvalue()
+        assert time.perf_counter() - start < 5.0, argv
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("SPINBITS_MAX_N", raising=False)
+        check()

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from spinbits import reference as ref
 from spinbits.octonions import (
     Octonion,
@@ -102,3 +104,35 @@ def test_division_table_cells_are_unit_signed():
             for cell in row:
                 assert cell.sign in (1, -1)
                 assert 0 <= cell.index < len(row)
+
+
+def fraction_octonion_mul(x, y):
+    """The Fraction loop that octonion_mul replaced: 64 Fraction multiply-adds."""
+    table = octonion_table()
+    out = [Fraction(0)] * 8
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            cell = table[i][j]
+            out[cell.index] += cell.sign * a * b
+    return Octonion(out)
+
+
+octonions = st.lists(
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=30)),
+    min_size=8, max_size=8,
+).map(Octonion)
+
+
+@given(octonions, octonions)
+@settings(max_examples=100, deadline=None)
+def test_int_octonion_mul_agrees_with_fraction_loop(x, y):
+    xy = octonion_mul(x, y)
+    assert xy == fraction_octonion_mul(x, y)
+    assert all(type(c) is Fraction for c in xy.coeffs)
+
+
+def test_int_octonion_mul_on_coprime_denominators():
+    x = Octonion([Fraction(k + 1, p) for k, p in enumerate((2, 3, 5, 7, 11, 13, 17, 19))])
+    y = Octonion([Fraction(-k - 2, p) for k, p in enumerate((23, 29, 31, 37, 41, 43, 47, 53))])
+    assert octonion_mul(x, y) == fraction_octonion_mul(x, y)
+    assert octonion_mul(x, y).norm() == x.norm() * y.norm()

@@ -165,3 +165,118 @@ def test_rational_scalars_find_int_and_fraction_keys():
     assert {1: "x"}.get(Scalar.rational(1)) == "x"
     assert {Fraction(1, 2): "h"}.get(HALF) == "h"
     assert {ONE: "s"}.get(1) == "s"
+
+
+# -- the integer-numerator core against the dict-of-Fraction oracle ---------
+
+from math import gcd  # noqa: E402
+
+from scalar_oracle import DictScalar  # noqa: E402
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def dense_components(draw):
+    """All 8 slots populated; the denominators are pairwise coprime non-units."""
+    dens = draw(st.permutations(_PRIMES))[:8]
+    nums = draw(st.lists(st.integers(-60, 60).filter(bool), min_size=8, max_size=8))
+    fracs = [Fraction(p, q) for p, q in zip(nums, dens)]
+    return {rad: (fracs[2 * k], fracs[2 * k + 1]) for k, rad in enumerate((1, 2, 3, 6))}
+
+
+@st.composite
+def sparse_components(draw):
+    """Some slots zero, so rational values and trailing zero slots show up."""
+    return {rad: (draw(small_fracs), draw(small_fracs) if draw(st.booleans()) else 0)
+            for rad in (1, 2, 3, 6) if draw(st.booleans())}
+
+
+def pair_of(comps):
+    return Scalar(comps), DictScalar(comps)
+
+
+rational_components = st.fractions().map(lambda f: {1: (f, 0)})
+pairs = st.one_of(dense_components(), sparse_components(), rational_components).map(pair_of)
+
+
+def assert_canonical(x):
+    n, d = x._n, x._d
+    assert type(d) is int and d > 0
+    assert all(type(v) is int for v in n) and len(n) <= 8
+    assert gcd(d, *n) == 1
+    assert not n or n[-1] != 0
+
+
+def assert_same(x, y):
+    """x (Scalar) and y (DictScalar) are the same value, printed the same way."""
+    assert_canonical(x)
+    assert x.to_json() == y.to_json()
+    assert repr(x) == repr(y)
+    assert x.latex() == y.latex()
+    assert x.is_rational() == y.is_rational()
+    assert bool(x) == bool(y)
+    for rad in (1, 2, 3, 6):
+        assert x.component(rad) == y.component(rad)
+    if y.is_rational():
+        assert x.as_fraction() == y.as_fraction()
+        assert hash(x) == hash(y) == hash(y.as_fraction())
+
+
+@given(pairs, pairs)
+@settings(max_examples=150, deadline=None)
+def test_int_core_agrees_with_dict_oracle(pa, pb):
+    (a, A), (b, B) = pa, pb
+    assert_same(a, A)
+    assert_same(a + b, A + B)
+    assert_same(a - b, A - B)
+    assert_same(a * b, A * B)
+    assert_same(-a, -A)
+    assert_same(a.conjugate(), A.conjugate())
+    assert_same(a.real_part(), A.real_part())
+    assert_same(a.imag_part(), A.imag_part())
+    if B:
+        assert_same(a / b, A / B)
+        assert_same(b.inverse(), B.inverse())
+    assert (a == b) == (A == B)
+    assert (a == a + ZERO) and hash(a) == hash(a + ZERO)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(-50, 50))
+@settings(max_examples=100, deadline=None)
+def test_rational_fast_path_agrees_with_oracle(p, q, k):
+    a, A = pair_of({1: (Fraction(p, q), 0)})
+    b, B = pair_of({1: (Fraction(k, 6), 0)})
+    assert_same(a * b, A * B)
+    assert_same(a + b, A + B)
+    assert_same(a - b, A - B)
+    if p:
+        assert_same(a.inverse(), A.inverse())
+    assert a * b == Fraction(p, q) * Fraction(k, 6)
+
+
+def test_canonical_form_of_constants():
+    for x in (ZERO, ONE, I, -I, SQRT2, SQRT3, SQRT6, HALF, INV_SQRT2):
+        assert_canonical(x)
+    assert ZERO._n == () and ONE._n == (1,) and I._n == (0, 1)
+    assert INV_SQRT2._n == (0, 0, 1) and INV_SQRT2._d == 2
+    assert [Scalar.i_power(e) for e in range(-4, 4)] == [ONE, I, -ONE, -I] * 2
+    assert Scalar.i_power(7) is Scalar.i_power(-1)
+
+
+def test_products_and_inverses_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    basis = [sympy.Integer(1), sympy.I]
+    basis += [r * u for r in (sympy.sqrt(2), sympy.sqrt(3), sympy.sqrt(6)) for u in basis[:2]]
+
+    def to_sympy(x):
+        return sum((sympy.Rational(v, x._d) * u for v, u in zip(x._n, basis)), sympy.Integer(0))
+
+    rng = random.Random(17)
+    for _ in range(20):
+        dens = rng.sample(_PRIMES, 8)
+        fracs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), q) for q in dens]
+        a = Scalar({rad: (fracs[2 * k], fracs[2 * k + 1]) for k, rad in enumerate((1, 2, 3, 6))})
+        b = rand_scalar(rng)
+        assert sympy.expand(to_sympy(a * b) - to_sympy(a) * to_sympy(b)) == 0
+        assert sympy.expand(to_sympy(a.inverse()) * to_sympy(a)) == 1
