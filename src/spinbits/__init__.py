@@ -7,7 +7,7 @@ octonion and quaternion multiplication tables, and maximal systems of
 orthonormal tangent vector fields on spheres.
 """
 
-from .scalars import Angle, Scalar, cos_sin
+from .scalars import Angle, Scalar
 from .spinors import (
     Spinor,
     chirality,
@@ -20,7 +20,6 @@ from .spinors import (
 )
 from .clifford import (
     CliffordElem,
-    chirality_split,
     clifford_apply,
     delta_iso,
     exp_bivector,

@@ -31,7 +31,7 @@ from .matrices import (
     real_rep_matrix,
 )
 from .octonions import algebra_checks, octonion_table, quaternion_table
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .spinors import Spinor
 from .triality import (
     build_outer,
@@ -44,7 +44,6 @@ from .triality import (
     s3_relations,
 )
 from .verify import Report, verify_all
-from .scalars import ONE
 
 
 # Fixed caps on the flags whose cost grows without bound; a larger value
@@ -105,21 +104,38 @@ def _g2_coefficients(text: str) -> List[Fraction]:
     return alphas
 
 
-def _print(payload, fmt: str, latex_fn=None, text_fn=None):
-    if fmt == "json":
-        print(json.dumps(payload, default=_to_jsonable, indent=None, sort_keys=False))
-    elif fmt == "latex":
-        print(latex_fn() if latex_fn else payload)
-    else:
-        print(text_fn() if text_fn else payload)
-
-
 def _to_jsonable(x):
     if hasattr(x, "to_json"):
         return x.to_json()
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     raise TypeError(f"not JSON encodable: {x!r}")
+
+
+def _emit(fmt: str, value, text: Optional[str] = None, latex: Optional[str] = None) -> int:
+    """Print a subcommand's result in ``fmt`` and return its exit code.
+
+    json encodes ``value``; latex prints ``value.latex()``, else ``latex``,
+    else the text form; text is ``text``, else ``repr(value)``.  A Report
+    prints one line per check and a tally, and exits 1 on a failure.
+    """
+    if fmt == "json":
+        print(json.dumps(value, default=_to_jsonable))
+    elif isinstance(value, Report):
+        for c in value.checks:
+            print(f"[{c.status.upper():4}] {c.name}")
+        print(f"{value.pass_count} passed, {value.fail_count} failed")
+    elif fmt == "latex" and hasattr(value, "latex"):
+        print(value.latex())
+    elif fmt == "latex" and latex is not None:
+        print(latex)
+    else:
+        print(repr(value) if text is None else text)
+    return value.exit_code() if isinstance(value, Report) else 0
+
+
+def _signed_rows(table) -> str:
+    return "\n".join(" ".join(f"{'-' if s < 0 else '+'}e{i}" for (s, i) in row) for row in table)
 
 
 def cmd_spinor(args) -> int:
@@ -129,14 +145,7 @@ def cmd_spinor(args) -> int:
         raise UsageError(f"index {a} out of range for n={n}")
     if not 1 <= p <= n:
         raise UsageError(f"generator {p} out of range for n={n}")
-    img = clifford_apply(n, p, Spinor.basis(k, a))
-    if args.format == "json":
-        print(json.dumps(img.to_json()))
-    elif args.format == "latex":
-        print(img.latex())
-    else:
-        print(repr(img))
-    return 0
+    return _emit(args.format, clifford_apply(n, p, Spinor.basis(k, a)))
 
 
 def cmd_rep(args) -> int:
@@ -162,19 +171,11 @@ def cmd_rep(args) -> int:
             if n % 8 in (1, 2) and space == "real-plus":
                 source = "full"  # single real form at these stages
             M = real_rep_matrix(n, word, source)
-        elif space == "vector":
-            M = lambda_matrix(n, word)
         else:
-            raise UsageError(f"unknown space {space}")
+            M = lambda_matrix(n, word)
     except ValueError as e:
         raise UsageError(str(e))
-    if args.format == "json":
-        print(json.dumps(M.to_json()))
-    elif args.format == "latex":
-        print(M.latex())
-    else:
-        print(repr(M))
-    return 0
+    return _emit(args.format, M)
 
 
 def _parse_eigenvalue(text: str) -> Scalar:
@@ -189,33 +190,16 @@ def _parse_eigenvalue(text: str) -> Scalar:
     return table[text]
 
 
-def _report_from_pairs(pairs) -> Report:
-    rep = Report()
-    rep.extend(pairs)
-    return rep
-
-
-def _emit_report(rep: Report, fmt: str) -> int:
-    if fmt == "json":
-        print(json.dumps(rep.to_json()))
-    else:
-        for c in rep.checks:
-            print(f"[{c.status.upper():4}] {c.name}")
-        print(f"{rep.pass_count} passed, {rep.fail_count} failed")
-    return rep.exit_code()
-
-
 def cmd_triality(args) -> int:
+    fmt = args.format
     if args.what in ("sigma", "tau"):
         outer = build_outer(args.what)
         if args.check_order:
             order = 3 if args.what == "sigma" else 2
             ok = outer.power(order).matrix == Matrix.identity(28)
-            rep = _report_from_pairs([(f"{args.what}* has order {order}", ok)])
-            return _emit_report(rep, args.format)
+            return _emit(fmt, Report([(f"{args.what}* has order {order}", ok)]))
         if args.eigen is not None:
-            lam = _parse_eigenvalue(args.eigen)
-            dim, basis = eigenspace(outer, lam)
+            dim, basis = eigenspace(outer, _parse_eigenvalue(args.eigen))
             payload = {
                 "eigenvalue": args.eigen,
                 "dimension": dim,
@@ -223,103 +207,54 @@ def cmd_triality(args) -> int:
                     {f"{i}{j}": c for (i, j), c in vec.items()} for vec in basis
                 ],
             }
-            _print(payload, args.format, text_fn=lambda: f"dimension {dim}")
-            return 0
-        M = outer.matrix
-        if args.format == "latex":
-            print(M.latex())
-        elif args.format == "json":
-            print(json.dumps(M.to_json()))
-        else:
-            print(repr(M))
-        return 0
+            return _emit(fmt, payload, text=f"dimension {dim}")
+        return _emit(fmt, outer.matrix)
 
     if args.what == "g2":
         if args.generators:
             payload = [
                 {f"{i}{j}": c for (i, j), c in g.items()} for g in g2_generators()
             ]
-            _print(payload, args.format,
-                   text_fn=lambda: "\n".join(str(p) for p in payload))
-            return 0
+            return _emit(fmt, payload, text="\n".join(str(p) for p in payload))
         if args.matrix is not None:
-            M = g2_action_matrix(args.matrix)
-            if args.format == "latex":
-                print(M.latex())
-            elif args.format == "json":
-                print(json.dumps(M.to_json()))
-            else:
-                print(repr(M))
-            return 0
-        res = g2_structure()
-        rep = _report_from_pairs(res["checks"])
-        return _emit_report(rep, args.format)
+            return _emit(fmt, g2_action_matrix(args.matrix))
+        return _emit(fmt, Report(g2_structure()["checks"]))
 
     if args.what == "s3":
-        rep = _report_from_pairs(s3_relations())
-        return _emit_report(rep, args.format)
+        return _emit(fmt, Report(s3_relations()))
 
-    if args.what == "center":
-        rows = []
-        for which in ("sigma", "tau"):
-            for key, elem in center_images(which).items():
-                rows.append((which, key, elem))
-        if args.format == "json":
-            print(json.dumps([
-                {"map": w, "argument": k, "image": repr(e)} for (w, k, e) in rows
-            ]))
-        else:
-            for w, k, e in rows:
-                print(f"{w}({k}) = {e}")
-        return 0
-    raise UsageError(f"unknown triality subcommand {args.what}")
+    rows = [
+        (which, key, elem)
+        for which in ("sigma", "tau")
+        for key, elem in center_images(which).items()
+    ]
+    payload = [{"map": w, "argument": k, "image": repr(e)} for (w, k, e) in rows]
+    return _emit(fmt, payload, text="\n".join(f"{w}({k}) = {e}" for w, k, e in rows))
 
 
 def cmd_octonion(args) -> int:
-    if args.what == "table":
-        table = octonion_table()
-        if args.format == "json":
-            print(json.dumps([[[s, i] for (s, i) in row] for row in table]))
-        elif args.format == "latex":
-            body = " \\\\\n".join(
-                " & ".join(("-" if s < 0 else "") + f"\\hat e_{{{i}}}" for (s, i) in row)
-                for row in table
-            )
-            print("\\begin{array}{%s}\n%s\n\\end{array}" % ("c" * 8, body))
-        else:
-            for row in table:
-                print(" ".join(f"{'-' if s < 0 else '+'}e{i}" for (s, i) in row))
-        return 0
     if args.what == "check":
-        rep = _report_from_pairs(algebra_checks(args.samples, args.seed))
-        return _emit_report(rep, args.format)
+        return _emit(args.format, Report(algebra_checks(args.samples, args.seed)))
     if args.what == "quaternions":
         table = quaternion_table()
-        if args.format == "json":
-            print(json.dumps([[[s, i] for (s, i) in row] for row in table]))
-        else:
-            for row in table:
-                print(" ".join(f"{'-' if s < 0 else '+'}e{i}" for (s, i) in row))
-        return 0
-    raise UsageError(f"unknown octonion subcommand {args.what}")
+        return _emit(args.format, table, text=_signed_rows(table))
+    table = octonion_table()
+    body = " \\\\\n".join(
+        " & ".join(("-" if s < 0 else "") + f"\\hat e_{{{i}}}" for (s, i) in row)
+        for row in table
+    )
+    latex = "\\begin{array}{%s}\n%s\n\\end{array}" % ("c" * 8, body)
+    return _emit(args.format, table, text=_signed_rows(table), latex=latex)
 
 
 def cmd_forms(args) -> int:
-    if args.what == "omega":
-        om = spin7_four_form()
-        if args.check_square:
-            sq = omega_square()
-            vol = sq.coefficient((1, 2, 3, 4, 5, 6, 7, 8))
-            ok = len(sq.terms) == 1 and vol == 504
-            rep = _report_from_pairs([("omega wedge omega = 504 vol", ok)])
-            return _emit_report(rep, "text")
-        print(om.latex() if args.latex else repr(om))
-        return 0
-    if args.what == "phi":
-        phi = g2_three_form()
-        print(phi.latex() if args.latex else repr(phi))
-        return 0
-    raise UsageError(f"unknown forms subcommand {args.what}")
+    if args.what == "omega" and args.check_square:
+        sq = omega_square()
+        vol = sq.coefficient((1, 2, 3, 4, 5, 6, 7, 8))
+        ok = len(sq.terms) == 1 and vol == 504
+        return _emit("text", Report([("omega wedge omega = 504 vol", ok)]))
+    form = spin7_four_form() if args.what == "omega" else g2_three_form()
+    return _emit("latex" if args.latex else "text", form)
 
 
 def cmd_fields(args) -> int:
@@ -339,34 +274,24 @@ def cmd_fields(args) -> int:
             gram_is_scaled_identity(system, random_point(N, rng))
             for _ in range(args.samples)
         )
-        rep = _report_from_pairs(
-            [
-                (f"structure equations for {system.field_count()} fields on S^{N-1}", ok),
-                (f"exact Gram frames at {args.samples} random points", gram),
-            ]
-        )
-        return _emit_report(rep, args.format if args.format != "latex" else "text")
+        return _emit(args.format, Report([
+            (f"structure equations for {system.field_count()} fields on S^{N-1}", ok),
+            (f"exact Gram frames at {args.samples} random points", gram),
+        ]))
     if args.emit == "matrices":
         payload = [J.to_int_rows() for J in system.J]
-        if args.format == "json":
-            print(json.dumps({"sphere": N - 1, "stage": system.r, "matrices": payload}))
-        else:
-            for m, rows in enumerate(payload, start=1):
-                print(f"J_{m}:")
-                for row in rows:
-                    print("  " + " ".join(f"{x:2d}" for x in row))
-        return 0
+        text = "\n".join(
+            f"J_{m}:\n" + "\n".join("  " + " ".join(f"{x:2d}" for x in row) for row in rows)
+            for m, rows in enumerate(payload, start=1)
+        )
+        return _emit(args.format, {"sphere": N - 1, "stage": system.r, "matrices": payload},
+                     text=text)
     out = emit_coordinates(N, fmt=args.format, split=args.split)
-    if args.format == "json":
-        print(json.dumps(out))
-    else:
-        print(out)
-    return 0
+    return _emit(args.format, out, text=out)
 
 
 def cmd_verify_all(args) -> int:
-    rep = verify_all(seed=args.seed, samples=args.samples, max_n=args.max_n)
-    return _emit_report(rep, args.format)
+    return _emit(args.format, verify_all(seed=args.seed, samples=args.samples, max_n=args.max_n))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -255,13 +255,6 @@ def chirality_involution(n: int, psi: Spinor) -> Spinor:
     return out.scale(Scalar.i_power(-(n // 2)))
 
 
-def chirality_split(n: int, psi: Spinor) -> Tuple[Spinor, Spinor]:
-    """Decompose into (+1, -1)-eigencomponents of the volume involution."""
-    iota = chirality_involution(n, psi)
-    half = Scalar.rational(1, 2)
-    return (psi + iota).scale(half), (psi - iota).scale(half)
-
-
 def exp_bivector(n: int, factors: Sequence[Tuple[Angle, Tuple[int, int]]]) -> CliffordElem:
     """Product of rotations exp(theta * e_i e_j) over pairwise disjoint pairs.
 

@@ -90,15 +90,15 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
+        odata = other.data
         out = []
-        for i in range(self.rows):
+        for lrow in self.data:
+            nonzero = [(l, x) for l, x in enumerate(lrow) if x]
             row = []
-            lrow = self.data[i]
             for j in range(other.cols):
                 acc = ZERO
-                for l in range(self.cols):
-                    if lrow[l]:
-                        acc = acc + lrow[l] * other.data[l][j]
+                for l, x in nonzero:
+                    acc = acc + x * odata[l][j]
                 row.append(acc)
             out.append(row)
         return Matrix(out)
@@ -113,12 +113,12 @@ class Matrix:
     def apply(self, vec: List[Scalar]) -> List[Scalar]:
         if len(vec) != self.cols:
             raise ValueError("length mismatch")
+        nonzero = [(j, v) for j, v in enumerate(vec) if v]
         out = []
-        for i in range(self.rows):
+        for row in self.data:
             acc = ZERO
-            for j, v in enumerate(vec):
-                if v:
-                    acc = acc + self.data[i][j] * v
+            for j, v in nonzero:
+                acc = acc + row[j] * v
             out.append(acc)
         return out
 

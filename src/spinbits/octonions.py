@@ -104,10 +104,6 @@ class Octonion:
     def unit(i: int) -> "Octonion":
         return Octonion([Fraction(int(j == i)) for j in range(8)])
 
-    @staticmethod
-    def zero() -> "Octonion":
-        return Octonion([Fraction(0)] * 8)
-
     def __add__(self, other: "Octonion") -> "Octonion":
         return Octonion([a + b for a, b in zip(self.coeffs, other.coeffs)])
 

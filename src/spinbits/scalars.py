@@ -393,7 +393,3 @@ class Angle:
 
     def __repr__(self):
         return f"Angle({self.k}*pi/12)"
-
-
-def cos_sin(theta: Angle) -> Tuple[Scalar, Scalar]:
-    return theta.cos(), theta.sin()

@@ -8,7 +8,7 @@ checks honor ``samples`` (0 skips them); golden-table checks always run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
@@ -30,6 +30,7 @@ from .fields import (
     frame_point_spinor,
     gram_is_scaled_identity,
     hurwitz_radon,
+    irrep_info,
     max_stage,
     random_point,
     structure_failure,
@@ -81,7 +82,11 @@ class Check:
 
 @dataclass
 class Report:
-    checks: List[Check] = field(default_factory=list)
+    checks: List[Check]
+
+    def __init__(self, pairs=()):
+        self.checks = []
+        self.extend(pairs)
 
     def add(self, name: str, ok: bool, witness: Optional[object] = None):
         self.checks.append(Check(name, "pass" if ok else "fail", witness))
@@ -167,24 +172,18 @@ def _diag_matrix(entries: List[Scalar]) -> Matrix:
     return Matrix([[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
 
-def check_golden_matrices(report: Report):
-    i_blocks = Matrix([[ZERO, I], [I, ZERO]])
-    k6e1 = kappa_matrix(6, [1])
-    want = Matrix.zero(8, 8)
-    for b in range(4):
-        for r in range(2):
-            for c in range(2):
-                want.data[2 * b + r][2 * b + c] = i_blocks.data[r][c]
-    report.add("C2 kappa_6(e1) block pattern", k6e1 == want)
+def _block_diagonal(block: List[List[Scalar]], copies: int) -> Matrix:
+    b = len(block)
+    n = b * copies
+    return Matrix([
+        [block[i % b][j % b] if i // b == j // b else ZERO for j in range(n)] for i in range(n)
+    ])
 
-    k6e2 = kappa_matrix(6, [2])
-    want = Matrix.zero(8, 8)
-    blk = Matrix([[ZERO, -ONE], [ONE, ZERO]])
-    for b in range(4):
-        for r in range(2):
-            for c in range(2):
-                want.data[2 * b + r][2 * b + c] = blk.data[r][c]
-    report.add("C2 kappa_6(e2) block pattern", k6e2 == want)
+
+def check_golden_matrices(report: Report):
+    for p, block in ((1, [[ZERO, I], [I, ZERO]]), (2, [[ZERO, -ONE], [ONE, ZERO]])):
+        ok = kappa_matrix(6, [p]) == _block_diagonal(block, 4)
+        report.add(f"C2 kappa_6(e{p}) block pattern", ok)
 
     k6e12 = kappa_matrix(6, [1, 2])
     want = _diag_matrix([I, -I, I, -I, I, -I, I, -I])
@@ -251,34 +250,22 @@ def check_triality(report: Report, corrupt_sigma: bool = False):
         data[0][0] = data[0][0] + ONE
         sig_matrix = Matrix(data)
 
-    want_sig = Matrix(
-        [[Scalar.from_fraction(f) for f in row] for row in ref.outer_matrix_expected("sigma")]
-    )
-    want_tau = Matrix(
-        [[Scalar.from_fraction(f) for f in row] for row in ref.outer_matrix_expected("tau")]
-    )
-    report.add("C3 sigma* equals the tabulated 28x28 array", sig_matrix == want_sig)
-    report.add("C3 tau* equals the tabulated 28x28 array", tau.matrix == want_tau)
+    for name, matrix in (("sigma", sig_matrix), ("tau", tau.matrix)):
+        want = Matrix(
+            [[Scalar.from_fraction(f) for f in row] for row in ref.outer_matrix_expected(name)]
+        )
+        report.add(f"C3 {name}* equals the tabulated 28x28 array", matrix == want)
 
     sig_lines = ref.sigma_star_expected()
-    tau_lines = ref.tau_star_expected()
-    ok_s = all(
-        sig.image_coeffs(p) == {q: Scalar.from_fraction(c) for q, c in sig_lines[p].items()}
-        for p in PAIR_ORDER
-    )
-    ok_t = all(
-        tau.image_coeffs(p) == {q: Scalar.from_fraction(c) for q, c in tau_lines[p].items()}
-        for p in PAIR_ORDER
-    )
-    report.add("C3 sigma* reproduces all 28 tabulated image lines", ok_s)
-    report.add("C3 tau* reproduces all 28 tabulated image lines", ok_t)
+    for name, outer, lines in (("sigma", sig, sig_lines), ("tau", tau, ref.tau_star_expected())):
+        ok = all(outer.image_coeffs(p) == _scalar_coeffs(lines[p]) for p in PAIR_ORDER)
+        report.add(f"C3 {name}* reproduces all 28 tabulated image lines", ok)
 
     # the tabulated kappa-(e2 e4) line misprints its bivector argument as
     # the e2 e3 one; the constructed value must differ from the misprint
-    typo_value = {q: Scalar.from_fraction(c) for q, c in sig_lines[(2, 3)].items()}
     report.add(
         "C3 flagged misprint: constructed sigma*(e2 e4) differs from the duplicated line",
-        sig.image_coeffs((2, 4)) != typo_value,
+        sig.image_coeffs((2, 4)) != _scalar_coeffs(sig_lines[(2, 3)]),
     )
 
     report.add("C3 sigma*^3 = Id", sig.power(3).matrix == Matrix.identity(28))
@@ -298,55 +285,39 @@ def check_triality(report: Report, corrupt_sigma: bool = False):
 
     report.extend((f"C3 {name}", ok) for name, ok in s3_relations())
 
-    lam_ok_minus = all(
-        lambda_of_coeffs(sig.image_coeffs(p)) == kappa_real_matrix(list(p), "minus")
-        for p in PAIR_ORDER
-    )
-    lam_ok_plus = all(
-        lambda_of_coeffs(tau.image_coeffs(p)) == kappa_real_matrix(list(p), "plus")
-        for p in PAIR_ORDER
-    )
-    report.add("C3 lambda* after sigma* equals the minus half-spinor action", lam_ok_minus)
-    report.add("C3 lambda* after tau* equals the plus half-spinor action", lam_ok_plus)
+    for name, outer, half in (("sigma", sig, "minus"), ("tau", tau, "plus")):
+        ok = all(
+            lambda_of_coeffs(outer.image_coeffs(p)) == kappa_real_matrix(list(p), half)
+            for p in PAIR_ORDER
+        )
+        report.add(f"C3 lambda* after {name}* equals the {half} half-spinor action", ok)
 
     # tabulated eigenvectors satisfy their eigen-equations exactly
     ok = True
-    for line in ref.SIGMA_OMEGA_EIGENVECTORS:
-        terms = ref.parse_complex_bivector_terms(line)
-        coeffs = {
-            p: Scalar.from_fraction(a) + Scalar.from_fraction(b) * I * SQRT3
-            for p, (a, b) in terms.items()
-        }
-        lam = omega_eigenvalue()
-        if sig.apply_coeffs(coeffs) != {p: lam * c for p, c in coeffs.items()}:
-            ok = False
-    for line in ref.SIGMA_OMEGABAR_EIGENVECTORS:
-        terms = ref.parse_complex_bivector_terms(line)
-        coeffs = {
-            p: Scalar.from_fraction(a) + Scalar.from_fraction(b) * I * SQRT3
-            for p, (a, b) in terms.items()
-        }
-        lam = omega_eigenvalue(True)
-        if sig.apply_coeffs(coeffs) != {p: lam * c for p, c in coeffs.items()}:
-            ok = False
+    for lines, lam in ((ref.SIGMA_OMEGA_EIGENVECTORS, omega_eigenvalue()),
+                       (ref.SIGMA_OMEGABAR_EIGENVECTORS, omega_eigenvalue(True))):
+        for line in lines:
+            coeffs = {
+                p: Scalar.from_fraction(a) + Scalar.from_fraction(b) * I * SQRT3
+                for p, (a, b) in ref.parse_complex_bivector_terms(line).items()
+            }
+            if sig.apply_coeffs(coeffs) != {p: lam * c for p, c in coeffs.items()}:
+                ok = False
     report.add("C3 all 14 tabulated complex eigenvectors verified", ok)
 
-    ok = all(
-        tau.apply_coeffs(cs) == cs
-        for cs in (
-            {p: Scalar.from_fraction(c) for p, c in ref.parse_bivector_terms(l.split(":")[-1]).items()}
-            for l in ref.SPIN7_GENERATORS
+    for name, lines, lam in (
+        ("C3 the 21 tabulated spin7 generators are tau*-fixed", ref.SPIN7_GENERATORS, ONE),
+        ("C3 the 7 tabulated tau-minus eigenvectors verified", ref.TAU_MINUS_EIGENVECTORS, -ONE),
+    ):
+        ok = all(
+            tau.apply_coeffs(cs) == {p: lam * c for p, c in cs.items()}
+            for cs in (_scalar_coeffs(ref.parse_bivector_terms(l)) for l in lines)
         )
-    )
-    report.add("C3 the 21 tabulated spin7 generators are tau*-fixed", ok)
-    ok = all(
-        tau.apply_coeffs(cs) == {p: -c for p, c in cs.items()}
-        for cs in (
-            {p: Scalar.from_fraction(c) for p, c in ref.parse_bivector_terms(l).items()}
-            for l in ref.TAU_MINUS_EIGENVECTORS
-        )
-    )
-    report.add("C3 the 7 tabulated tau-minus eigenvectors verified", ok)
+        report.add(name, ok)
+
+
+def _scalar_coeffs(coeffs) -> dict:
+    return {p: Scalar.from_fraction(c) for p, c in coeffs.items()}
 
 
 def lambda_of_coeffs(coeffs) -> Matrix:
@@ -545,7 +516,7 @@ def check_fields(report: Report, samples: int, rng: random.Random):
     ok = True
     for r in (8, 9, 10, 12):
         idx = frame_index_set(r)
-        system = build_field_system(build_N_for(r))
+        system = build_field_system(irrep_info(r).d)
         for _ in range(max(3, min(10, samples)) if samples else 2):
             x = {a: Fraction(rng.randint(-5, 5)) for a in idx}
             y = {a: Fraction(rng.randint(-5, 5)) for a in idx}
@@ -570,12 +541,6 @@ def check_fields(report: Report, samples: int, rng: random.Random):
                 if Spinor.basis(k, b, c) != word_apply(r, [1, p], Spinor.basis(k, a)):
                     ok = False
     report.add("C8 composite bit rules equal two generator applications for r <= 12", ok)
-
-
-def build_N_for(r: int) -> int:
-    from .fields import irrep_info
-
-    return irrep_info(r).d
 
 
 # -- criterion 9 -----------------------------------------------------

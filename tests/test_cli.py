@@ -236,6 +236,14 @@ def test_readme_command_matches_golden(capsys, command):
     assert out.encode() == workloads.golden(argv)
 
 
+def test_verify_all_matches_golden(capsys, monkeypatch):
+    # all 81 check names, in order, with their statuses and the tally
+    monkeypatch.delenv("SPINBITS_MAX_N", raising=False)
+    code, out = run(capsys, "verify-all")
+    assert code == 0
+    assert out.encode() == workloads.golden(["verify-all"])
+
+
 def test_tracer_targets_resolve():
     missing = []
     for name, (modname, path) in load_perfbench("tracer").TARGETS.items():

@@ -6,7 +6,6 @@ from spinbits.clifford import (
     CliffordElem,
     blade_product,
     chirality_involution,
-    chirality_split,
     clifford_apply,
     delta_iso,
     exp_bivector,
@@ -104,10 +103,6 @@ def test_skew_symmetry_of_clifford_multiplication():
 def test_volume_element_and_chirality():
     vol = volume_element(8)
     assert vol.apply(Spinor.basis(4, 0)) == Spinor.basis(4, 0)
-    plus, minus = chirality_split(8, Spinor.basis(4, 0))
-    assert plus == Spinor.basis(4, 0) and minus.is_zero()
-    plus, minus = chirality_split(8, Spinor.basis(4, 1))
-    assert plus.is_zero() and minus == Spinor.basis(4, 1)
 
 
 def test_volume_involution_at_stage_2():

@@ -15,7 +15,6 @@ from spinbits.scalars import (
     SQRT6,
     ZERO,
     Scalar,
-    cos_sin,
 )
 
 
@@ -63,16 +62,16 @@ def test_conjugate_examples():
 
 
 def test_cos_sin_special_values():
-    assert cos_sin(Angle(0)) == (ONE, ZERO)
-    assert cos_sin(Angle(3)) == (INV_SQRT2, INV_SQRT2)
-    c, s = cos_sin(Angle(1))
+    assert (Angle(0).cos(), Angle(0).sin()) == (ONE, ZERO)
+    assert (Angle(3).cos(), Angle(3).sin()) == (INV_SQRT2, INV_SQRT2)
+    c, s = Angle(1).cos(), Angle(1).sin()
     assert c == (SQRT6 + SQRT2) * Scalar.rational(1, 4)
     assert s == (SQRT6 - SQRT2) * Scalar.rational(1, 4)
 
 
 def test_pythagorean_identity_all_24_classes():
     for k in range(24):
-        c, s = cos_sin(Angle(k))
+        c, s = Angle(k).cos(), Angle(k).sin()
         assert c * c + s * s == ONE
 
 
