@@ -190,7 +190,25 @@ def _parse_eigenvalue(text: str) -> Scalar:
     return table[text]
 
 
+# flags of `triality` and `forms` that apply to some positionals only
+_ONLY_FOR = {
+    "check_order": ("sigma", "tau"),
+    "eigen": ("sigma", "tau"),
+    "matrix": ("g2",),
+    "generators": ("g2",),
+    "check_square": ("omega",),
+}
+
+
+def _reject_stray_flags(args):
+    for flag, whats in _ONLY_FOR.items():
+        if getattr(args, flag, None) not in (None, False) and args.what not in whats:
+            raise UsageError(f"--{flag.replace('_', '-')} does not apply to {args.what} "
+                             f"(only to {', '.join(whats)})")
+
+
 def cmd_triality(args) -> int:
+    _reject_stray_flags(args)
     fmt = args.format
     if args.what in ("sigma", "tau"):
         outer = build_outer(args.what)
@@ -248,7 +266,8 @@ def cmd_octonion(args) -> int:
 
 
 def cmd_forms(args) -> int:
-    if args.what == "omega" and args.check_square:
+    _reject_stray_flags(args)
+    if args.check_square:
         sq = omega_square()
         vol = sq.coefficient((1, 2, 3, 4, 5, 6, 7, 8))
         ok = len(sq.terms) == 1 and vol == 504

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import Scalar
-from .spinors import Spinor, frame_index_set, real_structure, real_structure_phase
+from .spinors import frame_index_set, real_structure_phase
 
 
 @dataclass(frozen=True)
@@ -39,38 +39,34 @@ _TYPE_BY_RESIDUE = {
 }
 
 
+def _stage_dim(r: int) -> int:
+    """Dimension d(r) of an irreducible real module at stage r >= 1."""
+    return 1 << (r // 2 + (-1, 0, 0, 1, 0, 1, 0, 0)[r % 8])
+
+
 def irrep_info(r: int) -> IrrepInfo:
     """Dimension and count of the irreducible real modules at stage r."""
     if r < 1:
         raise ValueError("stage must be positive")
-    res = r % 8
-    half = r // 2
-    if res in (1, 7):
-        d = 1 << half
-    elif res in (2, 4, 6):
-        d = 1 << (r // 2)
-    elif res in (3, 5):
-        d = 1 << (half + 1)
-    else:  # res == 0
-        d = 1 << (r // 2 - 1)
     count = 2 if r % 4 == 0 else 1
-    return IrrepInfo(r, d, count, _TYPE_BY_RESIDUE[res])
+    return IrrepInfo(r, _stage_dim(r), count, _TYPE_BY_RESIDUE[r % 8])
+
+
+@lru_cache(maxsize=None)
+def _stage_dims(bits: int) -> Tuple[int, ...]:
+    """d(1), d(2), ... for every stage whose dimension has at most ``bits`` bits."""
+    dims = []
+    while _stage_dim(len(dims) + 1).bit_length() <= bits:
+        dims.append(_stage_dim(len(dims) + 1))
+    return tuple(dims)
 
 
 def max_stage(N: int) -> int:
     """Largest r whose irreducible module dimension divides N."""
     if N < 1:
         raise ValueError("need N >= 1")
-    best = 1
-    r = 1
-    while True:
-        d = irrep_info(r).d
-        if d > N:
-            break
-        if N % d == 0:
-            best = r
-        r += 1
-    return best
+    # a divisor of N has at most N's bit length, so the table holds them all
+    return max(r for r, d in enumerate(_stage_dims(N.bit_length()), start=1) if N % d == 0)
 
 
 def hurwitz_radon(N: int) -> int:
@@ -272,46 +268,58 @@ def e1ep_closed_form(r: int, p: int, a: int) -> Tuple[Scalar, int]:
     return Scalar.i_power(e), b
 
 
-def field_formula_value(r: int, p: int, x: Dict[int, Fraction], y: Dict[int, Fraction]) -> Spinor:
-    """Direct closed-form value of the field for e_1 e_p at the point with
-    coordinates X_a = x[a], Y_a = y[a] over the frame index set, as a spinor.
+GaussCoords = Dict[int, Tuple[int, int]]
 
-    Follows the per-residue recipes: plain unit spinors for stages 2, 4
-    mod 8 and gamma-symmetrized ones for stages 0, 1 mod 8.
+
+def _symmetrized(r: int, terms) -> GaussCoords:
+    """The spinor sum of (re + i im) u_b over ``terms`` = (b, re, im), as b -> (re, im).
+
+    At stages 0, 1 mod 8 each term w becomes w + gamma w, which is sqrt2
+    times the frame's 1/sqrt2 symmetrization, so the coordinates stay
+    Gaussian integers; zero coordinates are dropped.
     """
-    idx = frame_index_set(r)
-    symmetrize = r % 8 in (0, 1)
-    k = r // 2
-    out = Spinor.zero(k)
-    inv_sqrt2 = Scalar.sqrt(2) * Scalar.rational(1, 2)
-    for a in idx:
-        xa = Scalar.from_fraction(x.get(a, Fraction(0)))
-        ya = Scalar.from_fraction(y.get(a, Fraction(0)))
-        if not (xa or ya):
-            continue
-        coeff, b = e1ep_closed_form(r, p, a)
-        term = Spinor.basis(k, b, (xa + Scalar.i() * ya) * coeff)
-        if symmetrize:
-            term = (term + real_structure(r, term)).scale(inv_sqrt2)
-        out = out + term
-    return out
+    fold = r % 8 in (0, 1)
+    out: Dict[int, List[int]] = {}
+    for b, re, im in terms:
+        acc = out.setdefault(b, [0, 0])
+        acc[0] += re
+        acc[1] += im
+        if fold:  # gamma u_b = i^g u_c and gamma is conjugate-linear
+            g, c = real_structure_phase(r, b)
+            acc = out.setdefault(c, [0, 0])
+            re2, im2 = _times_i_power(re, -im, g)
+            acc[0] += re2
+            acc[1] += im2
+    return {b: (re, im) for b, (re, im) in out.items() if re or im}
 
 
-def frame_point_spinor(r: int, x: Dict[int, Fraction], y: Dict[int, Fraction]) -> Spinor:
-    """The spinor with coordinates (X_a, Y_a) in the stage-r real frame."""
-    res = r % 8
-    k = r // 2
-    inv_sqrt2 = Scalar.sqrt(2) * Scalar.rational(1, 2)
-    out = Spinor.zero(k)
-    support = set(x) | set(y)
-    for a in sorted(support):
-        xa = Scalar.from_fraction(x.get(a, Fraction(0)))
-        ya = Scalar.from_fraction(y.get(a, Fraction(0)))
-        term = Spinor.basis(k, a, xa + Scalar.i() * ya)
-        if res in (0, 1):
-            term = (term + real_structure(r, term)).scale(inv_sqrt2)
-        out = out + term
-    return out
+def _times_i_power(re: int, im: int, e: int) -> Tuple[int, int]:
+    """(re + i im) i^e as (re', im')."""
+    for _ in range(e % 4):
+        re, im = -im, re
+    return re, im
+
+
+def field_formula_coords(r: int, p: int, x: Dict[int, int], y: Dict[int, int]) -> GaussCoords:
+    """The closed-form value of the field for e_1 e_p at the point with frame
+    coordinates X_a = x[a], Y_a = y[a] (ints), as Gaussian-int spinor
+    coordinates b -> (re, im), times sqrt2 at stages 0, 1 mod 8.
+
+    Follows the per-residue recipes: e_1 e_p (X_a + i Y_a) u_a =
+    (X_a + i Y_a) i^e u_b by the bit rule, gamma-symmetrized at stages
+    0, 1 mod 8.
+    """
+    terms = []
+    for a in frame_index_set(r):
+        e, b = e1ep_phase(r, p, a)
+        terms.append((b, *_times_i_power(x.get(a, 0), y.get(a, 0), e)))
+    return _symmetrized(r, terms)
+
+
+def frame_point_coords(r: int, x: Dict[int, int], y: Dict[int, int]) -> GaussCoords:
+    """The point with int coordinates (X_a, Y_a) in the stage-r real frame, as
+    Gaussian-int spinor coordinates b -> (re, im), times sqrt2 at stages 0, 1 mod 8."""
+    return _symmetrized(r, ((a, x.get(a, 0), y.get(a, 0)) for a in sorted(set(x) | set(y))))
 
 
 def emit_coordinates(N: int, fmt: str = "text",
@@ -371,11 +379,15 @@ def gram_is_scaled_identity(system: FieldSystem, Z: Sequence[Fraction]) -> bool:
     """Gram matrix of (Z, V_1(Z), ..., V_{r-1}(Z)) equals |Z|^2 Id, exactly.
 
     Works on ints: Z times the lcm D of its denominators has a Gram matrix
-    D^2 times that of Z, which is a scaled identity exactly when Z's is.
+    D^2 times that of Z, which is a scaled identity exactly when Z's is;
+    an all-int Z is used as it is.
     """
-    fracs = [Fraction(v) for v in Z]
-    D = math.lcm(*(f.denominator for f in fracs))
-    z = [f.numerator * (D // f.denominator) for f in fracs]
+    if all(type(v) is int for v in Z):
+        z = list(Z)
+    else:
+        fracs = [Fraction(v) for v in Z]
+        D = math.lcm(*(f.denominator for f in fracs))
+        z = [f.numerator * (D // f.denominator) for f in fracs]
     vecs = [z] + [J.apply(z) for J in system.J]
     norm = sum(map(mul, z, z))
     for a, u in enumerate(vecs):
@@ -387,8 +399,9 @@ def gram_is_scaled_identity(system: FieldSystem, Z: Sequence[Fraction]) -> bool:
     return True
 
 
-def random_point(N: int, rng: random.Random, span: int = 9) -> List[Fraction]:
+def random_point(N: int, rng: random.Random, span: int = 9) -> List[int]:
+    """A nonzero point of Z^N with coordinates in [-span, span]."""
     while True:
-        z = [Fraction(rng.randint(-span, span)) for _ in range(N)]
+        z = [rng.randint(-span, span) for _ in range(N)]
         if any(z):
             return z

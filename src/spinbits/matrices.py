@@ -8,20 +8,33 @@ from that order, and real bases come from spinors.real_form_basis.
 
 from __future__ import annotations
 
+import operator
 import os
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .clifford import lambda_vector, word_apply, CliffordElem
-from .scalars import I, ONE, Scalar, ZERO
+from .scalars import I, ONE, Scalar, ZERO, _ratio
 from .spinors import Spinor, chirality, hermitian, real_form_basis
 
 
 class Matrix:
-    """Rectangular matrix with Scalar entries and exact elimination."""
+    """Rectangular matrix with Scalar entries and exact elimination.
 
-    __slots__ = ("rows", "cols", "data")
+    A matrix whose entries are all rational also has an int form: int rows
+    over one positive denominator, in lowest terms, read off the entries'
+    numerators once.  Products, sums, rational scaling, equality and
+    elimination run on that form, and Scalar entries are built only when
+    ``data`` is read.  A matrix with an irrational entry runs the same
+    operations as Scalar loops; each operation picks its route from the
+    entries of its operands.  A Matrix and its rows are never changed
+    after construction, so the two forms cannot disagree.
+    """
+
+    __slots__ = ("rows", "cols", "_data", "_ints")
 
     def __init__(self, data: List[List[Scalar]]):
         self.rows = len(data)
@@ -29,19 +42,60 @@ class Matrix:
         for row in data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
-        self.data = data
+        self._data = data
+        self._ints = None  # the int form, or False; read through _int_form
+
+    @staticmethod
+    def _new(cols: int, data=None, ints=None) -> "Matrix":
+        m = object.__new__(Matrix)
+        m.rows = len(data if ints is None else ints[0])
+        m.cols, m._data, m._ints = cols, data, ints
+        return m
+
+    @staticmethod
+    def _of_ints(num: List[List[int]], den: int, cols: int) -> "Matrix":
+        """The matrix num / den for int rows num (consumed) and den > 0."""
+        g = gcd(den, *chain.from_iterable(num))
+        if g > 1:
+            num = [[x // g for x in row] for row in num]
+            den //= g
+        return Matrix._new(cols, ints=(num, den))
+
+    def _int_form(self):
+        """(int rows, denominator) when every entry is rational, else False."""
+        if self._ints is None:
+            flat = [x for row in self._data for x in row]
+            if any(len(x._n) > 1 for x in flat):
+                self._ints = False
+            else:
+                # canonical entries over the lcm of their denominators leave
+                # no common factor, so this form is already in lowest terms
+                den = lcm(*{x._d for x in flat})
+                self._ints = (
+                    [[x._n[0] * (den // x._d) if x._n else 0 for x in row] for row in self._data],
+                    den,
+                )
+        return self._ints
+
+    @property
+    def data(self) -> List[List[Scalar]]:
+        if self._data is None:
+            num, den = self._ints
+            self._data = [[_ratio(x, den) for x in row] for row in num]
+        return self._data
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([[ZERO] * cols for _ in range(rows)])
+        return Matrix._new(cols, ints=([[0] * cols for _ in range(rows)], 1))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Matrix.from_int_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def from_int_rows(rows: Sequence[Sequence[int]]) -> "Matrix":
-        return Matrix([[Scalar.rational(x) for x in row] for row in rows])
+        num = [list(row) for row in rows]
+        return Matrix._of_ints(num, 1, len(num[0]) if num else 0)
 
     @staticmethod
     def from_columns(cols: List[List[Scalar]]) -> "Matrix":
@@ -52,44 +106,60 @@ class Matrix:
         return self.data[rc[0]][rc[1]]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.data[i][j] == other.data[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
+        if not (isinstance(other, Matrix) and self.rows == other.rows and self.cols == other.cols):
+            return False
+        a, b = self._int_form(), other._int_form()
+        if a or b:  # both canonical, or a rational matrix against an irrational one
+            return a == b
+        return self.data == other.data
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other)
-        return Matrix(
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         self._shape_check(other)
-        return Matrix(
-            [
-                [self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        a, b = self._int_form(), other._int_form()
+        if a and b:
+            (an, ad), (bn, bd) = a, b
+            g = gcd(ad, bd)
+            fa, fb = bd // g, sign * (ad // g)
+            return Matrix._of_ints(
+                [[x * fa + y * fb for x, y in zip(r, s)] for r, s in zip(an, bn)],
+                ad * fa, self.cols,
+            )
+        op = operator.add if sign > 0 else operator.sub
+        return Matrix._new(self.cols, data=[list(map(op, r, s)) for r, s in zip(self.data, other.data)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in row] for row in self.data])
+        return self.scale(-ONE)
 
     def scale(self, c: Scalar) -> "Matrix":
-        return Matrix([[c * x for x in row] for row in self.data])
+        a = self._int_form()
+        if a and c.is_rational():
+            num, den = a
+            k = c._n[0] if c._n else 0
+            return Matrix._of_ints([[k * x for x in row] for row in num], den * c._d, self.cols)
+        return Matrix._new(self.cols, data=[[c * x for x in row] for row in self.data])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
+        a, b = self._int_form(), other._int_form()
+        if a and b:
+            (an, ad), (bn, bd) = a, b
+            bnz = [[(j, y) for j, y in enumerate(row) if y] for row in bn]
+            out = []
+            for lrow in an:
+                acc = [0] * other.cols
+                for l, x in enumerate(lrow):
+                    if x:
+                        for j, y in bnz[l]:
+                            acc[j] += x * y
+                out.append(acc)
+            return Matrix._of_ints(out, ad * bd, other.cols)
         odata = other.data
         out = []
         for lrow in self.data:
@@ -101,14 +171,19 @@ class Matrix:
                     acc = acc + x * odata[l][j]
                 row.append(acc)
             out.append(row)
-        return Matrix(out)
+        return Matrix._new(other.cols, data=out)
 
     def _shape_check(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        a = self._int_form()
+        if a:
+            num, den = a
+            return Matrix._new(self.rows, ints=([[row[j] for row in num] for j in range(self.cols)], den))
+        data = self.data
+        return Matrix._new(self.rows, data=[[row[j] for row in data] for j in range(self.cols)])
 
     def apply(self, vec: List[Scalar]) -> List[Scalar]:
         if len(vec) != self.cols:
@@ -132,52 +207,50 @@ class Matrix:
         )
 
     def is_rational(self) -> bool:
-        return all(x.is_rational() for row in self.data for x in row)
+        return bool(self._int_form())
 
     def rank(self) -> int:
         return len(self._echelon()[1])
 
     def nullspace(self) -> Tuple[int, List[List[Scalar]]]:
         """Exact (rank, kernel basis); rank + len(basis) == cols."""
+        rank, kernel = self._kernel()
+        return rank, kernel.data
+
+    def _kernel(self) -> Tuple[int, "Matrix"]:
+        """(rank, the kernel basis as the rows of a Matrix)."""
         ech, pivots = self._echelon()
         pivot_cols = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_cols]
         basis = []
-        for f in free:
+        for f in (j for j in range(self.cols) if j not in pivot_cols):
+            # the reduced echelon rows have unit pivots and zeros above them
             vec = [ZERO] * self.cols
             vec[f] = ONE
-            # back-substitute pivot rows (echelon has unit pivots, zeros above)
-            for r in range(len(pivots) - 1, -1, -1):
-                pc = pivots[r]
-                acc = ZERO
-                for j in range(pc + 1, self.cols):
-                    if vec[j]:
-                        acc = acc + ech[r][j] * vec[j]
-                vec[pc] = -acc
+            for row, pc in zip(ech.data, pivots):
+                vec[pc] = -row[f]
             basis.append(vec)
-        return len(pivots), basis
+        return len(pivots), Matrix._new(self.cols, data=basis)
 
-    def _echelon(self) -> Tuple[List[List[Scalar]], List[int]]:
-        """Reduced row echelon form with unit pivots; returns (rows, pivot cols)."""
+    def _echelon(self) -> Tuple["Matrix", List[int]]:
+        """The nonzero rows of the reduced row echelon form, and their pivot columns.
+
+        That form is unique.  A rational matrix reaches it by fraction-free
+        elimination on its int rows: each update p * row - f * pivot_row is
+        divided by its content, and the pivot rows are scaled to a common
+        pivot value d at the end, which is the form's denominator.
+        """
+        a = self._int_form()
+        if a:
+            m = [_primitive(row) for row in a[0]]
+            pivots = _eliminate(m, self.cols, _int_clear)
+            rows = m[: len(pivots)]
+            d = lcm(*(row[c] for row, c in zip(rows, pivots)))
+            return Matrix._of_ints(
+                [[x * (d // row[c]) for x in row] for row, c in zip(rows, pivots)], d, self.cols
+            ), pivots
         m = [row[:] for row in self.data]
-        pivots: List[int] = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c].inverse()
-            m[r] = [inv * x for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [m[i][j] - f * m[r][j] for j in range(self.cols)]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
+        pivots = _eliminate(m, self.cols, _scalar_clear, _scalar_unit)
+        return Matrix._new(self.cols, data=m[: len(pivots)]), pivots
 
     def to_json(self) -> dict:
         return {
@@ -200,45 +273,105 @@ class Matrix:
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.data)
 
 
-def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    """Bilinear coordinate product (no complex conjugation)."""
-    acc = ZERO
-    for x, y in zip(u, v):
-        if x and y:
-            acc = acc + x * y
-    return acc
+def _eliminate(m: list, cols: int, clear, to_unit=None) -> List[int]:
+    """Gauss-Jordan elimination of the rows m in place; returns the pivot columns.
+
+    ``clear(row, pivot_row, c)`` clears column c of ``row``, and
+    ``to_unit(row, c)``, when given, scales a new pivot row to a unit
+    pivot.  The first len(pivots) rows of m end up as the pivot rows, the
+    rest are zero.
+    """
+    pivots: List[int] = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        if to_unit is not None:
+            m[r] = to_unit(m[r], c)
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = clear(m[i], m[r], c)
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return pivots
+
+
+def _scalar_unit(row, c):
+    inv = row[c].inverse()
+    return [inv * x for x in row]
+
+
+def _scalar_clear(row, prow, c):
+    f = row[c]
+    return [x - f * y for x, y in zip(row, prow)]
+
+
+def _int_clear(row, prow, c):
+    p, f = prow[c], row[c]
+    return _primitive([p * x - f * y for x, y in zip(row, prow)])
+
+
+def _primitive(row: List[int]) -> List[int]:
+    """The int row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 class Subspace:
     """The span of some vectors in an n-dimensional coordinate space.
 
-    The span is held as its reduced row echelon form, computed once: its
-    ``rows`` have unit pivots in the ``pivots`` columns and zeros above
-    and below them.  That form is unique, so two spans are equal exactly
-    when their rows are, and membership is a single reduction.
+    The span is held as its reduced row echelon form, computed once: the
+    rows of ``basis`` have unit pivots in the ``pivots`` columns and zeros
+    above and below them.  That form is unique, so two spans are equal
+    exactly when their bases are, and a vector v is a member exactly when
+    it equals the combination of the rows with its own pivot coordinates.
+    A rational span keeps its basis in int form throughout.
     """
 
-    __slots__ = ("n", "rows", "pivots")
+    __slots__ = ("n", "basis", "pivots")
 
-    def __init__(self, vectors: Sequence[Sequence[Scalar]], n: int | None = None):
-        vectors = [list(v) for v in vectors]
-        self.n = len(vectors[0]) if vectors else n
+    def __init__(self, vectors, n: int | None = None):
+        """The span of a sequence of vectors, or of the rows of a Matrix."""
+        if not isinstance(vectors, Matrix):
+            vectors = Matrix([list(v) for v in vectors])
+        self.n = vectors.cols if vectors.rows else n
         if self.n is None:
             raise ValueError("the span of no vectors needs its dimension n")
-        ech, self.pivots = Matrix(vectors)._echelon()
-        self.rows = ech[: len(self.pivots)]
+        if not vectors.rows:
+            vectors = Matrix.zero(0, self.n)
+        self.basis, self.pivots = vectors._echelon()
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
+    @property
+    def rows(self) -> List[List[Scalar]]:
+        return self.basis.data
+
+    def _residue(self, M: Matrix) -> Matrix:
+        """Each row of M minus the combination of the basis rows with its
+        pivot coordinates: a zero row exactly for a member of the span."""
+        select = Matrix.from_int_rows([[int(p == q) for q in self.pivots] for p in range(self.n)])
+        return M - M * select * self.basis
+
     def __contains__(self, vec: Sequence[Scalar]) -> bool:
         """Clear each pivot coordinate of ``vec``; a member leaves nothing."""
         vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
+        a, v = self.basis._int_form(), Matrix([vec])._int_form()
+        if a and v:  # the rows are R / d, so clear d x with x[p] R for x = vec
+            (rows, d), ([x], _) = a, v
+            vec = [d * t for t in x]
+            pairs = [(x[p], row) for row, p in zip(rows, self.pivots)]
+        else:
+            pairs = [(vec[p], row) for row, p in zip(self.rows, self.pivots)]
+        for c, row in pairs:
             if c:
-                vec = [x - c * y if y else x for x, y in zip(vec, row)]
+                vec = [t - c * y if y else t for t, y in zip(vec, row)]
         return not any(vec)
 
     def __eq__(self, other) -> bool:
@@ -246,25 +379,23 @@ class Subspace:
             isinstance(other, Subspace)
             and self.n == other.n
             and self.pivots == other.pivots
-            and self.rows == other.rows
+            and self.basis == other.basis
         )
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """Intersection, by Zassenhaus: reduce the rows (a | a) and (b | 0);
-        the rows left with a zero first half span a & b in their second."""
-        n, pad = self.n, [ZERO] * self.n
-        ech, pivots = Matrix([r + r for r in self.rows] + [r + pad for r in other.rows])._echelon()
-        return Subspace([row[n:] for row, p in zip(ech, pivots) if p >= n], n)
+        """Intersection: c . A lies in B exactly when c annihilates the
+        residue R of A's rows against B, so A & B is spanned by K A for
+        the kernel K of R transposed."""
+        _, K = other._residue(self.basis).transpose()._kernel()
+        return Subspace(K * self.basis, self.n)
 
     def complement_in(self, outer: "Subspace") -> "Subspace":
-        """Members of ``outer`` orthogonal to this span under _dot."""
-        if not self.rows:
+        """Members of ``outer`` orthogonal to this span under the bilinear
+        coordinate product (no complex conjugation)."""
+        if not self.pivots:
             return outer
-        gram = Matrix([[_dot(s, t) for t in outer.rows] for s in self.rows])
-        _, kernel = gram.nullspace()
-        return Subspace(
-            [[_dot(c, col) for col in zip(*outer.rows)] for c in kernel], self.n
-        )
+        _, K = (self.basis * outer.basis.transpose())._kernel()
+        return Subspace(K * outer.basis, self.n)
 
 
 def max_oracle_dim() -> int:

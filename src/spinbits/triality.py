@@ -181,29 +181,50 @@ def span_contains(span: Subspace, vec: BivectorCoeffs) -> bool:
 
 
 def g2_generators() -> List[BivectorCoeffs]:
-    """The 14 spanning bivectors of the fixed subalgebra of sigma*."""
+    """The 14 spanning bivectors of the fixed subalgebra of sigma*.
+
+    Parsed once: callers share the combinations and never mutate them.
+    """
+    return list(_g2_generators())
+
+
+@lru_cache(maxsize=None)
+def _g2_generators() -> Tuple[BivectorCoeffs, ...]:
     from . import reference
 
-    out = []
-    for line in reference.G2_GENERATORS:
-        out.append(
-            {p: Scalar.from_fraction(c) for p, c in reference.parse_bivector_terms(line).items()}
-        )
-    return out
+    return tuple(
+        {p: Scalar.from_fraction(c) for p, c in reference.parse_bivector_terms(line).items()}
+        for line in reference.G2_GENERATORS
+    )
 
 
 def bivector_bracket(a: BivectorCoeffs, b: BivectorCoeffs) -> BivectorCoeffs:
-    """Clifford commutator of two bivector combinations, again a bivector."""
-    ea = bivector_combo_to_elem(8, a)
-    eb = bivector_combo_to_elem(8, b)
-    comm = ea * eb - eb * ea
+    """Clifford commutator of two bivector combinations, again a bivector.
+
+    The bracket is bilinear, so it is summed from the commutators of the
+    basis pairs, each taken once in Cl_8.
+    """
     out: BivectorCoeffs = {}
+    for p, x in a.items():
+        for q, y in b.items():
+            for r, c in _pair_bracket(p, q):
+                out[r] = out.get(r, ZERO) + x * y * c
+    return {r: c for r, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _pair_bracket(p: Tuple[int, int], q: Tuple[int, int]) -> Tuple[Tuple[Tuple[int, int], Scalar], ...]:
+    """[e_p, e_q] for two basis bivectors, by Clifford multiplication."""
+    ea = bivector_combo_to_elem(8, {p: ONE})
+    eb = bivector_combo_to_elem(8, {q: ONE})
+    comm = ea * eb - eb * ea
+    out = []
     for mask, c in comm.terms.items():
         idx = [t + 1 for t in range(8) if (mask >> t) & 1]
         if len(idx) != 2:
             raise ValueError("bracket left the bivector space")
-        out[(idx[0], idx[1])] = c
-    return out
+        out.append(((idx[0], idx[1]), c))
+    return tuple(out)
 
 
 def apply_bivector_to_spinor(coeffs: BivectorCoeffs, psi: Spinor) -> Spinor:
@@ -249,8 +270,7 @@ def g2_structure() -> Dict[str, object]:
         inter = fix_tau & fix
         checks.append((f"g2 = Fix(tau*) intersect Fix({label})", inter.dim == 14 and g2 == inter))
 
-    sig2 = sig.power(2).matrix
-    image = Subspace([sig2.apply(v) for v in fix_ts.rows], 28)
+    image = Subspace(fix_ts.basis * sig.power(2).matrix.transpose(), 28)
     checks.append(("sigma*^2 maps Fix(tau* sigma*) onto Fix(tau*)", image == fix_tau))
 
     closure = all(
@@ -292,13 +312,13 @@ def g2_action_matrix_on(which: str, alphas: Sequence) -> Matrix:
     """Column-convention action of sum(alpha_m G_m) on a real frame."""
     if len(alphas) != 14:
         raise ValueError("need 14 coefficients")
-    gens = g2_generators()
-    out = Matrix.zero(8, 8)
-    for alpha, g in zip(alphas, gens):
+    coeffs: BivectorCoeffs = {}
+    for alpha, g in zip(alphas, g2_generators()):
         c = alpha if isinstance(alpha, Scalar) else Scalar.from_fraction(Fraction(alpha))
         if c:
-            out = out + kappa_star_matrix({p: c * v for p, v in g.items()}, which)
-    return out
+            for p, v in g.items():
+                coeffs[p] = coeffs.get(p, ZERO) + c * v
+    return kappa_star_matrix(coeffs, which)
 
 
 def group_automorphism(which: str, pair: Tuple[int, int]) -> CliffordElem:

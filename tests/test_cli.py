@@ -271,6 +271,11 @@ def test_tracer_targets_resolve():
     "triality g2 --matrix 1e99999999999,0,0,0,0,0,0,0,0,0,0,0,0,0",
     "fields --sphere 23 --split=-1,4",
     "spinor mul --n=-- --p 5 --index 11",
+    "triality s3 --eigen omega --generators",
+    "triality center --matrix 1,0,0,0,0,0,0,0,0,0,0,0,0,0",
+    "forms phi --check-square",
+    "triality g2 --check-order",
+    "triality sigma --generators",
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, command):
     monkeypatch.delenv("SPINBITS_MAX_N", raising=False)
@@ -280,6 +285,18 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, command):
         code = e.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("triality s3 --eigen omega --generators", "--eigen"),
+    ("triality center --matrix 1,0,0,0,0,0,0,0,0,0,0,0,0,0", "--matrix"),
+    ("forms phi --check-square", "--check-square"),
+    ("triality tau --generators", "--generators"),
+])
+def test_a_flag_for_another_positional_is_named(capsys, command, flag):
+    assert main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {flag} does not apply" in captured.err
 
 
 # -- fuzz: bad values for every numeric or word flag --------------------------

@@ -15,8 +15,8 @@ from spinbits.fields import (
     e1ep_closed_form,
     e1ep_phase,
     emit_coordinates,
-    field_formula_value,
-    frame_point_spinor,
+    field_formula_coords,
+    frame_point_coords,
     gram_is_scaled_identity,
     hurwitz_radon,
     irrep_info,
@@ -25,8 +25,8 @@ from spinbits.fields import (
     structure_failure,
 )
 from spinbits.matrices import real_basis_frame
-from spinbits.scalars import Scalar
-from spinbits.spinors import Spinor, frame_index_set
+from spinbits.scalars import I, INV_SQRT2, ONE, Scalar
+from spinbits.spinors import Spinor, frame_index_set, real_structure
 
 
 def frame_block(r, which, p):
@@ -40,6 +40,63 @@ def frame_block(r, which, p):
         assert len(hits) == 1 and abs(hits[0][1]) == 1
         col_to_row[c] = (hits[0][0], 1 if hits[0][1] > 0 else -1)
     return SignedPermMatrix(len(frame.vectors), col_to_row)
+
+
+def field_formula_value(r, p, x, y):
+    """Oracle for field_formula_coords: the closed-form field value of e_1 e_p
+    at the point with frame coordinates X_a = x[a], Y_a = y[a], as a Scalar
+    spinor, gamma-symmetrized with 1/sqrt2 at stages 0, 1 mod 8."""
+    idx = frame_index_set(r)
+    symmetrize = r % 8 in (0, 1)
+    k = r // 2
+    out = Spinor.zero(k)
+    for a in idx:
+        xa = Scalar.from_fraction(Fraction(x.get(a, 0)))
+        ya = Scalar.from_fraction(Fraction(y.get(a, 0)))
+        if not (xa or ya):
+            continue
+        coeff, b = e1ep_closed_form(r, p, a)
+        term = Spinor.basis(k, b, (xa + Scalar.i() * ya) * coeff)
+        if symmetrize:
+            term = (term + real_structure(r, term)).scale(INV_SQRT2)
+        out = out + term
+    return out
+
+
+def frame_point_spinor(r, x, y):
+    """Oracle for frame_point_coords: the Scalar spinor with coordinates
+    (X_a, Y_a) in the stage-r real frame."""
+    k = r // 2
+    out = Spinor.zero(k)
+    for a in sorted(set(x) | set(y)):
+        xa = Scalar.from_fraction(Fraction(x.get(a, 0)))
+        ya = Scalar.from_fraction(Fraction(y.get(a, 0)))
+        term = Spinor.basis(k, a, xa + Scalar.i() * ya)
+        if r % 8 in (0, 1):
+            term = (term + real_structure(r, term)).scale(INV_SQRT2)
+        out = out + term
+    return out
+
+
+def gauss_spinor(r, coords):
+    """The spinor with Gaussian-int coordinates b -> (re, im), over sqrt2 at stages 0, 1 mod 8."""
+    scale = INV_SQRT2 if r % 8 in (0, 1) else ONE
+    return Spinor(r // 2, {
+        b: (Scalar.rational(re) + I * Scalar.rational(im)) * scale for b, (re, im) in coords.items()
+    })
+
+
+IRREP_DIMS = [None] + [irrep_info(r).d for r in range(1, 400)]  # d(r) for N < 2^198
+
+
+def old_max_stage(N):
+    """Oracle for max_stage: the stage walk from r = 1, with d(r) from irrep_info."""
+    best, r = 1, 1
+    while IRREP_DIMS[r] <= N:
+        if N % IRREP_DIMS[r] == 0:
+            best = r
+        r += 1
+    return best
 
 
 def fraction_gram(system, Z):
@@ -79,6 +136,14 @@ def test_max_stage_examples():
     assert max_stage(16) == 9
     for N in (1, 3, 9, 15, 1001):
         assert max_stage(N) == 1
+
+
+def test_max_stage_equals_the_stage_walk():
+    for N in range(1, (1 << 16) + 1):
+        assert max_stage(N) == old_max_stage(N), N
+    for odd in (1, 3, 5, 77, 2**31 - 1, 3**40):
+        N = (1 << 40) * odd
+        assert max_stage(N) == old_max_stage(N) == hurwitz_radon(N) == 8 * 10 + 1
 
 
 def test_max_stage_equals_hurwitz_radon():
@@ -287,8 +352,8 @@ def test_field_formula_matches_matrix_route():
         system = build_field_system(N)
         assert system.r == r
         for _ in range(3):
-            x = {a: Fraction(rng.randint(-5, 5)) for a in idx}
-            y = {a: Fraction(rng.randint(-5, 5)) for a in idx}
+            x = {a: rng.randint(-5, 5) for a in idx}
+            y = {a: rng.randint(-5, 5) for a in idx}
             z = []
             for a in idx:
                 z.extend((x[a], y[a]))
@@ -298,6 +363,45 @@ def test_field_formula_matches_matrix_route():
                 xs = {a: out[2 * t] for t, a in enumerate(idx)}
                 ys = {a: out[2 * t + 1] for t, a in enumerate(idx)}
                 assert direct == frame_point_spinor(r, xs, ys)
+                assert field_formula_coords(r, p, x, y) == frame_point_coords(r, xs, ys)
+
+
+# stages with their own frame: symmetrized (0, 1 mod 8) and plain (2, 4 mod 8)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gaussian_int_routes_equal_the_scalar_spinor_routes(data):
+    r = data.draw(st.sampled_from([2, 4, 8, 9, 10, 12, 16, 17]))
+    idx = frame_index_set(r)
+    coord = st.integers(-6, 6)
+    x = {a: data.draw(coord) for a in idx}
+    y = {a: data.draw(coord) for a in idx}
+    p = data.draw(st.integers(2, r))
+    assert gauss_spinor(r, field_formula_coords(r, p, x, y)) == field_formula_value(r, p, x, y)
+    assert gauss_spinor(r, frame_point_coords(r, x, y)) == frame_point_spinor(r, x, y)
+
+
+def test_c8_closed_form_check_fails_on_a_flipped_j_block(monkeypatch):
+    real_build = verify.build_field_system
+
+    def build(N, split=None):
+        system = real_build(N, split=split)
+        return flip_one_sign(system, 3, 4) if N == irrep_info(10).d else system
+
+    monkeypatch.setattr(verify, "build_field_system", build)
+    report = verify.Report()
+    verify.check_fields(report, 3, random.Random(1))
+    failed = [c.name for c in report.checks if not c.passed]
+    assert "C8 closed-form field values agree with the matrix route (r = 8, 9, 10, 12)" in failed
+
+
+def test_random_point_is_int_and_gram_takes_ints():
+    rng = random.Random(5)
+    z = random_point(16, rng)
+    assert all(type(v) is int for v in z) and any(z)
+    system = build_field_system(16)
+    assert gram_is_scaled_identity(system, z) is fraction_gram(system, z) is True
+    broken = flip_one_sign(system, 2, 3)
+    assert gram_is_scaled_identity(broken, z) is fraction_gram(broken, z) is False
 
 
 def test_frame_closure_under_top_generator():

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 
@@ -281,3 +282,80 @@ def test_subspace_of_no_vectors():
     assert Z.dim == 0 and [ZERO] * 3 in Z and [ONE, ZERO, ZERO] not in Z
     with pytest.raises(ValueError):
         Subspace([])
+
+
+# -- the int route of rational matrices against the Scalar route ----------
+
+
+@contextlib.contextmanager
+def scalar_route():
+    """Run every Matrix operation as the Scalar loop, as for irrational entries."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Matrix, "_int_form", lambda self: False)
+        yield
+
+
+fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def rational_rows(draw, rows, cols):
+    """rows x cols Fractions with non-unit denominators; the rows after the
+    first few are combinations of those, so rank-deficient sets are common."""
+    free = draw(st.integers(1, rows))
+    out = draw(st.lists(st.lists(fraction, min_size=cols, max_size=cols), min_size=free, max_size=free))
+    while len(out) < rows:
+        cs = draw(st.lists(fraction, min_size=free, max_size=free))
+        out.append([sum((c * row[j] for c, row in zip(cs, out)), Fraction(0)) for j in range(cols)])
+    return [[Scalar.from_fraction(x) for x in row] for row in out]
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_int_route_equals_scalar_route(data):
+    r, k, c = (data.draw(st.integers(1, 6)) for _ in range(3))
+    A = Matrix(data.draw(rational_rows(r, k)))
+    B = Matrix(data.draw(rational_rows(k, c)))
+    A2 = Matrix(data.draw(rational_rows(r, k)))
+    lam = Scalar.from_fraction(data.draw(fraction))
+    a = [row.copy() for row in A.data] + data.draw(rational_rows(data.draw(st.integers(1, 3)), k))
+    b = data.draw(rational_rows(data.draw(st.integers(1, 4)), k)) + a[: data.draw(st.integers(0, len(a)))]
+    v = data.draw(st.sampled_from(a + b))
+    w = data.draw(rational_rows(1, k))[0]
+
+    def run():
+        S, T = Subspace(a, k), Subspace(b, k)
+        return [
+            A * B, A + A2, A - A2, A.scale(lam), A.transpose(), A == A2, A.rank(), A.nullspace(),
+            S == T, v in S, w in S, w in T, S & T, T & S, S.complement_in(T), T.complement_in(S),
+        ]
+
+    fast = run()
+    assert A.is_rational() and A._int_form()
+    with scalar_route():
+        slow = run()
+    for x, y in zip(fast, slow):
+        if isinstance(x, Subspace):
+            assert (x.n, x.pivots, x.rows) == (y.n, y.pivots, y.rows)
+        else:
+            assert x == y
+
+
+def test_rational_matrices_keep_the_int_form():
+    sig = build_outer("sigma").matrix
+    cube = sig * sig * sig
+    assert cube._data is None and cube == Matrix.identity(28)
+    assert cube._data is None  # no Scalar was built to compare
+    assert cube.data[0][0] == ONE and cube.data[0][1] == ZERO
+    rref, pivots = (sig - Matrix.identity(28))._echelon()
+    assert rref._data is None and len(pivots) == 14
+    half = Matrix.from_int_rows([[1, 2], [3, 4]]).scale(Scalar.rational(1, 2))
+    assert half._int_form() == ([[1, 2], [3, 4]], 2)
+    assert half.scale(Scalar.rational(2))._int_form() == ([[1, 2], [3, 4]], 1)
+
+
+def test_irrational_matrices_take_the_scalar_route():
+    M = Matrix([[ONE, SQRT3], [ZERO, I]])
+    assert M._int_form() is False and not M.is_rational()
+    assert M * Matrix.identity(2) == M and M.rank() == 2
+    assert Matrix.identity(2).scale(I) != Matrix.identity(2)

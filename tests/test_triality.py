@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinbits import reference as ref
-from spinbits.clifford import CliffordElem, volume_element
+from spinbits import triality, verify
+from spinbits.clifford import CliffordElem, bivector_combo_to_elem, volume_element
 from spinbits.matrices import Matrix, real_rep_matrix
 from spinbits.scalars import Angle, I, ONE, SQRT3, Scalar, INV_SQRT2
 from spinbits.spinors import Spinor
@@ -20,6 +22,7 @@ from spinbits.triality import (
     g2_action_matrix_on,
     g2_generators,
     g2_structure,
+    _g2_generators,
     _reframe,
     group_automorphism,
     kappa_real_matrix,
@@ -229,3 +232,61 @@ def test_kappa_real_matrix_cache_matches_a_fresh_build():
             cached = kappa_real_matrix(list(p), sign)
             assert kappa_real_matrix(p, sign) is cached
             assert cached == _reframe(real_rep_matrix(8, list(p), sign))
+
+
+def test_g2_generators_are_parsed_once():
+    fresh = [as_scalar_map(ref.parse_bivector_terms(line)) for line in ref.G2_GENERATORS]
+    assert g2_generators() == fresh
+    assert _g2_generators() is _g2_generators()
+    assert all(a is b for a, b in zip(g2_generators(), g2_generators()))
+
+
+def clifford_bracket(a, b):
+    """Oracle for bivector_bracket: the commutator of the two combinations in Cl_8."""
+    ea, eb = bivector_combo_to_elem(8, a), bivector_combo_to_elem(8, b)
+    out = {}
+    for mask, c in (ea * eb - eb * ea).terms.items():
+        i, j = [t + 1 for t in range(8) if (mask >> t) & 1]
+        out[(i, j)] = c
+    return out
+
+
+bivectors = st.dictionaries(
+    st.sampled_from(PAIR_ORDER),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)).map(Scalar.from_fraction),
+    max_size=6,
+)
+
+
+@given(bivectors, bivectors)
+@settings(max_examples=80, deadline=None)
+def test_bracket_equals_the_clifford_commutator(a, b):
+    assert bivector_bracket(a, b) == clifford_bracket(a, b)
+
+
+def test_corrupt_sigma_fails_c3_on_the_int_route(monkeypatch):
+    compared = []
+    real_eq = Matrix.__eq__
+
+    def eq(self, other):
+        compared.append((self._int_form() is not False, other._int_form() is not False))
+        return real_eq(self, other)
+
+    monkeypatch.setattr(Matrix, "__eq__", eq)
+    report = verify.Report()
+    verify.check_triality(report, corrupt_sigma=True)
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed == ["C3 sigma* equals the tabulated 28x28 array"]
+    assert compared[0] == (True, True)  # that first comparison ran on ints
+
+
+def test_corrupt_g2_generator_fails_c4_span_checks(monkeypatch):
+    bad = g2_generators()
+    bad[3] = {p: -c if p == (2, 6) else c for p, c in bad[3].items()}  # "-126 +137" -> "+126 +137"
+    monkeypatch.setattr(triality, "g2_generators", lambda: bad)
+    report = verify.Report()
+    verify.check_g2(report, 0, random.Random(1))
+    failed = {c.name for c in report.checks if not c.passed}
+    assert "C4 generators span the fixed space of sigma*" in failed
+    assert "C4 g2 = spin7(e2..e8) intersect Fix(tau*)" in failed
+    assert "C4 bracket closure of g2" in failed
