@@ -19,25 +19,38 @@ from .scalars import Angle, ONE, Scalar, ZERO
 from .spinors import Spinor, parity
 
 
-def generator_action(n: int, p: int, a: int) -> Tuple[Scalar, int]:
-    """e_p u_a = coeff * u_b inside Cl_n; returns (coeff, b)."""
+def generator_phase(n: int, p: int, a: int) -> Tuple[int, int]:
+    """e_p u_a = i**e u_b inside Cl_n; returns (e, b), 0 <= e < 4."""
     if not 1 <= p <= n:
         raise ValueError(f"generator index {p} out of range for n={n}")
     k = n // 2
     if p == n and n % 2 == 1:
         # diagonal action of the odd top generator
-        sign = (k + a.bit_count()) & 1
-        return Scalar.i_power(1 + 2 * sign), a
+        return 1 + 2 * ((k + a.bit_count()) & 1), a
     j = (p + 1) // 2
     if p % 2 == 1:
         # e_{2j-1}: i * (-1)^(j-1) * (-1)^(sum of bits below j-1)
         low = (a & ((1 << (j - 1)) - 1)).bit_count()
-        coeff = Scalar.i_power(1 + 2 * ((j - 1 + low) & 1))
-    else:
-        # e_{2j}: (-1)^(j-1) * (-1)^(sum of bits below j)
-        low = (a & ((1 << j) - 1)).bit_count()
-        coeff = Scalar.i_power(2 * ((j - 1 + low) & 1))
-    return coeff, a ^ (1 << (j - 1))
+        return 1 + 2 * ((j - 1 + low) & 1), a ^ (1 << (j - 1))
+    # e_{2j}: (-1)^(j-1) * (-1)^(sum of bits below j)
+    low = (a & ((1 << j) - 1)).bit_count()
+    return 2 * ((j - 1 + low) & 1), a ^ (1 << (j - 1))
+
+
+def generator_action(n: int, p: int, a: int) -> Tuple[Scalar, int]:
+    """e_p u_a = coeff * u_b inside Cl_n; returns (coeff, b)."""
+    e, b = generator_phase(n, p, a)
+    return Scalar.i_power(e), b
+
+
+def word_phase(n: int, word: Sequence[int], a: int) -> Tuple[int, int]:
+    """A product of generators, written left to right, applied to u_a: (e, b)
+    with e_{w1} ... e_{wm} u_a = i**e u_b, 0 <= e < 4."""
+    e = 0
+    for p in reversed(word):
+        f, a = generator_phase(n, p, a)
+        e += f
+    return e % 4, a
 
 
 def clifford_apply(n: int, p: int, psi: Spinor) -> Spinor:

@@ -5,11 +5,13 @@ N, the images of e_1 e_j (j = 2..r) on R^N give r-1 antisymmetric
 complex structures J with pairwise anticommutation, so Z, J_2 Z, ...,
 J_r Z is an exact orthogonal frame at every point Z of the sphere.
 
-Everything runs on integers.  e_1 e_p u_a is a power of i times one
-basic spinor (``e1ep_phase``), so each J block is read straight off that
-bit rule as a signed permutation, and the Gram check clears denominators
-once and multiplies ints.  The route through real frame vectors and
-``RealBasisFrame.expand`` survives only in the tests, as the oracle.
+Everything runs on integers.  e_1 e_p sends each basic spinor to a power
+of i times one basic spinor, so each J block is read straight off the bit
+rule as a real ``Monomial`` (``matrices.real_block``), and the Gram check
+clears denominators once and multiplies ints.  ``e1ep_phase`` is the same
+action as one closed formula, which the closed-form field values use.
+The route through real frame vectors and ``RealBasisFrame.expand``
+survives only in the tests, as the oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .scalars import Scalar
+from .matrices import Monomial, real_block
 from .spinors import frame_index_set, real_structure_phase
 
 
@@ -88,108 +90,15 @@ def _aliased_stage(r: int) -> int:
     return r
 
 
-class SignedPermMatrix:
-    """Antisymmetric signed permutation matrix, stored sparsely both ways."""
-
-    __slots__ = ("n", "col_to_row", "row_to_col")
-
-    def __init__(self, n: int, col_to_row: Dict[int, Tuple[int, int]]):
-        if len(col_to_row) != n:
-            raise ValueError("not a permutation")
-        self.n = n
-        self.col_to_row = col_to_row
-        self.row_to_col = {}
-        for c, (r, s) in col_to_row.items():
-            if s not in (1, -1):
-                raise ValueError("entries must be +-1")
-            if r in self.row_to_col:
-                raise ValueError("not a permutation")
-            self.row_to_col[r] = (c, s)
-
-    def apply(self, z: Sequence) -> List:
-        """The image of z, with z's own entry type (ints stay ints)."""
-        if len(z) != self.n:
-            raise ValueError("length mismatch")
-        return [z[c] if s > 0 else -z[c]
-                for c, s in map(self.row_to_col.__getitem__, range(self.n))]
-
-    def compose(self, other: "SignedPermMatrix") -> "SignedPermMatrix":
-        # self * other as matrices
-        c2r = {}
-        for c, (mid, s1) in other.col_to_row.items():
-            r, s2 = self.col_to_row[mid]
-            c2r[c] = (r, s1 * s2)
-        return SignedPermMatrix(self.n, c2r)
-
-    def is_antisymmetric(self) -> bool:
-        return all(
-            self.col_to_row.get(r) == (c, -s) for c, (r, s) in self.col_to_row.items()
-        )
-
-    def is_minus_identity(self) -> bool:
-        return all(self.col_to_row.get(c) == (c, -1) for c in range(self.n))
-
-    def __neg__(self) -> "SignedPermMatrix":
-        return SignedPermMatrix(
-            self.n, {c: (r, -s) for c, (r, s) in self.col_to_row.items()}
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SignedPermMatrix)
-            and self.n == other.n
-            and self.col_to_row == other.col_to_row
-        )
-
-    def anticommutes_with(self, other: "SignedPermMatrix") -> bool:
-        ab = self.compose(other)
-        ba = other.compose(self)
-        return ab == -ba
-
-    def to_int_rows(self) -> List[List[int]]:
-        rows = [[0] * self.n for _ in range(self.n)]
-        for c, (r, s) in self.col_to_row.items():
-            rows[r][c] = s
-        return rows
-
-
-@lru_cache(maxsize=None)
-def _irrep_block(r: int, which: str, p: int) -> SignedPermMatrix:
-    """The image of e_1 e_p on one irreducible real frame, read off the bit rule.
-
-    Frame column 2t+q is i^q u_a, gamma-symmetrized at stages 0, 1 mod 8,
-    for the t-th frame index a.  e_1 e_p sends it to i^s u_b, s = q + e,
-    which is frame vector 2 pos[b] + s mod 2 with sign + iff s mod 4 < 2.
-    At stages 0, 1 mod 8 (gamma^2 = +1) an image index outside the frame
-    folds through gamma: w + gamma w = w' + gamma w' for w = i^s u_b and
-    w' = gamma w = i^(g-s) u_~b.  The minus frame is e_1 times the plus
-    one and e_1 e_p e_1 = -e_1 e_1 e_p, so its block is the plus block
-    negated.
-    """
-    if which == "minus":
-        return -_irrep_block(r, "plus", p)
-    idx = frame_index_set(r)
-    pos = {a: t for t, a in enumerate(idx)}
-    col_to_row = {}
-    for t, a in enumerate(idx):
-        e, b = e1ep_phase(r, p, a)
-        if b in pos:
-            phases = (e, e + 1)
-        else:
-            g, b = real_structure_phase(r, b)
-            phases = (g - e, g - e - 1)
-        for q, s in enumerate(phases):
-            col_to_row[2 * t + q] = (2 * pos[b] + s % 2, 1 if s % 4 < 2 else -1)
-    return SignedPermMatrix(2 * len(idx), col_to_row)
-
-
-def _tensor_identity(block: SignedPermMatrix, copies: int, offset: int, n: int,
-                     into: Dict[int, Tuple[int, int]]):
-    d = block.n
-    for q in range(copies):
-        base = offset + q * d
-        for c, (r, s) in block.col_to_row.items():
-            into[base + c] = (base + r, s)
+def _block_diagonal(blocks: Sequence[Monomial]) -> Monomial:
+    """The monomial map with these blocks down the diagonal."""
+    perm: List[int] = []
+    phase: List[int] = []
+    for block in blocks:
+        base = len(perm)
+        perm += [base + b for b in block.perm]
+        phase += block.phase
+    return Monomial(perm, phase)
 
 
 @dataclass
@@ -199,7 +108,7 @@ class FieldSystem:
     N: int
     r: int
     multiplicities: Tuple[int, int]
-    J: List[SignedPermMatrix]
+    J: List[Monomial]
 
     def field_count(self) -> int:
         return self.r - 1
@@ -235,13 +144,10 @@ def build_field_system(N: int, split: Optional[Tuple[int, int]] = None) -> Field
     which1 = "plus" if info.count == 2 else "full"
     Js = []
     for p in range(2, rr + 1):
-        block1 = _irrep_block(rr, which1, p)
-        c2r: Dict[int, Tuple[int, int]] = {}
-        _tensor_identity(block1, m1, 0, N, c2r)
+        blocks = [real_block(rr, (1, p), which1)] * m1
         if m2:
-            block2 = _irrep_block(rr, "minus", p)
-            _tensor_identity(block2, m2, m1 * d, N, c2r)
-        Js.append(SignedPermMatrix(N, c2r))
+            blocks += [real_block(rr, (1, p), "minus")] * m2
+        Js.append(_block_diagonal(blocks))
     return FieldSystem(N=N, r=rr, multiplicities=(m1, m2), J=Js)
 
 
@@ -260,12 +166,6 @@ def e1ep_phase(r: int, p: int, a: int) -> Tuple[int, int]:
     low = (a & ((1 << (j - 1)) - 1)).bit_count()
     exp2 = (2 * j - 1 + low + ajm1 * (-2 * j + p + 1)) % 2
     return (1 - p + 2 * exp2) % 4, a ^ (1 << (j - 1)) ^ 1
-
-
-def e1ep_closed_form(r: int, p: int, a: int) -> Tuple[Scalar, int]:
-    """Single-formula action of e_1 e_p on u_a (the composite bit rule)."""
-    e, b = e1ep_phase(r, p, a)
-    return Scalar.i_power(e), b
 
 
 GaussCoords = Dict[int, Tuple[int, int]]
@@ -332,11 +232,8 @@ def emit_coordinates(N: int, fmt: str = "text",
     system = build_field_system(N, split=split)
     rows = []
     for J in system.J:
-        row = []
-        for rpos in range(N):
-            c, s = J.row_to_col[rpos]
-            row.append((s, c + 1))
-        rows.append(row)
+        T = J.transpose()  # row b of J holds its entry in column T.perm[b]
+        rows.append([(1 - e, c + 1) for c, e in zip(T.perm, T.phase)])
     if fmt == "json":
         return {
             "sphere": N - 1,
@@ -363,14 +260,15 @@ def structure_failure(system: FieldSystem) -> Optional[dict]:
     anticommutation; a failure names N, the 1-based J (or pair) and the
     equation.
     """
+    minus_one = -Monomial.identity(system.N)
     for j, J in enumerate(system.J, start=1):
-        if not J.is_antisymmetric():
+        if J.transpose() != -J:
             return {"N": system.N, "J": j, "equation": "J^T = -J"}
-        if not J.compose(J).is_minus_identity():
+        if J.compose(J) != minus_one:
             return {"N": system.N, "J": j, "equation": "J^2 = -1"}
     for a in range(len(system.J)):
         for b in range(a + 1, len(system.J)):
-            if not system.J[a].anticommutes_with(system.J[b]):
+            if system.J[a].compose(system.J[b]) != -system.J[b].compose(system.J[a]):
                 return {"N": system.N, "J": [a + 1, b + 1], "equation": "J_a J_b = -J_b J_a"}
     return None
 

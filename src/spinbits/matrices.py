@@ -1,5 +1,7 @@
-"""Dense exact matrices over the scalar field, representation matrices,
-and the independent tensor-product oracle for the generator action.
+"""Dense exact matrices over the scalar field, monomial maps (a bit flip
+times a power of i), representation matrices, real frame blocks read off
+the bit rule, and the independent tensor-product oracle for the
+generator action.
 
 Matrices act on coordinate columns.  The spinor-space basis order is
 always u_0, u_1, ..., u_{2^k - 1}; chirality bases are index-filtered
@@ -11,14 +13,14 @@ from __future__ import annotations
 import operator
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd, lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .clifford import lambda_vector, word_apply, CliffordElem
-from .scalars import I, ONE, Scalar, ZERO, _ratio
-from .spinors import Spinor, chirality, hermitian, real_form_basis
+from .clifford import lambda_vector, word_apply, word_phase, CliffordElem
+from .scalars import ONE, Scalar, ZERO, _ratio
+from .spinors import Spinor, chirality, frame_index_set, hermitian, real_form_basis, real_structure_phase
 
 
 class Matrix:
@@ -398,47 +400,101 @@ class Subspace:
         return Subspace(K * outer.basis, self.n)
 
 
+class Monomial:
+    """The linear map u_a -> i**phase[a] u_perm[a], a bit flip times a power of i.
+
+    Every Clifford word acts on basic spinors this way, and so does every
+    real frame block of an even word (a signed permutation: even phases).
+    As a matrix, column a holds i**phase[a] in row perm[a].  The index map
+    is a permutation, the phases are ints mod 4, and neither changes after
+    construction.
+    """
+
+    __slots__ = ("perm", "phase")
+
+    def __init__(self, perm: Iterable[int], phase: Iterable[int]):
+        self.perm = tuple(perm)
+        self.phase = tuple(e % 4 for e in phase)
+        if len(self.phase) != len(self.perm) or set(self.perm) != set(range(len(self.perm))):
+            raise ValueError("not a monomial map")
+
+    @staticmethod
+    def identity(n: int) -> "Monomial":
+        return Monomial(range(n), [0] * n)
+
+    def compose(self, other: "Monomial") -> "Monomial":
+        """This map after ``other``: the matrix product self * other."""
+        perm, phase = self.perm, self.phase
+        return Monomial([perm[b] for b in other.perm],
+                        [e + phase[b] for b, e in zip(other.perm, other.phase)])
+
+    def kron(self, other: "Monomial") -> "Monomial":
+        """The Kronecker product, self's slot most significant: the slot
+        indices concatenate and the phases add."""
+        m = len(other.perm)
+        return Monomial([b * m + c for b in self.perm for c in other.perm],
+                        [e + f for e in self.phase for f in other.phase])
+
+    def __neg__(self) -> "Monomial":
+        return Monomial(self.perm, [e + 2 for e in self.phase])
+
+    def transpose(self) -> "Monomial":
+        perm, phase = [0] * len(self.perm), [0] * len(self.perm)
+        for a, (b, e) in enumerate(zip(self.perm, self.phase)):
+            perm[b], phase[b] = a, e
+        return Monomial(perm, phase)
+
+    def apply(self, z: Sequence) -> List:
+        """The image of the coordinate column z; ints stay ints under even phases."""
+        if len(z) != len(self.perm):
+            raise ValueError("length mismatch")
+        out = [0] * len(z)
+        for x, b, e in zip(z, self.perm, self.phase):
+            out[b] = x if not e else -x if e == 2 else Scalar.i_power(e) * x
+        return out
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Monomial) and self.perm == other.perm and self.phase == other.phase
+
+    def __hash__(self):
+        return hash((self.perm, self.phase))
+
+    def to_int_rows(self) -> List[List[int]]:
+        """The matrix rows of a real monomial (every phase even)."""
+        rows = [[0] * len(self.perm) for _ in self.perm]
+        for a, (b, e) in enumerate(zip(self.perm, self.phase)):
+            if e & 1:
+                raise ValueError("the monomial has imaginary entries")
+            rows[b][a] = 1 - e
+        return rows
+
+    def to_matrix(self) -> Matrix:
+        rows = [[ZERO] * len(self.perm) for _ in self.perm]
+        for a, (b, e) in enumerate(zip(self.perm, self.phase)):
+            rows[b][a] = Scalar.i_power(e)
+        return Matrix(rows)
+
+
 def max_oracle_dim() -> int:
     return int(os.environ.get("SPINBITS_MAX_N", "12"))
 
 
-def _u_block(name: str) -> List[List[Scalar]]:
+def _block(name: str) -> Monomial:
     """2x2 blocks of the standard maps in the ordered basis (u_plus, u_minus)."""
-    M1 = Scalar.rational(-1)
-    return {
-        "id": [[ONE, ZERO], [ZERO, ONE]],
-        "g1": [[ZERO, I], [I, ZERO]],
-        "g2": [[ZERO, M1], [ONE, ZERO]],
-        "T": [[M1, ZERO], [ZERO, ONE]],
-        "alpha": [[ZERO, I], [-I, ZERO]],
-        "beta": [[ZERO, ONE], [ONE, ZERO]],
+    perm, phase = {
+        "id": ((0, 1), (0, 0)),
+        "g1": ((1, 0), (1, 1)),
+        "g2": ((1, 0), (0, 2)),
+        "T": ((0, 1), (2, 0)),
+        "alpha": ((1, 0), (3, 1)),
+        "beta": ((1, 0), (0, 0)),
     }[name]
-
-
-def _kron(a: List[List[Scalar]], b: List[List[Scalar]]) -> List[List[Scalar]]:
-    ra, ca, rb, cb = len(a), len(a[0]), len(b), len(b[0])
-    out = [[ZERO] * (ca * cb) for _ in range(ra * rb)]
-    for i in range(ra):
-        for j in range(ca):
-            if not a[i][j]:
-                continue
-            for p in range(rb):
-                for q in range(cb):
-                    if b[p][q]:
-                        out[i * rb + p][j * cb + q] = a[i][j] * b[p][q]
-    return out
-
-
-def _kron_chain(blocks: List[List[List[Scalar]]]) -> List[List[Scalar]]:
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = _kron(out, b)
-    return out
+    return Monomial(perm, phase)
 
 
 @lru_cache(maxsize=None)
-def tensor_oracle(n: int) -> Tuple[Matrix, ...]:
-    """Dense generator matrices built purely from 2x2 tensor factors.
+def tensor_oracle(n: int) -> Tuple[Monomial, ...]:
+    """Generator maps built purely from 2x2 tensor factors, as monomials.
 
     Slot 1 is the most significant bit; e_{2j-1} and e_{2j} carry g1/g2
     in slot k-j+1 with T factors to the right, and an odd top generator
@@ -448,49 +504,44 @@ def tensor_oracle(n: int) -> Tuple[Matrix, ...]:
     if n > max_oracle_dim():
         raise ValueError(f"n={n} above oracle limit {max_oracle_dim()}")
     k = n // 2
-    mats = []
+    out = []
     for p in range(1, n + 1):
         if p == n and n % 2 == 1:
-            m = _kron_chain([_u_block("T")] * k)
-            m = [[I * x for x in row] for row in m]
+            names, shift = ["T"] * k, 1
         else:
             j = (p + 1) // 2
-            g = "g1" if p % 2 == 1 else "g2"
-            blocks = [_u_block("id")] * (k - j) + [_u_block(g)] + [_u_block("T")] * (j - 1)
-            m = _kron_chain(blocks)
-        mats.append(Matrix(m))
-    return tuple(mats)
+            names, shift = ["id"] * (k - j) + ["g1" if p % 2 else "g2"] + ["T"] * (j - 1), 0
+        m = reduce(Monomial.kron, map(_block, names))
+        out.append(Monomial(m.perm, [e + shift for e in m.phase]))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def gamma_oracle_matrix(n: int) -> Matrix:
-    """Tensor-product matrix of gamma_n; apply after conjugating coordinates."""
+def gamma_oracle(n: int) -> Monomial:
+    """gamma_n from its tensor definition: conjugate the coordinates, then
+    apply this tensor product, so on each basic spinor it is this monomial."""
     if n > max_oracle_dim():
         raise ValueError(f"n={n} above oracle limit {max_oracle_dim()}")
-    k = n // 2
-    blocks = [_u_block("alpha" if s % 2 == 1 else "beta") for s in range(1, k + 1)]
-    return Matrix(_kron_chain(blocks))
-
-
-def gamma_oracle_apply(n: int, psi: Spinor) -> Spinor:
-    """gamma_n via the tensor oracle: conjugate coordinates, then multiply."""
-    k = n // 2
-    vec = [psi.coeff(a).conjugate() for a in range(1 << k)]
-    out = gamma_oracle_matrix(n).apply(vec)
-    return Spinor(k, {a: c for a, c in enumerate(out) if c})
+    return reduce(Monomial.kron, (_block("alpha" if s % 2 else "beta") for s in range(1, n // 2 + 1)))
 
 
 def spinor_to_column(psi: Spinor) -> List[Scalar]:
     return [psi.coeff(a) for a in range(1 << psi.k)]
 
 
+def _word_monomial(n: int, word: Sequence[int], idx: Sequence[int]) -> Monomial:
+    """The word's action on the span of u_a, a in idx, by the bit rule, as a
+    Monomial on the positions in idx."""
+    pos = {a: m for m, a in enumerate(idx)}
+    images = [word_phase(n, word, a) for a in idx]
+    if any(b not in pos for _, b in images):
+        raise ValueError("word left the chirality subspace")
+    return Monomial([pos[b] for _, b in images], [e for e, _ in images])
+
+
 def kappa_matrix(n: int, word: Sequence[int]) -> Matrix:
     """Matrix of the word's spinor action; column a is the image of u_a."""
-    k = n // 2
-    cols = []
-    for a in range(1 << k):
-        cols.append(spinor_to_column(word_apply(n, word, Spinor.basis(k, a))))
-    return Matrix.from_columns(cols)
+    return _word_monomial(n, word, range(1 << (n // 2))).to_matrix()
 
 
 def chirality_indices(n: int, sign: int) -> List[int]:
@@ -505,19 +556,7 @@ def kappa_pm_matrix(n: int, word: Sequence[int], sign: int) -> Matrix:
         raise ValueError("half-spinor spaces need even n")
     if len(word) % 2:
         raise ValueError("odd words reverse chirality")
-    k = n // 2
-    idx = chirality_indices(n, sign)
-    pos = {a: m for m, a in enumerate(idx)}
-    cols = []
-    for a in idx:
-        img = word_apply(n, word, Spinor.basis(k, a))
-        col = [ZERO] * len(idx)
-        for b, c in img.terms.items():
-            if b not in pos:
-                raise ValueError("word left the chirality subspace")
-            col[pos[b]] = c
-        cols.append(col)
-    return Matrix.from_columns(cols)
+    return _word_monomial(n, word, chirality_indices(n, sign)).to_matrix()
 
 
 class RealBasisFrame:
@@ -563,6 +602,42 @@ class RealBasisFrame:
 @lru_cache(maxsize=None)
 def real_basis_frame(r: int, which: str) -> RealBasisFrame:
     return RealBasisFrame(r, which)
+
+
+@lru_cache(maxsize=None)
+def real_block(r: int, word: Tuple[int, ...], which: str) -> Monomial:
+    """The matrix of an even word on the stage-r real frame, read off the bit rule.
+
+    Frame column 2t+q is i^q u_a, gamma-symmetrized at stages 0, 1 mod 8,
+    for the t-th frame index a.  The word sends it to i^s u_b, s = q + e,
+    which is frame vector 2 pos[b] + s mod 2 with sign + iff s mod 4 < 2.
+    At stages 0, 1 mod 8 (gamma^2 = +1, and gamma commutes with even
+    words) an image index outside the frame folds through gamma:
+    w + gamma w = w' + gamma w' for w = i^s u_b and w' = gamma w =
+    i^(g-s) u_~b.  The minus frame is e_1 times the plus one, and
+    conjugation by e_1 negates every other generator, so its block is the
+    plus block times -1 to the number of e_1 in the word.  ``which`` is
+    "plus", "minus" or "full" as in spinors.real_form_basis.
+    """
+    if len(word) % 2:
+        raise ValueError("odd words move between the plus and minus frames")
+    if which == "minus":
+        plus = real_block(r, word, "plus")
+        return -plus if word.count(1) % 2 else plus
+    idx = frame_index_set(r)
+    pos = {a: t for t, a in enumerate(idx)}
+    perm, phase = [], []
+    for a in idx:
+        e, b = word_phase(r, word, a)
+        if b in pos:
+            shifts = (e, e + 1)
+        else:
+            g, b = real_structure_phase(r, b)
+            shifts = (g - e, g - e - 1)
+        for s in shifts:
+            perm.append(2 * pos[b] + s % 2)
+            phase.append(s & 2)
+    return Monomial(perm, phase)
 
 
 def real_rep_matrix(r: int, word: Sequence[int], source: str) -> Matrix:

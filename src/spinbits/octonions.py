@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .clifford import clifford_apply
@@ -91,40 +92,71 @@ def quaternion_table() -> List[List[SignedIndex]]:
 
 
 class Octonion:
-    """Octonion with eight exact rational coefficients."""
+    """Octonion with eight exact rational coefficients.
 
-    __slots__ = ("coeffs",)
+    Held as eight int numerators over one positive denominator, in lowest
+    terms, so equal octonions have equal numerators and denominators and
+    every operation runs on ints.  ``coeffs`` gives the coefficients as
+    Fractions.
+    """
+
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Sequence[Fraction]):
         if len(coeffs) != 8:
             raise ValueError("need 8 coefficients")
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        fracs = [Fraction(c) for c in coeffs]
+        # canonical Fractions over the lcm of their denominators share no factor
+        d = lcm(*(f.denominator for f in fracs))
+        self._n = tuple(f.numerator * (d // f.denominator) for f in fracs)
+        self._d = d
+
+    @staticmethod
+    def _of(n: List[int], d: int) -> "Octonion":
+        """The octonion n / d for int numerators n and d > 0."""
+        g = gcd(d, *n)
+        out = object.__new__(Octonion)
+        out._n, out._d = tuple(x // g for x in n), d // g
+        return out
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(x, self._d) for x in self._n)
 
     @staticmethod
     def unit(i: int) -> "Octonion":
-        return Octonion([Fraction(int(j == i)) for j in range(8)])
+        return Octonion._of([int(j == i) for j in range(8)], 1)
+
+    def _combine(self, other: "Octonion", sign: int) -> "Octonion":
+        g = gcd(self._d, other._d)
+        fa, fb = other._d // g, sign * (self._d // g)
+        return Octonion._of([x * fa + y * fb for x, y in zip(self._n, other._n)], self._d * fa)
 
     def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Octonion":
-        return Octonion([-a for a in self.coeffs])
+        return Octonion._of([-x for x in self._n], self._d)
 
     def scale(self, c) -> "Octonion":
         c = Fraction(c)
-        return Octonion([c * a for a in self.coeffs])
+        return Octonion._of([c.numerator * x for x in self._n], self._d * c.denominator)
+
+    def dot(self, other: "Octonion") -> Fraction:
+        """The Euclidean inner product of the coefficient vectors."""
+        return Fraction(sum(map(mul, self._n, other._n)), self._d * other._d)
 
     def norm(self) -> Fraction:
-        return sum((c * c for c in self.coeffs), Fraction(0))
+        return self.dot(self)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Octonion) and self.coeffs == other.coeffs
+        return isinstance(other, Octonion) and self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._n, self._d))
 
     def __repr__(self):
         parts = [f"{c}*e{i}" for i, c in enumerate(self.coeffs) if c]
@@ -136,28 +168,19 @@ def _table() -> List[List[SignedIndex]]:
     return octonion_table()
 
 
-def _numerators(x: Octonion) -> Tuple[List[int], int]:
-    """Integer numerators of x over the lcm d of its denominators."""
-    d = lcm(*(c.denominator for c in x.coeffs))
-    return [c.numerator * (d // c.denominator) for c in x.coeffs], d
-
-
 def octonion_mul(x: Octonion, y: Octonion) -> Octonion:
     """The product, summed on integer numerators over one denominator."""
     table = _table()
-    xn, xd = _numerators(x)
-    yn, yd = _numerators(y)
     out = [0] * 8
-    for i, a in enumerate(xn):
+    for i, a in enumerate(x._n):
         if not a:
             continue
         row = table[i]
-        for j, b in enumerate(yn):
+        for j, b in enumerate(y._n):
             if b:
                 sign, k = row[j]
                 out[k] += sign * a * b
-    d = xd * yd
-    return Octonion([Fraction(c, d) for c in out])
+    return Octonion._of(out, x._d * y._d)
 
 
 def random_octonion(rng: random.Random, span: int = 9) -> Octonion:
@@ -222,10 +245,7 @@ def algebra_checks(samples: int = 100, seed: int = 1) -> List[Tuple[str, bool]]:
         cols = [octonion_mul(x, Octonion.unit(j)) for j in range(8)]
         for a in range(8):
             for b in range(a, 8):
-                dot = sum(
-                    (cols[a].coeffs[t] * cols[b].coeffs[t] for t in range(8)), Fraction(0)
-                )
-                if dot != (nx if a == b else 0):
+                if cols[a].dot(cols[b]) != (nx if a == b else 0):
                     orth = False
     results.append(("left multiplication columns scale orthonormally", orth))
     return results

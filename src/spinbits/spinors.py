@@ -240,6 +240,8 @@ def frame_index_set(r: int) -> List[int]:
     frame vectors are gamma-symmetrized, so the indices stop below
     2**(k-1) (even parity only at stage 0 mod 8).
     """
+    if r < 2:
+        raise ValueError(f"stage {r} has no real frame; the real frames start at stage 2")
     res = r % 8
     k = r // 2
     if res in (2, 4):

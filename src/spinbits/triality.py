@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import CliffordElem, bivector_combo_to_elem, volume_element
-from .matrices import Matrix, Subspace, e_basis_decompose, real_rep_matrix
+from .matrices import Matrix, Monomial, Subspace, e_basis_decompose, real_block
 from .scalars import Angle, HALF, I, ONE, SQRT3, Scalar, ZERO, INV_SQRT2
 from .spinors import Spinor
 
@@ -78,20 +78,9 @@ class OuterMap:
 FRAME_SIGNS = (1, 1, 1, -1, -1, 1, 1, 1)
 
 
-def _reframe(M: Matrix) -> Matrix:
-    return Matrix(
-        [
-            [
-                -x if x and FRAME_SIGNS[r] * FRAME_SIGNS[c] < 0 else x
-                for c, x in enumerate(row)
-            ]
-            for r, row in enumerate(M.data)
-        ]
-    )
-
-
 def kappa_real_matrix(word: Sequence[int], sign: str) -> Matrix:
-    """Real half-spinor matrix of a word, in this module's frame orientation.
+    """Real half-spinor matrix of an even word at stage 8, read off the bit rule
+    (``real_block``), in this module's frame orientation.
 
     Built once per (word, sign): callers share the Matrix and never mutate it.
     """
@@ -100,7 +89,8 @@ def kappa_real_matrix(word: Sequence[int], sign: str) -> Matrix:
 
 @lru_cache(maxsize=None)
 def _kappa_real_matrix(word: Tuple[int, ...], sign: str) -> Matrix:
-    return _reframe(real_rep_matrix(8, word, sign))
+    frame = Monomial(range(8), [1 - s for s in FRAME_SIGNS])
+    return frame.compose(real_block(8, word, sign)).compose(frame).to_matrix()
 
 
 def _half_spinor_decomposition(sign: str) -> Dict[Tuple[int, int], Dict[Tuple[int, int], Fraction]]:

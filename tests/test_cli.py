@@ -276,6 +276,7 @@ def test_tracer_targets_resolve():
     "forms phi --check-square",
     "triality g2 --check-order",
     "triality sigma --generators",
+    "rep matrix --n 1 --word e1e1 --space real-plus",
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, command):
     monkeypatch.delenv("SPINBITS_MAX_N", raising=False)
@@ -285,6 +286,13 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, command):
         code = e.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_stage_without_a_real_frame_is_named(capsys):
+    assert main("rep matrix --n 1 --word e1e1 --space real-plus".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stage 1 has no real frame; the real frames start at stage 2\n"
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from spinbits import verify
 
 from spinbits.clifford import (
     CliffordElem,
@@ -10,9 +13,11 @@ from spinbits.clifford import (
     delta_iso,
     exp_bivector,
     generator_action,
+    generator_phase,
     lambda_vector,
     volume_element,
     word_apply,
+    word_phase,
 )
 from spinbits.matrices import spinor_to_column, tensor_oracle
 from spinbits.scalars import Angle, I, ONE, Scalar
@@ -231,4 +236,59 @@ def test_kernel_matches_oracle_spot():
         for p in range(1, n + 1):
             for a in range(1 << k):
                 col = spinor_to_column(clifford_apply(n, p, Spinor.basis(k, a)))
-                assert [oracle[p - 1].data[r][a] for r in range(1 << k)] == col
+                assert [row[a] for row in oracle[p - 1].to_matrix().data] == col
+
+
+def test_generator_action_wraps_the_int_phase_rule():
+    for n in range(1, 11):
+        for p in range(1, n + 1):
+            for a in range(1 << (n // 2)):
+                e, b = generator_phase(n, p, a)
+                assert 0 <= e < 4 and generator_action(n, p, a) == (Scalar.i_power(e), b)
+
+
+def test_word_phase_equals_word_apply():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(2, 14)
+        k = n // 2
+        word = [rng.randint(1, n) for _ in range(rng.randint(0, 5))]
+        a = rng.randrange(1 << k)
+        e, b = word_phase(n, word, a)
+        assert word_apply(n, word, Spinor.basis(k, a)) == Spinor.basis(k, b, Scalar.i_power(e))
+
+
+@st.composite
+def sparse_spinors(draw):
+    n = draw(st.integers(1, 40))
+    k = n // 2
+    terms = draw(st.dictionaries(
+        st.integers(0, (1 << k) - 1),
+        st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any),
+        min_size=1, max_size=4,
+    ))
+    coeffs = {a: Scalar.rational(re) + I * Scalar.rational(im) for a, (re, im) in terms.items()}
+    return n, Spinor(k, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_spinors(), st.data())
+def test_generators_anticommute_on_sparse_spinors(n_psi, data):
+    # e_p e_q + e_q e_p = -2 delta_pq, on spinors far beyond any dense matrix
+    n, psi = n_psi
+    p = data.draw(st.integers(1, n))
+    q = data.draw(st.integers(1, n))
+    lhs = word_apply(n, [p, q], psi) + word_apply(n, [q, p], psi)
+    assert lhs == psi.scale(-2 if p == q else 0)
+
+
+def test_c1_names_a_flipped_phase(monkeypatch):
+    def flipped(n, p, a):
+        e, b = generator_phase(n, p, a)
+        return ((e + 2) % 4 if (n, p, a) == (7, 5, 3) else e), b
+
+    monkeypatch.setattr(verify, "generator_phase", flipped)
+    report = verify.Report()
+    verify.check_kernel_oracle(report, max_n=8)
+    [check] = report.checks
+    assert check.status == "fail" and check.witness == {"n": 7, "p": 5, "a": 3}

@@ -9,10 +9,7 @@ from spinbits import verify
 from spinbits.clifford import word_apply
 from spinbits.fields import (
     FieldSystem,
-    SignedPermMatrix,
-    _irrep_block,
     build_field_system,
-    e1ep_closed_form,
     e1ep_phase,
     emit_coordinates,
     field_formula_coords,
@@ -24,22 +21,40 @@ from spinbits.fields import (
     random_point,
     structure_failure,
 )
-from spinbits.matrices import real_basis_frame
+from spinbits.matrices import Monomial, real_basis_frame, real_block
 from spinbits.scalars import I, INV_SQRT2, ONE, Scalar
 from spinbits.spinors import Spinor, frame_index_set, real_structure
 
 
+def e1ep_closed_form(r, p, a):
+    """The composite bit rule as a Scalar coefficient and an index."""
+    e, b = e1ep_phase(r, p, a)
+    return Scalar.i_power(e), b
+
+
 def frame_block(r, which, p):
-    """Oracle for _irrep_block: push each real frame vector through e_1 e_p
-    as a spinor and expand the image in the frame."""
+    """Oracle for real_block(r, (1, p), which): push each real frame vector
+    through e_1 e_p as a spinor and expand the image in the frame."""
     frame = real_basis_frame(r, which)
-    col_to_row = {}
-    for c, v in enumerate(frame.vectors):
+    perm, phase = [], []
+    for v in frame.vectors:
         coords = frame.expand(word_apply(r, [1, p], v))
         hits = [(m, x) for m, x in enumerate(coords) if x]
         assert len(hits) == 1 and abs(hits[0][1]) == 1
-        col_to_row[c] = (hits[0][0], 1 if hits[0][1] > 0 else -1)
-    return SignedPermMatrix(len(frame.vectors), col_to_row)
+        perm.append(hits[0][0])
+        phase.append(0 if hits[0][1] > 0 else 2)
+    return Monomial(perm, phase)
+
+
+def assert_structure(system):
+    """J^T = -J, J^2 = -1 and pairwise anticommutation, on the monomials."""
+    minus_one = -Monomial.identity(system.N)
+    for J in system.J:
+        assert J.transpose() == -J
+        assert J.compose(J) == minus_one
+    for a in range(len(system.J)):
+        for b in range(a + 1, len(system.J)):
+            assert system.J[a].compose(system.J[b]) == -system.J[b].compose(system.J[a])
 
 
 def field_formula_value(r, p, x, y):
@@ -114,11 +129,11 @@ def fraction_gram(system, Z):
 
 def flip_one_sign(system, j, col):
     """A copy of the system with the sign of one entry of J_j negated."""
-    c2r = dict(system.J[j - 1].col_to_row)
-    row, s = c2r[col]
-    c2r[col] = (row, -s)
+    J = system.J[j - 1]
+    phase = list(J.phase)
+    phase[col] += 2
     Js = list(system.J)
-    Js[j - 1] = SignedPermMatrix(system.N, c2r)
+    Js[j - 1] = Monomial(J.perm, phase)
     return FieldSystem(system.N, system.r, system.multiplicities, Js)
 
 
@@ -183,7 +198,7 @@ def test_bit_rule_blocks_match_frame_expansion(r):
     whiches = ("plus", "minus") if r % 4 == 0 else ("full",)
     for which in whiches:
         for p in range(2, r + 1):
-            assert _irrep_block(r, which, p) == frame_block(r, which, p), (which, p)
+            assert real_block(r, (1, p), which) == frame_block(r, which, p), (which, p)
 
 
 def test_apply_keeps_the_entry_type():
@@ -282,12 +297,7 @@ def test_smallest_sphere():
 def test_quaternionic_frame_on_s3():
     system = build_field_system(4)
     assert system.r == 4 and system.field_count() == 3
-    for J in system.J:
-        assert J.is_antisymmetric()
-        assert J.compose(J).is_minus_identity()
-    for a in range(3):
-        for b in range(a + 1, 3):
-            assert system.J[a].anticommutes_with(system.J[b])
+    assert_structure(system)
 
 
 def test_structure_equations_various_N():
@@ -295,12 +305,7 @@ def test_structure_equations_various_N():
     for N in (2, 8, 16, 24, 32, 48, 64, 128, 256, 512):
         system = build_field_system(N)
         assert system.r == hurwitz_radon(N)
-        for J in system.J:
-            assert J.is_antisymmetric()
-            assert J.compose(J).is_minus_identity()
-        for a in range(len(system.J)):
-            for b in range(a + 1, len(system.J)):
-                assert system.J[a].anticommutes_with(system.J[b])
+        assert_structure(system)
         for _ in range(3):
             assert gram_is_scaled_identity(system, random_point(N, rng))
 
@@ -330,12 +335,7 @@ def test_multiplicity_split():
     for split in ((3, 0), (2, 1), (1, 2), (0, 3)):
         system = build_field_system(24, split=split)
         assert system.r == 8 and system.multiplicities == split
-        for J in system.J:
-            assert J.is_antisymmetric()
-            assert J.compose(J).is_minus_identity()
-        for a in range(len(system.J)):
-            for b in range(a + 1, len(system.J)):
-                assert system.J[a].anticommutes_with(system.J[b])
+        assert_structure(system)
         for _ in range(2):
             assert gram_is_scaled_identity(system, random_point(24, rng))
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from spinbits.clifford import exp_bivector
 from spinbits.fields import build_field_system
 from spinbits.matrices import (
     Matrix,
+    Monomial,
     Subspace,
     chirality_indices,
     e_basis_compose,
@@ -17,11 +18,15 @@ from spinbits.matrices import (
     kappa_pm_matrix,
     lambda_matrix,
     real_basis_frame,
+    gamma_oracle,
+    real_block,
     real_rep_matrix,
     tensor_oracle,
 )
 from spinbits.scalars import Angle, I, ONE, SQRT3, Scalar, ZERO
 from spinbits.triality import build_outer, kappa_real_matrix
+
+from dense_oracle import SignedPermMatrix, dense_tensor_oracle, gamma_oracle_matrix
 
 
 def diag(entries):
@@ -54,7 +59,7 @@ def test_kappa_matrix_against_oracle_words():
             M = kappa_matrix(n, word)
             O = Matrix.identity(1 << (n // 2))
             for p in word:
-                O = O * oracle[p - 1]
+                O = O * oracle[p - 1].to_matrix()
             assert M == O
 
 
@@ -201,13 +206,13 @@ def test_nullspace_vectors_are_in_kernel():
 
 def test_tensor_oracle_structure():
     o2 = tensor_oracle(2)
-    assert o2[0] == Matrix([[ZERO, I], [I, ZERO]])
-    assert o2[1] == Matrix([[ZERO, -ONE], [ONE, ZERO]])
+    assert o2[0].to_matrix() == Matrix([[ZERO, I], [I, ZERO]])
+    assert o2[1].to_matrix() == Matrix([[ZERO, -ONE], [ONE, ZERO]])
     o3 = tensor_oracle(3)
-    assert o3[2] == Matrix([[-I, ZERO], [ZERO, I]])
+    assert o3[2].to_matrix() == Matrix([[-I, ZERO], [ZERO, I]])
     o6 = tensor_oracle(6)
-    assert o6[0] == kappa_matrix(6, [1])
-    assert o6[1] == kappa_matrix(6, [2])
+    assert o6[0].to_matrix() == kappa_matrix(6, [1])
+    assert o6[1].to_matrix() == kappa_matrix(6, [2])
 
 
 def test_tensor_oracle_limit(monkeypatch):
@@ -217,6 +222,75 @@ def test_tensor_oracle_limit(monkeypatch):
         tensor_oracle(8)
     monkeypatch.delenv("SPINBITS_MAX_N")
     tensor_oracle.cache_clear()
+
+
+def test_monomial_oracles_equal_the_dense_kronecker_oracles():
+    for n in range(2, 11):
+        assert [m.to_matrix() for m in tensor_oracle(n)] == list(dense_tensor_oracle(n)), n
+        assert gamma_oracle(n).to_matrix() == gamma_oracle_matrix(n), n
+
+
+@st.composite
+def monomials(draw, n=None, real=False):
+    n = draw(st.integers(1, 12)) if n is None else n
+    perm = draw(st.permutations(range(n)))
+    phase = draw(st.lists(st.sampled_from((0, 2) if real else range(4)), min_size=n, max_size=n))
+    return Monomial(perm, phase)
+
+
+def _signed_perm(m):
+    return SignedPermMatrix(len(m.perm), {a: (b, 1 - e) for a, (b, e) in enumerate(zip(m.perm, m.phase))})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_monomial_agrees_with_the_dict_signed_permutation(data):
+    x = data.draw(monomials(real=True))
+    y = data.draw(monomials(n=len(x.perm), real=True))
+    z = data.draw(st.lists(st.integers(-9, 9), min_size=len(x.perm), max_size=len(x.perm)))
+    X, Y = _signed_perm(x), _signed_perm(y)
+    assert _signed_perm(x.compose(y)) == X.compose(Y)
+    assert _signed_perm(-x) == -X
+    assert (x.transpose() == -x) == X.is_antisymmetric()
+    assert x.apply(z) == X.apply(z)
+    assert x.to_int_rows() == X.to_int_rows()
+    # an antisymmetric pair: x and its negated transpose glued as a 2x2 block swap
+    n = len(x.perm)
+    swap = Monomial([n + b for b in x.perm] + list(x.transpose().perm),
+                    list(x.phase) + [e + 2 for e in x.transpose().phase])
+    assert swap.transpose() == -swap and _signed_perm(swap).is_antisymmetric()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_monomial_operations_are_matrix_operations(data):
+    x = data.draw(monomials(n=data.draw(st.integers(1, 6))))
+    y = data.draw(monomials(n=len(x.perm)))
+    w = data.draw(monomials(n=data.draw(st.integers(1, 3))))
+    assert x.compose(y).to_matrix() == x.to_matrix() * y.to_matrix()
+    assert (-x).to_matrix() == -x.to_matrix()
+    assert x.transpose().to_matrix() == x.to_matrix().transpose()
+    assert x.kron(w).to_matrix() == Matrix(_kron_rows(x.to_matrix().data, w.to_matrix().data))
+    z = [Scalar.rational(t + 1) for t in range(len(x.perm))]
+    assert x.apply(z) == x.to_matrix().apply(z)
+
+
+def _kron_rows(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def test_monomial_rejects_a_non_permutation():
+    with pytest.raises(ValueError):
+        Monomial([0, 0], [0, 0])
+    with pytest.raises(ValueError):
+        Monomial([0, 1], [0])
+    with pytest.raises(ValueError):
+        Monomial([1, 0], [1, 0]).to_int_rows()
+
+
+def test_real_block_rejects_odd_words():
+    with pytest.raises(ValueError):
+        real_block(8, (1,), "plus")
 
 
 def test_matrix_json_round_trip():

@@ -136,3 +136,55 @@ def test_int_octonion_mul_on_coprime_denominators():
     y = Octonion([Fraction(-k - 2, p) for k, p in enumerate((23, 29, 31, 37, 41, 43, 47, 53))])
     assert octonion_mul(x, y) == fraction_octonion_mul(x, y)
     assert octonion_mul(x, y).norm() == x.norm() * y.norm()
+
+
+class FractionOctonion:
+    """Oracle for the int-numerator Octonion: eight Fractions, each operation
+    on its own coefficients."""
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+
+    def __add__(self, other):
+        return FractionOctonion(a + b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __sub__(self, other):
+        return FractionOctonion(a - b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __neg__(self):
+        return FractionOctonion(-a for a in self.coeffs)
+
+    def scale(self, c):
+        return FractionOctonion(Fraction(c) * a for a in self.coeffs)
+
+    def norm(self):
+        return sum((c * c for c in self.coeffs), Fraction(0))
+
+    def __mul__(self, other):
+        return FractionOctonion(fraction_octonion_mul(Octonion(self.coeffs), Octonion(other.coeffs)).coeffs)
+
+    def __repr__(self):
+        parts = [f"{c}*e{i}" for i, c in enumerate(self.coeffs) if c]
+        return " + ".join(parts) if parts else "0"
+
+
+# non-unit denominators throughout
+fraction_coeffs = st.lists(
+    st.builds(Fraction, st.integers(-40, 40), st.integers(2, 36)), min_size=8, max_size=8,
+)
+
+
+@given(fraction_coeffs, fraction_coeffs, st.fractions(min_value=-5, max_value=5, max_denominator=12))
+@settings(max_examples=150, deadline=None)
+def test_int_octonion_agrees_with_the_fraction_oracle(a, b, c):
+    x, y = Octonion(a), Octonion(b)
+    fx, fy = FractionOctonion(a), FractionOctonion(b)
+    assert x.coeffs == fx.coeffs and all(type(t) is Fraction for t in x.coeffs)
+    for got, want in ((x + y, fx + fy), (x - y, fx - fy), (-x, -fx), (x.scale(c), fx.scale(c)),
+                      (octonion_mul(x, y), fx * fy), (x - x, fx - fx)):
+        assert got.coeffs == want.coeffs
+        assert repr(got) == repr(want)
+        assert got == Octonion(want.coeffs) and hash(got) == hash(Octonion(want.coeffs))
+    assert x.norm() == fx.norm() and type(x.norm()) is Fraction
+    assert x.dot(y) == sum((s * t for s, t in zip(a, b)), Fraction(0))
+    assert (x == y) == (fx.coeffs == fy.coeffs)

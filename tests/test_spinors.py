@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from spinbits import reference as ref
+from spinbits import verify
 from spinbits.clifford import clifford_apply, exp_bivector
-from spinbits.matrices import gamma_oracle_apply
 from spinbits.scalars import Angle, I, INV_SQRT2, ONE, Scalar
 from spinbits.spinors import (
     Spinor,
     chirality,
+    frame_index_set,
     gamma_squares_to,
     hermitian,
     index_from_signs,
@@ -21,6 +22,8 @@ from spinbits.spinors import (
     signs_from_index,
     weight,
 )
+
+from dense_oracle import gamma_oracle_apply
 
 
 def parse_spinor(text: str, k: int = 4) -> Spinor:
@@ -210,3 +213,23 @@ def test_spinor_json_round_trip():
 def test_spinor_latex():
     psi = Spinor.basis(4, 15, I)
     assert psi.latex() == "iu_{15}"
+
+
+def test_real_frames_start_at_stage_2():
+    for r in (-3, 0, 1):
+        with pytest.raises(ValueError, match=f"stage {r} has no real frame"):
+            frame_index_set(r)
+    with pytest.raises(ValueError, match="stage 1 has no real frame"):
+        real_form_basis(1, "full")
+
+
+def test_c10_fails_on_a_flipped_gamma_phase(monkeypatch):
+    def flipped(n, a):
+        e, b = real_structure_phase(n, a)
+        return ((e + 2) % 4 if (n, a) == (9, 5) else e), b
+
+    monkeypatch.setattr(verify, "real_structure_phase", flipped)
+    report = verify.Report()
+    verify.check_structure_maps(report, 0, random.Random(1), max_n=10)
+    fails = [c.name for c in report.checks if not c.passed]
+    assert fails == ["C10 binary structure maps equal the tensor definitions for n <= 10"]

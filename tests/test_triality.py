@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from spinbits import reference as ref
 from spinbits import triality, verify
 from spinbits.clifford import CliffordElem, bivector_combo_to_elem, volume_element
-from spinbits.matrices import Matrix, real_rep_matrix
+from spinbits.matrices import Matrix
 from spinbits.scalars import Angle, I, ONE, SQRT3, Scalar, INV_SQRT2
 from spinbits.spinors import Spinor
+
+from dense_oracle import frame_kappa_real_matrix
 from spinbits.triality import (
     PAIR_ORDER,
     apply_bivector_to_spinor,
@@ -23,7 +25,6 @@ from spinbits.triality import (
     g2_generators,
     g2_structure,
     _g2_generators,
-    _reframe,
     group_automorphism,
     kappa_real_matrix,
     omega_eigenvalue,
@@ -231,7 +232,12 @@ def test_kappa_real_matrix_cache_matches_a_fresh_build():
         for sign in ("plus", "minus"):
             cached = kappa_real_matrix(list(p), sign)
             assert kappa_real_matrix(p, sign) is cached
-            assert cached == _reframe(real_rep_matrix(8, list(p), sign))
+            assert cached == frame_kappa_real_matrix(p, sign)
+
+
+def test_kappa_real_matrix_rejects_odd_words():
+    with pytest.raises(ValueError):
+        kappa_real_matrix([1, 2, 3], "plus")
 
 
 def test_g2_generators_are_parsed_once():
@@ -290,3 +296,30 @@ def test_corrupt_g2_generator_fails_c4_span_checks(monkeypatch):
     assert "C4 generators span the fixed space of sigma*" in failed
     assert "C4 g2 = spin7(e2..e8) intersect Fix(tau*)" in failed
     assert "C4 bracket closure of g2" in failed
+
+
+@pytest.fixture
+def fresh_triality_caches():
+    """Clears the caches built from the kappa blocks before and after a test."""
+    def clear():
+        triality._kappa_real_matrix.cache_clear()
+        build_outer.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_a_flipped_kappa_block_sign_fails_c3(monkeypatch, fresh_triality_caches):
+    real_block = triality.real_block
+
+    def flipped(r, word, which):
+        block = real_block(r, word, which)
+        return -block if (word, which) == ((2, 3), "plus") else block
+
+    monkeypatch.setattr(triality, "real_block", flipped)
+    report = verify.Report()
+    verify.check_triality(report)
+    failed = [c.name for c in report.checks if not c.passed]
+    assert "C3 tau* equals the tabulated 28x28 array" in failed
+    assert "C3 sigma* equals the tabulated 28x28 array" not in failed
