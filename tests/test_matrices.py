@@ -288,6 +288,18 @@ def test_monomial_rejects_a_non_permutation():
         Monomial([1, 0], [1, 0]).to_int_rows()
 
 
+@pytest.mark.parametrize("r", [2, 4, 8, 9, 10, 12])
+def test_real_block_equals_frame_expansion_on_even_words(r):
+    rng = random.Random(r)
+    whiches = ("plus", "minus") if r % 4 == 0 else ("full",)
+    words = [w for w in ((1, 2), (2, 1), (3, 3)) if max(w) <= r] + [
+        tuple(rng.randint(1, r) for _ in range(2 * rng.randint(1, 3))) for _ in range(12)
+    ]
+    for which in whiches:
+        for word in words:
+            assert real_block(r, word, which).to_matrix() == real_rep_matrix(r, word, which), (which, word)
+
+
 def test_real_block_rejects_odd_words():
     with pytest.raises(ValueError):
         real_block(8, (1,), "plus")
