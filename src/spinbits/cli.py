@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .matrices import (
     real_rep_matrix,
 )
 from .octonions import algebra_checks, octonion_table, quaternion_table
-from .scalars import ONE, Scalar
+from .scalars import ONE
 from .spinors import Spinor
 from .triality import (
     build_outer,
@@ -178,84 +179,60 @@ def cmd_rep(args) -> int:
     return _emit(args.format, M)
 
 
-def _parse_eigenvalue(text: str) -> Scalar:
-    table = {
-        "1": ONE,
-        "-1": -ONE,
-        "omega": omega_eigenvalue(),
-        "omega-bar": omega_eigenvalue(True),
-    }
-    if text not in table:
-        raise UsageError("eigenvalue must be one of: 1, -1, omega, omega-bar")
-    return table[text]
-
-
-# flags of `triality` and `forms` that apply to some positionals only
-_ONLY_FOR = {
-    "check_order": ("sigma", "tau"),
-    "eigen": ("sigma", "tau"),
-    "matrix": ("g2",),
-    "generators": ("g2",),
-    "check_square": ("omega",),
+# the choices of ``triality sigma/tau --eigen``, each with a builder of its value
+_EIGENVALUES = {
+    "1": lambda: ONE,
+    "-1": lambda: -ONE,
+    "omega": omega_eigenvalue,
+    "omega-bar": lambda: omega_eigenvalue(True),
 }
 
 
-def _reject_stray_flags(args):
-    for flag, whats in _ONLY_FOR.items():
-        if getattr(args, flag, None) not in (None, False) and args.what not in whats:
-            raise UsageError(f"--{flag.replace('_', '-')} does not apply to {args.what} "
-                             f"(only to {', '.join(whats)})")
+def cmd_outer(args) -> int:
+    outer = build_outer(args.what)
+    if args.check_order:
+        order = 3 if args.what == "sigma" else 2
+        ok = outer.power(order).matrix == Matrix.identity(28)
+        return _emit(args.format, Report([(f"{args.what}* has order {order}", ok)]))
+    if args.eigen is not None:
+        dim, basis = eigenspace(outer, _EIGENVALUES[args.eigen]())
+        payload = {
+            "eigenvalue": args.eigen,
+            "dimension": dim,
+            "basis": [
+                {f"{i}{j}": c for (i, j), c in vec.items()} for vec in basis
+            ],
+        }
+        return _emit(args.format, payload, text=f"dimension {dim}")
+    return _emit(args.format, outer.matrix)
 
 
-def cmd_triality(args) -> int:
-    _reject_stray_flags(args)
-    fmt = args.format
-    if args.what in ("sigma", "tau"):
-        outer = build_outer(args.what)
-        if args.check_order:
-            order = 3 if args.what == "sigma" else 2
-            ok = outer.power(order).matrix == Matrix.identity(28)
-            return _emit(fmt, Report([(f"{args.what}* has order {order}", ok)]))
-        if args.eigen is not None:
-            dim, basis = eigenspace(outer, _parse_eigenvalue(args.eigen))
-            payload = {
-                "eigenvalue": args.eigen,
-                "dimension": dim,
-                "basis": [
-                    {f"{i}{j}": c for (i, j), c in vec.items()} for vec in basis
-                ],
-            }
-            return _emit(fmt, payload, text=f"dimension {dim}")
-        return _emit(fmt, outer.matrix)
+def cmd_g2(args) -> int:
+    if args.generators:
+        payload = [
+            {f"{i}{j}": c for (i, j), c in g.items()} for g in g2_generators()
+        ]
+        return _emit(args.format, payload, text="\n".join(str(p) for p in payload))
+    if args.matrix is not None:
+        return _emit(args.format, g2_action_matrix(args.matrix))
+    return _emit(args.format, Report(g2_structure()["checks"]))
 
-    if args.what == "g2":
-        if args.generators:
-            payload = [
-                {f"{i}{j}": c for (i, j), c in g.items()} for g in g2_generators()
-            ]
-            return _emit(fmt, payload, text="\n".join(str(p) for p in payload))
-        if args.matrix is not None:
-            return _emit(fmt, g2_action_matrix(args.matrix))
-        return _emit(fmt, Report(g2_structure()["checks"]))
 
-    if args.what == "s3":
-        return _emit(fmt, Report(s3_relations()))
+def cmd_s3(args) -> int:
+    return _emit(args.format, Report(s3_relations()))
 
+
+def cmd_center(args) -> int:
     rows = [
         (which, key, elem)
         for which in ("sigma", "tau")
         for key, elem in center_images(which).items()
     ]
     payload = [{"map": w, "argument": k, "image": repr(e)} for (w, k, e) in rows]
-    return _emit(fmt, payload, text="\n".join(f"{w}({k}) = {e}" for w, k, e in rows))
+    return _emit(args.format, payload, text="\n".join(f"{w}({k}) = {e}" for w, k, e in rows))
 
 
-def cmd_octonion(args) -> int:
-    if args.what == "check":
-        return _emit(args.format, Report(algebra_checks(args.samples, args.seed)))
-    if args.what == "quaternions":
-        table = quaternion_table()
-        return _emit(args.format, table, text=_signed_rows(table))
+def cmd_octonion_table(args) -> int:
     table = octonion_table()
     body = " \\\\\n".join(
         " & ".join(("-" if s < 0 else "") + f"\\hat e_{{{i}}}" for (s, i) in row)
@@ -265,15 +242,26 @@ def cmd_octonion(args) -> int:
     return _emit(args.format, table, text=_signed_rows(table), latex=latex)
 
 
-def cmd_forms(args) -> int:
-    _reject_stray_flags(args)
+def cmd_octonion_check(args) -> int:
+    return _emit(args.format, Report(algebra_checks(args.samples, args.seed)))
+
+
+def cmd_quaternions(args) -> int:
+    table = quaternion_table()
+    return _emit(args.format, table, text=_signed_rows(table))
+
+
+def cmd_omega(args) -> int:
     if args.check_square:
         sq = omega_square()
         vol = sq.coefficient((1, 2, 3, 4, 5, 6, 7, 8))
         ok = len(sq.terms) == 1 and vol == 504
         return _emit("text", Report([("omega wedge omega = 504 vol", ok)]))
-    form = spin7_four_form() if args.what == "omega" else g2_three_form()
-    return _emit("latex" if args.latex else "text", form)
+    return _emit("latex" if args.latex else "text", spin7_four_form())
+
+
+def cmd_phi(args) -> int:
+    return _emit("latex" if args.latex else "text", g2_three_form())
 
 
 def cmd_fields(args) -> int:
@@ -313,6 +301,16 @@ def cmd_verify_all(args) -> int:
     return _emit(args.format, verify_all(seed=args.seed, samples=args.samples, max_n=args.max_n))
 
 
+def _leaf(sub, name: str, func, help: str, fmt: Optional[str] = "text") -> argparse.ArgumentParser:
+    """A subcommand of ``sub`` run by ``func``; it takes ``--format``
+    (default ``fmt``) unless ``fmt`` is None."""
+    leaf = sub.add_parser(name, help=help)
+    if fmt is not None:
+        leaf.add_argument("--format", choices=("text", "json", "latex"), default=fmt)
+    leaf.set_defaults(func=func)
+    return leaf
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="spinbits",
@@ -322,16 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spinor", help="generator action on basic spinors")
     spsub = sp.add_subparsers(dest="what", required=True)
-    mul = spsub.add_parser("mul", help="image of u_index under e_p")
+    mul = _leaf(spsub, "mul", cmd_spinor, "image of u_index under e_p", fmt="json")
     mul.add_argument("--n", type=_int_range(1, MAX_SPINOR_N), required=True)
     mul.add_argument("--p", type=int, required=True)
     mul.add_argument("--index", type=int, required=True)
-    mul.add_argument("--format", choices=("text", "json", "latex"), default="json")
-    mul.set_defaults(func=cmd_spinor)
 
     rep = sub.add_parser("rep", help="representation matrices")
     repsub = rep.add_subparsers(dest="what", required=True)
-    mat = repsub.add_parser("matrix")
+    mat = _leaf(repsub, "matrix", cmd_rep, "the matrix of a generator word on one space")
     mat.add_argument("--n", type=_int_range(1), required=True)
     mat.add_argument("--word", type=str, required=True, help="e.g. e1e2")
     mat.add_argument(
@@ -339,34 +335,37 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("full", "plus", "minus", "real-plus", "real-minus", "vector"),
         default="full",
     )
-    mat.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    mat.set_defaults(func=cmd_rep)
 
     tri = sub.add_parser("triality", help="outer automorphisms and g2")
-    tri.add_argument("what", choices=("sigma", "tau", "g2", "s3", "center"))
-    tri.add_argument("--matrix", type=_g2_coefficients, default=None,
-                     help="for g2: 14 comma-separated coefficients")
-    tri.add_argument("--check-order", action="store_true")
-    tri.add_argument("--eigen", type=str, default=None,
-                     help="1, -1, omega, omega-bar")
-    tri.add_argument("--generators", action="store_true")
-    tri.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    tri.set_defaults(func=cmd_triality)
+    trisub = tri.add_subparsers(dest="what", required=True)
+    for name in ("sigma", "tau"):
+        outer = _leaf(trisub, name, cmd_outer, f"the 28x28 matrix of {name}*")
+        outer.add_argument("--check-order", action="store_true")
+        outer.add_argument("--eigen", choices=tuple(_EIGENVALUES))
+    g2 = _leaf(trisub, "g2", cmd_g2, "the fixed algebra g2 of sigma*")
+    g2.add_argument("--matrix", type=_g2_coefficients, default=None,
+                    help="14 comma-separated coefficients")
+    g2.add_argument("--generators", action="store_true")
+    _leaf(trisub, "s3", cmd_s3, "the S3 relations of sigma* and tau*")
+    _leaf(trisub, "center", cmd_center, "the center under the group-level lifts")
 
     octo = sub.add_parser("octonion", help="division-algebra tables")
-    octo.add_argument("what", choices=("table", "check", "quaternions"))
-    octo.add_argument("--samples", type=_int_range(0), default=100)
-    octo.add_argument("--seed", type=int, default=1)
-    octo.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    octo.set_defaults(func=cmd_octonion)
+    octsub = octo.add_subparsers(dest="what", required=True)
+    _leaf(octsub, "table", cmd_octonion_table, "the octonion multiplication table")
+    check = _leaf(octsub, "check", cmd_octonion_check, "algebra laws on random octonions")
+    check.add_argument("--samples", type=_int_range(0), default=100)
+    check.add_argument("--seed", type=int, default=1)
+    _leaf(octsub, "quaternions", cmd_quaternions, "the quaternion multiplication table")
 
     fo = sub.add_parser("forms", help="invariant exterior forms")
-    fo.add_argument("what", choices=("omega", "phi"))
-    fo.add_argument("--check-square", action="store_true")
-    fo.add_argument("--latex", action="store_true")
-    fo.set_defaults(func=cmd_forms)
+    fosub = fo.add_subparsers(dest="what", required=True)
+    omega = _leaf(fosub, "omega", cmd_omega, "the invariant 4-form", fmt=None)
+    omega.add_argument("--check-square", action="store_true")
+    omega.add_argument("--latex", action="store_true")
+    phi = _leaf(fosub, "phi", cmd_phi, "the g2-invariant 3-form", fmt=None)
+    phi.add_argument("--latex", action="store_true")
 
-    fl = sub.add_parser("fields", help="tangent vector fields on spheres")
+    fl = _leaf(sub, "fields", cmd_fields, "tangent vector fields on spheres")
     fl.add_argument("--sphere", type=_int_range(1, MAX_SPHERE), required=True,
                     help=f"M for S^M, at most {MAX_SPHERE}")
     fl.add_argument("--emit", choices=("coords", "matrices"), default="coords")
@@ -374,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--samples", type=_int_range(0), default=20)
     fl.add_argument("--seed", type=int, default=1)
     fl.add_argument("--split", type=_split_pair, default=None, help="m1,m2")
-    fl.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    fl.set_defaults(func=cmd_fields)
 
     va = sub.add_parser("verify-all", help="run the full certificate suite")
     va.add_argument("--seed", type=int, default=1)
@@ -395,10 +392,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if any(value == [] for value in vars(args).values()):
         parser.error("'--' is not a value")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left early (``| head``): send what is left to devnull,
+        # so that the flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -112,10 +112,6 @@ class CliffordElem:
         self.terms = t
 
     @staticmethod
-    def scalar(n: int, c: Scalar) -> "CliffordElem":
-        return CliffordElem(n, {0: c})
-
-    @staticmethod
     def one(n: int) -> "CliffordElem":
         return CliffordElem(n, {0: ONE})
 

@@ -109,18 +109,6 @@ class Scalar:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def zero() -> "Scalar":
-        return ZERO
-
-    @staticmethod
-    def one() -> "Scalar":
-        return ONE
-
-    @staticmethod
-    def i() -> "Scalar":
-        return I
-
-    @staticmethod
     def rational(p, q=1) -> "Scalar":
         return _coerce(Fraction(p, q))
 

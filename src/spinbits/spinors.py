@@ -36,9 +36,6 @@ def signs_from_index(a: int, k: int) -> Tuple[int, ...]:
         raise ValueError(f"index {a} out of range for {k} bits")
     return tuple(-1 if (a >> (k - j)) & 1 else 1 for j in range(1, k + 1))
 
-def bit(a: int, l: int) -> int:
-    return (a >> l) & 1
-
 def parity(a: int) -> int:
     """Number of set bits mod 2."""
     return a.bit_count() & 1
@@ -209,12 +206,6 @@ def real_structure_phase(n: int, a: int) -> Tuple[int, int]:
     return ((k + 1) // 2 + 2 * plus) % 4, (1 << k) - 1 - a
 
 
-def real_structure_on_basis(n: int, a: int) -> Tuple[Scalar, int]:
-    """gamma_n applied to u_a: returns (coefficient, image index)."""
-    e, b = real_structure_phase(n, a)
-    return Scalar.i_power(e), b
-
-
 def real_structure(n: int, psi: Spinor) -> Spinor:
     """The real/quaternionic structure gamma_n; conjugate-linear."""
     k = n // 2
@@ -222,8 +213,8 @@ def real_structure(n: int, psi: Spinor) -> Spinor:
         raise ValueError(f"spinor width {psi.k} does not match n={n}")
 
     def act(a, c):
-        g, b = real_structure_on_basis(n, a)
-        return b, c.conjugate() * g
+        e, b = real_structure_phase(n, a)
+        return b, c.conjugate() * Scalar.i_power(e)
 
     return psi.map_indices(act)
 

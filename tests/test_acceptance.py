@@ -6,6 +6,7 @@ line per criterion.
 import random
 import time
 
+from spinbits import verify
 from spinbits.verify import (
     Report,
     check_center,
@@ -87,3 +88,64 @@ def test_criterion_10_structure_maps():
     rng = random.Random(SEED)
     _run("criterion 10: structure maps vs tensor definitions, squares, pairings",
          check_structure_maps, SAMPLES, rng)
+
+
+# -- every criterion can fail: one corrupted builder each ---------------
+# (C1, C3, C4, C8 and C10 have theirs next to their subsystems' tests)
+
+
+def failed_checks(fn, *args):
+    report = Report()
+    fn(report, *args)
+    return {c.name: c.witness for c in report.checks if not c.passed}
+
+
+def test_a_wrong_kappa_block_fails_c2(monkeypatch):
+    kappa_matrix = verify.kappa_matrix
+    monkeypatch.setattr(verify, "kappa_matrix", lambda n, word: (
+        -kappa_matrix(n, word) if word == [1] else kappa_matrix(n, word)))
+    assert list(failed_checks(check_golden_matrices)) == ["C2 kappa_6(e1) block pattern"]
+
+
+def test_swapped_center_images_fail_c5(monkeypatch):
+    center_images = verify.center_images
+
+    def swapped(which):
+        images = dict(center_images(which))
+        if which == "sigma":
+            images["vol"], images["-vol"] = images["-vol"], images["vol"]
+        return images
+
+    monkeypatch.setattr(verify, "center_images", swapped)
+    assert set(failed_checks(check_center)) == {"C5 sigma(vol) = -vol", "C5 sigma(-vol) = -1"}
+
+
+def test_a_rescaled_four_form_fails_c6(monkeypatch):
+    four_form = verify.spin7_four_form
+    monkeypatch.setattr(verify, "spin7_four_form", lambda: four_form().scale(2))
+    assert list(failed_checks(check_forms)) == [
+        "C6 the 4-form equals the tabulated 14-term display (factor 6)"]
+
+
+def test_a_flipped_octonion_cell_fails_c7(monkeypatch):
+    octonion_table = verify.octonion_table
+
+    def flipped():
+        table = [row[:] for row in octonion_table()]
+        table[1][2] = -table[1][2]
+        return table
+
+    monkeypatch.setattr(verify, "octonion_table", flipped)
+    assert list(failed_checks(check_octonions, 0)) == [
+        "C7 octonion table matches the tabulated 64 cells"]
+
+
+def test_a_nonlinear_embedding_fails_c9_with_a_witness(monkeypatch):
+    # negating the image of u_0 alone keeps every image a basic spinor
+    # but breaks equivariance wherever a generator pair moves u_0
+    delta_iso = verify.delta_iso
+    monkeypatch.setattr(verify, "delta_iso",
+                        lambda k, u: -delta_iso(k, u) if 0 in u.terms else delta_iso(k, u))
+    failed = failed_checks(check_delta_iso)
+    name = "C9 the odd-to-even embedding is equivariant for all generator pairs, k <= 5"
+    assert list(failed) == [name] and failed[name] is not None

@@ -1,17 +1,21 @@
+import argparse
 import contextlib
 import importlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinbits.cli import MAX_DENSE_N, MAX_SPHERE, MAX_SPINOR_N, main, parse_word
+from spinbits.cli import MAX_DENSE_N, MAX_SPHERE, MAX_SPINOR_N, build_parser, main, parse_word
 from spinbits.matrices import Matrix
-from spinbits.scalars import Scalar
+from spinbits.scalars import I, Scalar
 from spinbits.spinors import Spinor
 from spinbits.verify import Report, verify_all
 
@@ -49,7 +53,7 @@ def test_spinor_mul_json(capsys):
         {"index": 15, "coeff": {"1": {"re": "0/1", "im": "1/1"}}}
     ]
     psi = Spinor.from_json(payload)
-    assert psi == Spinor.basis(4, 15, Scalar.i())
+    assert psi == Spinor.basis(4, 15, I)
 
 
 def test_spinor_mul_range_error(capsys):
@@ -221,8 +225,8 @@ def test_report_round_trip():
     assert clone.exit_code() == rep.exit_code()
 
 
-def test_fault_injection_hits_exactly_one_check():
-    rep = verify_all(seed=1, samples=0, max_n=4, corrupt="sigma")
+def test_fault_injection_hits_exactly_one_check(flipped_sigma_table):
+    rep = verify_all(seed=1, samples=0, max_n=4)
     fails = [c.name for c in rep.checks if not c.passed]
     assert fails == ["C3 sigma* equals the tabulated 28x28 array"]
     assert rep.exit_code() == 1
@@ -280,11 +284,7 @@ def test_tracer_targets_resolve():
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, command):
     monkeypatch.delenv("SPINBITS_MAX_N", raising=False)
-    try:
-        code = main(command.split())
-    except SystemExit as e:
-        code = e.code
-    assert code == 2
+    assert exit_code(command.split()) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -295,16 +295,90 @@ def test_a_stage_without_a_real_frame_is_named(capsys):
     assert captured.err == "error: stage 1 has no real frame; the real frames start at stage 2\n"
 
 
-@pytest.mark.parametrize("command, flag", [
+def exit_code(argv):
+    """main's exit code, whether it returns it or argparse raises it."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def subcommands(parser):
+    """The (name, parser) pairs of ``parser``'s subcommands; none for a leaf."""
+    return [pair for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction) for pair in action.choices.items()]
+
+
+def options(parser):
+    """The options of ``parser`` but --help, by option string."""
+    return {action.option_strings[-1]: action for action in parser._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)}
+
+
+# a valid value for each option that takes one and has no choices
+OPTION_VALUES = {"--matrix": ",".join(["1"] + ["0"] * 13), "--samples": "5", "--seed": "3"}
+
+
+def stray_flags():
+    """(command, flag) for each flag that a sibling leaf declares and this leaf does not."""
+    cases = []
+    for command, group in subcommands(build_parser()):
+        leaves = {name: options(leaf) for name, leaf in subcommands(group)}
+        declared = {flag: action for own in leaves.values() for flag, action in own.items()}
+        for name, own in leaves.items():
+            for flag in sorted(declared.keys() - own.keys()):
+                action = declared[flag]
+                value = ([] if action.nargs == 0 else
+                         [action.choices[0] if action.choices else OPTION_VALUES[flag]])
+                cases.append((" ".join([command, name, flag, *value]), flag))
+    return cases
+
+
+@pytest.mark.parametrize("command, flag", list(dict.fromkeys([
     ("triality s3 --eigen omega --generators", "--eigen"),
     ("triality center --matrix 1,0,0,0,0,0,0,0,0,0,0,0,0,0", "--matrix"),
     ("forms phi --check-square", "--check-square"),
     ("triality tau --generators", "--generators"),
-])
+    ("octonion table --samples 5 --seed 3", "--samples"),
+    *stray_flags(),
+])))
 def test_a_flag_for_another_positional_is_named(capsys, command, flag):
-    assert main(command.split()) == 2
+    assert exit_code(command.split()) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and f"error: {flag} does not apply" in captured.err
+    assert captured.out == "" and f"error: unrecognized arguments: {flag}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def help_paths(parser, path=()):
+    """The argv prefix of every command and every leaf under ``parser``."""
+    yield path
+    for name, child in subcommands(parser):
+        yield from help_paths(child, path + (name,))
+
+
+@pytest.mark.parametrize("path", list(help_paths(build_parser())),
+                         ids=lambda path: " ".join(("spinbits",) + path))
+def test_help_exits_0_for_every_command_and_leaf(capsys, path):
+    assert exit_code([*path, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: {' '.join(('spinbits',) + path)}")
+    assert captured.err == ""
+
+
+def test_a_closed_pipe_ends_quietly():
+    # 328 kB of output fill the pipe, so the writer meets the closed end
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spinbits.cli", "fields", "--sphere", "2047", "--emit", "coords"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"(")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    with proc.stderr:
+        assert proc.stderr.read() == b""
 
 
 # -- fuzz: bad values for every numeric or word flag --------------------------
@@ -394,10 +468,7 @@ def test_fuzzed_bad_flag_is_a_usage_error(case):
         err = io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as e:
-                code = e.code
+            code = exit_code(argv)
         assert code == 2, argv
         assert "Traceback" not in err.getvalue()
         assert time.perf_counter() - start < 5.0, argv

@@ -65,7 +65,7 @@ def test_word_apply_examples():
 def test_algebra_product_examples():
     e1 = CliffordElem.generator(8, 1)
     e2 = CliffordElem.generator(8, 2)
-    minus_one = CliffordElem.scalar(8, -ONE)
+    minus_one = -CliffordElem.one(8)
     assert e1 * e1 == minus_one
     assert e2 * e1 == -(e1 * e2)
     b = e1 * e2
@@ -141,7 +141,7 @@ def test_exp_bivector_four_term_expansion():
         e67 = CliffordElem.blade(8, (6, 7))
         e2367 = CliffordElem.blade(8, (2, 3, 6, 7))
         want = (
-            CliffordElem.scalar(8, ONE + dbl.cos())
+            CliffordElem.one(8).scale(ONE + dbl.cos())
             + (e23 + e67).scale(dbl.sin())
             + e2367.scale(ONE - dbl.cos())
         ).scale(half)

@@ -71,7 +71,7 @@ def field_formula_value(r, p, x, y):
         if not (xa or ya):
             continue
         coeff, b = e1ep_closed_form(r, p, a)
-        term = Spinor.basis(k, b, (xa + Scalar.i() * ya) * coeff)
+        term = Spinor.basis(k, b, (xa + I * ya) * coeff)
         if symmetrize:
             term = (term + real_structure(r, term)).scale(INV_SQRT2)
         out = out + term
@@ -86,7 +86,7 @@ def frame_point_spinor(r, x, y):
     for a in sorted(set(x) | set(y)):
         xa = Scalar.from_fraction(Fraction(x.get(a, 0)))
         ya = Scalar.from_fraction(Fraction(y.get(a, 0)))
-        term = Spinor.basis(k, a, xa + Scalar.i() * ya)
+        term = Spinor.basis(k, a, xa + I * ya)
         if r % 8 in (0, 1):
             term = (term + real_structure(r, term)).scale(INV_SQRT2)
         out = out + term

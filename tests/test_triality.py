@@ -8,7 +8,7 @@ from spinbits import reference as ref
 from spinbits import triality, verify
 from spinbits.clifford import CliffordElem, bivector_combo_to_elem, volume_element
 from spinbits.matrices import Matrix
-from spinbits.scalars import Angle, I, ONE, SQRT3, Scalar, INV_SQRT2
+from spinbits.scalars import Angle, I, ONE, SQRT3, Scalar, INV_SQRT2, ZERO
 from spinbits.spinors import Spinor
 
 from dense_oracle import frame_kappa_real_matrix
@@ -160,7 +160,7 @@ def test_g2_action_matrix_display():
     two = Scalar.rational(2)
     assert M.data[1][2] == two and M.data[2][1] == -two
     assert M.data[5][6] == two and M.data[6][5] == -two
-    assert all(M.data[0][c] == Scalar.zero() for c in range(8))
+    assert all(M.data[0][c] == ZERO for c in range(8))
 
     # display equals the tabulated alpha-combination table entrywise
     rng = random.Random(12)
@@ -270,7 +270,7 @@ def test_bracket_equals_the_clifford_commutator(a, b):
     assert bivector_bracket(a, b) == clifford_bracket(a, b)
 
 
-def test_corrupt_sigma_fails_c3_on_the_int_route(monkeypatch):
+def test_corrupt_sigma_fails_c3_on_the_int_route(monkeypatch, flipped_sigma_table):
     compared = []
     real_eq = Matrix.__eq__
 
@@ -280,7 +280,7 @@ def test_corrupt_sigma_fails_c3_on_the_int_route(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__eq__", eq)
     report = verify.Report()
-    verify.check_triality(report, corrupt_sigma=True)
+    verify.check_triality(report)
     failed = [c.name for c in report.checks if not c.passed]
     assert failed == ["C3 sigma* equals the tabulated 28x28 array"]
     assert compared[0] == (True, True)  # that first comparison ran on ints
