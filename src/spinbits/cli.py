@@ -266,6 +266,8 @@ def cmd_phi(args) -> int:
 
 def cmd_fields(args) -> int:
     N = args.sphere + 1
+    if not args.verify and (args.samples is not None or args.seed is not None):
+        raise UsageError("--samples and --seed apply only with --verify")
     if args.emit == "matrices" and not args.verify and N > MAX_DENSE_N:
         raise UsageError(f"--emit matrices prints N x N matrices; N = {N} is above {MAX_DENSE_N}")
     try:
@@ -275,15 +277,16 @@ def cmd_fields(args) -> int:
     if args.verify:
         import random as _random
 
-        rng = _random.Random(args.seed)
+        rng = _random.Random(1 if args.seed is None else args.seed)
+        samples = 20 if args.samples is None else args.samples
         ok = structure_failure(system) is None
         gram = all(
             gram_is_scaled_identity(system, random_point(N, rng))
-            for _ in range(args.samples)
+            for _ in range(samples)
         )
         return _emit(args.format, Report([
             (f"structure equations for {system.field_count()} fields on S^{N-1}", ok),
-            (f"exact Gram frames at {args.samples} random points", gram),
+            (f"exact Gram frames at {samples} random points", gram),
         ]))
     if args.emit == "matrices":
         payload = [J.to_int_rows() for J in system.J]
@@ -303,11 +306,12 @@ def cmd_verify_all(args) -> int:
 
 def _leaf(sub, name: str, func, help: str, fmt: Optional[str] = "text") -> argparse.ArgumentParser:
     """A subcommand of ``sub`` run by ``func``; it takes ``--format``
-    (default ``fmt``) unless ``fmt`` is None."""
+    (default ``fmt``) unless ``fmt`` is None, and reports the arguments it
+    does not recognize."""
     leaf = sub.add_parser(name, help=help)
     if fmt is not None:
         leaf.add_argument("--format", choices=("text", "json", "latex"), default=fmt)
-    leaf.set_defaults(func=func)
+    leaf.set_defaults(func=func, leaf=leaf)
     return leaf
 
 
@@ -370,24 +374,25 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"M for S^M, at most {MAX_SPHERE}")
     fl.add_argument("--emit", choices=("coords", "matrices"), default="coords")
     fl.add_argument("--verify", action="store_true")
-    fl.add_argument("--samples", type=_int_range(0), default=20)
-    fl.add_argument("--seed", type=int, default=1)
+    fl.add_argument("--samples", type=_int_range(0))  # 20 with --verify
+    fl.add_argument("--seed", type=int)  # 1 with --verify
     fl.add_argument("--split", type=_split_pair, default=None, help="m1,m2")
 
-    va = sub.add_parser("verify-all", help="run the full certificate suite")
+    va = _leaf(sub, "verify-all", cmd_verify_all, "run the full certificate suite", fmt=None)
     va.add_argument("--seed", type=int, default=1)
     va.add_argument("--samples", type=_int_range(0), default=100)
     va.add_argument("--max-n", type=_int_range(2, max_oracle_dim()),
                     default=max_oracle_dim())
     va.add_argument("--format", choices=("text", "json"), default="text")
-    va.set_defaults(func=cmd_verify_all)
 
     return top
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        args.leaf.error(f"unrecognized arguments: {' '.join(extra)}")
     # argparse before Python 3.12 parses "--flag=--" to an empty list
     if any(value == [] for value in vars(args).values()):
         parser.error("'--' is not a value")

@@ -6,6 +6,7 @@ dualization of antisymmetric endomorphisms to 2-forms, the invariant
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .matrices import Matrix, e_basis_decompose
@@ -204,8 +205,12 @@ def _two_form_frames() -> List[ExtForm]:
     return out
 
 
+@lru_cache(maxsize=None)
 def spin7_four_form() -> ExtForm:
-    """Sum of the squares of the 21 dualized 2-forms; invariant 4-form."""
+    """Sum of the squares of the 21 dualized 2-forms; invariant 4-form.
+
+    Built once: callers share the form and never mutate it.
+    """
     total = ExtForm.zero(4)
     for f in _two_form_frames():
         total = total + wedge(f, f)

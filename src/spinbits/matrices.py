@@ -19,7 +19,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import lambda_vector, word_apply, word_phase, CliffordElem
-from .scalars import ONE, Scalar, ZERO, _ratio
+from .scalars import ONE, Scalar, ZERO, _coerce, _ratio
 from .spinors import Spinor, chirality, frame_index_set, hermitian, real_form_basis, real_structure_phase
 
 
@@ -66,17 +66,7 @@ class Matrix:
     def _int_form(self):
         """(int rows, denominator) when every entry is rational, else False."""
         if self._ints is None:
-            flat = [x for row in self._data for x in row]
-            if any(len(x._n) > 1 for x in flat):
-                self._ints = False
-            else:
-                # canonical entries over the lcm of their denominators leave
-                # no common factor, so this form is already in lowest terms
-                den = lcm(*{x._d for x in flat})
-                self._ints = (
-                    [[x._n[0] * (den // x._d) if x._n else 0 for x in row] for row in self._data],
-                    den,
-                )
+            self._ints = int_rows(self._data)
         return self._ints
 
     @property
@@ -95,9 +85,10 @@ class Matrix:
         return Matrix.from_int_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def from_int_rows(rows: Sequence[Sequence[int]]) -> "Matrix":
+    def from_int_rows(rows: Sequence[Sequence[int]], den: int = 1) -> "Matrix":
+        """The matrix rows / den for int rows and an int den > 0."""
         num = [list(row) for row in rows]
-        return Matrix._of_ints(num, 1, len(num[0]) if num else 0)
+        return Matrix._of_ints(num, den, len(num[0]) if num else 0)
 
     @staticmethod
     def from_columns(cols: List[List[Scalar]]) -> "Matrix":
@@ -190,6 +181,10 @@ class Matrix:
     def apply(self, vec: List[Scalar]) -> List[Scalar]:
         if len(vec) != self.cols:
             raise ValueError("length mismatch")
+        a, v = self._int_form(), int_rows([list(map(_coerce, vec))])
+        if a and v:
+            (num, ad), ([x], vd) = a, v
+            return [_ratio(sum(map(operator.mul, row, x)), ad * vd) for row in num]
         nonzero = [(j, v) for j, v in enumerate(vec) if v]
         out = []
         for row in self.data:
@@ -202,8 +197,10 @@ class Matrix:
     def is_antisymmetric(self) -> bool:
         if self.rows != self.cols:
             return False
+        a = self._int_form()
+        rows = a[0] if a else self.data
         return all(
-            self.data[i][j] == -self.data[j][i]
+            rows[i][j] == -rows[j][i]
             for i in range(self.rows)
             for j in range(i, self.cols)
         )
@@ -304,17 +301,29 @@ def _eliminate(m: list, cols: int, clear, to_unit=None) -> List[int]:
 
 def _scalar_unit(row, c):
     inv = row[c].inverse()
-    return [inv * x for x in row]
+    return [inv * x if x else x for x in row]
 
 
 def _scalar_clear(row, prow, c):
     f = row[c]
-    return [x - f * y for x, y in zip(row, prow)]
+    return [x - f * y if y else x for x, y in zip(row, prow)]
 
 
 def _int_clear(row, prow, c):
     p, f = prow[c], row[c]
     return _primitive([p * x - f * y for x, y in zip(row, prow)])
+
+
+def int_rows(rows: Sequence[Sequence[Scalar]]):
+    """(int rows, one positive denominator) of Scalar rows whose entries
+    are all rational, in lowest terms; False when an entry is irrational."""
+    nonzero = [x for row in rows for x in row if x._n]
+    if any([len(x._n) > 1 for x in nonzero]):
+        return False
+    # canonical entries over the lcm of their denominators leave no common
+    # factor, so this form is already in lowest terms
+    den = lcm(*{x._d for x in nonzero})
+    return [[x._n[0] * (den // x._d) if x._n else 0 for x in row] for row in rows], den
 
 
 def _primitive(row: List[int]) -> List[int]:
@@ -364,7 +373,7 @@ class Subspace:
     def __contains__(self, vec: Sequence[Scalar]) -> bool:
         """Clear each pivot coordinate of ``vec``; a member leaves nothing."""
         vec = list(vec)
-        a, v = self.basis._int_form(), Matrix([vec])._int_form()
+        a, v = self.basis._int_form(), int_rows([vec])
         if a and v:  # the rows are R / d, so clear d x with x[p] R for x = vec
             (rows, d), ([x], _) = a, v
             vec = [d * t for t in x]
@@ -688,15 +697,11 @@ def e_basis_decompose(M: Matrix) -> Dict[Tuple[int, int], Fraction]:
     """
     if not M.is_antisymmetric():
         raise ValueError("matrix is not antisymmetric")
-    out = {}
-    for i in range(1, M.rows + 1):
-        for j in range(i + 1, M.cols + 1):
-            c = M.data[j - 1][i - 1]
-            if c:
-                if not c.is_rational():
-                    raise ValueError("non-rational entry in decomposition")
-                out[(i, j)] = c.as_fraction()
-    return out
+    a = M._int_form()
+    if not a:
+        raise ValueError("non-rational entry in decomposition")
+    (num, den), n = a, M.rows
+    return {(i + 1, j + 1): Fraction(num[j][i], den) for i in range(n) for j in range(i + 1, n) if num[j][i]}
 
 
 def e_basis_compose(n: int, coeffs: Dict[Tuple[int, int], Fraction]) -> Matrix:

@@ -40,20 +40,20 @@ def _signed_expansion(frame, psi: Spinor) -> SignedIndex:
     return SignedIndex(1 if c > 0 else -1, m)
 
 
-def real_clifford_table(n: int = 8) -> List[List[SignedIndex]]:
+@lru_cache(maxsize=None)
+def real_clifford_table(n: int = 8) -> Tuple[Tuple[SignedIndex, ...], ...]:
     """Cell (i, j) holds the signed negative-frame index of e_{i+1} acting
-    on the j-th positive-frame spinor."""
+    on the j-th positive-frame spinor.
+
+    Built once per n: callers share the rows, which are tuples.
+    """
     plus = real_basis_frame(n, "plus")
     minus = real_basis_frame(n, "minus")
     d = len(plus.vectors)
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            img = clifford_apply(n, i + 1, plus.vectors[j])
-            row.append(_signed_expansion(minus, img))
-        table.append(row)
-    return table
+    return tuple(
+        tuple(_signed_expansion(minus, clifford_apply(n, i + 1, plus.vectors[j])) for j in range(d))
+        for i in range(d)
+    )
 
 
 def identification_signs(n: int = 8) -> List[int]:
@@ -184,9 +184,10 @@ def octonion_mul(x: Octonion, y: Octonion) -> Octonion:
 
 
 def random_octonion(rng: random.Random, span: int = 9) -> Octonion:
-    return Octonion(
-        [Fraction(rng.randint(-span, span), rng.randint(1, span)) for _ in range(8)]
-    )
+    """Coefficients p/q with p drawn from [-span, span], then q from [1, span]."""
+    draws = [(rng.randint(-span, span), rng.randint(1, span)) for _ in range(8)]
+    d = lcm(*(q for _, q in draws))
+    return Octonion._of([p * (d // q) for p, q in draws], d)
 
 
 def algebra_checks(samples: int = 100, seed: int = 1) -> List[Tuple[str, bool]]:

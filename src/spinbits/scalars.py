@@ -152,7 +152,8 @@ class Scalar:
         return _make(n, ad)
 
     def __sub__(self, other) -> "Scalar":
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        return self + -other if other._n else self
 
     def __neg__(self) -> "Scalar":
         return _new(tuple([-x for x in self._n]), self._d)

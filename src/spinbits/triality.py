@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .clifford import CliffordElem, bivector_combo_to_elem, volume_element
-from .matrices import Matrix, Monomial, Subspace, e_basis_decompose, real_block
-from .scalars import Angle, HALF, I, ONE, SQRT3, Scalar, ZERO, INV_SQRT2
+from .clifford import CliffordElem, bivector_combo_to_elem, blade_product, volume_element
+from .matrices import Matrix, Monomial, Subspace, e_basis_decompose, int_rows, real_block
+from .scalars import Angle, HALF, I, ONE, SQRT3, Scalar, ZERO, INV_SQRT2, _ratio
 from .spinors import Spinor
 
 PAIR_ORDER: List[Tuple[int, int]] = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
@@ -63,8 +63,10 @@ class OuterMap:
         return OuterMap(f"{self.name}^{e}", out)
 
     def image_coeffs(self, pair: Tuple[int, int]) -> BivectorCoeffs:
+        """The image of e_pair, read off the int column of a rational map."""
         c = _PAIR_POS[pair]
-        return to_coeffs([row[c] for row in self.matrix.data])
+        num, den = self.matrix._int_form()
+        return {PAIR_ORDER[r]: _ratio(row[c], den) for r, row in enumerate(num) if row[c]}
 
     def apply_coeffs(self, coeffs: BivectorCoeffs) -> BivectorCoeffs:
         return to_coeffs(self.matrix.apply(to_vector(coeffs)))
@@ -90,30 +92,20 @@ def kappa_real_matrix(word: Sequence[int], sign: str) -> Matrix:
 @lru_cache(maxsize=None)
 def _kappa_real_matrix(word: Tuple[int, ...], sign: str) -> Matrix:
     frame = Monomial(range(8), [1 - s for s in FRAME_SIGNS])
-    return frame.compose(real_block(8, word, sign)).compose(frame).to_matrix()
-
-
-def _half_spinor_decomposition(sign: str) -> Dict[Tuple[int, int], Dict[Tuple[int, int], Fraction]]:
-    """E_kl coefficients of every generator's half-spinor action at stage 8."""
-    out = {}
-    for (i, j) in PAIR_ORDER:
-        out[(i, j)] = e_basis_decompose(kappa_real_matrix([i, j], sign))
-    return out
+    return Matrix.from_int_rows(frame.compose(real_block(8, word, sign)).compose(frame).to_int_rows())
 
 
 @lru_cache(maxsize=None)
 def build_outer(name: str) -> OuterMap:
-    """sigma* from the minus half-spinor action, tau* from the plus one."""
+    """sigma* from the minus half-spinor action, tau* from the plus one:
+    column p holds half the E_kl coefficients of the action of e_p."""
     if name not in ("sigma", "tau"):
         raise ValueError("name must be sigma or tau")
     source = "minus" if name == "sigma" else "plus"
-    deco = _half_spinor_decomposition(source)
     cols = []
     for p in PAIR_ORDER:
-        col = [ZERO] * 28
-        for q, c in deco[p].items():
-            col[_PAIR_POS[q]] = Scalar.from_fraction(c / 2)
-        cols.append(col)
+        deco = e_basis_decompose(kappa_real_matrix(p, source))
+        cols.append(to_vector({q: Scalar.from_fraction(c / 2) for q, c in deco.items()}))
     return OuterMap(name, Matrix.from_columns(cols))
 
 
@@ -131,12 +123,26 @@ def omega_eigenvalue(conj: bool = False) -> Scalar:
     return (s * I - ONE) * HALF
 
 
+def _int_coeffs(rows: List[Sequence[Scalar]]) -> Tuple[List[List[int]], int]:
+    """Int numerators of rows of rational coefficients over one denominator."""
+    ints = int_rows(rows)
+    if not ints:
+        raise ValueError("bivector coefficients must be rational")
+    return ints
+
+
 def kappa_star_matrix(pairs_coeffs: BivectorCoeffs, sign: str) -> Matrix:
-    """Half-spinor action matrix of a bivector combination on a real frame."""
-    out = Matrix.zero(8, 8)
-    for (i, j), c in pairs_coeffs.items():
-        out = out + kappa_real_matrix([i, j], sign).scale(c)
-    return out
+    """Half-spinor action matrix of a rational bivector combination on a
+    real frame, summed on the int rows of the generators' matrices."""
+    ([nums], den) = _int_coeffs([list(pairs_coeffs.values())])
+    acc = [[0] * 8 for _ in range(8)]
+    for p, x in zip(pairs_coeffs, nums):
+        rows, _ = kappa_real_matrix(p, sign)._int_form()  # a signed permutation: denominator 1
+        for out, row in zip(acc, rows):
+            for j, y in enumerate(row):
+                if y:
+                    out[j] += x * y
+    return Matrix.from_int_rows(acc, den)
 
 
 def s3_relations() -> List[Tuple[str, bool]]:
@@ -189,32 +195,37 @@ def _g2_generators() -> Tuple[BivectorCoeffs, ...]:
 
 
 def bivector_bracket(a: BivectorCoeffs, b: BivectorCoeffs) -> BivectorCoeffs:
-    """Clifford commutator of two bivector combinations, again a bivector.
+    """Clifford commutator of two rational bivector combinations, again a bivector.
 
-    The bracket is bilinear, so it is summed from the commutators of the
-    basis pairs, each taken once in Cl_8.
+    The bracket is bilinear, so it is summed on int numerators over one
+    denominator from the structure constants of the basis pairs.
     """
-    out: BivectorCoeffs = {}
-    for p, x in a.items():
-        for q, y in b.items():
-            for r, c in _pair_bracket(p, q):
-                out[r] = out.get(r, ZERO) + x * y * c
-    return {r: c for r, c in out.items() if c}
+    ([na, nb], d), table = _int_coeffs([list(a.values()), list(b.values())]), _bracket_table()
+    acc: Dict[Tuple[int, int], int] = {}
+    for p, x in zip(a, na):
+        row = table[p]
+        for q, y in zip(b, nb):
+            rc = row[q]
+            if rc:
+                r, c = rc
+                acc[r] = acc.get(r, 0) + c * x * y
+    return {r: _ratio(s, d * d) for r, s in acc.items() if s}
 
 
 @lru_cache(maxsize=None)
-def _pair_bracket(p: Tuple[int, int], q: Tuple[int, int]) -> Tuple[Tuple[Tuple[int, int], Scalar], ...]:
-    """[e_p, e_q] for two basis bivectors, by Clifford multiplication."""
-    ea = bivector_combo_to_elem(8, {p: ONE})
-    eb = bivector_combo_to_elem(8, {q: ONE})
-    comm = ea * eb - eb * ea
-    out = []
-    for mask, c in comm.terms.items():
-        idx = [t + 1 for t in range(8) if (mask >> t) & 1]
-        if len(idx) != 2:
-            raise ValueError("bracket left the bivector space")
-        out.append(((idx[0], idx[1]), c))
-    return tuple(out)
+def _bracket_table() -> Dict[Tuple[int, int], Dict]:
+    """table[p][q] = (r, c) with [e_p, e_q] = c e_r, or None when e_p and e_q
+    commute, for the basis bivectors, read off the blade product; built once
+    and shared."""
+    mask = {p: (1 << (p[0] - 1)) | (1 << (p[1] - 1)) for p in PAIR_ORDER}
+    table = {}
+    for p in PAIR_ORDER:
+        table[p] = row = {}
+        for q in PAIR_ORDER:
+            (s, m), (t, _) = blade_product(mask[p], mask[q]), blade_product(mask[q], mask[p])
+            # unless they commute, e_p and e_q share one index and e_p e_q is a bivector
+            row[q] = (tuple(k + 1 for k in range(8) if m >> k & 1), s - t) if s != t else None
+    return table
 
 
 def apply_bivector_to_spinor(coeffs: BivectorCoeffs, psi: Spinor) -> Spinor:
@@ -302,13 +313,15 @@ def g2_action_matrix_on(which: str, alphas: Sequence) -> Matrix:
     """Column-convention action of sum(alpha_m G_m) on a real frame."""
     if len(alphas) != 14:
         raise ValueError("need 14 coefficients")
-    coeffs: BivectorCoeffs = {}
-    for alpha, g in zip(alphas, g2_generators()):
-        c = alpha if isinstance(alpha, Scalar) else Scalar.from_fraction(Fraction(alpha))
-        if c:
-            for p, v in g.items():
-                coeffs[p] = coeffs.get(p, ZERO) + c * v
-    return kappa_star_matrix(coeffs, which)
+    gens = g2_generators()
+    alphas = [a if isinstance(a, Scalar) else Scalar.from_fraction(Fraction(a)) for a in alphas]
+    # alpha_m and the generators' coefficients, all over one denominator d
+    (xs, *ys), d = _int_coeffs([alphas] + [list(g.values()) for g in gens])
+    acc: Dict[Tuple[int, int], int] = {}
+    for x, g, row in zip(xs, gens, ys):
+        for p, y in zip(g, row):
+            acc[p] = acc.get(p, 0) + x * y
+    return kappa_star_matrix({p: _ratio(s, d * d) for p, s in acc.items() if s}, which)
 
 
 def group_automorphism(which: str, pair: Tuple[int, int]) -> CliffordElem:

@@ -41,6 +41,7 @@ from .forms import ExtForm, derivation_action, dualize_endomorphism, g2_three_fo
 from .matrices import (
     Matrix,
     gamma_oracle,
+    int_rows,
     kappa_matrix,
     lambda_matrix,
     spinor_to_column,
@@ -339,19 +340,14 @@ def check_g2(report: Report, samples: int, rng: random.Random):
         ]
     for alphas in trials:
         got = g2_action_matrix(alphas)
-        want_rows = []
-        for r in range(1, 9):
-            row = []
-            for c in range(1, 9):
-                combo = ref.G2_ACTION_DISPLAY.get((r, c), "")
-                acc = ZERO
-                for tok_sign, tok_idx in _parse_alpha_combo(combo):
-                    a = alphas[tok_idx - 1]
-                    a = a if isinstance(a, Scalar) else Scalar.from_fraction(Fraction(a))
-                    acc = acc + a * Scalar.rational(tok_sign)
-                row.append(acc * Scalar.rational(2))
-            want_rows.append(row)
-        if got != Matrix(want_rows):
+        # the display's entries, 2 * (sum of +-alpha_m), on the alphas' int numerators over den
+        ([nums], den) = int_rows([[Scalar.from_fraction(Fraction(a)) for a in alphas]])
+        want = Matrix.from_int_rows([
+            [2 * sum(s * nums[m - 1] for s, m in _parse_alpha_combo(ref.G2_ACTION_DISPLAY.get((r, c), "")))
+             for c in range(1, 9)]
+            for r in range(1, 9)
+        ], den)
+        if got != want:
             display_ok = False
         plus = g2_action_matrix_on("plus", alphas)
         minus = g2_action_matrix_on("minus", alphas)

@@ -476,3 +476,35 @@ def test_fuzzed_bad_flag_is_a_usage_error(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("SPINBITS_MAX_N", raising=False)
         check()
+
+
+@pytest.mark.parametrize("command", [
+    "fields --sphere 15 --samples 5 --seed 9",
+    "fields --sphere 15 --seed 9",
+    "fields --sphere 15 --emit matrices --samples 0",
+])
+def test_fields_rejects_samples_and_seed_without_verify(capsys, command):
+    assert exit_code(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--samples and --seed apply only with --verify" in captured.err
+
+
+def test_fields_verify_keeps_its_default_samples_and_seed(capsys):
+    code, out = run(capsys, "fields", "--sphere", "15", "--verify")
+    assert code == 0 and "exact Gram frames at 20 random points" in out
+    assert main("fields --sphere 15 --verify --samples 20 --seed 1".split()) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("command, leaf, stray", [
+    ("triality s3 --eigen omega", "triality s3", "--eigen omega"),
+    ("octonion table --samples 5 --seed 3", "octonion table", "--samples 5 --seed 3"),
+    ("forms phi --check-square", "forms phi", "--check-square"),
+    ("fields --sphere 15 --eigen omega", "fields", "--eigen omega"),
+    ("verify-all --samples 0 --max-n 4 extra", "verify-all", "extra"),
+])
+def test_a_stray_argument_is_reported_by_its_leaf(capsys, command, leaf, stray):
+    assert exit_code(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"usage: spinbits {leaf} ")
+    assert f"spinbits {leaf}: error: unrecognized arguments: {stray}\n" in captured.err

@@ -136,3 +136,18 @@ def test_wedge_associativity(a, b, c):
 
 def test_latex_output():
     assert ExtForm.dx(1, 2).latex() == "dx_{1}\\wedge dx_{2}"
+
+
+def test_the_four_form_is_built_once(monkeypatch):
+    from spinbits import forms, verify
+
+    wedges = []
+    real_wedge = forms.wedge
+    monkeypatch.setattr(forms, "wedge", lambda a, b: wedges.append(a.degree) or real_wedge(a, b))
+    spin7_four_form.cache_clear()
+    report = verify.Report()
+    verify.check_forms(report)
+    assert report.fail_count == 0
+    # 21 squares of 2-forms, then one square of the 4-form for the top-form check
+    assert wedges == [2] * 21 + [4]
+    assert spin7_four_form() is spin7_four_form()

@@ -445,3 +445,40 @@ def test_irrational_matrices_take_the_scalar_route():
     assert M._int_form() is False and not M.is_rational()
     assert M * Matrix.identity(2) == M and M.rank() == 2
     assert Matrix.identity(2).scale(I) != Matrix.identity(2)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_rational_vectors_take_the_int_route(data):
+    r, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    A = Matrix(data.draw(rational_rows(r, k)))
+    a = data.draw(rational_rows(data.draw(st.integers(1, 4)), k))
+    member = data.draw(st.sampled_from(a))
+    w = data.draw(rational_rows(1, k))[0]
+
+    def run():
+        S = Subspace(a, k)
+        return [A.apply(w), A.apply(member) if r == k else None, w in S, member in S]
+
+    fast = run()
+    with scalar_route():
+        slow = run()
+    assert fast == slow and fast[3]
+
+
+def test_rational_membership_and_apply_build_no_matrix_and_no_scalar_loop(monkeypatch):
+    A = build_outer("sigma").matrix
+    S = Subspace(A - Matrix.identity(28))
+    inside = S.rows[3]
+    outside = [Scalar.rational(k, 3) for k in range(28)]
+    with scalar_route():
+        want = [A.apply(outside), A.apply(inside), inside in S, outside in S]
+
+    def forbidden(*args):
+        raise AssertionError("a Scalar loop or a one-row Matrix")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(Scalar, name, forbidden)
+    monkeypatch.setattr(Matrix, "__init__", forbidden)
+    assert [A.apply(outside), A.apply(inside), inside in S, outside in S] == want
+    assert want[2] and not want[3]

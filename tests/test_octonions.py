@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from spinbits.octonions import (
     octonion_table,
     quaternion_checks,
     quaternion_table,
+    random_octonion,
     real_clifford_table,
 )
 
@@ -188,3 +190,36 @@ def test_int_octonion_agrees_with_the_fraction_oracle(a, b, c):
     assert x.norm() == fx.norm() and type(x.norm()) is Fraction
     assert x.dot(y) == sum((s * t for s, t in zip(a, b)), Fraction(0))
     assert (x == y) == (fx.coeffs == fy.coeffs)
+
+
+def test_real_clifford_tables_are_built_once_per_n(monkeypatch):
+    from spinbits import verify
+    from spinbits.matrices import RealBasisFrame
+
+    expansions = []
+    expand = RealBasisFrame.expand
+    monkeypatch.setattr(RealBasisFrame, "expand", lambda self, psi: expansions.append(self.r) or expand(self, psi))
+    real_clifford_table.cache_clear()
+    report = verify.Report()
+    verify.check_octonions(report, 0)
+    assert report.fail_count == 0
+    # one 8x8 table at stage 8 and one 4x4 at stage 4, each cell expanded once
+    assert sorted(expansions) == [4] * 16 + [8] * 64
+    assert real_clifford_table(8) is real_clifford_table(8)
+    assert isinstance(real_clifford_table(8)[0], tuple)
+    assert division_table(8) is not division_table(8)
+
+
+def fraction_random_octonion(rng, span=9):
+    """Oracle for random_octonion: eight Fractions, numerator drawn before denominator."""
+    return Octonion([Fraction(rng.randint(-span, span), rng.randint(1, span)) for _ in range(8)])
+
+
+@given(st.integers(0, 2**32), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_random_octonion_equals_the_fraction_route(seed, span):
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        x, y = random_octonion(fast, span), fraction_random_octonion(slow, span)
+        assert x == y and x.coeffs == y.coeffs
+    assert fast.random() == slow.random()  # the same draws, in the same order

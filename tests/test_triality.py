@@ -323,3 +323,95 @@ def test_a_flipped_kappa_block_sign_fails_c3(monkeypatch, fresh_triality_caches)
     failed = [c.name for c in report.checks if not c.passed]
     assert "C3 tau* equals the tabulated 28x28 array" in failed
     assert "C3 sigma* equals the tabulated 28x28 array" not in failed
+
+
+def test_bracket_table_equals_the_clifford_commutator_on_every_basis_pair():
+    table = triality._bracket_table()
+    for p in PAIR_ORDER:
+        for q in PAIR_ORDER:
+            entry = table[p][q]
+            got = {} if entry is None else {entry[0]: Scalar.rational(entry[1])}
+            assert got == clifford_bracket({p: ONE}, {q: ONE}), (p, q)
+    assert triality._bracket_table() is table
+
+
+def add(*combos):
+    out = {}
+    for combo in combos:
+        for p, c in combo.items():
+            out[p] = out.get(p, ZERO) + c
+    return {p: c for p, c in out.items() if c}
+
+
+@given(bivectors, bivectors, bivectors)
+@settings(max_examples=60, deadline=None)
+def test_bracket_is_antisymmetric_and_satisfies_jacobi(a, b, c):
+    br = bivector_bracket
+    assert add(br(a, b), br(b, a)) == {}
+    assert add(br(a, br(b, c)), br(b, br(c, a)), br(c, br(a, b))) == {}
+
+
+def test_bracket_and_kappa_star_reject_bad_coefficients():
+    with pytest.raises(ValueError):
+        bivector_bracket({(1, 2): SQRT3}, {(2, 3): ONE})
+    with pytest.raises(ValueError):
+        triality.kappa_star_matrix({(1, 2): I}, "plus")
+    with pytest.raises(KeyError):  # a pair outside PAIR_ORDER is no basis bivector
+        bivector_bracket({(1, 2): ONE}, {(2, 1): ONE})
+
+
+def scaled_sum_kappa_star(coeffs, sign):
+    """Oracle for kappa_star_matrix: the sum of the scaled generator matrices."""
+    out = Matrix.zero(8, 8)
+    for (i, j), c in coeffs.items():
+        out = out + kappa_real_matrix([i, j], sign).scale(c)
+    return out
+
+
+@given(bivectors)
+@settings(max_examples=60, deadline=None)
+def test_kappa_star_matrix_equals_the_scaled_sum(coeffs):
+    for sign in ("plus", "minus"):
+        assert triality.kappa_star_matrix(coeffs, sign) == scaled_sum_kappa_star(coeffs, sign)
+
+
+def test_g2_action_equals_the_scaled_sum_of_its_generators():
+    alphas = [Fraction(m - 6, m % 4 + 1) for m in range(14)]
+    for sign in ("plus", "minus"):
+        combo = add(*({p: Scalar.from_fraction(a) * c for p, c in g.items()}
+                      for a, g in zip(alphas, g2_generators())))
+        assert g2_action_matrix_on(sign, alphas) == scaled_sum_kappa_star(combo, sign)
+
+
+def test_g2_brackets_and_actions_make_no_scalar_product(monkeypatch):
+    inside, entered, products = [0], {}, []
+    real_mul = Scalar.__mul__
+
+    def mul(x, y):
+        if inside[0]:
+            products.append((x, y))
+        return real_mul(x, y)
+
+    def counted(name, fn):
+        def run(*args):
+            entered[name] = entered.get(name, 0) + 1
+            inside[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                inside[0] -= 1
+        return run
+
+    monkeypatch.setattr(Scalar, "__mul__", mul)
+    monkeypatch.setattr(Scalar, "__rmul__", mul)
+    for name in ("bivector_bracket", "kappa_star_matrix"):
+        monkeypatch.setattr(triality, name, counted(name, getattr(triality, name)))
+    assert all(ok for _, ok in g2_structure()["checks"])
+    assert all(ok for _, ok in s3_relations())
+    report = verify.Report()
+    verify.check_g2(report, 5, random.Random(1))
+    assert report.fail_count == 0
+    # g2_structure runs twice (once in check_g2): 686 brackets each; s3_relations
+    # takes 56 actions and the 19 display trials 3 each
+    assert entered == {"bivector_bracket": 2 * 686, "kappa_star_matrix": 56 + 3 * 19}
+    assert products == []
