@@ -7,7 +7,6 @@ input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -121,6 +120,8 @@ def _emit(fmt: str, value, text: Optional[str] = None, latex: Optional[str] = No
     prints one line per check and a tally, and exits 1 on a failure.
     """
     if fmt == "json":
+        import json
+
         print(json.dumps(value, default=_to_jsonable))
     elif isinstance(value, Report):
         for c in value.checks:

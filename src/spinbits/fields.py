@@ -18,18 +18,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .matrices import Monomial, real_block
 from .spinors import frame_index_set, real_structure_phase
 
 
-@dataclass(frozen=True)
-class IrrepInfo:
+class IrrepInfo(NamedTuple):
     r: int
     d: int
     count: int
@@ -67,8 +66,10 @@ def max_stage(N: int) -> int:
     """Largest r whose irreducible module dimension divides N."""
     if N < 1:
         raise ValueError("need N >= 1")
-    # a divisor of N has at most N's bit length, so the table holds them all
-    return max(r for r, d in enumerate(_stage_dims(N.bit_length()), start=1) if N % d == 0)
+    # a divisor of N has at most N's bit length, so the table holds them all;
+    # each d(r) is a power of two and d never falls as r grows, so d(r)
+    # divides N exactly when d(r) <= N & -N, the 2-part of N
+    return bisect_right(_stage_dims(N.bit_length()), N & -N)
 
 
 def hurwitz_radon(N: int) -> int:
@@ -101,8 +102,7 @@ def _block_diagonal(blocks: Sequence[Monomial]) -> Monomial:
     return Monomial(perm, phase)
 
 
-@dataclass
-class FieldSystem:
+class FieldSystem(NamedTuple):
     """The r-1 exact orthogonal almost-complex structures on R^N."""
 
     N: int

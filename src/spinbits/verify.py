@@ -3,16 +3,17 @@
 Each criterion contributes named pass/fail checks to a Report; the
 report is deterministic for a fixed seed and sample count.  Property
 checks honor ``samples`` (0 skips them); golden-table checks always run.
+The checks that read the tables import ``reference`` themselves, so that
+importing this module (and the CLI) does not load them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from math import lcm
+from typing import List, NamedTuple, Optional
 
-from . import reference as ref
 from .clifford import (
     CliffordElem,
     chirality_involution,
@@ -48,7 +49,7 @@ from .matrices import (
     tensor_oracle,
 )
 from .octonions import algebra_checks, octonion_table, quaternion_checks
-from .scalars import Angle, I, ONE, SQRT3, Scalar, ZERO
+from .scalars import Angle, I, ONE, SQRT3, Scalar, ZERO, _make
 from .spinors import (
     Spinor,
     chirality,
@@ -73,8 +74,7 @@ from .triality import (
 )
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     status: str
     witness: Optional[object] = None
@@ -84,12 +84,9 @@ class Check:
         return self.status == "pass"
 
 
-@dataclass
 class Report:
-    checks: List[Check]
-
     def __init__(self, pairs=()):
-        self.checks = []
+        self.checks: List[Check] = []
         self.extend(pairs)
 
     def add(self, name: str, ok: bool, witness: Optional[object] = None):
@@ -129,14 +126,15 @@ class Report:
 
 
 def _rand_scalar(rng: random.Random) -> Scalar:
-    comps = {}
-    for rad in (1, 2, 3, 6):
+    """With odds 1/2 per radical, re and im drawn as -5..5 over 1..4, over one lcm."""
+    nums, dens = [0] * 8, [1] * 8
+    for k in range(0, 8, 2):
         if rng.random() < 0.5:
-            comps[rad] = (
-                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+            nums[k], dens[k], nums[k + 1], dens[k + 1] = (
+                rng.randint(-5, 5), rng.randint(1, 4), rng.randint(-5, 5), rng.randint(1, 4)
             )
-    return Scalar(comps)
+    den = lcm(*dens)
+    return _make([n * (den // d) for n, d in zip(nums, dens)], den)
 
 
 def _rand_spinor(rng: random.Random, k: int, nterms: int = 3) -> Spinor:
@@ -241,12 +239,12 @@ def check_golden_matrices(report: Report):
 
 
 def check_triality(report: Report):
+    from . import reference as ref
+
     sig, tau = build_outer("sigma"), build_outer("tau")
 
     for name, outer in (("sigma", sig), ("tau", tau)):
-        want = Matrix(
-            [[Scalar.from_fraction(f) for f in row] for row in ref.outer_matrix_expected(name)]
-        )
+        want = Matrix.from_int_rows(ref.outer_matrix_expected(name), 2)
         report.add(f"C3 {name}* equals the tabulated 28x28 array", outer.matrix == want)
 
     sig_lines = ref.sigma_star_expected()
@@ -326,6 +324,8 @@ def lambda_of_coeffs(coeffs) -> Matrix:
 
 
 def check_g2(report: Report, samples: int, rng: random.Random):
+    from . import reference as ref
+
     res = g2_structure()
     report.extend((f"C4 {name}", ok) for name, ok in res["checks"])
 
@@ -391,6 +391,8 @@ def check_center(report: Report):
 
 
 def check_forms(report: Report):
+    from . import reference as ref
+
     om = spin7_four_form()
     gold = ExtForm.zero(4)
     for s, quad in ref.OMEGA_TERMS:
@@ -434,6 +436,8 @@ def check_forms(report: Report):
 
 
 def check_octonions(report: Report, samples: int):
+    from . import reference as ref
+
     table = octonion_table()
     gold = [ref.parse_signed_index_row(r) for r in ref.OCT_TABLE]
     ok = all(
@@ -461,6 +465,8 @@ def check_octonions(report: Report, samples: int):
 
 
 def check_fields(report: Report, samples: int, rng: random.Random):
+    from . import reference as ref
+
     report.add(
         "C8 maximal stage equals the Hurwitz-Radon count for N <= 4096",
         all(max_stage(N) == hurwitz_radon(N) for N in range(1, 4097)),

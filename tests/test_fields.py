@@ -9,6 +9,7 @@ from spinbits import verify
 from spinbits.clifford import word_apply
 from spinbits.fields import (
     FieldSystem,
+    IrrepInfo,
     build_field_system,
     e1ep_phase,
     emit_coordinates,
@@ -101,7 +102,7 @@ def gauss_spinor(r, coords):
     })
 
 
-IRREP_DIMS = [None] + [irrep_info(r).d for r in range(1, 400)]  # d(r) for N < 2^198
+IRREP_DIMS = [None] + [irrep_info(r).d for r in range(1, 402)]  # up to d(401) = 2^200
 
 
 def old_max_stage(N):
@@ -146,6 +147,18 @@ def test_irrep_info_examples():
         irrep_info(0)
 
 
+def test_records_keep_positional_construction_and_attributes():
+    info = IrrepInfo(8, 8, 2, "R+R")
+    assert info == irrep_info(8)
+    assert (info.r, info.d, info.count, info.field_type) == (8, 8, 2, "R+R")
+    assert repr(info) == "IrrepInfo(r=8, d=8, count=2, field_type='R+R')"
+    system = build_field_system(16)
+    clone = FieldSystem(system.N, system.r, system.multiplicities, system.J)
+    assert (clone.N, clone.r, clone.multiplicities, clone.J) == (16, 9, (1, 0), system.J)
+    assert clone.field_count() == 8
+    assert FieldSystem(N=4, r=3, multiplicities=(1, 0), J=[]).field_count() == 2
+
+
 def test_max_stage_examples():
     assert max_stage(32) == 10
     assert max_stage(16) == 9
@@ -159,6 +172,12 @@ def test_max_stage_equals_the_stage_walk():
     for odd in (1, 3, 5, 77, 2**31 - 1, 3**40):
         N = (1 << 40) * odd
         assert max_stage(N) == old_max_stage(N) == hurwitz_radon(N) == 8 * 10 + 1
+
+
+@given(st.integers(min_value=0, max_value=(1 << 200) - 1), st.integers(min_value=0, max_value=199))
+def test_max_stage_equals_the_stage_walk_below_2_200(N, twos):
+    N = ((N >> twos) | 1) << twos  # 2-part exactly 2^twos, still below 2^200
+    assert max_stage(N) == old_max_stage(N) == hurwitz_radon(N)
 
 
 def test_max_stage_equals_hurwitz_radon():

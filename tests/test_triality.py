@@ -54,7 +54,7 @@ def test_tau_star_matches_all_tabulated_lines():
 def test_outer_maps_match_printed_arrays():
     for which in ("sigma", "tau"):
         want = Matrix(
-            [[Scalar.from_fraction(f) for f in row] for row in ref.outer_matrix_expected(which)]
+            [[Scalar.rational(x, 2) for x in row] for row in ref.outer_matrix_expected(which)]
         )
         assert build_outer(which).matrix == want
 

@@ -1,0 +1,71 @@
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from spinbits import verify
+from spinbits.scalars import Scalar
+from spinbits.verify import Check, Report
+
+# every module perfbench/tracer.py wraps a function of
+TRACED = ("scalars", "clifford", "spinors", "matrices", "triality", "forms", "octonions", "fields", "verify")
+DEFERRED = ("dataclasses", "inspect", "ast", "json", "spinbits.reference")
+
+
+def test_cli_import_loads_the_traced_modules_and_nothing_deferred():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    names = DEFERRED + tuple(f"spinbits.{m}" for m in TRACED)
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys, spinbits.cli; print(*[n in sys.modules for n in {names!r}])"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.split()
+    loaded = dict(zip(names, (flag == "True" for flag in out)))
+    assert [n for n in DEFERRED if loaded[n]] == []
+    assert [m for m in TRACED if not loaded[f"spinbits.{m}"]] == []
+
+
+def test_check_keeps_fields_repr_and_passed():
+    c = Check("C0 x", "pass")
+    assert (c.name, c.status, c.witness, c.passed) == ("C0 x", "pass", None, True)
+    assert repr(c) == "Check(name='C0 x', status='pass', witness=None)"
+    assert not Check("C0 y", "fail", {"n": 3}).passed
+
+
+def test_report_round_trips_through_json():
+    rep = Report([("C0 a", True)])
+    rep.add("C0 b", False, {"N": 8, "point": 1})
+    clone = Report.from_json(rep.to_json())
+    assert clone.checks == rep.checks == [Check("C0 a", "pass"), Check("C0 b", "fail", {"N": 8, "point": 1})]
+    assert clone.to_json() == rep.to_json() == {
+        "checks": [
+            {"name": "C0 a", "status": "pass", "witness": None},
+            {"name": "C0 b", "status": "fail", "witness": {"N": 8, "point": 1}},
+        ],
+        "pass": 1,
+        "fail": 1,
+    }
+    assert (clone.pass_count, clone.fail_count, clone.exit_code()) == (1, 1, 1)
+
+
+def fraction_rand_scalar(rng):
+    """Oracle for verify._rand_scalar: the same draws as Fraction pairs."""
+    comps = {}
+    for rad in (1, 2, 3, 6):
+        if rng.random() < 0.5:
+            comps[rad] = (
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+            )
+    return Scalar(comps)
+
+
+def test_rand_scalar_equals_the_fraction_route_and_keeps_the_stream():
+    for seed in (1, 3, 7):
+        a, b = random.Random(seed), random.Random(seed)
+        for _ in range(1000):
+            x, y = verify._rand_scalar(a), fraction_rand_scalar(b)
+            assert (x, x.to_json(), repr(x)) == (y, y.to_json(), repr(y))
+        assert a.getstate() == b.getstate()
