@@ -20,7 +20,7 @@ from spinbits.clifford import (
     word_phase,
 )
 from spinbits.matrices import spinor_to_column, tensor_oracle
-from spinbits.scalars import Angle, I, ONE, Scalar
+from spinbits.scalars import Angle, HALF, I, ONE, SQRT2, Scalar
 from spinbits.spinors import Spinor, chirality, hermitian, parity
 
 
@@ -185,6 +185,49 @@ def test_reversion():
     assert x.reverse() == CliffordElem.from_word(8, [3, 2, 1])
     y = CliffordElem.from_word(8, [1, 2]) + CliffordElem.one(8)
     assert y.reverse() == CliffordElem.from_word(8, [2, 1]) + CliffordElem.one(8)
+
+
+def test_clifford_latex_and_repr_of_a_sum():
+    x = CliffordElem(3, {
+        0b101: -ONE, 0: ONE + I, 0b011: ONE, 0b100: -I, 0b111: -HALF, 0b010: SQRT2 - ONE,
+    })
+    assert x.latex() == (
+        "(1+i)+(-1+\\sqrt{2})e_{2}+e_{1}e_{2}-ie_{3}-e_{1}e_{3}-\\frac{1}{2}e_{1}e_{2}e_{3}"
+    )
+    assert repr(x) == (
+        "(1 + 1i)1 + (-1 + 1*sqrt2)e2 + (1)e1e2 + (-1i)e3 + (-1)e1e3 + (-1/2)e1e2e3"
+    )
+    # a scalar-only term keeps its coefficient, even when that is +-1
+    for c, tex, text in ((ONE, "1", "(1)1"), (-ONE, "-1", "(-1)1"), (I, "i", "(1i)1")):
+        y = CliffordElem(2, {0: c})
+        assert (y.latex(), repr(y)) == (tex, text)
+    assert CliffordElem(2).latex() == repr(CliffordElem(2)) == "0"
+
+
+@st.composite
+def combination_terms(draw):
+    k = draw(st.integers(1, 5))
+    terms = draw(st.dictionaries(
+        st.integers(0, (1 << k) - 1),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+        max_size=5,
+    ))
+    return k, {a: Scalar.rational(re) + I * Scalar.rational(im) for a, (re, im) in terms.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(combination_terms(), combination_terms())
+def test_equal_combinations_hash_equal(kt, other):
+    k, terms = kt
+    backwards = dict(reversed(list(terms.items())))
+    for cls in (Spinor, CliffordElem):
+        x, y = cls(k, terms), cls(k, backwards)
+        assert x == y and hash(x) == hash(y)
+        # the same value reached through a sum and a difference
+        z = cls(*other) if other[0] == k else cls(k)
+        assert (x + z) - z == x and hash((x + z) - z) == hash(x)
+    # a spinor and an algebra element are never equal, whatever their terms
+    assert Spinor(k, terms) != CliffordElem(k, terms)
 
 
 def test_delta_iso_examples():

@@ -7,7 +7,7 @@ import pytest
 from spinbits import reference as ref
 from spinbits import verify
 from spinbits.clifford import clifford_apply, exp_bivector
-from spinbits.scalars import Angle, I, INV_SQRT2, ONE, Scalar, ZERO
+from spinbits.scalars import Angle, HALF, I, INV_SQRT2, ONE, SQRT2, SQRT3, Scalar, ZERO
 from spinbits.spinors import (
     Spinor,
     chirality,
@@ -212,6 +212,23 @@ def test_spinor_json_round_trip():
 def test_spinor_latex():
     psi = Spinor.basis(4, 15, I)
     assert psi.latex() == "iu_{15}"
+
+
+def test_spinor_latex_and_repr_of_a_sum():
+    # coefficients +-1 drop to a sign; one with an inner sign is parenthesized
+    psi = Spinor(3, {
+        5: -ONE, 0: ONE, 2: ONE + I, 3: HALF * SQRT2, 6: -I,
+        7: SQRT3 - Scalar.rational(2, 3) * I, 1: Scalar.rational(-3),
+    })
+    assert psi.latex() == (
+        "u_{0}-3u_{1}+(1+i)u_{2}+\\frac{1}{2}\\sqrt{2}u_{3}-u_{5}-iu_{6}"
+        "+(-\\frac{2}{3}i+\\sqrt{3})u_{7}"
+    )
+    assert repr(psi) == (
+        "(1)u_0 + (-3)u_1 + (1 + 1i)u_2 + (1/2*sqrt2)u_3 + (-1)u_5 + (-1i)u_6"
+        " + (-2/3i + 1*sqrt3)u_7"
+    )
+    assert Spinor.zero(2).latex() == repr(Spinor.zero(2)) == "0"
 
 
 def test_real_frames_start_at_stage_2():
