@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Sequence, Tuple
 
-from .scalars import Angle, ONE, Scalar, ZERO
+from .scalars import Angle, Combination, ONE, Scalar, accumulate
 from .spinors import Spinor, parity
 
 
@@ -94,10 +94,11 @@ def blade_product(mask_i: int, mask_j: int) -> Tuple[int, int]:
     return (-1 if count & 1 else 1), mask_i ^ mask_j
 
 
-class CliffordElem:
+class CliffordElem(Combination):
     """Element of the complexified Clifford algebra Cl_n over exact scalars."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
+    _space = "n"
 
     def __init__(self, n: int, terms: Dict[int, Scalar] | None = None):
         self.n = n
@@ -107,6 +108,7 @@ class CliffordElem:
             for m, c in terms.items():
                 if not 0 <= m < top:
                     raise ValueError(f"monomial mask {m} out of range for n={n}")
+                c = self._coeff(c)
                 if c:
                     t[m] = c
         self.terms = t
@@ -138,65 +140,21 @@ class CliffordElem:
             out = out * CliffordElem.generator(n, p)
         return out
 
-    def _check(self, other: "CliffordElem"):
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other: "CliffordElem") -> "CliffordElem":
-        self._check(other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m, ZERO) + c
-            if s:
-                t[m] = s
-            elif m in t:
-                del t[m]
-        out = CliffordElem.__new__(CliffordElem)
-        out.n, out.terms = self.n, t
-        return out
-
-    def __sub__(self, other: "CliffordElem") -> "CliffordElem":
-        return self + (-other)
-
-    def __neg__(self) -> "CliffordElem":
-        out = CliffordElem.__new__(CliffordElem)
-        out.n = self.n
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def scale(self, c: Scalar) -> "CliffordElem":
-        out = CliffordElem.__new__(CliffordElem)
-        out.n = self.n
-        out.terms = {m: c * v for m, v in self.terms.items()} if c else {}
-        return out
-
     def __mul__(self, other: "CliffordElem") -> "CliffordElem":
         self._check(other)
-        t: Dict[int, Scalar] = {}
-        for mi, ci in self.terms.items():
-            for mj, cj in other.terms.items():
-                sgn, m = blade_product(mi, mj)
-                c = ci * cj
-                if sgn < 0:
-                    c = -c
-                s = t.get(m, ZERO) + c
-                if s:
-                    t[m] = s
-                elif m in t:
-                    del t[m]
-        out = CliffordElem.__new__(CliffordElem)
-        out.n, out.terms = self.n, t
-        return out
+
+        def products():
+            for mi, ci in self.terms.items():
+                for mj, cj in other.terms.items():
+                    sgn, m = blade_product(mi, mj)
+                    yield m, (ci * cj if sgn > 0 else -(ci * cj))
+
+        return self._like(accumulate({}, products()))
 
     def reverse(self) -> "CliffordElem":
-        """Reversion anti-automorphism: a grade-m monomial picks up (-1)^(m(m-1)/2)."""
-        t = {}
-        for m, c in self.terms.items():
-            g = m.bit_count()
-            t[m] = -c if (g * (g - 1) // 2) & 1 else c
-        out = CliffordElem.__new__(CliffordElem)
-        out.n, out.terms = self.n, t
-        return out
+        """Reversion anti-automorphism: a grade-m monomial picks up (-1)^(m(m-1)/2),
+        which is -1 exactly when m mod 4 is 2 or 3."""
+        return self.map_indices(lambda mask, c: (mask, -c if mask.bit_count() & 2 else c))
 
     def grades(self) -> set:
         return {m.bit_count() for m in self.terms}
@@ -209,46 +167,11 @@ class CliffordElem:
             out = out + word_apply(self.n, word, psi).scale(c)
         return out
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CliffordElem)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+    def _latex_name(self, m: int) -> str:
+        return "".join(f"e_{{{i+1}}}" for i in range(self.n) if (m >> i) & 1)
 
-    def __hash__(self):
-        return hash((self.n, tuple(sorted((m, hash(c)) for m, c in self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in sorted(self.terms.items()):
-            name = "".join(f"e{i+1}" for i in range(self.n) if (m >> i) & 1) or "1"
-            parts.append(f"({c}){name}")
-        return " + ".join(parts)
-
-    def latex(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in sorted(self.terms.items()):
-            name = "".join(f"e_{{{i+1}}}" for i in range(self.n) if (m >> i) & 1)
-            ctex = c.latex()
-            if name and ctex == "1":
-                parts.append(name)
-            elif name and ctex == "-1":
-                parts.append("-" + name)
-            else:
-                wrap = f"({ctex})" if ("+" in ctex[1:] or "-" in ctex[1:]) else ctex
-                parts.append(wrap + name)
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+    def _repr_name(self, m: int) -> str:
+        return "".join(f"e{i+1}" for i in range(self.n) if (m >> i) & 1) or "1"
 
 
 def volume_element(n: int) -> CliffordElem:
@@ -318,11 +241,7 @@ def delta_iso(k: int, psi: Spinor) -> Spinor:
     if psi.k != k - 1:
         raise ValueError(f"expected width {k - 1}, got {psi.k}")
     top = 1 << (k - 1)
-    out = Spinor.zero(k)
-    for a, c in psi.terms.items():
-        b = a | top if parity(a) else a
-        out = out + Spinor.basis(k, b, c)
-    return out
+    return Spinor(k, {(a | top if parity(a) else a): c for a, c in psi.terms.items()})
 
 
 def bivector_combo_to_elem(n: int, coeffs: Dict[Tuple[int, int], Scalar]) -> CliffordElem:

@@ -10,6 +10,7 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .matrices import Matrix, e_basis_decompose
+from .scalars import Combination, accumulate
 
 DIM = 8
 
@@ -52,10 +53,12 @@ def canonical_term(indices: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
     return sign, tuple(idx)
 
 
-class ExtForm:
+class ExtForm(Combination):
     """Homogeneous exterior form with Fraction coefficients on sorted index subsets."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree",)
+    _space = "degree"
+    _coeff = Fraction
 
     def __init__(self, degree: int, terms: Dict[Tuple[int, ...], Fraction] | None = None):
         if not 0 <= degree <= DIM:
@@ -85,95 +88,43 @@ class ExtForm:
     def zero(degree: int) -> "ExtForm":
         return ExtForm(degree)
 
-    def __add__(self, other: "ExtForm") -> "ExtForm":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k, Fraction(0)) + c
-            if s:
-                t[k] = s
-            elif k in t:
-                del t[k]
-        out = ExtForm.__new__(ExtForm)
-        out.degree, out.terms = self.degree, t
-        return out
-
-    def __sub__(self, other: "ExtForm") -> "ExtForm":
-        return self + (-other)
-
-    def __neg__(self) -> "ExtForm":
-        out = ExtForm.__new__(ExtForm)
-        out.degree = self.degree
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def scale(self, c) -> "ExtForm":
-        c = Fraction(c)
-        out = ExtForm.__new__(ExtForm)
-        out.degree = self.degree
-        out.terms = {k: c * v for k, v in self.terms.items()} if c else {}
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtForm)
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, indices: Sequence[int]) -> Fraction:
         sign, key = canonical_term(indices)
         if sign == 0:
             return Fraction(0)
         return sign * self.terms.get(key, Fraction(0))
 
-    def latex(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, c in sorted(self.terms.items()):
-            body = "\\wedge ".join(f"dx_{{{i}}}" for i in key) or "1"
-            if c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append("-" + body)
-            else:
-                parts.append(f"{c}\\," + body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+    @staticmethod
+    def _latex_name(key: Tuple[int, ...]) -> str:
+        return "\\wedge ".join(f"dx_{{{i}}}" for i in key) or "1"
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"{c}*dx{''.join(str(i) for i in key)}" for key, c in sorted(self.terms.items())
-        )
+    @staticmethod
+    def _latex_term(c: Fraction, name: str) -> str:
+        if c in (1, -1):
+            return ("-" if c < 0 else "") + name
+        return f"{c}\\," + name
+
+    @staticmethod
+    def _repr_name(key: Tuple[int, ...]) -> str:
+        return "dx" + "".join(str(i) for i in key)
+
+    @staticmethod
+    def _repr_term(c: Fraction, name: str) -> str:
+        return f"{c}*{name}"
 
 
 def wedge(a: ExtForm, b: ExtForm) -> ExtForm:
     if a.degree + b.degree > DIM:
         raise ValueError("degree overflow")
-    t: Dict[Tuple[int, ...], Fraction] = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            sign, key = _merge_sign(ka, kb)
-            if sign is None:
-                continue
-            s = t.get(key, Fraction(0)) + sign * ca * cb
-            if s:
-                t[key] = s
-            elif key in t:
-                del t[key]
-    return ExtForm(a.degree + b.degree, t)
+
+    def products():
+        for ka, ca in a.terms.items():
+            for kb, cb in b.terms.items():
+                sign, key = _merge_sign(ka, kb)
+                if sign is not None:
+                    yield key, sign * ca * cb
+
+    return ExtForm(a.degree + b.degree, accumulate({}, products()))
 
 
 def dualize_endomorphism(M: Matrix) -> ExtForm:
@@ -233,19 +184,14 @@ def derivation_action(G: Matrix, form: ExtForm) -> ExtForm:
     if G.rows != DIM or G.cols != DIM:
         raise ValueError("need an 8x8 matrix")
     rows = [[x.as_fraction() for x in row] for row in G.data]
-    t: Dict[Tuple[int, ...], Fraction] = {}
-    for key, c in form.terms.items():
-        for slot, m in enumerate(key):
-            for col in range(1, DIM + 1):
-                g = rows[m - 1][col - 1]
-                if not g:
-                    continue
-                sign, newkey = canonical_term(key[:slot] + (col,) + key[slot + 1:])
-                if sign == 0:
-                    continue
-                s = t.get(newkey, Fraction(0)) - c * g * sign
-                if s:
-                    t[newkey] = s
-                elif newkey in t:
-                    del t[newkey]
-    return ExtForm(form.degree, t)
+
+    def images():
+        for key, c in form.terms.items():
+            for slot, m in enumerate(key):
+                for col, g in enumerate(rows[m - 1], 1):
+                    if g:
+                        sign, newkey = canonical_term(key[:slot] + (col,) + key[slot + 1:])
+                        if sign:
+                            yield newkey, -c * g * sign
+
+    return ExtForm(form.degree, accumulate({}, images()))

@@ -14,11 +14,15 @@ dropped), so equal values have equal (numerators, d) and a rational
 value has at most one numerator.  Products run a fixed 8 x 8 table built
 from sqrt(a) sqrt(b) = f sqrt(c); rational operands skip it.  Values are
 immutable after construction.
+
+Combination is the sparse exact linear combination over binary-coded keys
+that spinors, Clifford algebra elements and exterior forms all are.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import starmap
 from math import gcd, lcm
 from typing import Dict, Tuple
 
@@ -230,12 +234,6 @@ class Scalar:
         n[1::2] = [0] * len(n[1::2])
         return _make(n, self._d)
 
-    def imag_part(self) -> "Scalar":
-        """The coefficient of i, as a real Scalar."""
-        n = [0] * 8
-        n[0:2 * len(self._n[1::2]):2] = self._n[1::2]
-        return _make(n, self._d)
-
     def is_rational(self) -> bool:
         return len(self._n) <= 1
 
@@ -325,6 +323,105 @@ def _coerce(x) -> Scalar:
     if isinstance(x, Fraction):
         return _new((x.numerator,), x.denominator) if x else ZERO
     raise TypeError(f"cannot coerce {x!r} to Scalar")
+
+
+def accumulate(terms: dict, pairs) -> dict:
+    """Add each (key, coefficient) pair into ``terms``; a key whose sum is zero is dropped."""
+    for key, c in pairs:
+        if key in terms:
+            c = terms[key] + c
+            if not c:
+                del terms[key]
+                continue
+        elif not c:
+            continue
+        terms[key] = c
+    return terms
+
+
+class Combination:
+    """A sparse exact linear combination: ``terms`` maps keys to nonzero coefficients.
+
+    A subclass names the slot that holds its space in ``_space`` (a spinor's
+    bit width ``k``, an algebra's dimension ``n``, a form's ``degree``);
+    combinations add only within one space.  It supplies its constructor and
+    key validation, and each key's name in LaTeX and in ``repr``.
+    """
+
+    __slots__ = ("terms",)
+    _space = ""
+    _coeff = staticmethod(_coerce)  # the coefficient type, applied to whatever is given
+
+    def _like(self, terms: dict):
+        """A combination in this one's space with the given terms, all nonzero."""
+        out = object.__new__(type(self))
+        setattr(out, self._space, getattr(self, self._space))
+        out.terms = terms
+        return out
+
+    def _check(self, other):
+        a, b = getattr(self, self._space), getattr(other, self._space)
+        if a != b:
+            raise ValueError(f"{type(self).__name__}.{self._space} mismatch: {a} vs {b}")
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like(accumulate(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def scale(self, c):
+        c = self._coeff(c)
+        return self._like({key: c * v for key, v in self.terms.items()} if c else {})
+
+    def map_indices(self, f):
+        """New combination with each term (key, c) replaced by f(key, c) -> (key', c')."""
+        return self._like(accumulate({}, starmap(f, self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and getattr(self, self._space) == getattr(other, self._space)
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        terms = tuple(sorted((key, hash(c)) for key, c in self.terms.items()))
+        return hash((getattr(self, self._space), terms))
+
+    @staticmethod
+    def _latex_term(c, name: str) -> str:
+        # a unit coefficient drops to its sign unless the term is a bare scalar;
+        # a coefficient with an inner sign is parenthesized
+        ctex = c.latex()
+        if name and ctex in ("1", "-1"):
+            return ctex[:-1] + name
+        if "+" in ctex[1:] or "-" in ctex[1:]:
+            ctex = f"({ctex})"
+        return ctex + name
+
+    def latex(self) -> str:
+        out = ""
+        for key, c in sorted(self.terms.items()):
+            term = self._latex_term(c, self._latex_name(key))
+            out += term if not out or term.startswith("-") else "+" + term
+        return out or "0"
+
+    @staticmethod
+    def _repr_term(c, name: str) -> str:
+        return f"({c}){name}"
+
+    def __repr__(self):
+        return " + ".join(
+            self._repr_term(c, self._repr_name(key)) for key, c in sorted(self.terms.items())
+        ) or "0"
 
 
 ZERO = _new((), 1)

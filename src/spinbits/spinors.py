@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .scalars import I, INV_SQRT2, ONE, Scalar, ZERO
+from .scalars import Combination, I, INV_SQRT2, ONE, Scalar, ZERO
 
 
 def index_from_signs(signs: Sequence[int]) -> int:
@@ -49,10 +49,11 @@ def weight(a: int, k: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction(s, 2) for s in signs_from_index(a, k))
 
 
-class Spinor:
+class Spinor(Combination):
     """Sparse exact linear combination of basic spinors u_a, a < 2**k."""
 
-    __slots__ = ("k", "terms")
+    __slots__ = ("k",)
+    _space = "k"
 
     def __init__(self, k: int, terms: Dict[int, Scalar] | None = None):
         self.k = k
@@ -62,6 +63,7 @@ class Spinor:
             for a, c in terms.items():
                 if not 0 <= a < top:
                     raise ValueError(f"index {a} out of range for k={k}")
+                c = self._coeff(c)
                 if c:
                     t[a] = c
         self.terms = t
@@ -74,68 +76,11 @@ class Spinor:
     def zero(k: int) -> "Spinor":
         return Spinor(k)
 
-    def __add__(self, other: "Spinor") -> "Spinor":
-        self._check(other)
-        t = dict(self.terms)
-        for a, c in other.terms.items():
-            s = t.get(a, ZERO) + c
-            if s:
-                t[a] = s
-            elif a in t:
-                del t[a]
-        out = Spinor.__new__(Spinor)
-        out.k, out.terms = self.k, t
-        return out
-
-    def __sub__(self, other: "Spinor") -> "Spinor":
-        return self + (-other)
-
-    def __neg__(self) -> "Spinor":
-        out = Spinor.__new__(Spinor)
-        out.k = self.k
-        out.terms = {a: -c for a, c in self.terms.items()}
-        return out
-
-    def scale(self, c) -> "Spinor":
-        if not isinstance(c, Scalar):
-            c = Scalar.rational(c) if isinstance(c, int) else Scalar.from_fraction(c)
-        out = Spinor.__new__(Spinor)
-        out.k = self.k
-        out.terms = {a: c * v for a, v in self.terms.items()} if c else {}
-        return out
-
     def __rmul__(self, c) -> "Spinor":
         return self.scale(c)
 
-    def map_indices(self, f) -> "Spinor":
-        """New spinor with each term (a, c) replaced by f(a, c) -> (b, c')."""
-        t: Dict[int, Scalar] = {}
-        for a, c in self.terms.items():
-            b, c2 = f(a, c)
-            s = t.get(b, ZERO) + c2
-            if s:
-                t[b] = s
-            elif b in t:
-                del t[b]
-        out = Spinor.__new__(Spinor)
-        out.k, out.terms = self.k, t
-        return out
-
     def coeff(self, a: int) -> Scalar:
         return self.terms.get(a, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Spinor) and self.k == other.k and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.k, tuple(sorted((a, hash(c)) for a, c in self.terms.items()))))
-
-    def _check(self, other: "Spinor"):
-        if self.k != other.k:
-            raise ValueError(f"bit-width mismatch: {self.k} vs {other.k}")
 
     def to_json(self) -> dict:
         return {
@@ -151,29 +96,13 @@ class Spinor:
             obj["k"], {t["index"]: Scalar.from_json(t["coeff"]) for t in obj["terms"]}
         )
 
-    def latex(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for a, c in sorted(self.terms.items()):
-            ctex = c.latex()
-            if ctex == "1":
-                parts.append(f"u_{{{a}}}")
-            elif ctex == "-1":
-                parts.append(f"-u_{{{a}}}")
-            elif "+" in ctex[1:] or "-" in ctex[1:]:
-                parts.append(f"({ctex})u_{{{a}}}")
-            else:
-                parts.append(f"{ctex}u_{{{a}}}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+    @staticmethod
+    def _latex_name(a: int) -> str:
+        return f"u_{{{a}}}"
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})u_{a}" for a, c in sorted(self.terms.items()))
+    @staticmethod
+    def _repr_name(a: int) -> str:
+        return f"u_{a}"
 
 
 def hermitian(psi1: Spinor, psi2: Spinor) -> Scalar:

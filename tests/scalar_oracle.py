@@ -142,11 +142,6 @@ class DictScalar:
         out._c = {rad: (re, _ZERO) for rad, (re, im) in self._c.items() if re}
         return out
 
-    def imag_part(self) -> "DictScalar":
-        out = DictScalar.__new__(DictScalar)
-        out._c = {rad: (im, _ZERO) for rad, (re, im) in self._c.items() if im}
-        return out
-
     def is_rational(self) -> bool:
         if not self._c:
             return True

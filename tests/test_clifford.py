@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,6 +203,12 @@ def test_clifford_latex_and_repr_of_a_sum():
         y = CliffordElem(2, {0: c})
         assert (y.latex(), repr(y)) == (tex, text)
     assert CliffordElem(2).latex() == repr(CliffordElem(2)) == "0"
+
+
+def test_int_and_fraction_coefficients_become_scalars():
+    x = CliffordElem(2, {0: Fraction(1, 2), 3: -1, 1: 0})
+    assert x.latex() == "\\frac{1}{2}-e_{1}e_{2}"
+    assert x == CliffordElem(2, {0: Scalar.rational(1, 2), 3: -ONE})
 
 
 @st.composite

@@ -139,10 +139,9 @@ def test_json_round_trip():
     assert Scalar.from_json({}) == ZERO
 
 
-def test_real_and_imag_parts():
+def test_real_part():
     x = Scalar.rational(3, 4) + I * SQRT2 + SQRT3
     assert x.real_part() == Scalar.rational(3, 4) + SQRT3
-    assert x.imag_part() == SQRT2
 
 
 def test_rationality_queries():
@@ -233,7 +232,6 @@ def test_int_core_agrees_with_dict_oracle(pa, pb):
     assert_same(-a, -A)
     assert_same(a.conjugate(), A.conjugate())
     assert_same(a.real_part(), A.real_part())
-    assert_same(a.imag_part(), A.imag_part())
     if B:
         assert_same(a / b, A / B)
         assert_same(b.inverse(), B.inverse())

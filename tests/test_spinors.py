@@ -214,6 +214,14 @@ def test_spinor_latex():
     assert psi.latex() == "iu_{15}"
 
 
+def test_int_and_fraction_coefficients_become_scalars():
+    psi = Spinor.basis(2, 1, 2)
+    assert psi.latex() == "2u_{1}"
+    assert psi.to_json() == {"k": 2, "terms": [{"index": 1, "coeff": {"1": {"re": "2/1", "im": "0/1"}}}]}
+    assert psi == Spinor.basis(2, 1, Scalar.rational(2))
+    assert Spinor(2, {0: Fraction(-1, 3), 3: 0}).latex() == "-\\frac{1}{3}u_{0}"
+
+
 def test_spinor_latex_and_repr_of_a_sum():
     # coefficients +-1 drop to a sign; one with an inner sign is parenthesized
     psi = Spinor(3, {
