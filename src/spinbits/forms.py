@@ -15,28 +15,6 @@ from .scalars import Combination, accumulate
 DIM = 8
 
 
-def _merge_sign(a: Tuple[int, ...], b: Tuple[int, ...]):
-    """Shuffle sign for concatenating two increasing index tuples, or None on overlap."""
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None, ()
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] moves past the remaining entries of a
-            if (len(a) - i) & 1:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
-
-
 def canonical_term(indices: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
     """Sort wedge indices, tracking the permutation sign; repeated index kills the term."""
     idx = list(indices)
@@ -120,8 +98,8 @@ def wedge(a: ExtForm, b: ExtForm) -> ExtForm:
     def products():
         for ka, ca in a.terms.items():
             for kb, cb in b.terms.items():
-                sign, key = _merge_sign(ka, kb)
-                if sign is not None:
+                sign, key = canonical_term(ka + kb)
+                if sign:
                     yield key, sign * ca * cb
 
     return ExtForm(a.degree + b.degree, accumulate({}, products()))

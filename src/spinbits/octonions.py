@@ -190,31 +190,28 @@ def random_octonion(rng: random.Random, span: int = 9) -> Octonion:
     return Octonion._of([p * (d // q) for p, q in draws], d)
 
 
+def _unit_laws(table) -> Tuple[bool, bool, bool]:
+    """The unit-table laws of a division algebra of any size: unit 0 is a
+    two-sided identity, the imaginary units square to -1, and distinct
+    imaginary units anticommute."""
+    d = len(table)
+    identity = all(table[0][j] == SignedIndex(1, j) == table[j][0] for j in range(d))
+    squares = all(table[i][i] == SignedIndex(-1, 0) for i in range(1, d))
+    anticommute = all(
+        table[i][j] == -table[j][i] for i in range(1, d) for j in range(1, d) if i != j
+    )
+    return identity, squares, anticommute
+
+
 def algebra_checks(samples: int = 100, seed: int = 1) -> List[Tuple[str, bool]]:
     """Exact division-algebra properties on seeded random rational octonions."""
     rng = random.Random(seed)
-    table = _table()
-    results: List[Tuple[str, bool]] = []
-
-    e0_identity = all(
-        table[0][j] == SignedIndex(1, j) and table[j][0] == SignedIndex(1, j)
-        for j in range(8)
-    )
-    results.append(("unit 0 is a two-sided identity", e0_identity))
-    results.append(
-        ("imaginary units square to minus the identity",
-         all(table[i][i] == SignedIndex(-1, 0) for i in range(1, 8)))
-    )
-    results.append(
-        ("distinct imaginary units anticommute",
-         all(
-             table[i][j].index == table[j][i].index
-             and table[i][j].sign == -table[j][i].sign
-             for i in range(1, 8)
-             for j in range(1, 8)
-             if i != j
-         ))
-    )
+    results = list(zip(
+        ("unit 0 is a two-sided identity",
+         "imaginary units square to minus the identity",
+         "distinct imaginary units anticommute"),
+        _unit_laws(_table()),
+    ))
 
     norm_ok = alt_left = alt_right = True
     for _ in range(samples):
@@ -255,25 +252,12 @@ def algebra_checks(samples: int = 100, seed: int = 1) -> List[Tuple[str, bool]]:
 def quaternion_checks() -> List[Tuple[str, bool]]:
     """Associativity and the quaternionic relations for the stage-4 table."""
     table = quaternion_table()
-    results: List[Tuple[str, bool]] = []
-    results.append(
-        ("identity row and column", all(
-            table[0][j] == SignedIndex(1, j) and table[j][0] == SignedIndex(1, j)
-            for j in range(4)
-        ))
-    )
-    results.append(
-        ("imaginary units square to minus identity",
-         all(table[i][i] == SignedIndex(-1, 0) for i in range(1, 4)))
-    )
-    results.append(
-        ("imaginary units anticommute pairwise",
-         all(
-             table[i][j].index == table[j][i].index
-             and table[i][j].sign == -table[j][i].sign
-             for i in range(1, 4) for j in range(1, 4) if i != j
-         ))
-    )
+    results = list(zip(
+        ("identity row and column",
+         "imaginary units square to minus identity",
+         "imaginary units anticommute pairwise"),
+        _unit_laws(table),
+    ))
     results.append(
         ("product of two distinct imaginary units is the third",
          all(

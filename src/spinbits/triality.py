@@ -189,7 +189,7 @@ def _g2_generators() -> Tuple[BivectorCoeffs, ...]:
     from . import reference
 
     return tuple(
-        {p: Scalar.from_fraction(c) for p, c in reference.parse_bivector_terms(line).items()}
+        {p: Scalar.rational(c) for p, c in reference.bivector_terms(line).items()}
         for line in reference.G2_GENERATORS
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from typing import List, NamedTuple, Optional
 
@@ -49,7 +50,7 @@ from .matrices import (
     tensor_oracle,
 )
 from .octonions import algebra_checks, octonion_table, quaternion_checks
-from .scalars import Angle, I, ONE, SQRT3, Scalar, ZERO, _make
+from .scalars import Angle, HALF, I, ONE, Scalar, ZERO, _make
 from .spinors import (
     Spinor,
     chirality,
@@ -247,16 +248,17 @@ def check_triality(report: Report):
         want = Matrix.from_int_rows(ref.outer_matrix_expected(name), 2)
         report.add(f"C3 {name}* equals the tabulated 28x28 array", outer.matrix == want)
 
-    sig_lines = ref.sigma_star_expected()
-    for name, outer, lines in (("sigma", sig, sig_lines), ("tau", tau, ref.tau_star_expected())):
-        ok = all(outer.image_coeffs(p) == _scalar_coeffs(lines[p]) for p in PAIR_ORDER)
+    # the tabulated image lines are the images' int doubles
+    sig_lines = ref.line_table(ref.SIGMA_LINES)
+    for name, outer, lines in (("sigma", sig, sig_lines), ("tau", tau, ref.line_table(ref.TAU_LINES))):
+        ok = all(outer.image_coeffs(p) == _halves(lines[p]) for p in PAIR_ORDER)
         report.add(f"C3 {name}* reproduces all 28 tabulated image lines", ok)
 
     # the tabulated kappa-(e2 e4) line misprints its bivector argument as
     # the e2 e3 one; the constructed value must differ from the misprint
     report.add(
         "C3 flagged misprint: constructed sigma*(e2 e4) differs from the duplicated line",
-        sig.image_coeffs((2, 4)) != _scalar_coeffs(sig_lines[(2, 3)]),
+        sig.image_coeffs((2, 4)) != _halves(sig_lines[(2, 3)]),
     )
 
     report.add("C3 sigma*^3 = Id", sig.power(3).matrix == Matrix.identity(28))
@@ -284,31 +286,29 @@ def check_triality(report: Report):
         report.add(f"C3 lambda* after {name}* equals the {half} half-spinor action", ok)
 
     # tabulated eigenvectors satisfy their eigen-equations exactly
-    ok = True
-    for lines, lam in ((ref.SIGMA_OMEGA_EIGENVECTORS, omega_eigenvalue()),
-                       (ref.SIGMA_OMEGABAR_EIGENVECTORS, omega_eigenvalue(True))):
-        for line in lines:
-            coeffs = {
-                p: Scalar.from_fraction(a) + Scalar.from_fraction(b) * I * SQRT3
-                for p, (a, b) in ref.parse_complex_bivector_terms(line).items()
-            }
-            if sig.apply_coeffs(coeffs) != {p: lam * c for p, c in coeffs.items()}:
-                ok = False
-    report.add("C3 all 14 tabulated complex eigenvectors verified", ok)
-
-    for name, lines, lam in (
-        ("C3 the 21 tabulated spin7 generators are tau*-fixed", ref.SPIN7_GENERATORS, ONE),
-        ("C3 the 7 tabulated tau-minus eigenvectors verified", ref.TAU_MINUS_EIGENVECTORS, -ONE),
-    ):
-        ok = all(
-            tau.apply_coeffs(cs) == {p: lam * c for p, c in cs.items()}
-            for cs in (_scalar_coeffs(ref.parse_bivector_terms(l)) for l in lines)
+    def eigenvectors(outer, lines, lam) -> bool:
+        return all(
+            outer.apply_coeffs(cs) == {p: lam * c for p, c in cs.items()}
+            for cs in map(ref.bivector_terms, lines)
         )
-        report.add(name, ok)
+
+    report.add(
+        "C3 all 14 tabulated complex eigenvectors verified",
+        eigenvectors(sig, ref.SIGMA_OMEGA_EIGENVECTORS, omega_eigenvalue())
+        and eigenvectors(sig, ref.SIGMA_OMEGABAR_EIGENVECTORS, omega_eigenvalue(True)),
+    )
+    report.add(
+        "C3 the 21 tabulated spin7 generators are tau*-fixed",
+        eigenvectors(tau, ref.SPIN7_GENERATORS, ONE),
+    )
+    report.add(
+        "C3 the 7 tabulated tau-minus eigenvectors verified",
+        eigenvectors(tau, ref.TAU_MINUS_EIGENVECTORS, -ONE),
+    )
 
 
-def _scalar_coeffs(coeffs) -> dict:
-    return {p: Scalar.from_fraction(c) for p, c in coeffs.items()}
+def _halves(terms) -> dict:
+    return {p: HALF * c for p, c in terms.items()}
 
 
 def lambda_of_coeffs(coeffs) -> Matrix:
@@ -343,7 +343,7 @@ def check_g2(report: Report, samples: int, rng: random.Random):
         # the display's entries, 2 * (sum of +-alpha_m), on the alphas' int numerators over den
         ([nums], den) = int_rows([[Scalar.from_fraction(Fraction(a)) for a in alphas]])
         want = Matrix.from_int_rows([
-            [2 * sum(s * nums[m - 1] for s, m in _parse_alpha_combo(ref.G2_ACTION_DISPLAY.get((r, c), "")))
+            [2 * sum(s * nums[m - 1] for s, m in ref.signed_ints(ref.G2_ACTION_DISPLAY.get((r, c), "")))
              for c in range(1, 9)]
             for r in range(1, 9)
         ], den)
@@ -356,20 +356,6 @@ def check_g2(report: Report, samples: int, rng: random.Random):
         if got != plus.transpose():
             display_ok = False
     report.add("C4 general action matrix matches the display on both frames", display_ok)
-
-
-def _parse_alpha_combo(text: str):
-    out = []
-    token = ""
-    for ch in text:
-        if ch in "+-" and token:
-            out.append(token)
-            token = ch
-        else:
-            token += ch
-    if token:
-        out.append(token)
-    return [(1 if t[0] == "+" else -1, int(t[1:])) for t in out if t]
 
 
 # -- criterion 5 -----------------------------------------------------
@@ -419,16 +405,11 @@ def check_forms(report: Report):
             ok = False
     report.add("C6 derivation invariance of both forms under all 14 generators", ok)
 
-    ok = True
-    for (i, j) in ((2, 3), (7, 8), (4, 6)):
-        line = dict(
-            ref.parse_bivector_terms(
-                next(l for l in ref.F_FORMS if l.startswith(f"{i}{j}:")).split(":")[1]
-            )
-        )
-        got = dualize_endomorphism(kappa_real_matrix([i, j], "plus"))
-        if got != ExtForm(2, line):
-            ok = False
+    lines = ref.line_table(ref.F_FORMS)
+    ok = all(
+        dualize_endomorphism(kappa_real_matrix(list(p), "plus")) == ExtForm(2, lines[p])
+        for p in ((2, 3), (7, 8), (4, 6))
+    )
     report.add("C6 dualized 2-forms match the tabulated lines", ok)
 
 
@@ -439,7 +420,7 @@ def check_octonions(report: Report, samples: int):
     from . import reference as ref
 
     table = octonion_table()
-    gold = [ref.parse_signed_index_row(r) for r in ref.OCT_TABLE]
+    gold = [ref.signed_ints(r) for r in ref.OCT_TABLE]
     ok = all(
         (table[i][j].sign, table[i][j].index) == gold[i][j]
         for i in range(8)
@@ -450,7 +431,7 @@ def check_octonions(report: Report, samples: int):
     from .octonions import real_clifford_table
 
     rc = real_clifford_table(8)
-    goldp = [ref.parse_signed_index_row(r) for r in ref.PHI_TABLE]
+    goldp = [ref.signed_ints(r) for r in ref.PHI_TABLE]
     ok = all(
         (rc[i][j].sign, rc[i][j].index) == goldp[i][j] for i in range(8) for j in range(8)
     )
@@ -472,15 +453,16 @@ def check_fields(report: Report, samples: int, rng: random.Random):
         all(max_stage(N) == hurwitz_radon(N) for N in range(1, 4097)),
     )
 
-    emitted = emit_coordinates(32).splitlines()
-    gold = [ref.parse_signed_slot_row(row) for row in ref.V_ROWS]
-    mismatches = {}
-    for j, line in enumerate(emitted, start=1):
-        toks = [t.strip() for t in line.strip("()").split(",")]
-        mine = [(-1 if t.startswith("-") else 1, int(t.lstrip("-v"))) for t in toks]
-        for slot in range(32):
-            if mine[slot] != gold[j - 1][slot]:
-                mismatches[(j, slot + 1)] = mine[slot][0] * mine[slot][1]
+    # over the full 9 x 32 grid, so a missing row or slot is a mismatch
+    # whose emitted value is None
+    emitted = emit_coordinates(32, fmt="json")["fields"]
+    gold = [[s * v for s, v in ref.signed_ints(row)] for row in ref.V_ROWS]
+    mismatches = {
+        (j, slot): mine
+        for j, (row, want) in enumerate(zip_longest(emitted, gold, fillvalue=()), start=1)
+        for slot, (mine, v) in enumerate(zip_longest(row, want), start=1)
+        if mine != v
+    }
     report.add(
         "C8 the nine emitted rows match the tabulated rows outside the two flagged misprints",
         mismatches == ref.V_ROW_TYPOS,

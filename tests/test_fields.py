@@ -282,16 +282,47 @@ def test_c8_witness_names_the_failing_point(monkeypatch):
     assert check.witness == {"N": 8, "point": 1}
 
 
+def c8_rows_check(monkeypatch, trim):
+    """C8's table check, run on the emitted rows as ``trim`` leaves them."""
+    emit = verify.emit_coordinates
+
+    def trimmed(N, fmt="text", split=None):
+        out = emit(N, fmt, split)
+        out["fields"] = trim(out["fields"])
+        return out
+
+    monkeypatch.setattr(verify, "emit_coordinates", trimmed)
+    report = verify.Report()
+    verify.check_fields(report, 0, random.Random(1))
+    return next(c for c in report.checks if c.name.startswith("C8 the nine emitted rows"))
+
+
+def test_c8_counts_missing_rows_as_mismatches(monkeypatch):
+    check = c8_rows_check(monkeypatch, lambda rows: rows[:6])
+    assert not check.passed
+    cells = check.witness["corrected_cells"]
+    assert len(cells) == 2 + 3 * 32
+    assert cells["V7 slot 1"] is None and cells["V9 slot 32"] is None
+
+
+def test_c8_counts_a_missing_slot_as_a_mismatch(monkeypatch):
+    check = c8_rows_check(monkeypatch, lambda rows: rows[:-1] + [rows[-1][:-1]])
+    assert not check.passed
+    assert check.witness == {
+        "corrected_cells": {"V5 slot 6": 1, "V6 slot 8": -16, "V9 slot 32": None}
+    }
+
+
 def test_build_field_system_32_matches_tabulated_rows():
-    emitted = emit_coordinates(32).splitlines()
-    gold = [ref.parse_signed_slot_row(row) for row in ref.V_ROWS]
-    mismatches = {}
-    for j, line in enumerate(emitted, start=1):
-        toks = [t.strip() for t in line.strip("()").split(",")]
-        mine = [(-1 if t.startswith("-") else 1, int(t.lstrip("-v"))) for t in toks]
-        for slot in range(32):
-            if mine[slot] != gold[j - 1][slot]:
-                mismatches[(j, slot + 1)] = mine[slot][0] * mine[slot][1]
+    emitted = emit_coordinates(32, fmt="json")["fields"]
+    gold = [[s * v for s, v in ref.signed_ints(row)] for row in ref.V_ROWS]
+    assert len(emitted) == 9 and all(len(row) == 32 for row in emitted)
+    mismatches = {
+        (j, slot): mine
+        for j, (row, want) in enumerate(zip(emitted, gold), start=1)
+        for slot, (mine, v) in enumerate(zip(row, want), start=1)
+        if mine != v
+    }
     # the two flagged misprints are corrected; everything else is exact
     assert mismatches == ref.V_ROW_TYPOS
 

@@ -18,8 +18,7 @@ from spinbits.triality import g2_action_matrix_on, kappa_real_matrix
 
 
 def f_form(i, j):
-    line = next(l for l in ref.F_FORMS if l.startswith(f"{i}{j}:"))
-    return ExtForm(2, dict(ref.parse_bivector_terms(line.split(":")[1])))
+    return ExtForm(2, ref.line_table(ref.F_FORMS)[(i, j)])
 
 
 def test_wedge_basics():
@@ -51,11 +50,9 @@ def test_dualize_examples():
 
 
 def test_all_tabulated_two_forms():
-    for line in ref.F_FORMS:
-        head, body = line.split(":")
-        i, j = int(head[0]), int(head[1])
-        got = dualize_endomorphism(kappa_real_matrix([i, j], "plus"))
-        assert got == ExtForm(2, dict(ref.parse_bivector_terms(body)))
+    for p, terms in ref.line_table(ref.F_FORMS).items():
+        got = dualize_endomorphism(kappa_real_matrix(list(p), "plus"))
+        assert got == ExtForm(2, terms)
 
 
 def test_four_form_display():

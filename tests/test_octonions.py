@@ -21,7 +21,7 @@ from spinbits.octonions import (
 
 def test_real_clifford_table_matches_tabulated():
     table = real_clifford_table(8)
-    gold = [ref.parse_signed_index_row(r) for r in ref.PHI_TABLE]
+    gold = [ref.signed_ints(r) for r in ref.PHI_TABLE]
     for i in range(8):
         for j in range(8):
             assert (table[i][j].sign, table[i][j].index) == gold[i][j]
@@ -40,7 +40,7 @@ def test_identification_signs():
 
 def test_octonion_table_matches_tabulated():
     table = octonion_table()
-    gold = [ref.parse_signed_index_row(r) for r in ref.OCT_TABLE]
+    gold = [ref.signed_ints(r) for r in ref.OCT_TABLE]
     for i in range(8):
         for j in range(8):
             assert (table[i][j].sign, table[i][j].index) == gold[i][j]

@@ -33,22 +33,23 @@ from spinbits.triality import (
 )
 
 
-def as_scalar_map(fracs):
-    return {p: Scalar.from_fraction(c) for p, c in fracs.items()}
+def halves(terms):
+    """A tabulated image line, whose int entries are twice the image's."""
+    return {q: Fraction(c, 2) for q, c in terms.items()}
 
 
 def test_sigma_star_matches_all_tabulated_lines():
     sig = build_outer("sigma")
-    expected = ref.sigma_star_expected()
+    expected = ref.line_table(ref.SIGMA_LINES)
     for p in PAIR_ORDER:
-        assert sig.image_coeffs(p) == as_scalar_map(expected[p])
+        assert sig.image_coeffs(p) == halves(expected[p])
 
 
 def test_tau_star_matches_all_tabulated_lines():
     tau = build_outer("tau")
-    expected = ref.tau_star_expected()
+    expected = ref.line_table(ref.TAU_LINES)
     for p in PAIR_ORDER:
-        assert tau.image_coeffs(p) == as_scalar_map(expected[p])
+        assert tau.image_coeffs(p) == halves(expected[p])
 
 
 def test_outer_maps_match_printed_arrays():
@@ -62,13 +63,9 @@ def test_outer_maps_match_printed_arrays():
 def test_sigma_star_iterates_example():
     sig = build_outer("sigma")
     first = sig.image_coeffs((1, 2))
-    assert first == as_scalar_map(
-        {(1, 2): Fraction(-1, 2), (3, 4): Fraction(-1, 2), (5, 6): Fraction(-1, 2), (7, 8): Fraction(-1, 2)}
-    )
+    assert first == halves({(1, 2): -1, (3, 4): -1, (5, 6): -1, (7, 8): -1})
     second = sig.apply_coeffs(first)
-    assert second == as_scalar_map(
-        {(1, 2): Fraction(-1, 2), (3, 4): Fraction(1, 2), (5, 6): Fraction(1, 2), (7, 8): Fraction(1, 2)}
-    )
+    assert second == halves({(1, 2): -1, (3, 4): 1, (5, 6): 1, (7, 8): 1})
     third = sig.apply_coeffs(second)
     assert third == {(1, 2): ONE}
 
@@ -81,9 +78,7 @@ def test_orders():
 
 def test_tau_star_line_example():
     tau = build_outer("tau")
-    assert tau.image_coeffs((2, 3)) == as_scalar_map(
-        {(1, 4): Fraction(1, 2), (2, 3): Fraction(1, 2), (5, 8): Fraction(1, 2), (6, 7): Fraction(1, 2)}
-    )
+    assert tau.image_coeffs((2, 3)) == halves({(1, 4): 1, (2, 3): 1, (5, 8): 1, (6, 7): 1})
 
 
 def test_s3_relations_all_pass():
@@ -121,11 +116,7 @@ def test_tabulated_eigenvectors_satisfy_equations():
     for line, conj in ((ref.SIGMA_OMEGA_EIGENVECTORS, False), (ref.SIGMA_OMEGABAR_EIGENVECTORS, True)):
         lam = omega_eigenvalue(conj)
         for text in line:
-            terms = ref.parse_complex_bivector_terms(text)
-            coeffs = {
-                p: Scalar.from_fraction(a) + Scalar.from_fraction(b) * I * SQRT3
-                for p, (a, b) in terms.items()
-            }
+            coeffs = ref.bivector_terms(text)
             assert sig.apply_coeffs(coeffs) == {p: lam * c for p, c in coeffs.items()}
 
 
@@ -169,15 +160,8 @@ def test_g2_action_matrix_display():
         M = g2_action_matrix(alphas)
         for r in range(1, 9):
             for c in range(1, 9):
-                combo = ref.G2_ACTION_DISPLAY.get((r, c), "")
-                want = Fraction(0)
-                token = ""
-                for ch in combo + "+":
-                    if ch in "+-" and token:
-                        want += (1 if token[0] == "+" else -1) * alphas[int(token[1:]) - 1]
-                        token = ch
-                    else:
-                        token += ch
+                combo = ref.signed_ints(ref.G2_ACTION_DISPLAY.get((r, c), ""))
+                want = sum(s * alphas[m - 1] for s, m in combo)
                 assert M.data[r - 1][c - 1] == Scalar.from_fraction(2 * want)
 
 
@@ -241,7 +225,7 @@ def test_kappa_real_matrix_rejects_odd_words():
 
 
 def test_g2_generators_are_parsed_once():
-    fresh = [as_scalar_map(ref.parse_bivector_terms(line)) for line in ref.G2_GENERATORS]
+    fresh = [ref.bivector_terms(line) for line in ref.G2_GENERATORS]
     assert g2_generators() == fresh
     assert _g2_generators() is _g2_generators()
     assert all(a is b for a, b in zip(g2_generators(), g2_generators()))
