@@ -23,11 +23,11 @@ from .fields import (
 )
 from .forms import g2_three_form, omega_square, spin7_four_form
 from .matrices import (
+    MAX_ORACLE_N,
     Matrix,
     kappa_matrix,
     kappa_pm_matrix,
     lambda_matrix,
-    max_oracle_dim,
     real_rep_matrix,
 )
 from .octonions import algebra_checks, octonion_table, quaternion_table
@@ -48,9 +48,10 @@ from .verify import Report, verify_all
 
 # Fixed caps on the flags whose cost grows without bound; a larger value
 # exits 2 before anything is built.  S^16383 (N = 16384) builds in about
-# 2 s; the N x N field matrices and the n x n vector matrix print in about
-# 10 s at 300 MiB for N, n = 1024; a basic spinor index is an int below
-# 2^(n/2).
+# 2 s; a basic spinor index is an int below 2^(n/2).  No dense output has
+# more than MAX_DENSE_N rows: the N x N field matrices and the n x n vector
+# matrix (about 10 s at 300 MiB for N, n = 1024), and the spinor-space
+# matrices of dimension up to 2^(n/2), so n <= 21 there (under 1 s).
 MAX_SPHERE = 16383
 MAX_DENSE_N = 1024
 MAX_SPINOR_N = 1 << 16
@@ -107,8 +108,6 @@ def _g2_coefficients(text: str) -> List[Fraction]:
 def _to_jsonable(x):
     if hasattr(x, "to_json"):
         return x.to_json()
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
     raise TypeError(f"not JSON encodable: {x!r}")
 
 
@@ -154,12 +153,13 @@ def cmd_rep(args) -> int:
     word = parse_word(args.word)
     n = args.n
     space = args.space
-    # every space but the vector one is dense of dimension up to 2^(n/2)
-    if space != "vector" and n > max_oracle_dim():
+    # every space but the vector one has dimension up to 2^(n/2); compare
+    # exponents, as --n may be far too large to shift by
+    if space != "vector" and n // 2 >= MAX_DENSE_N.bit_length():
         raise UsageError(
-            f"--n {n} is above SPINBITS_MAX_N = {max_oracle_dim()} for the dense "
-            f"{space} space (dimension up to 2^{n // 2}); --space vector allows "
-            f"n <= {MAX_DENSE_N}"
+            f"--n {n} is above {2 * MAX_DENSE_N.bit_length() - 1} for the dense "
+            f"{space} space (dimension up to 2^{n // 2}, above {MAX_DENSE_N}); "
+            f"--space vector allows n <= {MAX_DENSE_N}"
         )
     if n > MAX_DENSE_N:
         raise UsageError(f"--n {n} is above {MAX_DENSE_N} for the n x n vector matrix")
@@ -382,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     va = _leaf(sub, "verify-all", cmd_verify_all, "run the full certificate suite", fmt=None)
     va.add_argument("--seed", type=int, default=1)
     va.add_argument("--samples", type=_int_range(0), default=100)
-    va.add_argument("--max-n", type=_int_range(2, max_oracle_dim()),
-                    default=max_oracle_dim())
+    va.add_argument("--max-n", type=_int_range(2, MAX_ORACLE_N), default=12)
     va.add_argument("--format", choices=("text", "json"), default="text")
 
     return top

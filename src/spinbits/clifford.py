@@ -243,12 +243,3 @@ def delta_iso(k: int, psi: Spinor) -> Spinor:
     top = 1 << (k - 1)
     return Spinor(k, {(a | top if parity(a) else a): c for a, c in psi.terms.items()})
 
-
-def bivector_combo_to_elem(n: int, coeffs: Dict[Tuple[int, int], Scalar]) -> CliffordElem:
-    """Sum of c_ij e_i e_j from a coefficient map over ordered pairs i < j."""
-    out = CliffordElem(n)
-    for (i, j), c in coeffs.items():
-        if not 1 <= i < j <= n:
-            raise ValueError(f"bad bivector pair ({i}, {j})")
-        out = out + CliffordElem.blade(n, (i, j), c)
-    return out

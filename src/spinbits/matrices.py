@@ -11,7 +11,6 @@ from that order, and real bases come from spinors.real_form_basis.
 from __future__ import annotations
 
 import operator
-import os
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
@@ -258,10 +257,6 @@ class Matrix:
             "entries": [[x.to_json() for x in row] for row in self.data],
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "Matrix":
-        return Matrix([[Scalar.from_json(x) for x in row] for row in obj["entries"]])
-
     def latex(self) -> str:
         body = " \\\\\n".join(
             " & ".join(x.latex() for x in row) for row in self.data
@@ -484,8 +479,8 @@ class Monomial:
         return Matrix(rows)
 
 
-def max_oracle_dim() -> int:
-    return int(os.environ.get("SPINBITS_MAX_N", "12"))
+# the largest n the tensor oracles build: 2^12-square monomials
+MAX_ORACLE_N = 24
 
 
 def _block(name: str) -> Monomial:
@@ -510,8 +505,8 @@ def tensor_oracle(n: int) -> Tuple[Monomial, ...]:
     is i times T in every slot.  Serves as the independent oracle for
     the bit-flip route.
     """
-    if n > max_oracle_dim():
-        raise ValueError(f"n={n} above oracle limit {max_oracle_dim()}")
+    if n > MAX_ORACLE_N:
+        raise ValueError(f"n={n} above oracle limit {MAX_ORACLE_N}")
     k = n // 2
     out = []
     for p in range(1, n + 1):
@@ -529,8 +524,8 @@ def tensor_oracle(n: int) -> Tuple[Monomial, ...]:
 def gamma_oracle(n: int) -> Monomial:
     """gamma_n from its tensor definition: conjugate the coordinates, then
     apply this tensor product, so on each basic spinor it is this monomial."""
-    if n > max_oracle_dim():
-        raise ValueError(f"n={n} above oracle limit {max_oracle_dim()}")
+    if n > MAX_ORACLE_N:
+        raise ValueError(f"n={n} above oracle limit {MAX_ORACLE_N}")
     return reduce(Monomial.kron, (_block("alpha" if s % 2 else "beta") for s in range(1, n // 2 + 1)))
 
 

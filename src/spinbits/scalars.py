@@ -257,7 +257,6 @@ class Scalar:
     # -- encodings -----------------------------------------------------
 
     _KEYS = {1: "1", 2: "sqrt2", 3: "sqrt3", 6: "sqrt6"}
-    _RKEYS = {v: k for k, v in _KEYS.items()}
 
     def to_json(self) -> dict:
         return {
@@ -267,14 +266,6 @@ class Scalar:
             }
             for rad, re, im in self._pairs()
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "Scalar":
-        comps = {}
-        for key, pair in obj.items():
-            rad = Scalar._RKEYS[key]
-            comps[rad] = (Fraction(pair["re"]), Fraction(pair["im"]))
-        return Scalar(comps)
 
     def latex(self) -> str:
         if not self._n:

@@ -91,12 +91,6 @@ class Spinor(Combination):
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "Spinor":
-        return Spinor(
-            obj["k"], {t["index"]: Scalar.from_json(t["coeff"]) for t in obj["terms"]}
-        )
-
-    @staticmethod
     def _latex_name(a: int) -> str:
         return f"u_{{{a}}}"
 

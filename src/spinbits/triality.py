@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .clifford import CliffordElem, bivector_combo_to_elem, blade_product, volume_element
+from .clifford import CliffordElem, blade_product, volume_element
 from .matrices import Matrix, Monomial, Subspace, e_basis_decompose, int_rows, real_block
 from .scalars import Angle, HALF, I, ONE, SQRT3, Scalar, ZERO, INV_SQRT2, _ratio
 from .spinors import Spinor
@@ -229,10 +229,9 @@ def _bracket_table() -> Dict[Tuple[int, int], Dict]:
 
 
 def apply_bivector_to_spinor(coeffs: BivectorCoeffs, psi: Spinor) -> Spinor:
-    out = Spinor.zero(psi.k)
-    for (i, j), c in coeffs.items():
-        out = out + bivector_combo_to_elem(8, {(i, j): c}).apply(psi)
-    return out
+    """The sum of c_ij e_i e_j over pairs i < j, acting on psi."""
+    terms = {(1 << (i - 1)) | (1 << (j - 1)): c for (i, j), c in coeffs.items()}
+    return CliffordElem(8, terms).apply(psi)
 
 
 def g2_structure() -> Dict[str, object]:

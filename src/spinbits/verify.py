@@ -42,6 +42,7 @@ from .fields import (
 from .forms import ExtForm, derivation_action, dualize_endomorphism, g2_three_form, omega_square, spin7_four_form
 from .matrices import (
     Matrix,
+    Monomial,
     gamma_oracle,
     int_rows,
     kappa_matrix,
@@ -118,13 +119,6 @@ class Report:
             "fail": self.fail_count,
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "Report":
-        rep = Report()
-        for c in obj["checks"]:
-            rep.checks.append(Check(c["name"], c["status"], c.get("witness")))
-        return rep
-
 
 def _rand_scalar(rng: random.Random) -> Scalar:
     """With odds 1/2 per radical, re and im drawn as -5..5 over 1..4, over one lcm."""
@@ -170,17 +164,11 @@ def _diag_matrix(entries: List[Scalar]) -> Matrix:
     return Matrix([[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
 
-def _block_diagonal(block: List[List[Scalar]], copies: int) -> Matrix:
-    b = len(block)
-    n = b * copies
-    return Matrix([
-        [block[i % b][j % b] if i // b == j // b else ZERO for j in range(n)] for i in range(n)
-    ])
-
-
 def check_golden_matrices(report: Report):
-    for p, block in ((1, [[ZERO, I], [I, ZERO]]), (2, [[ZERO, -ONE], [ONE, ZERO]])):
-        ok = kappa_matrix(6, [p]) == _block_diagonal(block, 4)
+    # four copies of the 2x2 blocks [[0, i], [i, 0]] and [[0, -1], [1, 0]]
+    for p, phase in ((1, (1, 1)), (2, (0, 2))):
+        want = Monomial.identity(4).kron(Monomial((1, 0), phase))
+        ok = kappa_matrix(6, [p]) == want.to_matrix()
         report.add(f"C2 kappa_6(e{p}) block pattern", ok)
 
     k6e12 = kappa_matrix(6, [1, 2])

@@ -1,5 +1,8 @@
 """Fixtures shared by the test modules."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from spinbits import reference as ref
@@ -17,3 +20,10 @@ def flipped_sigma_table(monkeypatch):
         return rows
 
     monkeypatch.setattr(ref, "outer_matrix_expected", flipped)
+
+
+@pytest.fixture
+def src_env():
+    """The environment of a subprocess that imports spinbits from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -4,7 +4,6 @@ import importlib
 import importlib.util
 import io
 import json
-import os
 import subprocess
 import sys
 import time
@@ -13,11 +12,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinbits import cli
 from spinbits.cli import MAX_DENSE_N, MAX_SPHERE, MAX_SPINOR_N, build_parser, main, parse_word
-from spinbits.matrices import Matrix
+from spinbits.matrices import MAX_ORACLE_N, kappa_matrix, kappa_pm_matrix, lambda_matrix
 from spinbits.scalars import I, Scalar
 from spinbits.spinors import Spinor
-from spinbits.verify import Report, verify_all
+from spinbits.triality import g2_action_matrix
+from spinbits.verify import verify_all
 
 
 def run(capsys, *argv):
@@ -52,8 +53,7 @@ def test_spinor_mul_json(capsys):
     assert payload["terms"] == [
         {"index": 15, "coeff": {"1": {"re": "0/1", "im": "1/1"}}}
     ]
-    psi = Spinor.from_json(payload)
-    assert psi == Spinor.basis(4, 15, I)
+    assert payload == Spinor.basis(4, 15, I).to_json()
 
 
 def test_spinor_mul_range_error(capsys):
@@ -67,14 +67,15 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_rep_matrix_json_round_trip(capsys):
+def test_rep_matrix_json(capsys):
     code, out = run(
         capsys, "rep", "matrix", "--n", "6", "--word", "e1e2", "--space", "full",
         "--format", "json",
     )
     assert code == 0
-    M = Matrix.from_json(json.loads(out))
-    assert M.rows == M.cols == 8
+    payload = json.loads(out)
+    assert payload == kappa_matrix(6, [1, 2]).to_json()
+    assert payload["rows"] == payload["cols"] == 8
 
 
 def test_rep_matrix_vector_space(capsys):
@@ -83,33 +84,47 @@ def test_rep_matrix_vector_space(capsys):
         "--format", "json",
     )
     assert code == 0
-    M = Matrix.from_json(json.loads(out))
-    assert M.rows == 6
+    payload = json.loads(out)
+    assert payload == lambda_matrix(6, [1, 2]).to_json()
+    assert payload["rows"] == 6
 
 
 def test_rep_matrix_chirality_spaces(capsys):
-    for space, size in (("plus", 8), ("minus", 8)):
+    for space, sign in (("plus", 1), ("minus", -1)):
         code, out = run(
             capsys, "rep", "matrix", "--n", "8", "--word", "e1e2",
             "--space", space, "--format", "json",
         )
         assert code == 0
-        M = Matrix.from_json(json.loads(out))
-        assert M.rows == M.cols == size
+        payload = json.loads(out)
+        assert payload == kappa_pm_matrix(8, [1, 2], sign).to_json()
+        assert payload["rows"] == payload["cols"] == 8
 
 
-def test_rep_matrix_dense_spaces_are_capped(capsys, monkeypatch):
+def test_rep_matrix_dense_spaces_are_capped(capsys):
     # checked before any matrix is built: 2^20 x 2^20 would never finish
-    monkeypatch.delenv("SPINBITS_MAX_N", raising=False)
     for space in ("full", "plus", "minus", "real-plus", "real-minus"):
         code = main(["rep", "matrix", "--n", "40", "--word", "e1e2", "--space", space])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "SPINBITS_MAX_N = 12" in captured.err and "Traceback" not in captured.err
+        assert captured.err == (
+            f"error: --n 40 is above 21 for the dense {space} space (dimension up to 2^20, "
+            f"above {MAX_DENSE_N}); --space vector allows n <= {MAX_DENSE_N}\n"
+        )
     code, out = run(capsys, "rep", "matrix", "--n", "40", "--word", "e1e2",
                     "--space", "vector", "--format", "json")
     assert code == 0
-    assert Matrix.from_json(json.loads(out)).rows == 40
+    assert json.loads(out) == lambda_matrix(40, [1, 2]).to_json()
+
+
+def test_rep_matrix_dense_cap_is_dimension_1024(capsys):
+    code, out = run(capsys, "rep", "matrix", "--n", "21", "--word", "e1e2", "--space", "full")
+    assert code == 0 and len(out.splitlines()) == MAX_DENSE_N == 1024
+    for n in ("22", str(10**40)):
+        start = time.perf_counter()
+        assert main(["rep", "matrix", "--n", n, "--word", "e1e2", "--space", "full"]) == 2
+        assert time.perf_counter() - start < 1.0, n
+        assert capsys.readouterr().out == ""
 
 
 def test_rep_matrix_bad_space_word(capsys):
@@ -153,8 +168,9 @@ def test_triality_g2_matrix(capsys):
     alphas = ",".join(["1"] + ["0"] * 13)
     code, out = run(capsys, "triality", "g2", "--matrix", alphas, "--format", "json")
     assert code == 0
-    M = Matrix.from_json(json.loads(out))
-    assert M.data[1][2] == Scalar.rational(2)
+    payload = json.loads(out)
+    assert payload == g2_action_matrix([1] + [0] * 13).to_json()
+    assert payload["entries"][1][2] == Scalar.rational(2).to_json()
 
 
 def test_octonion_table_json(capsys):
@@ -213,16 +229,20 @@ def test_verify_all_sampleless_golden_only(capsys):
         capsys, "verify-all", "--samples", "0", "--max-n", "6", "--format", "json"
     )
     assert code == 0
-    rep = Report.from_json(json.loads(out))
-    assert rep.fail_count == 0
-    assert rep.pass_count == len(rep.checks)
+    payload = json.loads(out)
+    assert payload == verify_all(seed=1, samples=0, max_n=6).to_json()
+    assert payload["fail"] == 0
+    assert payload["pass"] == len(payload["checks"])
 
 
-def test_report_round_trip():
+def test_report_json_payload():
     rep = verify_all(seed=1, samples=0, max_n=4)
-    clone = Report.from_json(rep.to_json())
-    assert clone.to_json() == rep.to_json()
-    assert clone.exit_code() == rep.exit_code()
+    payload = rep.to_json()
+    assert json.loads(json.dumps(payload)) == payload
+    assert payload["checks"] == [
+        {"name": c.name, "status": c.status, "witness": c.witness} for c in rep.checks
+    ]
+    assert (payload["pass"], payload["fail"], rep.exit_code()) == (len(rep.checks), 0, 0)
 
 
 def test_fault_injection_hits_exactly_one_check(flipped_sigma_table):
@@ -240,12 +260,47 @@ def test_readme_command_matches_golden(capsys, command):
     assert out.encode() == workloads.golden(argv)
 
 
-def test_verify_all_matches_golden(capsys, monkeypatch):
+def test_verify_all_matches_golden(capsys):
     # all 81 check names, in order, with their statuses and the tally
-    monkeypatch.delenv("SPINBITS_MAX_N", raising=False)
     code, out = run(capsys, "verify-all")
     assert code == 0
     assert out.encode() == workloads.golden(["verify-all"])
+
+
+@pytest.mark.parametrize("value", ["1", "abc", "40"])
+def test_output_does_not_depend_on_the_environment(src_env, value):
+    # values that once set the oracle and dense caps: below, malformed and above them
+    def spinbits(env, *argv):
+        proc = subprocess.run([sys.executable, "-m", "spinbits.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    unset = {k: v for k, v in src_env.items() if k != "SPINBITS_MAX_N"}
+    env = dict(unset, SPINBITS_MAX_N=value)
+    assert spinbits(env, "verify-all") == (0, workloads.golden(["verify-all"]), b"")
+    argv = ("rep", "matrix", "--n", "40", "--word", "e1e2", "--space", "full")
+    code, out, err = spinbits(env, *argv)
+    assert (code, out, err) == spinbits(unset, *argv)
+    assert code == 2 and err.startswith(b"error: --n 40 is above 21") and b"Traceback" not in err
+
+
+def test_verify_all_runs_the_oracles_up_to_their_cap(src_env):
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinbits.cli", "verify-all", "--max-n", str(MAX_ORACLE_N)],
+        capture_output=True, text=True, env=src_env, timeout=60,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert "[PASS] C1 bit-flip kernel equals tensor oracle for n <= 24" in lines
+    assert "[PASS] C10 binary structure maps equal the tensor definitions for n <= 24" in lines
+
+
+def test_verify_all_above_the_oracle_cap_builds_nothing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_all", lambda **kwargs: pytest.fail("verify_all ran"))
+    assert exit_code(["verify-all", "--max-n", str(MAX_ORACLE_N + 1)]) == 2
+    assert "argument --max-n: 25 is not between 2 and 24" in capsys.readouterr().err
 
 
 def test_tracer_targets_resolve():
@@ -265,7 +320,7 @@ def test_tracer_targets_resolve():
     "triality g2 --matrix 1,x,0,0,0,0,0,0,0,0,0,0,0,0",
     "triality g2 --matrix",
     "spinor mul --n -2 --p 1 --index 0",
-    "verify-all --max-n 14",
+    "verify-all --max-n 25",
     "octonion check --samples -3",
     "rep matrix --n 40 --word e1e2",
     "fields --sphere 65535",
@@ -282,8 +337,7 @@ def test_tracer_targets_resolve():
     "triality sigma --generators",
     "rep matrix --n 1 --word e1e1 --space real-plus",
 ])
-def test_bad_input_is_a_usage_error(capsys, monkeypatch, command):
-    monkeypatch.delenv("SPINBITS_MAX_N", raising=False)
+def test_bad_input_is_a_usage_error(capsys, command):
     assert exit_code(command.split()) == 2
     assert "Traceback" not in capsys.readouterr().err
 
@@ -365,14 +419,11 @@ def test_help_exits_0_for_every_command_and_leaf(capsys, path):
     assert captured.err == ""
 
 
-def test_a_closed_pipe_ends_quietly():
+def test_a_closed_pipe_ends_quietly(src_env):
     # 328 kB of output fill the pipe, so the writer meets the closed end
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.Popen(
         [sys.executable, "-m", "spinbits.cli", "fields", "--sphere", "2047", "--emit", "coords"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env,
     )
     assert proc.stdout.readline().startswith(b"(")
     proc.stdout.close()
@@ -417,7 +468,7 @@ FUZZ = {
     "spinor --p": ("spinor mul --n 8 --p={} --index 11", bad_int(1, 8)),
     "spinor --index": ("spinor mul --n 8 --p 5 --index={}", bad_int(0, 15)),
     "spinor --format": ("spinor mul --n 8 --p 5 --index 11 --format={}", bad_word),
-    "rep --n": ("rep matrix --n={} --word e1e2 --space full", bad_int(1, 12)),
+    "rep --n": ("rep matrix --n={} --word e1e2 --space full", bad_int(1, 21)),
     "rep --n vector": ("rep matrix --n={} --word e1e2 --space vector", bad_int(1, MAX_DENSE_N)),
     "rep --word": ("rep matrix --n 6 --word={} --space full", st.one_of(
         non_numeric, st.sampled_from(["e0", "e", "1e", "e1x"]),
@@ -452,7 +503,7 @@ FUZZ = {
     "fields --format": ("fields --sphere 15 --format={}", bad_word),
     "verify-all --seed": ("verify-all --samples 0 --max-n 4 --seed={}", seed),
     "verify-all --samples": ("verify-all --max-n 4 --samples={}", bad_int(0)),
-    "verify-all --max-n": ("verify-all --samples 0 --max-n={}", bad_int(2, 12)),
+    "verify-all --max-n": ("verify-all --samples 0 --max-n={}", bad_int(2, MAX_ORACLE_N)),
     "verify-all --format": ("verify-all --samples 0 --max-n 4 --format={}", bad_word),
 }
 
@@ -473,9 +524,7 @@ def test_fuzzed_bad_flag_is_a_usage_error(case):
         assert "Traceback" not in err.getvalue()
         assert time.perf_counter() - start < 5.0, argv
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("SPINBITS_MAX_N", raising=False)
-        check()
+    check()
 
 
 @pytest.mark.parametrize("command", [

@@ -80,8 +80,7 @@ def expected(command):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_command_output_matches_recording(monkeypatch, command):
-    monkeypatch.delenv("SPINBITS_MAX_N", raising=False)
+def test_command_output_matches_recording(command):
     assert run(command) == expected(command)
 
 

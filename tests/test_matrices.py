@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from spinbits.clifford import exp_bivector
 from spinbits.fields import build_field_system
 from spinbits.matrices import (
+    MAX_ORACLE_N,
     Matrix,
     Monomial,
     Subspace,
@@ -215,13 +216,10 @@ def test_tensor_oracle_structure():
     assert o6[1].to_matrix() == kappa_matrix(6, [2])
 
 
-def test_tensor_oracle_limit(monkeypatch):
-    monkeypatch.setenv("SPINBITS_MAX_N", "6")
-    tensor_oracle.cache_clear()
-    with pytest.raises(ValueError):
-        tensor_oracle(8)
-    monkeypatch.delenv("SPINBITS_MAX_N")
-    tensor_oracle.cache_clear()
+def test_tensor_oracle_limit():
+    for oracle in (tensor_oracle, gamma_oracle):
+        with pytest.raises(ValueError, match=f"above oracle limit {MAX_ORACLE_N}"):
+            oracle(MAX_ORACLE_N + 1)
 
 
 def test_monomial_oracles_equal_the_dense_kronecker_oracles():
@@ -305,9 +303,12 @@ def test_real_block_rejects_odd_words():
         real_block(8, (1,), "plus")
 
 
-def test_matrix_json_round_trip():
+def test_matrix_json_payload():
     M = kappa_matrix(4, [1, 3])
-    assert Matrix.from_json(M.to_json()) == M
+    assert M.to_json() == {"rows": 4, "cols": 4,
+                           "entries": [[x.to_json() for x in row] for row in M.data]}
+    assert Matrix([[ONE, ZERO], [ZERO, -I]]).to_json()["entries"] == [
+        [{"1": {"re": "1/1", "im": "0/1"}}, {}], [{}, {"1": {"re": "0/1", "im": "-1/1"}}]]
 
 
 # -- Subspace against the rank route it replaced -----------------------

@@ -130,13 +130,18 @@ def test_nonzero_scalars_invert(a):
         assert a * a.inverse() == ONE
 
 
-def test_json_round_trip():
+def test_json_payload():
+    # one entry per nonzero radical part, each as re and im "p/q" strings
+    x = Scalar.rational(3, 4) + I * SQRT2 * Scalar.rational(-1, 2)
+    assert x.to_json() == {"1": {"re": "3/4", "im": "0/1"}, "sqrt2": {"re": "0/1", "im": "-1/2"}}
+    assert ZERO.to_json() == {}
+    keys = {"1": 1, "sqrt2": 2, "sqrt3": 3, "sqrt6": 6}
     rng = random.Random(3)
     for _ in range(50):
         a = rand_scalar(rng)
-        assert Scalar.from_json(a.to_json()) == a
-    assert ZERO.to_json() == {}
-    assert Scalar.from_json({}) == ZERO
+        parts = {rad: a.component(rad) for rad in keys.values()}
+        assert {keys[key]: (Fraction(pair["re"]), Fraction(pair["im"]))
+                for key, pair in a.to_json().items()} == {rad: p for rad, p in parts.items() if any(p)}
 
 
 def test_real_part():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinbits import reference as ref
 from spinbits import triality, verify
-from spinbits.clifford import CliffordElem, bivector_combo_to_elem, volume_element
+from spinbits.clifford import CliffordElem, volume_element
 from spinbits.matrices import Matrix
 from spinbits.scalars import Angle, I, ONE, SQRT3, Scalar, INV_SQRT2, ZERO
 from spinbits.spinors import Spinor
@@ -233,7 +233,7 @@ def test_g2_generators_are_parsed_once():
 
 def clifford_bracket(a, b):
     """Oracle for bivector_bracket: the commutator of the two combinations in Cl_8."""
-    ea, eb = bivector_combo_to_elem(8, a), bivector_combo_to_elem(8, b)
+    ea, eb = (sum((CliffordElem.blade(8, p, c) for p, c in x.items()), CliffordElem(8)) for x in (a, b))
     out = {}
     for mask, c in (ea * eb - eb * ea).terms.items():
         i, j = [t + 1 for t in range(8) if (mask >> t) & 1]
