@@ -76,11 +76,7 @@ def hurwitz_radon(N: int) -> int:
     """Closed form 8a + 2^b for N = 2^(4a+b) * odd, 0 <= b <= 3."""
     if N < 1:
         raise ValueError("need N >= 1")
-    twos = 0
-    while N % 2 == 0:
-        N //= 2
-        twos += 1
-    a, b = divmod(twos, 4)
+    a, b = divmod((N & -N).bit_length() - 1, 4)
     return 8 * a + (1 << b)
 
 
@@ -89,17 +85,6 @@ def _aliased_stage(r: int) -> int:
     while r % 8 not in (0, 1, 2, 4):
         r -= 1
     return r
-
-
-def _block_diagonal(blocks: Sequence[Monomial]) -> Monomial:
-    """The monomial map with these blocks down the diagonal."""
-    perm: List[int] = []
-    phase: List[int] = []
-    for block in blocks:
-        base = len(perm)
-        perm += [base + b for b in block.perm]
-        phase += block.phase
-    return Monomial(perm, phase)
 
 
 class FieldSystem(NamedTuple):
@@ -119,7 +104,9 @@ def build_field_system(N: int, split: Optional[Tuple[int, int]] = None) -> Field
 
     The stage is r = max_stage(N); the module is m copies of the real
     irreducible frame (m1 plus- and m2 minus-copies when there are two
-    inequivalent ones, all-plus by default).
+    inequivalent ones, all-plus by default).  The block of e_1 e_p on a
+    minus copy is minus its block on a plus copy (``real_block``), so each
+    J is diag(1 m1 times, -1 m2 times) Kronecker that plus block.
     """
     if N < 2:
         raise ValueError("need N >= 2")
@@ -134,20 +121,16 @@ def build_field_system(N: int, split: Optional[Tuple[int, int]] = None) -> Field
             m1, m2 = N // d, 0
         else:
             m1, m2 = split
-        if d * (m1 + m2) != N:
+        if min(m1, m2) < 0 or d * (m1 + m2) != N:
             raise ValueError(f"split {split} does not fill dimension {N}")
     else:
         if split is not None:
             raise ValueError("split only applies when two inequivalent modules exist")
         m1, m2 = N // d, 0
 
-    which1 = "plus" if info.count == 2 else "full"
-    Js = []
-    for p in range(2, rr + 1):
-        blocks = [real_block(rr, (1, p), which1)] * m1
-        if m2:
-            blocks += [real_block(rr, (1, p), "minus")] * m2
-        Js.append(_block_diagonal(blocks))
+    signs = Monomial(range(m1 + m2), [0] * m1 + [2] * m2)
+    which = "plus" if info.count == 2 else "full"
+    Js = [signs.kron(real_block(rr, (1, p), which)) for p in range(2, rr + 1)]
     return FieldSystem(N=N, r=rr, multiplicities=(m1, m2), J=Js)
 
 
@@ -168,6 +151,18 @@ def e1ep_phase(r: int, p: int, a: int) -> Tuple[int, int]:
     return (1 - p + 2 * exp2) % 4, a ^ (1 << (j - 1)) ^ 1
 
 
+@lru_cache(maxsize=None)
+def _e1ep_table(r: int, p: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(a, e, b) for e_1 e_p u_a = i^e u_b over the stage-r frame indices a."""
+    return tuple((a, *e1ep_phase(r, p, a)) for a in frame_index_set(r))
+
+
+@lru_cache(maxsize=None)
+def _gamma_table(r: int) -> Tuple[Tuple[int, int], ...]:
+    """real_structure_phase(r, b) for every b < 2^(r // 2)."""
+    return tuple(real_structure_phase(r, b) for b in range(1 << (r // 2)))
+
+
 GaussCoords = Dict[int, Tuple[int, int]]
 
 
@@ -178,14 +173,14 @@ def _symmetrized(r: int, terms) -> GaussCoords:
     times the frame's 1/sqrt2 symmetrization, so the coordinates stay
     Gaussian integers; zero coordinates are dropped.
     """
-    fold = r % 8 in (0, 1)
+    gamma = _gamma_table(r) if r % 8 in (0, 1) else None
     out: Dict[int, List[int]] = {}
     for b, re, im in terms:
         acc = out.setdefault(b, [0, 0])
         acc[0] += re
         acc[1] += im
-        if fold:  # gamma u_b = i^g u_c and gamma is conjugate-linear
-            g, c = real_structure_phase(r, b)
+        if gamma:  # gamma u_b = i^g u_c and gamma is conjugate-linear
+            g, c = gamma[b]
             acc = out.setdefault(c, [0, 0])
             re2, im2 = _times_i_power(re, -im, g)
             acc[0] += re2
@@ -209,10 +204,7 @@ def field_formula_coords(r: int, p: int, x: Dict[int, int], y: Dict[int, int]) -
     (X_a + i Y_a) i^e u_b by the bit rule, gamma-symmetrized at stages
     0, 1 mod 8.
     """
-    terms = []
-    for a in frame_index_set(r):
-        e, b = e1ep_phase(r, p, a)
-        terms.append((b, *_times_i_power(x.get(a, 0), y.get(a, 0), e)))
+    terms = [(b, *_times_i_power(x.get(a, 0), y.get(a, 0), e)) for a, e, b in _e1ep_table(r, p)]
     return _symmetrized(r, terms)
 
 
@@ -230,27 +222,15 @@ def emit_coordinates(N: int, fmt: str = "text",
     indices; latex wraps the text tuples.
     """
     system = build_field_system(N, split=split)
-    rows = []
-    for J in system.J:
-        T = J.transpose()  # row b of J holds its entry in column T.perm[b]
-        rows.append([(1 - e, c + 1) for c, e in zip(T.perm, T.phase)])
+    # entry b of J (1, ..., N) is the signed 1-based column of row b's entry
+    rows = [J.apply(range(1, N + 1)) for J in system.J]
     if fmt == "json":
-        return {
-            "sphere": N - 1,
-            "stage": system.r,
-            "fields": [[s * v for (s, v) in row] for row in rows],
-        }
-    lines = []
-    for row in rows:
-        body = ", ".join(f"-v{v}" if s < 0 else f"v{v}" for (s, v) in row)
-        lines.append(f"({body})")
+        return {"sphere": N - 1, "stage": system.r, "fields": rows}
+    name = "v_{{{}}}" if fmt == "latex" else "v{}"
+    tuples = ["(" + ", ".join("-" * (v < 0) + name.format(abs(v)) for v in row) + ")" for row in rows]
     if fmt == "latex":
-        out = []
-        for m, row in enumerate(rows, start=1):
-            body = ", ".join(f"-v_{{{v}}}" if s < 0 else f"v_{{{v}}}" for (s, v) in row)
-            out.append(f"V_{{{m}}} = ({body})")
-        return "\n".join(out)
-    return "\n".join(lines)
+        return "\n".join(f"V_{{{m}}} = {t}" for m, t in enumerate(tuples, start=1))
+    return "\n".join(tuples)
 
 
 def structure_failure(system: FieldSystem) -> Optional[dict]:
@@ -258,7 +238,8 @@ def structure_failure(system: FieldSystem) -> Optional[dict]:
 
     Checks each J for antisymmetry and J^2 = -1, then every pair for
     anticommutation; a failure names N, the 1-based J (or pair) and the
-    equation.
+    equation.  With every J antisymmetric, (J_a J_b)^T = J_b J_a, so
+    J_a J_b = -J_b J_a exactly when J_a J_b is antisymmetric.
     """
     minus_one = -Monomial.identity(system.N)
     for j, J in enumerate(system.J, start=1):
@@ -268,7 +249,8 @@ def structure_failure(system: FieldSystem) -> Optional[dict]:
             return {"N": system.N, "J": j, "equation": "J^2 = -1"}
     for a in range(len(system.J)):
         for b in range(a + 1, len(system.J)):
-            if system.J[a].compose(system.J[b]) != -system.J[b].compose(system.J[a]):
+            P = system.J[a].compose(system.J[b])
+            if P.transpose() != -P:
                 return {"N": system.N, "J": [a + 1, b + 1], "equation": "J_a J_b = -J_b J_a"}
     return None
 
@@ -297,9 +279,26 @@ def gram_is_scaled_identity(system: FieldSystem, Z: Sequence[Fraction]) -> bool:
     return True
 
 
+def random_ints(rng: random.Random, count: int, span: int) -> List[int]:
+    """``count`` draws of ``rng.randint(-span, span)``, with the same values and rng
+    state after: randint's rejection loop on getrandbits, without its argument checks."""
+    if span < 0:
+        raise ValueError("need span >= 0")
+    n = 2 * span + 1
+    k, bits, out = n.bit_length(), rng.getrandbits, []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(r - span)
+    return out
+
+
 def random_point(N: int, rng: random.Random, span: int = 9) -> List[int]:
     """A nonzero point of Z^N with coordinates in [-span, span]."""
+    if N < 1 or span < 1:
+        raise ValueError("a nonzero point needs N >= 1 and span >= 1")
     while True:
-        z = [rng.randint(-span, span) for _ in range(N)]
+        z = random_ints(rng, N, span)
         if any(z):
             return z

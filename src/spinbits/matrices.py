@@ -368,14 +368,23 @@ class Subspace:
     def __contains__(self, vec: Sequence[Scalar]) -> bool:
         """Clear each pivot coordinate of ``vec``; a member leaves nothing."""
         vec = list(vec)
-        a, v = self.basis._int_form(), int_rows([vec])
-        if a and v:  # the rows are R / d, so clear d x with x[p] R for x = vec
-            (rows, d), ([x], _) = a, v
-            vec = [d * t for t in x]
-            pairs = [(x[p], row) for row, p in zip(rows, self.pivots)]
-        else:
-            pairs = [(vec[p], row) for row, p in zip(self.rows, self.pivots)]
-        for c, row in pairs:
+        v = int_rows([vec])
+        if v and self.basis._int_form():
+            return self.contains_ints(v[0][0])
+        return self._clears(vec, self.rows, vec)
+
+    def contains_ints(self, x: Sequence[int]) -> bool:
+        """Membership of the int vector x, and of every nonzero multiple of it: on a
+        rational span, whose rows are R / d, clear d x with x[p] R."""
+        a = self.basis._int_form()
+        if not a:
+            return [_coerce(t) for t in x] in self
+        return self._clears([a[1] * t for t in x], a[0], x)
+
+    def _clears(self, vec: list, rows, x) -> bool:
+        """Whether vec minus x[p] times each row, p its pivot, is zero."""
+        for row, p in zip(rows, self.pivots):
+            c = x[p]
             if c:
                 vec = [t - c * y if y else t for t, y in zip(vec, row)]
         return not any(vec)
@@ -411,51 +420,60 @@ class Monomial:
     real frame block of an even word (a signed permutation: even phases).
     As a matrix, column a holds i**phase[a] in row perm[a].  The index map
     is a permutation, the phases are ints mod 4, and neither changes after
-    construction.
+    construction.  Only the constructor checks its input: the operations
+    build valid results from valid operands.
     """
 
-    __slots__ = ("perm", "phase")
+    __slots__ = ("perm", "phase", "_gather")
 
     def __init__(self, perm: Iterable[int], phase: Iterable[int]):
-        self.perm = tuple(perm)
-        self.phase = tuple(e % 4 for e in phase)
+        self.perm, self.phase, self._gather = tuple(perm), tuple(e % 4 for e in phase), None
         if len(self.phase) != len(self.perm) or set(self.perm) != set(range(len(self.perm))):
             raise ValueError("not a monomial map")
 
     @staticmethod
+    def _of(perm: Sequence[int], phase: Sequence[int]) -> "Monomial":
+        """The monomial of a permutation and phases in 0..3, unchecked."""
+        m = object.__new__(Monomial)
+        m.perm, m.phase, m._gather = tuple(perm), tuple(phase), None
+        return m
+
+    @staticmethod
     def identity(n: int) -> "Monomial":
-        return Monomial(range(n), [0] * n)
+        return Monomial._of(range(n), [0] * n)
 
     def compose(self, other: "Monomial") -> "Monomial":
         """This map after ``other``: the matrix product self * other."""
         perm, phase = self.perm, self.phase
-        return Monomial([perm[b] for b in other.perm],
-                        [e + phase[b] for b, e in zip(other.perm, other.phase)])
+        return Monomial._of([perm[b] for b in other.perm],
+                            [(e + phase[b]) & 3 for b, e in zip(other.perm, other.phase)])
 
     def kron(self, other: "Monomial") -> "Monomial":
         """The Kronecker product, self's slot most significant: the slot
         indices concatenate and the phases add."""
         m = len(other.perm)
-        return Monomial([b * m + c for b in self.perm for c in other.perm],
-                        [e + f for e in self.phase for f in other.phase])
+        return Monomial._of([b * m + c for b in self.perm for c in other.perm],
+                            [(e + f) & 3 for e in self.phase for f in other.phase])
 
     def __neg__(self) -> "Monomial":
-        return Monomial(self.perm, [e + 2 for e in self.phase])
+        return Monomial._of(self.perm, [e ^ 2 for e in self.phase])
 
     def transpose(self) -> "Monomial":
         perm, phase = [0] * len(self.perm), [0] * len(self.perm)
         for a, (b, e) in enumerate(zip(self.perm, self.phase)):
             perm[b], phase[b] = a, e
-        return Monomial(perm, phase)
+        return Monomial._of(perm, phase)
 
     def apply(self, z: Sequence) -> List:
-        """The image of the coordinate column z; ints stay ints under even phases."""
+        """The image of the coordinate column z: entry perm[a] is z[a] i^phase[a],
+        gathered as found once; an even phase is the int 1 - phase[a], so ints stay ints."""
         if len(z) != len(self.perm):
             raise ValueError("length mismatch")
-        out = [0] * len(z)
-        for x, b, e in zip(z, self.perm, self.phase):
-            out[b] = x if not e else -x if e == 2 else Scalar.i_power(e) * x
-        return out
+        if self._gather is None:
+            T = self.transpose()
+            self._gather = T.perm, [Scalar.i_power(e) if e & 1 else 1 - e for e in T.phase]
+        source, factor = self._gather
+        return list(map(operator.mul, map(z.__getitem__, source), factor))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.perm == other.perm and self.phase == other.phase

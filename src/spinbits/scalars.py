@@ -56,6 +56,10 @@ _FLIP = {3: (1, 1, 1, 1, -1, -1, -1, -1), 2: (1, 1, -1, -1, 1, 1, -1, -1)}
 
 _ZERO = Fraction(0)
 
+# the numerators of the units 1, i, -1, -i (denominator 1): times one of them,
+# slot k takes slot k ^ swap times signs[k % 2]
+_UNITS = {(1,): (0, (1, 1)), (0, 1): (1, (-1, 1)), (-1,): (0, (-1, -1)), (0, -1): (1, (1, -1))}
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -170,6 +174,11 @@ class Scalar:
             return ZERO
         if len(an) == 1 == len(bn):
             return _ratio(an[0] * bn[0], self._d * other._d)
+        if other._d == 1 and bn in _UNITS:  # a unit turns each (re, im) pair; the gcd stays
+            swap, signs = _UNITS[bn]
+            n = an + (0,) * (len(an) & 1)
+            n = [signs[k & 1] * n[k ^ swap] for k in range(len(n))]
+            return _new(tuple(n if n[-1] else n[:-1]), self._d)
         n = [0] * 8
         for a, x in enumerate(an):
             if x:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import CliffordElem, blade_product, volume_element
@@ -26,9 +27,9 @@ _PAIR_POS = {p: n for n, p in enumerate(PAIR_ORDER)}
 BivectorCoeffs = Dict[Tuple[int, int], Scalar]
 
 
-def to_vector(coeffs: BivectorCoeffs) -> List[Scalar]:
+def to_vector(coeffs: BivectorCoeffs, zero=ZERO) -> List[Scalar]:
     """Coordinates of a bivector combination over PAIR_ORDER."""
-    vec = [ZERO] * 28
+    vec = [zero] * 28
     for p, c in coeffs.items():
         vec[_PAIR_POS[p]] = c
     return vec
@@ -172,7 +173,10 @@ def s3_relations() -> List[Tuple[str, bool]]:
 
 
 def span_contains(span: Subspace, vec: BivectorCoeffs) -> bool:
-    """Exact membership of a bivector combination in a span."""
+    """Exact membership of a bivector combination in a span, on ints when its
+    coefficients are ints."""
+    if all(type(c) is int for c in vec.values()):
+        return span.contains_ints(to_vector(vec, 0))
     return to_vector(vec) in span
 
 
@@ -197,19 +201,24 @@ def _g2_generators() -> Tuple[BivectorCoeffs, ...]:
 def bivector_bracket(a: BivectorCoeffs, b: BivectorCoeffs) -> BivectorCoeffs:
     """Clifford commutator of two rational bivector combinations, again a bivector.
 
-    The bracket is bilinear, so it is summed on int numerators over one
-    denominator from the structure constants of the basis pairs.
+    The bracket is bilinear, so it is summed on ints from the structure
+    constants of the basis pairs.  Int coefficients give int coefficients,
+    a zero among them; Scalar ones are summed on their numerators over one
+    denominator d, and the sums divided by d^2.
     """
-    ([na, nb], d), table = _int_coeffs([list(a.values()), list(b.values())]), _bracket_table()
-    acc: Dict[Tuple[int, int], int] = {}
-    for p, x in zip(a, na):
+    ints = all(type(c) is int for c in chain(a.values(), b.values()))
+    if not ints:
+        [na, nb], d = _int_coeffs([list(a.values()), list(b.values())])
+        a, b = dict(zip(a, na)), dict(zip(b, nb))
+    table, acc = _bracket_table(), {}
+    for p, x in a.items():
         row = table[p]
-        for q, y in zip(b, nb):
+        for q, y in b.items():
             rc = row[q]
             if rc:
                 r, c = rc
                 acc[r] = acc.get(r, 0) + c * x * y
-    return {r: _ratio(s, d * d) for r, s in acc.items() if s}
+    return acc if ints else {r: _ratio(s, d * d) for r, s in acc.items() if s}
 
 
 @lru_cache(maxsize=None)
@@ -273,9 +282,11 @@ def g2_structure() -> Dict[str, object]:
     image = Subspace(fix_ts.basis * sig.power(2).matrix.transpose(), 28)
     checks.append(("sigma*^2 maps Fix(tau* sigma*) onto Fix(tau*)", image == fix_tau))
 
-    closure = all(
-        span_contains(g2, bivector_bracket(a, b)) for a in gens for b in gens
-    )
+    def ints(combos):  # times a common denominator: the bracket is bilinear, so membership stays
+        return [to_coeffs(row) for row in _int_coeffs([to_vector(c) for c in combos])[0]]
+
+    g2_ints, fix_tau_ints = ints(gens), ints(fix_tau_basis)
+    closure = all(span_contains(g2, bivector_bracket(a, b)) for a in g2_ints for b in g2_ints)
     checks.append(("bracket closure of g2", closure))
 
     # bracket structure of the pair (spin7, g2): reductive complement in
@@ -283,17 +294,18 @@ def g2_structure() -> Dict[str, object]:
     # involution (spin8 = Fix(tau*) + m with [m, m] inside Fix(tau*))
     for label, copy in (("e2..e8 copy", spin7_low), ("Fix(tau*) copy", fix_tau)):
         m = g2.complement_in(copy)
-        m_basis = [to_coeffs(v) for v in m.rows]
-        gm = all(span_contains(m, bivector_bracket(g, x)) for g in gens for x in m_basis)
-        mm = all(span_contains(copy, bivector_bracket(x, y)) for x in m_basis for y in m_basis)
+        m_ints = ints(map(to_coeffs, m.rows))
+        gm = all(span_contains(m, bivector_bracket(g, x)) for g in g2_ints for x in m_ints)
+        mm = all(span_contains(copy, bivector_bracket(x, y)) for x in m_ints for y in m_ints)
         checks.append(
             (f"reductive pair (spin7, g2) in the {label}: [g2,m] in m, [m,m] in spin7",
              m.dim == 7 and gm and mm)
         )
     _, m_tau_basis = eigenspace(tau, -ONE)
     m_tau = bivector_span(m_tau_basis)
-    sym_mm = all(span_contains(fix_tau, bivector_bracket(x, y)) for x in m_tau_basis for y in m_tau_basis)
-    sym_gm = all(span_contains(m_tau, bivector_bracket(g, x)) for g in fix_tau_basis for x in m_tau_basis)
+    m_tau_ints = ints(m_tau_basis)
+    sym_mm = all(span_contains(fix_tau, bivector_bracket(x, y)) for x in m_tau_ints for y in m_tau_ints)
+    sym_gm = all(span_contains(m_tau, bivector_bracket(g, x)) for g in fix_tau_ints for x in m_tau_ints)
     checks.append(
         ("symmetric pair (spin8, spin7) from the tau* involution", sym_mm and sym_gm)
     )

@@ -36,6 +36,7 @@ from .fields import (
     hurwitz_radon,
     irrep_info,
     max_stage,
+    random_ints,
     random_point,
     structure_failure,
 )
@@ -484,8 +485,8 @@ def check_fields(report: Report, samples: int, rng: random.Random):
         idx = frame_index_set(r)
         system = build_field_system(irrep_info(r).d)
         for _ in range(max(3, min(10, samples)) if samples else 2):
-            x = {a: rng.randint(-5, 5) for a in idx}
-            y = {a: rng.randint(-5, 5) for a in idx}
+            x = dict(zip(idx, random_ints(rng, len(idx), 5)))
+            y = dict(zip(idx, random_ints(rng, len(idx), 5)))
             z = []
             for a in idx:
                 z.extend((x[a], y[a]))

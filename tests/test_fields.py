@@ -19,6 +19,7 @@ from spinbits.fields import (
     hurwitz_radon,
     irrep_info,
     max_stage,
+    random_ints,
     random_point,
     structure_failure,
 )
@@ -251,6 +252,112 @@ def test_structure_failure_names_the_first_broken_equation():
     assert structure_failure(system) is None
     broken = flip_one_sign(system, 3, 5)
     assert structure_failure(broken) == {"N": 32, "J": 3, "equation": "J^T = -J"}
+
+
+def test_structure_failure_names_a_bad_square_and_a_commuting_pair():
+    system = build_field_system(8)
+    # antisymmetric, but with odd phases: [[0, -i], [i, 0]] squares to +1
+    odd = Monomial.identity(4).kron(Monomial((1, 0), (1, 3)))
+    assert odd.transpose() == -odd and odd.compose(odd) == Monomial.identity(8)
+    Js = list(system.J)
+    Js[1] = odd
+    assert structure_failure(system._replace(J=Js)) == {"N": 8, "J": 2, "equation": "J^2 = -1"}
+    # a duplicated J commutes with its copy
+    Js = list(system.J)
+    Js.insert(3, Js[2])
+    assert structure_failure(system._replace(J=Js)) == {
+        "N": 8, "J": [3, 4], "equation": "J_a J_b = -J_b J_a"}
+
+
+@pytest.mark.parametrize("N", [2, 8, 16, 32, 64])
+def test_one_product_per_pair_agrees_with_both_products(N):
+    """Oracle for the pair check: J_a J_b = -J_b J_a, both products built."""
+    system = build_field_system(N)
+    assert structure_failure(system) is None
+    assert_structure(system)
+    Js = list(system.J) + [system.J[0]]
+    pairs = [(a, b) for a in range(len(Js)) for b in range(a + 1, len(Js))]
+    first = next((a, b) for a, b in pairs if Js[a].compose(Js[b]) != -Js[b].compose(Js[a]))
+    assert structure_failure(system._replace(J=Js))["J"] == [first[0] + 1, first[1] + 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(0, 300))
+def test_random_ints_draws_as_randint_does(seed, count, span):
+    mine, theirs = random.Random(seed), random.Random(seed)
+    assert random_ints(mine, count, span) == [theirs.randint(-span, span) for _ in range(count)]
+    assert mine.getstate() == theirs.getstate()
+
+
+def test_random_point_rejects_an_all_zero_range():
+    rng = random.Random(1)
+    for N, span in ((0, 9), (-3, 9), (4, 0), (4, -2)):
+        with pytest.raises(ValueError):
+            random_point(N, rng, span)
+    with pytest.raises(ValueError):
+        random_ints(rng, 3, -1)
+    assert rng.getstate() == random.Random(1).getstate()
+    mine, theirs = random.Random(2), random.Random(2)
+    z = random_point(3, mine, 1)
+    want = [theirs.randint(-1, 1) for _ in range(3)]
+    while not any(want):
+        want = [theirs.randint(-1, 1) for _ in range(3)]
+    assert z == want and mine.getstate() == theirs.getstate()
+
+
+def block_diagonal(blocks):
+    """Oracle for the J of a field system: these blocks down the diagonal."""
+    perm, phase = [], []
+    for block in blocks:
+        perm += [len(perm) + b for b in block.perm]
+        phase += block.phase
+    return Monomial(perm, phase)
+
+
+@pytest.mark.parametrize("N, split", [(2, None), (4, (1, 0)), (8, (0, 1)), (16, None), (24, (2, 1)),
+                                      (32, None), (48, None), (64, None), (128, (1, 0)), (256, None)])
+def test_field_system_is_the_block_diagonal_of_frame_blocks(N, split):
+    system = build_field_system(N, split)
+    m1, m2 = system.multiplicities
+    which = "plus" if irrep_info(system.r).count == 2 else "full"
+    for p, J in enumerate(system.J, start=2):
+        blocks = [real_block(system.r, (1, p), which)] * m1 + [real_block(system.r, (1, p), "minus")] * m2
+        assert J == block_diagonal(blocks)
+
+
+def test_negative_split_is_rejected():
+    with pytest.raises(ValueError):
+        build_field_system(24, (-1, 4))
+
+
+def transpose_rows(system):
+    """Oracle for emit_coordinates: row b of J holds 1 - phase in column T.perm[b], T = J^T."""
+    rows = []
+    for J in system.J:
+        T = J.transpose()
+        rows.append([(1 - e) * (c + 1) for c, e in zip(T.perm, T.phase)])
+    return rows
+
+
+@pytest.mark.parametrize("N, split", [(2, None), (16, None), (24, (2, 1)), (32, None), (64, (1, 0)), (72, (4, 5))])
+def test_emitted_rows_are_the_transposed_frames(N, split):
+    rows = transpose_rows(build_field_system(N, split))
+    assert emit_coordinates(N, "json", split)["fields"] == rows
+    text = emit_coordinates(N, "text", split).splitlines()
+    latex = emit_coordinates(N, "latex", split).splitlines()
+    for m, row in enumerate(rows, start=1):
+        assert text[m - 1] == "(" + ", ".join(f"-v{-v}" if v < 0 else f"v{v}" for v in row) + ")"
+        assert latex[m - 1] == f"V_{{{m}}} = (" + ", ".join(
+            f"-v_{{{-v}}}" if v < 0 else f"v_{{{v}}}" for v in row) + ")"
+
+
+def test_hurwitz_radon_counts_the_twos():
+    for N in range(1, 5000):
+        twos = 0
+        while N >> twos & 1 == 0:
+            twos += 1
+        a, b = divmod(twos, 4)
+        assert hurwitz_radon(N) == 8 * a + 2 ** b
 
 
 def test_c8_witness_names_a_broken_system(monkeypatch):

@@ -273,6 +273,56 @@ def test_monomial_operations_are_matrix_operations(data):
     assert x.apply(z) == x.to_matrix().apply(z)
 
 
+def _int_product(a, b):
+    return [[sum(x * b[l][j] for l, x in enumerate(row)) for j in range(len(b[0]))] for row in a]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_unchecked_monomial_operations_agree_with_the_checked_route(data):
+    """compose, neg, transpose and kron skip the constructor's check: each result
+    passes it unchanged, and on real monomials matches the int matrix operation."""
+    real = data.draw(st.booleans())
+    x = data.draw(monomials(n=data.draw(st.integers(1, 8)), real=real))
+    y = data.draw(monomials(n=len(x.perm), real=real))
+    w = data.draw(monomials(n=data.draw(st.integers(1, 3)), real=real))
+    results = (x.compose(y), -x, x.transpose(), x.kron(w), Monomial.identity(len(x.perm)))
+    for m in results:
+        assert Monomial(m.perm, m.phase) == m
+        assert type(m.perm) is type(m.phase) is tuple and all(0 <= e < 4 for e in m.phase)
+    if real:
+        X, Y, W = x.to_int_rows(), y.to_int_rows(), w.to_int_rows()
+        assert results[0].to_int_rows() == _int_product(X, Y)
+        assert results[1].to_int_rows() == [[-v for v in row] for row in X]
+        assert results[2].to_int_rows() == [list(col) for col in zip(*X)]
+        assert results[3].to_int_rows() == _kron_rows(X, W)
+
+
+def loop_apply(m, z):
+    """Oracle for Monomial.apply: the per-entry loop, i^phase[a] z[a] into slot perm[a]."""
+    out = [0] * len(z)
+    for x, b, e in zip(z, m.perm, m.phase):
+        out[b] = x if not e else -x if e == 2 else Scalar.i_power(e) * x
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gather_apply_agrees_with_the_loop(data):
+    x = data.draw(monomials(real=data.draw(st.booleans())))
+    n = len(x.perm)
+    ints = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    fracs = [Fraction(v, 3) for v in ints]
+    scalars = [Scalar.rational(v) + I * Scalar.rational(v - 1) for v in ints]
+    for z in (ints, fracs, scalars, ints):  # the last call reuses the kept gather
+        got = x.apply(z)
+        assert got == loop_apply(x, z)
+        if z is ints and all(e % 2 == 0 for e in x.phase):
+            assert all(type(v) is int for v in got)
+    with pytest.raises(ValueError):
+        x.apply(ints + [0])
+
+
 def _kron_rows(a, b):
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 

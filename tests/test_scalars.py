@@ -176,6 +176,8 @@ from math import gcd  # noqa: E402
 
 from scalar_oracle import DictScalar  # noqa: E402
 
+from spinbits.scalars import _MUL, _make  # noqa: E402
+
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -255,6 +257,30 @@ def test_rational_fast_path_agrees_with_oracle(p, q, k):
     if p:
         assert_same(a.inverse(), A.inverse())
     assert a * b == Fraction(p, q) * Fraction(k, 6)
+
+
+def table_product(x, y):
+    """Oracle for products with a unit: the 8 x 8 table, which the unit path skips."""
+    n = [0] * 8
+    for a, v in enumerate(x._n):
+        for b, w in enumerate(y._n):
+            k, f = _MUL[a][b]
+            n[k] += f * v * w
+    return _make(n, x._d * y._d)
+
+
+@given(pairs, st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_unit_products_turn_the_numerators(pa, e):
+    a, A = pa
+    unit = {1: ((1, 0, -1, 0)[e], (0, 1, 0, -1)[e])}
+    # the shared constant i^e and a unit built afresh
+    for u in (Scalar.i_power(e), Scalar(unit)):
+        want = table_product(a, u)
+        for got in (a * u, u * a):
+            assert_canonical(got)
+            assert (got._n, got._d) == (want._n, want._d)
+            assert_same(got, A * DictScalar(unit))
 
 
 def test_canonical_form_of_constants():

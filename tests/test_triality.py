@@ -254,6 +254,48 @@ def test_bracket_equals_the_clifford_commutator(a, b):
     assert bivector_bracket(a, b) == clifford_bracket(a, b)
 
 
+def test_int_membership_agrees_with_the_scalar_route():
+    """Oracle for span_contains on int combinations: the same combination as
+    Scalars, through Subspace.__contains__; every nonzero multiple agrees."""
+    rng = random.Random(4)
+    sig, tau = build_outer("sigma"), build_outer("tau")
+    spans = [bivector_span(g2_generators()), bivector_span(eigenspace(tau, ONE)[1]),
+             bivector_span(eigenspace(sig, omega_eigenvalue())[1])]
+    for span in spans:
+        for t in range(30):
+            # members: int combinations of the basis rows; odd t adds e_p, mostly a non-member
+            vec = [sum((Scalar.rational(rng.randint(-3, 3)) * row[c] for row in span.rows), ZERO)
+                   for c in range(28)]
+            if t % 2:
+                vec[rng.randrange(28)] += ONE
+            coeffs = triality.to_coeffs(vec)
+            want = span_contains(span, coeffs)
+            assert want is (vec in span)
+            if all(c.is_rational() for c in vec):
+                [nums], _ = triality._int_coeffs([vec])
+                for k in (1, -7):
+                    ints = {p: k * x for p, x in zip(PAIR_ORDER, nums) if x}
+                    assert span_contains(span, ints) is want
+                    assert span.contains_ints([k * x for x in nums]) is want
+            else:  # an int vector against a span with irrational rows
+                e12 = [1] + [0] * 27
+                assert span.contains_ints(e12) is ([ONE] + [ZERO] * 27 in span)
+
+
+@given(bivectors, bivectors, st.integers(1, 12))
+@settings(max_examples=80, deadline=None)
+def test_int_bracket_is_the_rational_bracket_scaled(a, b, k):
+    """Int coefficients give the int bracket: that of the Scalar combinations
+    times d^2, for their int numerators over the common denominator d."""
+    [na, nb], d = triality._int_coeffs([list(a.values()), list(b.values())])
+    ints = bivector_bracket(dict(zip(a, na)), dict(zip(b, nb)))
+    assert all(type(c) is int for c in ints.values())
+    assert {p: Scalar.rational(c) for p, c in ints.items() if c} == {
+        p: c * d * d for p, c in bivector_bracket(a, b).items()}
+    assert bivector_bracket({p: k * x for p, x in zip(a, na)}, dict(zip(b, nb))) == {
+        p: k * c for p, c in ints.items()}
+
+
 def test_corrupt_sigma_fails_c3_on_the_int_route(monkeypatch, flipped_sigma_table):
     compared = []
     real_eq = Matrix.__eq__
