@@ -190,9 +190,7 @@ def _symmetrized(r: int, terms) -> GaussCoords:
 
 def _times_i_power(re: int, im: int, e: int) -> Tuple[int, int]:
     """(re + i im) i^e as (re', im')."""
-    for _ in range(e % 4):
-        re, im = -im, re
-    return re, im
+    return ((re, im), (-im, re), (-re, -im), (im, -re))[e % 4]
 
 
 def field_formula_coords(r: int, p: int, x: Dict[int, int], y: Dict[int, int]) -> GaussCoords:

@@ -485,15 +485,12 @@ def check_fields(report: Report, samples: int, rng: random.Random):
         idx = frame_index_set(r)
         system = build_field_system(irrep_info(r).d)
         for _ in range(max(3, min(10, samples)) if samples else 2):
-            x = dict(zip(idx, random_ints(rng, len(idx), 5)))
-            y = dict(zip(idx, random_ints(rng, len(idx), 5)))
-            z = []
-            for a in idx:
-                z.extend((x[a], y[a]))
+            xv, yv = random_ints(rng, len(idx), 5), random_ints(rng, len(idx), 5)
+            x, y = dict(zip(idx, xv)), dict(zip(idx, yv))
+            z = [t for xy in zip(xv, yv) for t in xy]  # X_a, Y_a frame coordinate pairs
             for p in range(2, r + 1):
                 viaJ = system.J[p - 2].apply(z)
-                xs = {a: viaJ[2 * t] for t, a in enumerate(idx)}
-                ys = {a: viaJ[2 * t + 1] for t, a in enumerate(idx)}
+                xs, ys = dict(zip(idx, viaJ[0::2])), dict(zip(idx, viaJ[1::2]))
                 if field_formula_coords(r, p, x, y) != frame_point_coords(r, xs, ys):
                     ok = False
     report.add("C8 closed-form field values agree with the matrix route (r = 8, 9, 10, 12)", ok)
