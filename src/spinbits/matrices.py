@@ -465,8 +465,8 @@ class Monomial:
         return Monomial._of(perm, phase)
 
     def apply(self, z: Sequence) -> List:
-        """The image of the coordinate column z: entry perm[a] is z[a] i^phase[a],
-        gathered as found once; an even phase is the int 1 - phase[a], so ints stay ints."""
+        """The image of the coordinate column z: entry perm[a] is z[a] i^phase[a], read by a
+        gather kept from the first call; an even phase is the int 1 - phase[a], so ints stay ints."""
         if len(z) != len(self.perm):
             raise ValueError("length mismatch")
         if self._gather is None:

@@ -202,8 +202,8 @@ def bivector_bracket(a: BivectorCoeffs, b: BivectorCoeffs) -> BivectorCoeffs:
     """Clifford commutator of two rational bivector combinations, again a bivector.
 
     The bracket is bilinear, so it is summed on ints from the structure
-    constants of the basis pairs.  Int coefficients give int coefficients,
-    a zero among them; Scalar ones are summed on their numerators over one
+    constants of the basis pairs.  Int coefficients give int coefficients
+    (zero ones kept); Scalar ones are summed on their numerators over one
     denominator d, and the sums divided by d^2.
     """
     ints = all(type(c) is int for c in chain(a.values(), b.values()))
