@@ -174,6 +174,8 @@ class Scalar:
             return ZERO
         if len(an) == 1 == len(bn):
             return _ratio(an[0] * bn[0], self._d * other._d)
+        if self._d == 1 and an in _UNITS:  # the unit, if either is one, goes on the right
+            self, other, an, bn = other, self, bn, an
         if other._d == 1 and bn in _UNITS:  # a unit turns each (re, im) pair; the gcd stays
             swap, signs = _UNITS[bn]
             n = an + (0,) * (len(an) & 1)
