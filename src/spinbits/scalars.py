@@ -12,8 +12,8 @@ A Scalar is eight integer numerators over one common denominator d > 0,
 kept canonical (gcd(n0, ..., n7, d) = 1, trailing zero numerators
 dropped), so equal values have equal (numerators, d) and a rational
 value has at most one numerator.  Products run a fixed 8 x 8 table built
-from sqrt(a) sqrt(b) = f sqrt(c); rational operands skip it.  Values are
-immutable after construction.
+from sqrt(a) sqrt(b) = f sqrt(c); rational operands and the units 1, i,
+-1, -i skip it.  Values are immutable after construction.
 
 Combination is the sparse exact linear combination over binary-coded keys
 that spinors, Clifford algebra elements and exterior forms all are.
