@@ -48,13 +48,14 @@ from .verify import Report, verify_all
 
 # Fixed caps on the flags whose cost grows without bound; a larger value
 # exits 2 before anything is built.  S^16383 (N = 16384) builds in about
-# 2 s; a basic spinor index is an int below 2^(n/2).  No dense output has
+# 2 s; a basic spinor index is an int below 2^(n/2), which prints (at most
+# 4300 digits, Python's default) only for n/2 <= 14284.  No dense output has
 # more than MAX_DENSE_N rows: the N x N field matrices and the n x n vector
 # matrix (about 10 s at 300 MiB for N, n = 1024), and the spinor-space
 # matrices of dimension up to 2^(n/2), so n <= 21 there (under 1 s).
 MAX_SPHERE = 16383
 MAX_DENSE_N = 1024
-MAX_SPINOR_N = 1 << 16
+MAX_SPINOR_N = 1 << 14
 
 
 class UsageError(Exception):

@@ -54,22 +54,31 @@ def word_phase(n: int, word: Sequence[int], a: int) -> Tuple[int, int]:
 
 
 def clifford_apply(n: int, p: int, psi: Spinor) -> Spinor:
-    """Linear extension of the generator action e_p to a full spinor."""
+    """Linear extension of the generator action e_p to a full spinor.
+
+    A bit-flip map sends distinct indices to distinct indices, times a
+    unit, so the images of the terms never meet and none is zero."""
     if psi.k != n // 2:
         raise ValueError(f"spinor width {psi.k} does not match n={n}")
-
-    def act(a, c):
+    out = {}
+    for a, c in psi.terms.items():
         g, b = generator_action(n, p, a)
-        return b, c * g
-
-    return psi.map_indices(act)
+        out[b] = c * g
+    return psi._like(out)
 
 
 def word_apply(n: int, word: Sequence[int], psi: Spinor) -> Spinor:
-    """Apply a product of generators, written left to right, to a spinor."""
-    for p in reversed(word):
-        psi = clifford_apply(n, p, psi)
-    return psi
+    """Apply a product of generators, written left to right, to a spinor:
+    each term c u_a goes to (c i**e) u_b, (e, b) = word_phase(n, word, a)."""
+    if not word:
+        return psi
+    if psi.k != n // 2:
+        raise ValueError(f"spinor width {psi.k} does not match n={n}")
+    out = {}
+    for a, c in psi.terms.items():
+        e, b = word_phase(n, word, a)
+        out[b] = c * Scalar.i_power(e)
+    return psi._like(out)
 
 
 def blade_product(mask_i: int, mask_j: int) -> Tuple[int, int]:
@@ -154,7 +163,7 @@ class CliffordElem(Combination):
     def reverse(self) -> "CliffordElem":
         """Reversion anti-automorphism: a grade-m monomial picks up (-1)^(m(m-1)/2),
         which is -1 exactly when m mod 4 is 2 or 3."""
-        return self.map_indices(lambda mask, c: (mask, -c if mask.bit_count() & 2 else c))
+        return self._like({mask: -c if mask.bit_count() & 2 else c for mask, c in self.terms.items()})
 
     def grades(self) -> set:
         return {m.bit_count() for m in self.terms}

@@ -152,18 +152,9 @@ class Matrix:
                             acc[j] += x * y
                 out.append(acc)
             return Matrix._of_ints(out, ad * bd, other.cols)
-        odata = other.data
-        out = []
-        for lrow in self.data:
-            nonzero = [(l, x) for l, x in enumerate(lrow) if x]
-            row = []
-            for j in range(other.cols):
-                acc = ZERO
-                for l, x in nonzero:
-                    acc = acc + x * odata[l][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix._new(other.cols, data=out)
+        # row i of the product is other's transpose applied to row i of self
+        T = other.transpose()
+        return Matrix._new(other.cols, data=[T.apply(lrow) for lrow in self.data])
 
     def _shape_check(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -180,8 +171,9 @@ class Matrix:
     def apply(self, vec: List[Scalar]) -> List[Scalar]:
         if len(vec) != self.cols:
             raise ValueError("length mismatch")
-        a, v = self._int_form(), int_rows([list(map(_coerce, vec))])
-        if a and v:
+        a = self._int_form()
+        v = a and int_rows([list(map(_coerce, vec))])
+        if v:
             (num, ad), ([x], vd) = a, v
             return [_ratio(sum(map(operator.mul, row, x)), ad * vd) for row in num]
         nonzero = [(j, v) for j, v in enumerate(vec) if v]

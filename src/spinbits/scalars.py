@@ -22,7 +22,6 @@ that spinors, Clifford algebra elements and exterior forms all are.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import starmap
 from math import gcd, lcm
 from typing import Dict, Tuple
 
@@ -379,10 +378,6 @@ class Combination:
     def scale(self, c):
         c = self._coeff(c)
         return self._like({key: c * v for key, v in self.terms.items()} if c else {})
-
-    def map_indices(self, f):
-        """New combination with each term (key, c) replaced by f(key, c) -> (key', c')."""
-        return self._like(accumulate({}, starmap(f, self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms

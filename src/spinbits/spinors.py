@@ -131,15 +131,13 @@ def real_structure_phase(n: int, a: int) -> Tuple[int, int]:
 
 def real_structure(n: int, psi: Spinor) -> Spinor:
     """The real/quaternionic structure gamma_n; conjugate-linear."""
-    k = n // 2
-    if psi.k != k:
+    if psi.k != n // 2:
         raise ValueError(f"spinor width {psi.k} does not match n={n}")
-
-    def act(a, c):
+    out = {}
+    for a, c in psi.terms.items():
         e, b = real_structure_phase(n, a)
-        return b, c.conjugate() * Scalar.i_power(e)
-
-    return psi.map_indices(act)
+        out[b] = c.conjugate() * Scalar.i_power(e)
+    return psi._like(out)
 
 
 def gamma_squares_to(n: int) -> int:

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -59,6 +60,39 @@ def test_spinor_mul_json(capsys):
 def test_spinor_mul_range_error(capsys):
     code, _ = run(capsys, "spinor", "mul", "--n", "6", "--p", "9", "--index", "0")
     assert code == 2
+
+
+def test_spinor_mul_prints_every_image_up_to_the_cap(capsys):
+    # e_n at even n flips the top bit: the image index 2^(n/2 - 1) must print
+    cap = str(MAX_SPINOR_N)
+    for fmt in ("text", "json", "latex"):
+        code, out = run(capsys, "spinor", "mul", "--n", cap, "--p", cap, "--index", "0", "--format", fmt)
+        assert code == 0 and str(1 << (MAX_SPINOR_N // 2 - 1)) in out, fmt
+    above = str(MAX_SPINOR_N + 1)
+    assert exit_code(["spinor", "mul", "--n", above, "--p", above, "--index", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_readme_states_the_caps():
+    text = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+    start = text.index("Fixed caps bound every flag")
+    caps = text[start:text.index("## ", start)]
+    dense_n = max(n for n in range(1, 64) if 1 << (n // 2) <= MAX_DENSE_N)
+    default_max_n = build_parser().parse_args(["verify-all"]).max_n
+    stated = {
+        f"`verify-all --max-n` takes 2..{MAX_ORACLE_N} (default {default_max_n})": (2, MAX_ORACLE_N, default_max_n),
+        f"at most {MAX_DENSE_N} rows": (MAX_DENSE_N,),
+        f"(dimension up to 2^(n/2)) takes n <= {dense_n}": (2, 2, dense_n),
+        f"take n, N <= {MAX_DENSE_N}": (MAX_DENSE_N,),
+        f"`fields --sphere` is at most {MAX_SPHERE} (N = {MAX_SPHERE + 1})": (MAX_SPHERE, MAX_SPHERE + 1),
+        f"`spinor mul --n` at most {MAX_SPINOR_N}.": (MAX_SPINOR_N,),
+        "exits `2`": (2,),
+    }
+    for phrase in stated:
+        assert phrase in caps, phrase
+    # no other number in the paragraph (criterion names such as C10 aside)
+    numbers = {int(t) for t in re.findall(r"(?<!\w)\d+", caps)}
+    assert numbers == {x for values in stated.values() for x in values}
 
 
 def test_unknown_subcommand_exits_2(capsys):

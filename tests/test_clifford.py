@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,8 +22,8 @@ from spinbits.clifford import (
     word_phase,
 )
 from spinbits.matrices import spinor_to_column, tensor_oracle
-from spinbits.scalars import Angle, HALF, I, ONE, SQRT2, Scalar
-from spinbits.spinors import Spinor, chirality, hermitian, parity
+from spinbits.scalars import Angle, HALF, I, ONE, SQRT2, Scalar, accumulate
+from spinbits.spinors import Spinor, chirality, hermitian, parity, real_structure, real_structure_phase
 
 
 def test_generator_action_examples():
@@ -342,3 +343,94 @@ def test_c1_names_a_flipped_phase(monkeypatch):
     verify.check_kernel_oracle(report, max_n=8)
     [check] = report.checks
     assert check.status == "fail" and check.witness == {"n": 7, "p": 5, "a": 3}
+
+
+# -- the one-pass bit-flip maps against the routes they replaced -----------
+
+
+def letter_route(n, word, psi):
+    """The word applied one generator at a time, right to left."""
+    for p in reversed(word):
+        psi = clifford_apply(n, p, psi)
+    return psi
+
+
+def accumulate_route(x, image):
+    """x with each term (key, c) replaced by image(key, c), summed into a new dict."""
+    return x._like(accumulate({}, (image(key, c) for key, c in x.terms.items())))
+
+
+COEFFS = (ONE, I, -HALF, SQRT2, Scalar.rational(3) - 2 * I, SQRT2 * I + HALF)
+
+
+def mixed_terms(count, rng):
+    """Every key below count, in a shuffled order, with rational and irrational coefficients."""
+    keys = list(range(count))
+    rng.shuffle(keys)
+    return {key: COEFFS[t % len(COEFFS)] for t, key in enumerate(keys)}
+
+
+def outcome(f, *args):
+    """(type, space, terms in dict order) of f's result, or (type, message) of its error."""
+    try:
+        out = f(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return type(out), getattr(out, out._space), list(out.terms.items())
+
+
+def test_word_apply_is_the_letter_route_on_every_short_word():
+    rng = random.Random(16)
+    for n in range(1, 9):
+        psi = Spinor(n // 2, mixed_terms(1 << (n // 2), rng))
+        for length in range(4):
+            for word in itertools.product(range(1, n + 1), repeat=length):
+                assert outcome(word_apply, n, word, psi) == outcome(letter_route, n, word, psi)
+
+
+def test_word_apply_is_the_letter_route_on_long_words():
+    rng = random.Random(61)
+    for n in range(1, 13):
+        psi = Spinor(n // 2, mixed_terms(1 << (n // 2), rng))
+        words = [[], [n] * 5, [1, n, 1, n, 1]]  # the odd top generator at odd n, repeated letters
+        words += [[rng.randint(1, n) for _ in range(rng.randint(4, 12))] for _ in range(40)]
+        for word in words:
+            assert outcome(word_apply, n, word, psi) == outcome(letter_route, n, word, psi)
+
+
+def test_word_apply_raises_as_the_letter_route():
+    psi, zero = Spinor(3, {5: I, 2: -HALF}), Spinor.zero(3)
+    cases = {
+        (6, (1, 7, 2), psi): (ValueError, "generator index 7 out of range for n=6"),
+        (6, (7, 3, 0), psi): (ValueError, "generator index 0 out of range for n=6"),
+        (8, (1, 2), psi): (ValueError, "spinor width 3 does not match n=8"),
+        (8, (1, 9), psi): (ValueError, "spinor width 3 does not match n=8"),
+        (8, (1,), zero): (ValueError, "spinor width 3 does not match n=8"),
+        (8, (), psi): (Spinor, 3, list(psi.terms.items())),  # the empty word checks nothing
+        (6, (7,), zero): (Spinor, 3, []),  # nor is a zero spinor checked against the word
+    }
+    for (n, word, v), expected in cases.items():
+        assert outcome(word_apply, n, word, v) == outcome(letter_route, n, word, v) == expected
+
+
+def test_real_structure_is_the_accumulate_route():
+    rng = random.Random(9)
+    for n in range(1, 13):
+        def image(a, c):
+            e, b = real_structure_phase(n, a)
+            return b, c.conjugate() * Scalar.i_power(e)
+
+        full = mixed_terms(1 << (n // 2), rng)
+        for psi in (Spinor(n // 2, full), Spinor(n // 2, dict(list(full.items())[::3])), Spinor.zero(n // 2)):
+            old = outcome(accumulate_route, psi, image)
+            assert outcome(real_structure, n, psi) == old
+            assert (old[0] is ValueError) == (n < 2 and bool(psi.terms))
+    assert outcome(real_structure, 8, Spinor.zero(3)) == (ValueError, "spinor width 3 does not match n=8")
+
+
+def test_reverse_is_the_accumulate_route():
+    rng = random.Random(12)
+    for n in range(0, 7):
+        x = CliffordElem(n, mixed_terms(1 << n, rng))
+        old = outcome(accumulate_route, x, lambda m, c: (m, -c if m.bit_count() & 2 else c))
+        assert outcome(x.reverse) == old
