@@ -38,7 +38,6 @@ from .matrices import (
     tensor_oracle,
 )
 from .triality import (
-    OuterMap,
     build_outer,
     center_images,
     eigenspace,

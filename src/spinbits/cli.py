@@ -11,6 +11,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from .clifford import clifford_apply
@@ -42,6 +43,7 @@ from .triality import (
     g2_structure,
     omega_eigenvalue,
     s3_relations,
+    to_coeffs,
 )
 from .verify import Report, verify_all
 
@@ -194,7 +196,7 @@ def cmd_outer(args) -> int:
     outer = build_outer(args.what)
     if args.check_order:
         order = 3 if args.what == "sigma" else 2
-        ok = outer.power(order).matrix == Matrix.identity(28)
+        ok = reduce(Matrix.__mul__, [outer] * order) == Matrix.identity(28)
         return _emit(args.format, Report([(f"{args.what}* has order {order}", ok)]))
     if args.eigen is not None:
         dim, basis = eigenspace(outer, _EIGENVALUES[args.eigen]())
@@ -202,11 +204,11 @@ def cmd_outer(args) -> int:
             "eigenvalue": args.eigen,
             "dimension": dim,
             "basis": [
-                {f"{i}{j}": c for (i, j), c in vec.items()} for vec in basis
+                {f"{i}{j}": c for (i, j), c in to_coeffs(row).items()} for row in basis.data
             ],
         }
         return _emit(args.format, payload, text=f"dimension {dim}")
-    return _emit(args.format, outer.matrix)
+    return _emit(args.format, outer)
 
 
 def cmd_g2(args) -> int:
@@ -346,12 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     trisub = tri.add_subparsers(dest="what", required=True)
     for name in ("sigma", "tau"):
         outer = _leaf(trisub, name, cmd_outer, f"the 28x28 matrix of {name}*")
-        outer.add_argument("--check-order", action="store_true")
-        outer.add_argument("--eigen", choices=tuple(_EIGENVALUES))
+        pick = outer.add_mutually_exclusive_group()
+        pick.add_argument("--check-order", action="store_true")
+        pick.add_argument("--eigen", choices=tuple(_EIGENVALUES))
     g2 = _leaf(trisub, "g2", cmd_g2, "the fixed algebra g2 of sigma*")
-    g2.add_argument("--matrix", type=_g2_coefficients, default=None,
-                    help="14 comma-separated coefficients")
-    g2.add_argument("--generators", action="store_true")
+    pick = g2.add_mutually_exclusive_group()
+    pick.add_argument("--matrix", type=_g2_coefficients, default=None,
+                      help="14 comma-separated coefficients")
+    pick.add_argument("--generators", action="store_true")
     _leaf(trisub, "s3", cmd_s3, "the S3 relations of sigma* and tau*")
     _leaf(trisub, "center", cmd_center, "the center under the group-level lifts")
 
@@ -366,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     fo = sub.add_parser("forms", help="invariant exterior forms")
     fosub = fo.add_subparsers(dest="what", required=True)
     omega = _leaf(fosub, "omega", cmd_omega, "the invariant 4-form", fmt=None)
-    omega.add_argument("--check-square", action="store_true")
-    omega.add_argument("--latex", action="store_true")
+    pick = omega.add_mutually_exclusive_group()
+    pick.add_argument("--check-square", action="store_true")
+    pick.add_argument("--latex", action="store_true")
     phi = _leaf(fosub, "phi", cmd_phi, "the g2-invariant 3-form", fmt=None)
     phi.add_argument("--latex", action="store_true")
 

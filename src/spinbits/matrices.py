@@ -202,23 +202,26 @@ class Matrix:
     def rank(self) -> int:
         return len(self._echelon()[1])
 
-    def nullspace(self) -> Tuple[int, List[List[Scalar]]]:
-        """Exact (rank, kernel basis); rank + len(basis) == cols."""
-        rank, kernel = self._kernel()
-        return rank, kernel.data
+    def nullspace(self) -> Tuple[int, "Matrix"]:
+        """Exact (rank, kernel basis as the rows of a Matrix); rank + basis rows == cols.
 
-    def _kernel(self) -> Tuple[int, "Matrix"]:
-        """(rank, the kernel basis as the rows of a Matrix)."""
+        Each free column f gives the basis row e_f minus, at the pivot of each
+        reduced echelon row, that row's entry f.  For a rational matrix, whose
+        echelon rows are R / d, that is d e_f - R[.][f] over d, built on ints.
+        """
         ech, pivots = self._echelon()
+        a = ech._int_form()
+        rows, zero, unit = (a[0], 0, a[1]) if a else (ech.data, ZERO, ONE)
         pivot_cols = set(pivots)
         basis = []
         for f in (j for j in range(self.cols) if j not in pivot_cols):
-            # the reduced echelon rows have unit pivots and zeros above them
-            vec = [ZERO] * self.cols
-            vec[f] = ONE
-            for row, pc in zip(ech.data, pivots):
+            vec = [zero] * self.cols
+            vec[f] = unit
+            for row, pc in zip(rows, pivots):
                 vec[pc] = -row[f]
             basis.append(vec)
+        if a:
+            return len(pivots), Matrix._of_ints(basis, a[1], self.cols)
         return len(pivots), Matrix._new(self.cols, data=basis)
 
     def _echelon(self) -> Tuple["Matrix", List[int]]:
@@ -393,7 +396,7 @@ class Subspace:
         """Intersection: c . A lies in B exactly when c annihilates the
         residue R of A's rows against B, so A & B is spanned by K A for
         the kernel K of R transposed."""
-        _, K = other._residue(self.basis).transpose()._kernel()
+        _, K = other._residue(self.basis).transpose().nullspace()
         return Subspace(K * self.basis, self.n)
 
     def complement_in(self, outer: "Subspace") -> "Subspace":
@@ -401,7 +404,7 @@ class Subspace:
         coordinate product (no complex conjugation)."""
         if not self.pivots:
             return outer
-        _, K = (self.basis * outer.basis.transpose())._kernel()
+        _, K = (self.basis * outer.basis.transpose()).nullspace()
         return Subspace(K * outer.basis, self.n)
 
 

@@ -45,32 +45,11 @@ def bivector_span(vectors: Iterable[BivectorCoeffs]) -> Subspace:
     return Subspace([to_vector(v) for v in vectors], 28)
 
 
-class OuterMap:
-    """A linear map on bivectors, stored over the ordered pair basis."""
-
-    def __init__(self, name: str, matrix: Matrix):
-        if matrix.rows != 28 or matrix.cols != 28:
-            raise ValueError("outer maps live on the 28-dimensional bivector space")
-        self.name = name
-        self.matrix = matrix
-
-    def __mul__(self, other: "OuterMap") -> "OuterMap":
-        return OuterMap(f"{self.name}*{other.name}", self.matrix * other.matrix)
-
-    def power(self, e: int) -> "OuterMap":
-        out = Matrix.identity(28)
-        for _ in range(e):
-            out = out * self.matrix
-        return OuterMap(f"{self.name}^{e}", out)
-
-    def image_coeffs(self, pair: Tuple[int, int]) -> BivectorCoeffs:
-        """The image of e_pair, read off the int column of a rational map."""
-        c = _PAIR_POS[pair]
-        num, den = self.matrix._int_form()
-        return {PAIR_ORDER[r]: _ratio(row[c], den) for r, row in enumerate(num) if row[c]}
-
-    def apply_coeffs(self, coeffs: BivectorCoeffs) -> BivectorCoeffs:
-        return to_coeffs(self.matrix.apply(to_vector(coeffs)))
+def image_coeffs(outer: Matrix, pair: Tuple[int, int]) -> BivectorCoeffs:
+    """The image of e_pair under a rational map on bivectors, read off its int column."""
+    c = _PAIR_POS[pair]
+    num, den = outer._int_form()
+    return {PAIR_ORDER[r]: _ratio(row[c], den) for r, row in enumerate(num) if row[c]}
 
 
 # Orientation of the half-spinor frames used throughout this module:
@@ -97,9 +76,10 @@ def _kappa_real_matrix(word: Tuple[int, ...], sign: str) -> Matrix:
 
 
 @lru_cache(maxsize=None)
-def build_outer(name: str) -> OuterMap:
-    """sigma* from the minus half-spinor action, tau* from the plus one:
-    column p holds half the E_kl coefficients of the action of e_p."""
+def build_outer(name: str) -> Matrix:
+    """The 28x28 matrix of sigma* from the minus half-spinor action, or of
+    tau* from the plus one: column p holds half the E_kl coefficients of
+    the action of e_p.  Built once: callers share it and never mutate it."""
     if name not in ("sigma", "tau"):
         raise ValueError("name must be sigma or tau")
     source = "minus" if name == "sigma" else "plus"
@@ -107,15 +87,15 @@ def build_outer(name: str) -> OuterMap:
     for p in PAIR_ORDER:
         deco = e_basis_decompose(kappa_real_matrix(p, source))
         cols.append(to_vector({q: Scalar.from_fraction(c / 2) for q, c in deco.items()}))
-    return OuterMap(name, Matrix.from_columns(cols))
+    return Matrix.from_columns(cols)
 
 
-def eigenspace(outer: OuterMap, lam: Scalar) -> Tuple[int, List[BivectorCoeffs]]:
-    """Exact kernel of (map - lambda Id) over the scalar field."""
+def eigenspace(outer: Matrix, lam: Scalar) -> Tuple[int, Matrix]:
+    """(dimension, basis rows) of the exact kernel of (map - lambda Id)."""
     if lam not in (ONE, -ONE, (SQRT3 * I - ONE) * HALF, (-SQRT3 * I - ONE) * HALF):
         raise ValueError("unsupported eigenvalue")
-    _, kernel = (outer.matrix - Matrix.identity(28).scale(lam)).nullspace()
-    return len(kernel), [to_coeffs(v) for v in kernel]
+    _, kernel = (outer - Matrix.identity(28).scale(lam)).nullspace()
+    return kernel.rows, kernel
 
 
 def omega_eigenvalue(conj: bool = False) -> Scalar:
@@ -150,21 +130,21 @@ def s3_relations() -> List[Tuple[str, bool]]:
     """The S3 presentation and representation-permutation identities."""
     sig, tau = build_outer("sigma"), build_outer("tau")
     ident = Matrix.identity(28)
+    sig2, st, ts = sig * sig, sig * tau, tau * sig
     results = [
-        ("tau*^2 = Id", (tau * tau).matrix == ident),
-        ("sigma*^3 = Id", sig.power(3).matrix == ident),
-        ("sigma* tau* = tau* sigma*^2", (sig * tau).matrix == (tau * sig.power(2)).matrix),
-        ("sigma*^2 tau* = tau* sigma*", (sig.power(2) * tau).matrix == (tau * sig).matrix),
-        ("(tau* sigma*)^2 = Id", ((tau * sig) * (tau * sig)).matrix == ident),
-        ("(sigma* tau*)^2 = Id", ((sig * tau) * (sig * tau)).matrix == ident),
+        ("tau*^2 = Id", tau * tau == ident),
+        ("sigma*^3 = Id", sig2 * sig == ident),
+        ("sigma* tau* = tau* sigma*^2", st == tau * sig2),
+        ("sigma*^2 tau* = tau* sigma*", sig2 * tau == ts),
+        ("(tau* sigma*)^2 = Id", ts * ts == ident),
+        ("(sigma* tau*)^2 = Id", st * st == ident),
     ]
-    ts = tau * sig
     ok_minus = all(
-        kappa_star_matrix(ts.image_coeffs(p), "minus") == kappa_real_matrix(list(p), "plus")
+        kappa_star_matrix(image_coeffs(ts, p), "minus") == kappa_real_matrix(list(p), "plus")
         for p in PAIR_ORDER
     )
     ok_plus = all(
-        kappa_star_matrix(ts.image_coeffs(p), "plus") == kappa_real_matrix(list(p), "minus")
+        kappa_star_matrix(image_coeffs(ts, p), "plus") == kappa_real_matrix(list(p), "minus")
         for p in PAIR_ORDER
     )
     results.append(("kappa-* (tau* sigma*) = kappa+*", ok_minus))
@@ -246,6 +226,7 @@ def apply_bivector_to_spinor(coeffs: BivectorCoeffs, psi: Spinor) -> Spinor:
 def g2_structure() -> Dict[str, object]:
     """The g2 generators plus the full battery of structural checks."""
     sig, tau = build_outer("sigma"), build_outer("tau")
+    sig2, ts = sig * sig, tau * sig
     gens = g2_generators()
     g2 = bivector_span(gens)
     checks: List[Tuple[str, bool]] = []
@@ -264,28 +245,27 @@ def g2_structure() -> Dict[str, object]:
 
     dim_fix_sigma, fix_sigma = eigenspace(sig, ONE)
     checks.append(("fixed space of sigma* has dimension 14", dim_fix_sigma == 14))
-    checks.append(("generators span the fixed space of sigma*", g2 == bivector_span(fix_sigma)))
+    checks.append(("generators span the fixed space of sigma*", g2 == Subspace(fix_sigma)))
 
-    _, fix_tau_basis = eigenspace(tau, ONE)
-    fix_tau = bivector_span(fix_tau_basis)
+    fix_tau = Subspace(eigenspace(tau, ONE)[1])
     spin7_low = bivector_span({(i, j): ONE} for (i, j) in PAIR_ORDER if i >= 2)
     inter = fix_tau & spin7_low
     checks.append(("g2 = spin7(e2..e8) intersect Fix(tau*)", inter.dim == 14 and g2 == inter))
 
-    fix_ts = bivector_span(eigenspace(tau * sig, ONE)[1])
-    fix_ts2 = bivector_span(eigenspace(tau * sig.power(2), ONE)[1])
+    fix_ts = Subspace(eigenspace(ts, ONE)[1])
+    fix_ts2 = Subspace(eigenspace(tau * sig2, ONE)[1])
     checks.append(("Fix(tau* sigma*) = spin7(e2..e8)", fix_ts == spin7_low))
     for label, fix in (("tau* sigma*^2", fix_ts2), ("tau* sigma*", fix_ts)):
         inter = fix_tau & fix
         checks.append((f"g2 = Fix(tau*) intersect Fix({label})", inter.dim == 14 and g2 == inter))
 
-    image = Subspace(fix_ts.basis * sig.power(2).matrix.transpose(), 28)
+    image = Subspace(fix_ts.basis * sig2.transpose(), 28)
     checks.append(("sigma*^2 maps Fix(tau* sigma*) onto Fix(tau*)", image == fix_tau))
 
-    def ints(combos):  # times a common denominator: the bracket is bilinear, so membership stays
-        return [to_coeffs(row) for row in _int_coeffs([to_vector(c) for c in combos])[0]]
+    def ints(span):  # its int echelon rows: the bracket is bilinear, so membership stays
+        return [to_coeffs(row) for row in span.basis._int_form()[0]]
 
-    g2_ints, fix_tau_ints = ints(gens), ints(fix_tau_basis)
+    g2_ints, fix_tau_ints = ints(g2), ints(fix_tau)
     closure = all(span_contains(g2, bivector_bracket(a, b)) for a in g2_ints for b in g2_ints)
     checks.append(("bracket closure of g2", closure))
 
@@ -294,16 +274,15 @@ def g2_structure() -> Dict[str, object]:
     # involution (spin8 = Fix(tau*) + m with [m, m] inside Fix(tau*))
     for label, copy in (("e2..e8 copy", spin7_low), ("Fix(tau*) copy", fix_tau)):
         m = g2.complement_in(copy)
-        m_ints = ints(map(to_coeffs, m.rows))
+        m_ints = ints(m)
         gm = all(span_contains(m, bivector_bracket(g, x)) for g in g2_ints for x in m_ints)
         mm = all(span_contains(copy, bivector_bracket(x, y)) for x in m_ints for y in m_ints)
         checks.append(
             (f"reductive pair (spin7, g2) in the {label}: [g2,m] in m, [m,m] in spin7",
              m.dim == 7 and gm and mm)
         )
-    _, m_tau_basis = eigenspace(tau, -ONE)
-    m_tau = bivector_span(m_tau_basis)
-    m_tau_ints = ints(m_tau_basis)
+    m_tau = Subspace(eigenspace(tau, -ONE)[1])
+    m_tau_ints = ints(m_tau)
     sym_mm = all(span_contains(fix_tau, bivector_bracket(x, y)) for x in m_tau_ints for y in m_tau_ints)
     sym_gm = all(span_contains(m_tau, bivector_bracket(g, x)) for g in fix_tau_ints for x in m_tau_ints)
     checks.append(
@@ -342,8 +321,7 @@ def group_automorphism(which: str, pair: Tuple[int, int]) -> CliffordElem:
     four commuting rotation factors at angle pi/4 with signs read from
     the bivector image.
     """
-    outer = build_outer(which)
-    coeffs = outer.image_coeffs(pair)
+    coeffs = image_coeffs(build_outer(which), pair)
     quarter = Angle(3)  # pi/4
     out = CliffordElem.one(8)
     for (i, j), c in sorted(coeffs.items()):

@@ -9,7 +9,10 @@ against an independent slow one:
   2^k x 2^k ``Scalar`` matrices as Kronecker products of 2x2 blocks;
 * ``frame_kappa_real_matrix`` expands each word image in the stage-8
   real frame (``real_rep_matrix``) and then flips the frame orientation;
-* ``SignedPermMatrix`` is a signed permutation held as dicts both ways.
+* ``SignedPermMatrix`` is a signed permutation held as dicts both ways;
+* ``scalar_kernel`` builds a kernel basis as ``Scalar`` rows off the
+  reduced echelon rows, the route ``Matrix.nullspace`` takes for
+  irrational matrices only.
 """
 
 from __future__ import annotations
@@ -150,3 +153,18 @@ class SignedPermMatrix:
         for c, (r, s) in self.col_to_row.items():
             rows[r][c] = s
         return rows
+
+
+def scalar_kernel(M: Matrix) -> List[List[Scalar]]:
+    """The kernel basis of M as Scalar rows: for each free column f, e_f with
+    minus the f entry of each reduced echelon row at that row's pivot."""
+    ech, pivots = M._echelon()
+    pivot_cols = set(pivots)
+    basis = []
+    for f in (j for j in range(M.cols) if j not in pivot_cols):
+        vec = [ZERO] * M.cols
+        vec[f] = ONE
+        for row, pc in zip(ech.data, pivots):
+            vec[pc] = -row[f]
+        basis.append(vec)
+    return basis

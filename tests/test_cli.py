@@ -370,10 +370,20 @@ def test_tracer_targets_resolve():
     "triality g2 --check-order",
     "triality sigma --generators",
     "rep matrix --n 1 --word e1e1 --space real-plus",
+    "triality sigma --eigen omega --check-order",
+    "triality g2 --generators --matrix 1,0,0,0,0,0,0,0,0,0,0,0,0,0",
+    "forms omega --check-square --latex",
 ])
 def test_bad_input_is_a_usage_error(capsys, command):
     assert exit_code(command.split()) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_conflicting_flags_are_named_under_the_leaf_usage(capsys):
+    assert exit_code("forms omega --check-square --latex".split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spinbits forms omega [-h] [--check-square | --latex]\n")
+    assert "error: argument --latex: not allowed with argument --check-square" in err
 
 
 def test_a_stage_without_a_real_frame_is_named(capsys):

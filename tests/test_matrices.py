@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinbits import scalars
 from spinbits.clifford import exp_bivector
 from spinbits.fields import build_field_system
 from spinbits.matrices import (
@@ -27,7 +28,7 @@ from spinbits.matrices import (
 from spinbits.scalars import Angle, I, ONE, SQRT3, Scalar, ZERO
 from spinbits.triality import build_outer, kappa_real_matrix
 
-from dense_oracle import SignedPermMatrix, dense_tensor_oracle, gamma_oracle_matrix
+from dense_oracle import SignedPermMatrix, dense_tensor_oracle, gamma_oracle_matrix, scalar_kernel
 
 
 def diag(entries):
@@ -183,16 +184,16 @@ def test_e_basis_decompose_rejects_non_antisymmetric():
 
 def test_nullspace_examples():
     rank, kernel = Matrix.identity(4).nullspace()
-    assert rank == 4 and kernel == []
+    assert rank == 4 and kernel.rows == 0 and kernel.cols == 4
 
-    sig = build_outer("sigma").matrix
+    sig = build_outer("sigma")
     shifted = sig - Matrix.identity(28)
     rank, kernel = shifted.nullspace()
-    assert len(kernel) == 14 and rank + 14 == 28
+    assert kernel.rows == 14 and rank + 14 == 28
 
-    tau = build_outer("tau").matrix
+    tau = build_outer("tau")
     rank, kernel = (tau + Matrix.identity(28)).nullspace()
-    assert len(kernel) == 7
+    assert kernel.rows == 7
 
 
 def test_nullspace_vectors_are_in_kernel():
@@ -200,9 +201,44 @@ def test_nullspace_vectors_are_in_kernel():
     rows = [[Scalar.rational(rng.randint(-3, 3)) for _ in range(6)] for _ in range(4)]
     M = Matrix(rows)
     rank, kernel = M.nullspace()
-    assert rank + len(kernel) == 6
-    for vec in kernel:
+    assert rank + kernel.rows == 6
+    for vec in kernel.data:
         assert all(x == ZERO for x in M.apply(vec))
+
+
+def kernel_cases():
+    """Seeded random rational matrices, some rows combinations of others,
+    then the edge shapes, a full-rank matrix, sigma* - I and tau* + I."""
+    rng = random.Random(8)
+    cases = []
+    for _ in range(60):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(c)]
+                for _ in range(rng.randint(1, r))]
+        while len(rows) < r:
+            ks = [rng.randint(-2, 2) for _ in rows]
+            rows.append([sum(k * row[j] for k, row in zip(ks, rows)) for j in range(c)])
+        cases.append(Matrix([[Scalar.from_fraction(x) for x in row] for row in rows]))
+    cases += [
+        Matrix.zero(0, 5), Matrix([[], [], []]), Matrix.zero(3, 4),
+        Matrix.from_int_rows([[2, 1, 0], [0, 3, 1], [1, 0, 5]], 7),
+        build_outer("sigma") - Matrix.identity(28), build_outer("tau") + Matrix.identity(28),
+    ]
+    return cases
+
+
+def test_rational_kernel_is_built_on_ints_and_matches_the_scalar_loop(monkeypatch):
+    def built(*args):
+        raise AssertionError("a Scalar was built")
+
+    for M in kernel_cases():
+        assert M.is_rational()
+        with monkeypatch.context() as mp:
+            mp.setattr(scalars, "_new", built)
+            rank, K = M.nullspace()
+        assert K._data is None and K._int_form()
+        assert (K.cols, rank + K.rows) == (M.cols, M.cols)
+        assert K.data == scalar_kernel(M)
 
 
 def test_tensor_oracle_structure():
@@ -479,7 +515,7 @@ def test_int_route_equals_scalar_route(data):
 
 
 def test_rational_matrices_keep_the_int_form():
-    sig = build_outer("sigma").matrix
+    sig = build_outer("sigma")
     cube = sig * sig * sig
     assert cube._data is None and cube == Matrix.identity(28)
     assert cube._data is None  # no Scalar was built to compare
@@ -518,7 +554,7 @@ def test_rational_vectors_take_the_int_route(data):
 
 
 def test_rational_membership_and_apply_build_no_matrix_and_no_scalar_loop(monkeypatch):
-    A = build_outer("sigma").matrix
+    A = build_outer("sigma")
     S = Subspace(A - Matrix.identity(28))
     inside = S.rows[3]
     outside = [Scalar.rational(k, 3) for k in range(28)]
