@@ -284,10 +284,7 @@ def cmd_fields(args) -> int:
         rng = _random.Random(1 if args.seed is None else args.seed)
         samples = 20 if args.samples is None else args.samples
         ok = structure_failure(system) is None
-        gram = all(
-            gram_is_scaled_identity(system, random_point(N, rng))
-            for _ in range(samples)
-        )
+        gram = all(gram_is_scaled_identity(system, random_point(N, rng)) for _ in range(samples))
         return _emit(args.format, Report([
             (f"structure equations for {system.field_count()} fields on S^{N-1}", ok),
             (f"exact Gram frames at {samples} random points", gram),

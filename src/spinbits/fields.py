@@ -8,10 +8,10 @@ J_r Z is an exact orthogonal frame at every point Z of the sphere.
 Everything runs on integers.  e_1 e_p sends each basic spinor to a power
 of i times one basic spinor, so each J block is read straight off the bit
 rule as a real ``Monomial`` (``matrices.real_block``), and the Gram check
-clears denominators once and multiplies ints.  ``e1ep_phase`` is the same
-action as one closed formula, which the closed-form field values use.
-The route through real frame vectors and ``RealBasisFrame.expand``
-survives only in the tests, as the oracle.
+reads each Gram row off one dot product of packed ints.  ``e1ep_phase`` is
+the same action as one closed formula, used by the closed-form field values.
+The real-frame route (``RealBasisFrame.expand``) and the pairwise Gram loop
+survive only in the tests, as oracles.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .matrices import Monomial, real_block
+from .scalars import draw_ints
 from .spinors import frame_index_set, real_structure_phase
 
 
@@ -256,9 +257,13 @@ def structure_failure(system: FieldSystem) -> Optional[dict]:
 def gram_is_scaled_identity(system: FieldSystem, Z: Sequence[Fraction]) -> bool:
     """Gram matrix of (Z, V_1(Z), ..., V_{r-1}(Z)) equals |Z|^2 Id, exactly.
 
-    Works on ints: Z times the lcm D of its denominators has a Gram matrix
-    D^2 times that of Z, which is a scaled identity exactly when Z's is;
-    an all-int Z is used as it is.
+    Z times the lcm of its denominators is an int z with Gram matrix G, a
+    multiple of Z's.  Each entry of u_b = J_b z is some +-z_j, so with
+    m = max|z_j| every |G_ab| and |z|^2 are below 2^(k-1), k = (N m^2).bit_length() + 1.
+    Row a is one dot u_a . P, P = sum over b >= a of u_b 2^(k(b-a)): it is the sum
+    of G_ab 2^(k(b-a)), whose balanced base-2^k digits are unique, so it equals
+    |z|^2 exactly when G_aa = |z|^2 and G_ab = 0 for b > a.  A J with an odd
+    phase makes Scalar entries, caught before a shift: not a real frame, False.
     """
     if all(type(v) is int for v in Z):
         z = list(Z)
@@ -266,30 +271,15 @@ def gram_is_scaled_identity(system: FieldSystem, Z: Sequence[Fraction]) -> bool:
         fracs = [Fraction(v) for v in Z]
         D = math.lcm(*(f.denominator for f in fracs))
         z = [f.numerator * (D // f.denominator) for f in fracs]
-    vecs = [z] + [J.apply(z) for J in system.J]
     norm = sum(map(mul, z, z))
-    for a, u in enumerate(vecs):
-        if sum(map(mul, u, u)) != norm:
+    k = (len(z) * max(map(abs, z), default=0) ** 2).bit_length() + 1
+    P = [0] * len(z)
+    for u in reversed([z] + [J.apply(z) for J in system.J]):
+        P = [(p << k) + x for p, x in zip(P, u)]
+        dot = sum(map(mul, u, P))
+        if type(dot) is not int or dot != norm:
             return False
-        for v in vecs[a + 1:]:
-            if sum(map(mul, u, v)):
-                return False
     return True
-
-
-def random_ints(rng: random.Random, count: int, span: int) -> List[int]:
-    """``count`` draws of ``rng.randint(-span, span)``, with the same values and rng
-    state after: randint's rejection loop on getrandbits, without its argument checks."""
-    if span < 0:
-        raise ValueError("need span >= 0")
-    n = 2 * span + 1
-    k, bits, out = n.bit_length(), rng.getrandbits, []
-    for _ in range(count):
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        out.append(r - span)
-    return out
 
 
 def random_point(N: int, rng: random.Random, span: int = 9) -> List[int]:
@@ -297,6 +287,6 @@ def random_point(N: int, rng: random.Random, span: int = 9) -> List[int]:
     if N < 1 or span < 1:
         raise ValueError("a nonzero point needs N >= 1 and span >= 1")
     while True:
-        z = random_ints(rng, N, span)
+        z = draw_ints(rng, ((-span, span),), N)
         if any(z):
             return z

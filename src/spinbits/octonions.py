@@ -18,6 +18,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .clifford import clifford_apply
 from .matrices import real_basis_frame
+from .scalars import draw_ints
 from .spinors import Spinor
 
 
@@ -185,9 +186,9 @@ def octonion_mul(x: Octonion, y: Octonion) -> Octonion:
 
 def random_octonion(rng: random.Random, span: int = 9) -> Octonion:
     """Coefficients p/q with p drawn from [-span, span], then q from [1, span]."""
-    draws = [(rng.randint(-span, span), rng.randint(1, span)) for _ in range(8)]
-    d = lcm(*(q for _, q in draws))
-    return Octonion._of([p * (d // q) for p, q in draws], d)
+    draws = draw_ints(rng, ((-span, span), (1, span)), 8)
+    d = lcm(*draws[1::2])
+    return Octonion._of([p * (d // q) for p, q in zip(draws[0::2], draws[1::2])], d)
 
 
 def _unit_laws(table) -> Tuple[bool, bool, bool]:
@@ -217,12 +218,12 @@ def algebra_checks(samples: int = 100, seed: int = 1) -> List[Tuple[str, bool]]:
     for _ in range(samples):
         x = random_octonion(rng)
         y = random_octonion(rng)
-        xy = octonion_mul(x, y)
+        xy, xx = octonion_mul(x, y), octonion_mul(x, x)
         if xy.norm() != x.norm() * y.norm():
             norm_ok = False
-        if octonion_mul(x, octonion_mul(x, y)) != octonion_mul(octonion_mul(x, x), y):
+        if octonion_mul(x, xy) != octonion_mul(xx, y):
             alt_left = False
-        if octonion_mul(octonion_mul(y, x), x) != octonion_mul(y, octonion_mul(x, x)):
+        if octonion_mul(octonion_mul(y, x), x) != octonion_mul(y, xx):
             alt_right = False
     results.append((f"norm multiplicativity on {samples} samples", norm_ok))
     results.append((f"left alternativity on {samples} samples", alt_left))

@@ -17,13 +17,14 @@ from sqrt(a) sqrt(b) = f sqrt(c); rational operands and the units 1, i,
 
 Combination is the sparse exact linear combination over binary-coded keys
 that spinors, Clifford algebra elements and exterior forms all are.
+``draw_ints`` draws the sampled checks' random ints as ``randint`` does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 RADICALS = (1, 2, 3, 6)
 
@@ -476,3 +477,19 @@ class Angle:
 
     def __repr__(self):
         return f"Angle({self.k}*pi/12)"
+
+
+def draw_ints(rng, ranges: Sequence[Tuple[int, int]], count: int = 1) -> List[int]:
+    """``count`` rounds of one ``rng.randint(lo, hi)`` per (lo, hi) of ``ranges``: randint's
+    loop on ``getrandbits((hi - lo + 1).bit_length())``, same values and state, no checks."""
+    plan = [(lo, hi - lo + 1, (hi - lo + 1).bit_length()) for lo, hi in ranges]
+    if any(n < 1 for _, n, _ in plan):
+        raise ValueError("empty range for randint")
+    bits, out = rng.getrandbits, []
+    for _ in range(count):
+        for lo, n, k in plan:
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            out.append(lo + r)
+    return out

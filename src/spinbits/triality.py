@@ -83,11 +83,9 @@ def build_outer(name: str) -> Matrix:
     if name not in ("sigma", "tau"):
         raise ValueError("name must be sigma or tau")
     source = "minus" if name == "sigma" else "plus"
-    cols = []
-    for p in PAIR_ORDER:
-        deco = e_basis_decompose(kappa_real_matrix(p, source))
-        cols.append(to_vector({q: Scalar.from_fraction(c / 2) for q, c in deco.items()}))
-    return Matrix.from_columns(cols)
+    # kappa is an int matrix, so its E_kl coefficients are ints: the columns over 2
+    cols = [to_vector(e_basis_decompose(kappa_real_matrix(p, source)), 0) for p in PAIR_ORDER]
+    return Matrix.from_int_rows([[int(c) for c in row] for row in zip(*cols)], 2)
 
 
 def eigenspace(outer: Matrix, lam: Scalar) -> Tuple[int, Matrix]:

@@ -36,7 +36,6 @@ from .fields import (
     hurwitz_radon,
     irrep_info,
     max_stage,
-    random_ints,
     random_point,
     structure_failure,
 )
@@ -52,7 +51,7 @@ from .matrices import (
     tensor_oracle,
 )
 from .octonions import algebra_checks, octonion_table, quaternion_checks
-from .scalars import Angle, HALF, I, ONE, Scalar, ZERO, _make
+from .scalars import Angle, HALF, I, ONE, Scalar, ZERO, _make, draw_ints
 from .spinors import (
     Spinor,
     chirality,
@@ -129,9 +128,7 @@ def _rand_scalar(rng: random.Random) -> Scalar:
     nums, dens = [0] * 8, [1] * 8
     for k in range(0, 8, 2):
         if rng.random() < 0.5:
-            nums[k], dens[k], nums[k + 1], dens[k + 1] = (
-                rng.randint(-5, 5), rng.randint(1, 4), rng.randint(-5, 5), rng.randint(1, 4)
-            )
+            nums[k], dens[k], nums[k + 1], dens[k + 1] = draw_ints(rng, ((-5, 5), (1, 4)), 2)
     den = lcm(*dens)
     return _make([n * (den // d) for n, d in zip(nums, dens)], den)
 
@@ -139,7 +136,7 @@ def _rand_scalar(rng: random.Random) -> Scalar:
 def _rand_spinor(rng: random.Random, k: int, nterms: int = 3) -> Spinor:
     out = Spinor.zero(k)
     for _ in range(nterms):
-        a = rng.randrange(1 << k)
+        [a] = draw_ints(rng, ((0, (1 << k) - 1),))
         out = out + Spinor.basis(k, a, _rand_scalar(rng))
     return out
 
@@ -326,10 +323,9 @@ def check_g2(report: Report, samples: int, rng: random.Random):
         [1 if m == t else 0 for m in range(14)] for t in range(14)
     ]
     if samples:
-        trials += [
-            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(14)]
-            for _ in range(min(5, samples))
-        ]
+        for _ in range(min(5, samples)):
+            draws = draw_ints(rng, ((-4, 4), (1, 3)), 14)
+            trials.append([Fraction(p, q) for p, q in zip(draws[0::2], draws[1::2])])
     for alphas in trials:
         got = g2_action_matrix(alphas)
         # the display's entries, 2 * (sum of +-alpha_m), on the alphas' int numerators over den
@@ -488,7 +484,7 @@ def check_fields(report: Report, samples: int, rng: random.Random):
         idx = frame_index_set(r)
         system = build_field_system(irrep_info(r).d)
         for _ in range(max(3, min(10, samples)) if samples else 2):
-            xv, yv = random_ints(rng, len(idx), 5), random_ints(rng, len(idx), 5)
+            xv, yv = draw_ints(rng, ((-5, 5),), len(idx)), draw_ints(rng, ((-5, 5),), len(idx))
             x, y = dict(zip(idx, xv)), dict(zip(idx, yv))
             z = [t for xy in zip(xv, yv) for t in xy]  # X_a, Y_a frame coordinate pairs
             for p in range(2, r + 1):
@@ -563,12 +559,13 @@ def check_structure_maps(report: Report, samples: int, rng: random.Random, max_n
         n = rng.choice([2, 4, 6, 8, 10, 12])
         k = n // 2
         v, w = _rand_spinor(rng, k), _rand_spinor(rng, k)
+        gv, gw = real_structure(n, v), real_structure(n, w)
         sgn = Scalar.rational(gamma_squares_to(n))
-        if hermitian(real_structure(n, v), w) != sgn * hermitian(v, real_structure(n, w)).conjugate():
+        if hermitian(gv, w) != sgn * hermitian(v, gw).conjugate():
             ok = False
-        if hermitian(real_structure(n, v), real_structure(n, w)) != hermitian(v, w).conjugate():
+        if hermitian(gv, gw) != hermitian(v, w).conjugate():
             ok = False
-        p = rng.randint(1, n)
+        [p] = draw_ints(rng, ((1, n),))
         if hermitian(clifford_apply(n, p, v), w) != -hermitian(v, clifford_apply(n, p, w)):
             ok = False
     report.add("C10 Hermitian compatibility identities on random pairs", ok if samples else True)

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,12 +21,11 @@ from spinbits.fields import (
     hurwitz_radon,
     irrep_info,
     max_stage,
-    random_ints,
     random_point,
     structure_failure,
 )
 from spinbits.matrices import Monomial, real_basis_frame, real_block
-from spinbits.scalars import I, INV_SQRT2, ONE, Scalar
+from spinbits.scalars import I, INV_SQRT2, ONE, Scalar, draw_ints
 from spinbits.spinors import Spinor, frame_index_set, real_structure
 
 
@@ -114,6 +115,23 @@ def old_max_stage(N):
             best = r
         r += 1
     return best
+
+
+def pairwise_gram(system, Z):
+    """Oracle for gram_is_scaled_identity: every one of the r(r+1)/2 inner
+    products on the int multiple of Z, one at a time."""
+    fracs = [Fraction(v) for v in Z]
+    D = math.lcm(*(f.denominator for f in fracs))
+    z = [f.numerator * (D // f.denominator) for f in fracs]
+    vecs = [z] + [J.apply(z) for J in system.J]
+    norm = sum(map(mul, z, z))
+    for a, u in enumerate(vecs):
+        if sum(map(mul, u, u)) != norm:
+            return False
+        for v in vecs[a + 1:]:
+            if sum(map(mul, u, v)):
+                return False
+    return True
 
 
 def fraction_gram(system, Z):
@@ -247,6 +265,92 @@ def test_int_gram_equals_fraction_gram(data):
     assert gram_is_scaled_identity(broken, z) is fraction_gram(broken, z) is False
 
 
+def both_oracles(system, z):
+    """The Gram answer of the pairwise loop, which the Fraction oracle must share."""
+    want = pairwise_gram(system, z)
+    assert fraction_gram(system, z) is want
+    return want
+
+
+_POINTS = {
+    "fractions": st.fractions(min_value=-20, max_value=20, max_denominator=50),
+    "large": st.integers(-10**9, 10**9),  # k grows to about 66 bits
+    "zero": st.just(0),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_packed_gram_equals_both_oracles(data):
+    N = data.draw(st.sampled_from(sorted(_GRAM_SYSTEMS)))
+    system = _GRAM_SYSTEMS[N]
+    z = data.draw(st.lists(_POINTS[data.draw(st.sampled_from(sorted(_POINTS)))], min_size=N, max_size=N))
+    assert gram_is_scaled_identity(system, z) is both_oracles(system, z) is True
+    j = data.draw(st.integers(1, len(system.J)))
+    broken = flip_one_sign(system, j, data.draw(st.integers(0, N - 1)))
+    got = gram_is_scaled_identity(broken, z)
+    assert got is both_oracles(broken, z)
+    if all(z):  # the flipped entry makes <Z, V_j(Z)> = +-2 z_a z_b
+        assert got is False
+
+
+@st.composite
+def real_monomial_systems(draw):
+    """Any real signed permutations, frames or not: their Gram rows carry several
+    nonzero entries, which a packing with too few bits per digit could cancel."""
+    N = draw(st.integers(1, 6))
+    Js = [Monomial(draw(st.permutations(range(N))), draw(st.lists(st.sampled_from([0, 2]), min_size=N, max_size=N)))
+          for _ in range(draw(st.integers(0, 5)))]
+    return FieldSystem(N, len(Js) + 1, (1, 0), Js)
+
+
+@settings(max_examples=400, deadline=None)
+@given(real_monomial_systems(), st.data())
+def test_packed_gram_equals_both_oracles_on_any_real_monomials(system, data):
+    z = data.draw(st.lists(st.integers(-3, 3), min_size=system.N, max_size=system.N))
+    assert gram_is_scaled_identity(system, z) is both_oracles(system, z)
+
+
+@pytest.mark.parametrize("Js, z", [
+    ([((0, 3, 1, 2), (0, 0, 0, 0)), ((0, 1, 2, 3), (2, 0, 2, 0))], [-2, -2, -2, -1]),
+    ([((1, 0, 2), (0, 0, 2)), ((0, 1, 2), (0, 0, 2))], [-2, 1, -2]),
+])
+def test_packed_gram_is_false_where_narrower_digits_would_cancel(Js, z):
+    """Row 0 of these Gram matrices is |Z|^2, G_01, G_02 with G_01 = -2^j G_02 != 0
+    for a j at most (N m^2).bit_length() - 1, so packing with that few bits per
+    digit would read |Z|^2."""
+    system = FieldSystem(len(z), len(Js) + 1, (1, 0), [Monomial(*J) for J in Js])
+    assert gram_is_scaled_identity(system, z) is both_oracles(system, z) is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_GRAM_SYSTEMS)), st.integers(-10**6, 10**6).filter(bool),
+       st.booleans(), st.data())
+def test_packed_gram_at_the_edge_of_the_digit_bound(N, c, negate, data):
+    """A repeated (or negated) J on a constant point makes G_ab = +-|Z|^2 = +-N m^2,
+    the largest entry the digit bound has to hold."""
+    system = _GRAM_SYSTEMS[N]
+    j = data.draw(st.integers(0, len(system.J) - 1))
+    Js = list(system.J)
+    Js.insert(j + 1, -Js[j] if negate else Js[j])
+    twin, z = system._replace(J=Js), [c] * N
+    assert gram_is_scaled_identity(twin, z) is both_oracles(twin, z) is False
+    assert gram_is_scaled_identity(system, z) is both_oracles(system, z) is True
+
+
+@pytest.mark.parametrize("z", [[0] * 8, list(range(1, 9)), [Fraction(1, 3)] * 8])
+def test_packed_gram_calls_a_j_with_an_odd_phase_not_real(z):
+    """[[0, -i], [i, 0]] blocks give Scalar entries: not a real frame, so False,
+    wherever the J sits and even at Z = 0."""
+    system = build_field_system(8)
+    odd = Monomial.identity(4).kron(Monomial((1, 0), (1, 3)))
+    for j in range(len(system.J)):
+        Js = list(system.J)
+        Js[j] = odd
+        assert gram_is_scaled_identity(system._replace(J=Js), z) is False
+        assert structure_failure(system._replace(J=Js)) is not None
+
+
 def test_structure_failure_names_the_first_broken_equation():
     system = build_field_system(32)
     assert structure_failure(system) is None
@@ -283,9 +387,9 @@ def test_one_product_per_pair_agrees_with_both_products(N):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(0, 300))
-def test_random_ints_draws_as_randint_does(seed, count, span):
+def test_symmetric_draws_are_randint_draws(seed, count, span):
     mine, theirs = random.Random(seed), random.Random(seed)
-    assert random_ints(mine, count, span) == [theirs.randint(-span, span) for _ in range(count)]
+    assert draw_ints(mine, ((-span, span),), count) == [theirs.randint(-span, span) for _ in range(count)]
     assert mine.getstate() == theirs.getstate()
 
 
@@ -295,7 +399,7 @@ def test_random_point_rejects_an_all_zero_range():
         with pytest.raises(ValueError):
             random_point(N, rng, span)
     with pytest.raises(ValueError):
-        random_ints(rng, 3, -1)
+        draw_ints(rng, ((1, -1),), 3)
     assert rng.getstate() == random.Random(1).getstate()
     mine, theirs = random.Random(2), random.Random(2)
     z = random_point(3, mine, 1)

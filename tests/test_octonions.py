@@ -223,3 +223,17 @@ def test_random_octonion_equals_the_fraction_route(seed, span):
         x, y = random_octonion(fast, span), fraction_random_octonion(slow, span)
         assert x == y and x.coeffs == y.coeffs
     assert fast.random() == slow.random()  # the same draws, in the same order
+
+
+def test_algebra_checks_computes_each_sample_product_once(monkeypatch):
+    """x y and x x are formed once per sample: 7 products a sample, plus 4 for
+    the associator witness and 8 for each of the 10 orthonormality points."""
+    from spinbits import octonions
+
+    calls = []
+    real = octonions.octonion_mul
+    monkeypatch.setattr(octonions, "octonion_mul", lambda x, y: calls.append(1) or real(x, y))
+    for samples in (0, 1, 100):
+        calls.clear()
+        assert all(ok for _, ok in algebra_checks(samples, seed=1))
+        assert len(calls) == 7 * samples + 4 + 80

@@ -15,6 +15,7 @@ from spinbits.scalars import (
     SQRT6,
     ZERO,
     Scalar,
+    draw_ints,
 )
 
 
@@ -308,3 +309,49 @@ def test_products_and_inverses_agree_with_sympy():
         b = rand_scalar(rng)
         assert sympy.expand(to_sympy(a * b) - to_sympy(a) * to_sympy(b)) == 0
         assert sympy.expand(to_sympy(a.inverse()) * to_sympy(a)) == 1
+
+
+def randint_route(rng, ranges, count):
+    """Oracle for draw_ints: one randint call per draw."""
+    return [rng.randint(lo, hi) for _ in range(count) for lo, hi in ranges]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(-300, 300), st.integers(0, 300)), min_size=1, max_size=4),
+       st.integers(0, 20))
+def test_draw_ints_is_randint_in_values_and_state(seed, spans, count):
+    ranges = [(lo, lo + width) for lo, width in spans]  # width 0 is a one-value range
+    mine, theirs = random.Random(seed), random.Random(seed)
+    assert draw_ints(mine, ranges, count) == randint_route(theirs, ranges, count)
+    assert mine.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("ranges", [
+    ((0, 0),), ((7, 7),), ((-5, 5), (1, 4)), ((-9, 9), (1, 9)), ((1, 12),),
+    ((-2**70, 2**70),), ((0, 2**64 - 1), (3, 3)),
+])
+def test_draw_ints_fixed_ranges(ranges):
+    for seed in range(20):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        assert draw_ints(mine, ranges, 5) == randint_route(theirs, ranges, 5)
+        assert draw_ints(mine, ranges) == randint_route(theirs, ranges, 1)
+        assert mine.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_draw_ints_is_randrange_below_a_power_of_two(k):
+    mine, theirs = random.Random(k), random.Random(k)
+    assert draw_ints(mine, ((0, (1 << k) - 1),), 30) == [theirs.randrange(1 << k) for _ in range(30)]
+    assert mine.getstate() == theirs.getstate()
+
+
+def test_draw_ints_rejects_an_empty_range_before_drawing():
+    rng = random.Random(4)
+    for ranges in (((1, 0),), ((0, 3), (2, -2))):
+        with pytest.raises(ValueError):
+            draw_ints(rng, ranges, 3)
+        with pytest.raises(ValueError):
+            random.Random(4).randint(*ranges[-1])
+    assert rng.getstate() == random.Random(4).getstate()
+    assert draw_ints(rng, ((0, 3),), 0) == [] and rng.getstate() == random.Random(4).getstate()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from spinbits import reference as ref
 from spinbits import triality, verify
 from spinbits.clifford import CliffordElem, volume_element
-from spinbits.matrices import Matrix, Subspace
+from spinbits.matrices import Matrix, Subspace, e_basis_decompose
 from spinbits.scalars import Angle, I, ONE, SQRT3, Scalar, INV_SQRT2, ZERO
 from spinbits.spinors import Spinor
 
@@ -61,6 +61,24 @@ def test_outer_maps_match_printed_arrays():
             [[Scalar.rational(x, 2) for x in row] for row in ref.outer_matrix_expected(which)]
         )
         assert build_outer(which) == want
+
+
+def scalar_column_outer(name):
+    """Oracle for build_outer: column p holds Scalar halves of the E_kl
+    coefficients of e_p's half-spinor action."""
+    source = "minus" if name == "sigma" else "plus"
+    cols = []
+    for p in PAIR_ORDER:
+        deco = e_basis_decompose(kappa_real_matrix(p, source))
+        cols.append(to_vector({q: Scalar.from_fraction(c / 2) for q, c in deco.items()}))
+    return Matrix.from_columns(cols)
+
+
+@pytest.mark.parametrize("name", ["sigma", "tau"])
+def test_outer_int_rows_equal_the_scalar_column_route(name):
+    got, want = build_outer(name), scalar_column_outer(name)
+    assert got == want and got.data == want.data
+    assert got._int_form() == want._int_form() and got._int_form()[1] == 2
 
 
 def test_sigma_star_iterates_example():

@@ -65,3 +65,46 @@ def test_rand_scalar_equals_the_fraction_route_and_keeps_the_stream():
             x, y = verify._rand_scalar(a), fraction_rand_scalar(b)
             assert (x, x.to_json(), repr(x)) == (y, y.to_json(), repr(y))
         assert a.getstate() == b.getstate()
+
+
+def test_hermitian_identities_apply_gamma_once_per_spinor(monkeypatch):
+    calls = []
+    real = verify.real_structure
+    monkeypatch.setattr(verify, "real_structure", lambda n, psi: calls.append(n) or real(n, psi))
+    counts = []
+    for samples in (0, 30):
+        calls.clear()
+        report = verify.Report()
+        verify.check_structure_maps(report, samples, random.Random(1))
+        assert report.fail_count == 0
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 2 * 30
+
+
+def test_verify_all_draws_no_randint(monkeypatch):
+    """Every sampled check draws through scalars.draw_ints (or random/choice)."""
+    def refuse(*args):
+        raise AssertionError("randint or randrange called")
+
+    monkeypatch.setattr(random.Random, "randint", refuse)
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    assert verify.verify_all(seed=7).fail_count == 0
+
+
+def test_sampled_checks_keep_the_randint_stream():
+    """C4's and C10's draws, replayed through randint and randrange, leave the
+    rng in the same state, so every sample is the one drawn before."""
+    for samples in (1, 5, 30):
+        mine, theirs = random.Random(samples), random.Random(samples)
+        verify.check_g2(verify.Report(), samples, mine)
+        for _ in range(min(5, samples) * 14):
+            theirs.randint(-4, 4), theirs.randint(1, 3)
+        assert mine.getstate() == theirs.getstate()
+        verify.check_structure_maps(verify.Report(), samples, mine)
+        for _ in range(samples):
+            n = theirs.choice([2, 4, 6, 8, 10, 12])
+            for _ in range(2 * 3):  # two spinors of three terms
+                theirs.randrange(1 << (n // 2))
+                fraction_rand_scalar(theirs)
+            theirs.randint(1, n)
+        assert mine.getstate() == theirs.getstate()
