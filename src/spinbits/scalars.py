@@ -480,8 +480,8 @@ class Angle:
 
 
 def draw_ints(rng, ranges: Sequence[Tuple[int, int]], count: int = 1) -> List[int]:
-    """``count`` rounds of one ``rng.randint(lo, hi)`` per (lo, hi) of ``ranges``: randint's
-    loop on ``getrandbits((hi - lo + 1).bit_length())``, same values and state, no checks."""
+    """``count`` rounds of one ``rng.randint(lo, hi)`` per (lo, hi) of ``ranges``, with the
+    same values and rng state: randint's loop on ``getrandbits((hi - lo + 1).bit_length())``."""
     plan = [(lo, hi - lo + 1, (hi - lo + 1).bit_length()) for lo, hi in ranges]
     if any(n < 1 for _, n, _ in plan):
         raise ValueError("empty range for randint")
