@@ -32,7 +32,7 @@ from .matrices import (
     real_rep_matrix,
 )
 from .octonions import algebra_checks, octonion_table, quaternion_table
-from .scalars import ONE
+from .scalars import ONE, Scalar
 from .spinors import Spinor
 from .triality import (
     build_outer,
@@ -199,22 +199,22 @@ def cmd_outer(args) -> int:
         ok = reduce(Matrix.__mul__, [outer] * order) == Matrix.identity(28)
         return _emit(args.format, Report([(f"{args.what}* has order {order}", ok)]))
     if args.eigen is not None:
-        dim, basis = eigenspace(outer, _EIGENVALUES[args.eigen]())
+        basis = eigenspace(outer, _EIGENVALUES[args.eigen]())
         payload = {
             "eigenvalue": args.eigen,
-            "dimension": dim,
+            "dimension": basis.rows,
             "basis": [
                 {f"{i}{j}": c for (i, j), c in to_coeffs(row).items()} for row in basis.data
             ],
         }
-        return _emit(args.format, payload, text=f"dimension {dim}")
+        return _emit(args.format, payload, text=f"dimension {basis.rows}")
     return _emit(args.format, outer)
 
 
 def cmd_g2(args) -> int:
     if args.generators:
         payload = [
-            {f"{i}{j}": c for (i, j), c in g.items()} for g in g2_generators()
+            {f"{i}{j}": Scalar.rational(c) for (i, j), c in g.items()} for g in g2_generators()
         ]
         return _emit(args.format, payload, text="\n".join(str(p) for p in payload))
     if args.matrix is not None:

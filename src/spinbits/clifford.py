@@ -13,7 +13,7 @@ using e_i e_j = -e_j e_i and e_i^2 = -1.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .scalars import Angle, Combination, ONE, Scalar, accumulate
 from .spinors import Spinor, parity
@@ -109,18 +109,10 @@ class CliffordElem(Combination):
     __slots__ = ("n",)
     _space = "n"
 
-    def __init__(self, n: int, terms: Dict[int, Scalar] | None = None):
-        self.n = n
-        t = {}
-        if terms:
-            top = 1 << n
-            for m, c in terms.items():
-                if not 0 <= m < top:
-                    raise ValueError(f"monomial mask {m} out of range for n={n}")
-                c = self._coeff(c)
-                if c:
-                    t[m] = c
-        self.terms = t
+    def _key(self, m: int) -> int:
+        if not 0 <= m < 1 << self.n:
+            raise ValueError(f"monomial mask {m} out of range for n={self.n}")
+        return m
 
     @staticmethod
     def one(n: int) -> "CliffordElem":

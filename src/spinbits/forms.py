@@ -41,19 +41,15 @@ class ExtForm(Combination):
     def __init__(self, degree: int, terms: Dict[Tuple[int, ...], Fraction] | None = None):
         if not 0 <= degree <= DIM:
             raise ValueError("degree out of range")
-        self.degree = degree
-        t = {}
-        if terms:
-            for key, c in terms.items():
-                key = tuple(key)
-                if len(key) != degree or list(key) != sorted(set(key)):
-                    raise ValueError(f"bad index subset {key} for degree {degree}")
-                if any(not 1 <= i <= DIM for i in key):
-                    raise ValueError(f"index out of range in {key}")
-                c = Fraction(c)
-                if c:
-                    t[key] = c
-        self.terms = t
+        super().__init__(degree, terms)
+
+    def _key(self, key: Sequence[int]) -> Tuple[int, ...]:
+        key = tuple(key)
+        if len(key) != self.degree or list(key) != sorted(set(key)):
+            raise ValueError(f"bad index subset {key} for degree {self.degree}")
+        if any(not 1 <= i <= DIM for i in key):
+            raise ValueError(f"index out of range in {key}")
+        return key
 
     @staticmethod
     def dx(*indices: int) -> "ExtForm":
@@ -107,8 +103,8 @@ def wedge(a: ExtForm, b: ExtForm) -> ExtForm:
 
 def dualize_endomorphism(M: Matrix) -> ExtForm:
     """Antisymmetric rational matrix -> 2-form, E_kl component c becoming c dx_k^dx_l."""
-    coeffs = e_basis_decompose(M)
-    return ExtForm(2, {(k, l): c for (k, l), c in coeffs.items()})
+    coeffs, den = e_basis_decompose(M)
+    return ExtForm(2, {p: Fraction(c, den) for p, c in coeffs.items()})
 
 
 def contract_first(form: ExtForm) -> ExtForm:
@@ -159,9 +155,10 @@ def derivation_action(G: Matrix, form: ExtForm) -> ExtForm:
     """Lie-derivative style action of a linear vector-space map on a
     constant-coefficient form: dx_m -> -sum_c G[m][c] dx_c, extended as
     a derivation across each wedge monomial."""
-    if G.rows != DIM or G.cols != DIM:
-        raise ValueError("need an 8x8 matrix")
-    rows = [[x.as_fraction() for x in row] for row in G.data]
+    a = G.rows == G.cols == DIM and G._int_form()
+    if not a:
+        raise ValueError("need a rational 8x8 matrix")
+    rows, den = a
 
     def images():
         for key, c in form.terms.items():
@@ -172,4 +169,4 @@ def derivation_action(G: Matrix, form: ExtForm) -> ExtForm:
                         if sign:
                             yield newkey, -c * g * sign
 
-    return ExtForm(form.degree, accumulate({}, images()))
+    return ExtForm(form.degree, accumulate({}, images())).scale(Fraction(1, den))

@@ -128,8 +128,9 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return self.scale(-ONE)
 
-    def scale(self, c: Scalar) -> "Matrix":
-        a = self._int_form()
+    def scale(self, c) -> "Matrix":
+        """This matrix times a Scalar, int or Fraction c."""
+        c, a = _coerce(c), self._int_form()
         if a and c.is_rational():
             num, den = a
             k = c._n[0] if c._n else 0
@@ -696,8 +697,9 @@ def lambda_matrix(n: int, g) -> Matrix:
     return Matrix.from_columns(cols)
 
 
-def e_basis_decompose(M: Matrix) -> Dict[Tuple[int, int], Fraction]:
-    """Coefficients of an antisymmetric matrix over the standard basis E_ij.
+def e_basis_decompose(M: Matrix) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """Coefficients of an antisymmetric matrix over the standard basis E_ij:
+    their int numerators, and the matrix's denominator.
 
     E_ij maps the i-th coordinate vector to the j-th and the j-th to
     minus the i-th, so c_ij is read off at entry (j, i); inputs must be
@@ -709,13 +711,12 @@ def e_basis_decompose(M: Matrix) -> Dict[Tuple[int, int], Fraction]:
     if not a:
         raise ValueError("non-rational entry in decomposition")
     (num, den), n = a, M.rows
-    return {(i + 1, j + 1): Fraction(num[j][i], den) for i in range(n) for j in range(i + 1, n) if num[j][i]}
+    return {(i + 1, j + 1): num[j][i] for i in range(n) for j in range(i + 1, n) if num[j][i]}, den
 
 
-def e_basis_compose(n: int, coeffs: Dict[Tuple[int, int], Fraction]) -> Matrix:
-    """Inverse of e_basis_decompose: build the antisymmetric matrix."""
-    M = [[ZERO] * n for _ in range(n)]
+def e_basis_compose(n: int, coeffs: Dict[Tuple[int, int], int], den: int) -> Matrix:
+    """Inverse of e_basis_decompose: the antisymmetric matrix of int ``coeffs`` over ``den``."""
+    M = [[0] * n for _ in range(n)]
     for (i, j), c in coeffs.items():
-        M[j - 1][i - 1] = Scalar.from_fraction(c)
-        M[i - 1][j - 1] = Scalar.from_fraction(-c)
-    return Matrix(M)
+        M[j - 1][i - 1], M[i - 1][j - 1] = c, -c
+    return Matrix.from_int_rows(M, den)

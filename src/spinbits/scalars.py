@@ -346,13 +346,23 @@ class Combination:
 
     A subclass names the slot that holds its space in ``_space`` (a spinor's
     bit width ``k``, an algebra's dimension ``n``, a form's ``degree``);
-    combinations add only within one space.  It supplies its constructor and
-    key validation, and each key's name in LaTeX and in ``repr``.
+    combinations add only within one space.  It supplies ``_key``, which
+    checks a key and returns it in its stored form, and each key's name in
+    LaTeX and in ``repr``.
     """
 
     __slots__ = ("terms",)
     _space = ""
     _coeff = staticmethod(_coerce)  # the coefficient type, applied to whatever is given
+
+    def __init__(self, space, terms: dict | None = None):
+        """The combination in ``space`` of the terms: keys checked, coefficients coerced, zeros dropped."""
+        setattr(self, self._space, space)
+        self.terms = t = {}
+        for key, c in (terms or {}).items():
+            key, c = self._key(key), self._coeff(c)
+            if c:
+                t[key] = c
 
     def _like(self, terms: dict):
         """A combination in this one's space with the given terms, all nonzero."""

@@ -13,7 +13,7 @@ coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .scalars import Combination, I, INV_SQRT2, ONE, Scalar, ZERO
 
@@ -55,18 +55,10 @@ class Spinor(Combination):
     __slots__ = ("k",)
     _space = "k"
 
-    def __init__(self, k: int, terms: Dict[int, Scalar] | None = None):
-        self.k = k
-        t = {}
-        if terms:
-            top = 1 << k
-            for a, c in terms.items():
-                if not 0 <= a < top:
-                    raise ValueError(f"index {a} out of range for k={k}")
-                c = self._coeff(c)
-                if c:
-                    t[a] = c
-        self.terms = t
+    def _key(self, a: int) -> int:
+        if not 0 <= a < 1 << self.k:
+            raise ValueError(f"index {a} out of range for k={self.k}")
+        return a
 
     @staticmethod
     def basis(k: int, a: int, coeff: Scalar = ONE) -> "Spinor":

@@ -7,24 +7,28 @@ half-spinor action of each generator e_i e_j over the standard
 antisymmetric basis E_kl and halve.  The tabulated lists in
 ``reference`` are used by the verification suite, never as the source
 of the construction.
+
+A bivector combination (``BivectorCoeffs``) maps pairs (i, j), i < j, to
+coefficients: int numerators, beside one denominator where that is not 1,
+for every rational element of so(8), and Scalars only where omega is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from math import lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import CliffordElem, blade_product, volume_element
-from .matrices import Matrix, Monomial, Subspace, e_basis_decompose, int_rows, real_block
-from .scalars import Angle, HALF, I, ONE, SQRT3, Scalar, ZERO, INV_SQRT2, _ratio
+from .matrices import Matrix, Monomial, Subspace, e_basis_decompose, real_block
+from .scalars import Angle, HALF, I, ONE, SQRT3, Scalar, ZERO, INV_SQRT2
 from .spinors import Spinor
 
 PAIR_ORDER: List[Tuple[int, int]] = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
 _PAIR_POS = {p: n for n, p in enumerate(PAIR_ORDER)}
 
-BivectorCoeffs = Dict[Tuple[int, int], Scalar]
+BivectorCoeffs = Dict[Tuple[int, int], object]  # int numerators, or Scalars
 
 
 def to_vector(coeffs: BivectorCoeffs, zero=ZERO) -> List[Scalar]:
@@ -41,15 +45,15 @@ def to_coeffs(vec: Sequence[Scalar]) -> BivectorCoeffs:
 
 
 def bivector_span(vectors: Iterable[BivectorCoeffs]) -> Subspace:
-    """The span of some bivector combinations, in PAIR_ORDER coordinates."""
-    return Subspace([to_vector(v) for v in vectors], 28)
+    """The span of some int bivector combinations, in PAIR_ORDER coordinates."""
+    return Subspace(Matrix.from_int_rows([to_vector(v, 0) for v in vectors]), 28)
 
 
-def image_coeffs(outer: Matrix, pair: Tuple[int, int]) -> BivectorCoeffs:
-    """The image of e_pair under a rational map on bivectors, read off its int column."""
+def image_coeffs(outer: Matrix, pair: Tuple[int, int]) -> Tuple[BivectorCoeffs, int]:
+    """The image of e_pair under a rational map: its column's int numerators, and the map's denominator."""
     c = _PAIR_POS[pair]
     num, den = outer._int_form()
-    return {PAIR_ORDER[r]: _ratio(row[c], den) for r, row in enumerate(num) if row[c]}
+    return {PAIR_ORDER[r]: row[c] for r, row in enumerate(num) if row[c]}, den
 
 
 # Orientation of the half-spinor frames used throughout this module:
@@ -84,16 +88,15 @@ def build_outer(name: str) -> Matrix:
         raise ValueError("name must be sigma or tau")
     source = "minus" if name == "sigma" else "plus"
     # kappa is an int matrix, so its E_kl coefficients are ints: the columns over 2
-    cols = [to_vector(e_basis_decompose(kappa_real_matrix(p, source)), 0) for p in PAIR_ORDER]
-    return Matrix.from_int_rows([[int(c) for c in row] for row in zip(*cols)], 2)
+    cols = [to_vector(e_basis_decompose(kappa_real_matrix(p, source))[0], 0) for p in PAIR_ORDER]
+    return Matrix.from_int_rows(zip(*cols), 2)
 
 
-def eigenspace(outer: Matrix, lam: Scalar) -> Tuple[int, Matrix]:
-    """(dimension, basis rows) of the exact kernel of (map - lambda Id)."""
+def eigenspace(outer: Matrix, lam: Scalar) -> Matrix:
+    """The exact kernel of (map - lambda Id), its basis as the rows of a Matrix."""
     if lam not in (ONE, -ONE, (SQRT3 * I - ONE) * HALF, (-SQRT3 * I - ONE) * HALF):
         raise ValueError("unsupported eigenvalue")
-    _, kernel = (outer - Matrix.identity(28).scale(lam)).nullspace()
-    return kernel.rows, kernel
+    return (outer - Matrix.identity(28).scale(lam)).nullspace()[1]
 
 
 def omega_eigenvalue(conj: bool = False) -> Scalar:
@@ -102,20 +105,11 @@ def omega_eigenvalue(conj: bool = False) -> Scalar:
     return (s * I - ONE) * HALF
 
 
-def _int_coeffs(rows: List[Sequence[Scalar]]) -> Tuple[List[List[int]], int]:
-    """Int numerators of rows of rational coefficients over one denominator."""
-    ints = int_rows(rows)
-    if not ints:
-        raise ValueError("bivector coefficients must be rational")
-    return ints
-
-
-def kappa_star_matrix(pairs_coeffs: BivectorCoeffs, sign: str) -> Matrix:
-    """Half-spinor action matrix of a rational bivector combination on a
-    real frame, summed on the int rows of the generators' matrices."""
-    ([nums], den) = _int_coeffs([list(pairs_coeffs.values())])
+def kappa_star_matrix(coeffs: BivectorCoeffs, den: int, sign: str) -> Matrix:
+    """Half-spinor action on a real frame of the bivector combination with int
+    numerators ``coeffs`` over ``den``, summed on the generators' int rows."""
     acc = [[0] * 8 for _ in range(8)]
-    for p, x in zip(pairs_coeffs, nums):
+    for p, x in coeffs.items():
         rows, _ = kappa_real_matrix(p, sign)._int_form()  # a signed permutation: denominator 1
         for out, row in zip(acc, rows):
             for j, y in enumerate(row):
@@ -138,11 +132,11 @@ def s3_relations() -> List[Tuple[str, bool]]:
         ("(sigma* tau*)^2 = Id", st * st == ident),
     ]
     ok_minus = all(
-        kappa_star_matrix(image_coeffs(ts, p), "minus") == kappa_real_matrix(list(p), "plus")
+        kappa_star_matrix(*image_coeffs(ts, p), "minus") == kappa_real_matrix(list(p), "plus")
         for p in PAIR_ORDER
     )
     ok_plus = all(
-        kappa_star_matrix(image_coeffs(ts, p), "plus") == kappa_real_matrix(list(p), "minus")
+        kappa_star_matrix(*image_coeffs(ts, p), "plus") == kappa_real_matrix(list(p), "minus")
         for p in PAIR_ORDER
     )
     results.append(("kappa-* (tau* sigma*) = kappa+*", ok_minus))
@@ -159,7 +153,7 @@ def span_contains(span: Subspace, vec: BivectorCoeffs) -> bool:
 
 
 def g2_generators() -> List[BivectorCoeffs]:
-    """The 14 spanning bivectors of the fixed subalgebra of sigma*.
+    """The 14 spanning bivectors of the fixed subalgebra of sigma*, on ints.
 
     Parsed once: callers share the combinations and never mutate them.
     """
@@ -170,24 +164,16 @@ def g2_generators() -> List[BivectorCoeffs]:
 def _g2_generators() -> Tuple[BivectorCoeffs, ...]:
     from . import reference
 
-    return tuple(
-        {p: Scalar.rational(c) for p, c in reference.bivector_terms(line).items()}
-        for line in reference.G2_GENERATORS
-    )
+    return tuple(map(reference.bivector_terms, reference.G2_GENERATORS))
 
 
 def bivector_bracket(a: BivectorCoeffs, b: BivectorCoeffs) -> BivectorCoeffs:
-    """Clifford commutator of two rational bivector combinations, again a bivector.
+    """Clifford commutator of two bivector combinations, again a bivector.
 
-    The bracket is bilinear, so it is summed on ints from the structure
-    constants of the basis pairs.  Int coefficients give int coefficients
-    (zero ones kept); Scalar ones are summed on their numerators over one
-    denominator d, and the sums divided by d^2.
+    The bracket is bilinear, so it is summed in the coefficients' own
+    arithmetic from the structure constants of the basis pairs: int
+    coefficients give int ones.  Coefficients that sum to zero are kept.
     """
-    ints = all(type(c) is int for c in chain(a.values(), b.values()))
-    if not ints:
-        [na, nb], d = _int_coeffs([list(a.values()), list(b.values())])
-        a, b = dict(zip(a, na)), dict(zip(b, nb))
     table, acc = _bracket_table(), {}
     for p, x in a.items():
         row = table[p]
@@ -196,7 +182,7 @@ def bivector_bracket(a: BivectorCoeffs, b: BivectorCoeffs) -> BivectorCoeffs:
             if rc:
                 r, c = rc
                 acc[r] = acc.get(r, 0) + c * x * y
-    return acc if ints else {r: _ratio(s, d * d) for r, s in acc.items() if s}
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -241,17 +227,17 @@ def g2_structure() -> Dict[str, object]:
          all(apply_bivector_to_spinor(g, psi_minus).is_zero() for g in gens))
     )
 
-    dim_fix_sigma, fix_sigma = eigenspace(sig, ONE)
-    checks.append(("fixed space of sigma* has dimension 14", dim_fix_sigma == 14))
+    fix_sigma = eigenspace(sig, ONE)
+    checks.append(("fixed space of sigma* has dimension 14", fix_sigma.rows == 14))
     checks.append(("generators span the fixed space of sigma*", g2 == Subspace(fix_sigma)))
 
-    fix_tau = Subspace(eigenspace(tau, ONE)[1])
-    spin7_low = bivector_span({(i, j): ONE} for (i, j) in PAIR_ORDER if i >= 2)
+    fix_tau = Subspace(eigenspace(tau, ONE))
+    spin7_low = bivector_span({(i, j): 1} for (i, j) in PAIR_ORDER if i >= 2)
     inter = fix_tau & spin7_low
     checks.append(("g2 = spin7(e2..e8) intersect Fix(tau*)", inter.dim == 14 and g2 == inter))
 
-    fix_ts = Subspace(eigenspace(ts, ONE)[1])
-    fix_ts2 = Subspace(eigenspace(tau * sig2, ONE)[1])
+    fix_ts = Subspace(eigenspace(ts, ONE))
+    fix_ts2 = Subspace(eigenspace(tau * sig2, ONE))
     checks.append(("Fix(tau* sigma*) = spin7(e2..e8)", fix_ts == spin7_low))
     for label, fix in (("tau* sigma*^2", fix_ts2), ("tau* sigma*", fix_ts)):
         inter = fix_tau & fix
@@ -279,7 +265,7 @@ def g2_structure() -> Dict[str, object]:
             (f"reductive pair (spin7, g2) in the {label}: [g2,m] in m, [m,m] in spin7",
              m.dim == 7 and gm and mm)
         )
-    m_tau = Subspace(eigenspace(tau, -ONE)[1])
+    m_tau = Subspace(eigenspace(tau, -ONE))
     m_tau_ints = ints(m_tau)
     sym_mm = all(span_contains(fix_tau, bivector_bracket(x, y)) for x in m_tau_ints for y in m_tau_ints)
     sym_gm = all(span_contains(m_tau, bivector_bracket(g, x)) for g in fix_tau_ints for x in m_tau_ints)
@@ -297,19 +283,23 @@ def g2_action_matrix(alphas: Sequence) -> Matrix:
     return g2_action_matrix_on("plus", alphas).transpose()
 
 
+def alpha_ints(alphas: Sequence) -> Tuple[List[int], int]:
+    """Int numerators of rational (int or Fraction) alphas over their lcm denominator."""
+    fracs = [Fraction(a) for a in alphas]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
 def g2_action_matrix_on(which: str, alphas: Sequence) -> Matrix:
-    """Column-convention action of sum(alpha_m G_m) on a real frame."""
+    """Column-convention action of sum(alpha_m G_m) on a real frame, summed on ints."""
     if len(alphas) != 14:
         raise ValueError("need 14 coefficients")
-    gens = g2_generators()
-    alphas = [a if isinstance(a, Scalar) else Scalar.from_fraction(Fraction(a)) for a in alphas]
-    # alpha_m and the generators' coefficients, all over one denominator d
-    (xs, *ys), d = _int_coeffs([alphas] + [list(g.values()) for g in gens])
+    nums, den = alpha_ints(alphas)
     acc: Dict[Tuple[int, int], int] = {}
-    for x, g, row in zip(xs, gens, ys):
-        for p, y in zip(g, row):
+    for x, g in zip(nums, g2_generators()):
+        for p, y in g.items():
             acc[p] = acc.get(p, 0) + x * y
-    return kappa_star_matrix({p: _ratio(s, d * d) for p, s in acc.items() if s}, which)
+    return kappa_star_matrix({p: s for p, s in acc.items() if s}, den, which)
 
 
 def group_automorphism(which: str, pair: Tuple[int, int]) -> CliffordElem:
@@ -319,14 +309,13 @@ def group_automorphism(which: str, pair: Tuple[int, int]) -> CliffordElem:
     four commuting rotation factors at angle pi/4 with signs read from
     the bivector image.
     """
-    coeffs = image_coeffs(build_outer(which), pair)
+    coeffs, den = image_coeffs(build_outer(which), pair)
     quarter = Angle(3)  # pi/4
     out = CliffordElem.one(8)
     for (i, j), c in sorted(coeffs.items()):
-        f = c * 2  # entries are +-1/2
-        sin = quarter.sin() if f == ONE else -quarter.sin() if f == -ONE else None
-        if sin is None:
+        if 2 * abs(c) != den:  # entries are +-1/2
             raise ValueError("generator image is not a quarter-turn product")
+        sin = quarter.sin() if c > 0 else -quarter.sin()
         out = out * CliffordElem(
             8, {0: quarter.cos(), (1 << (i - 1)) | (1 << (j - 1)): sin}
         )

@@ -212,6 +212,32 @@ def test_int_and_fraction_coefficients_become_scalars():
     assert x == CliffordElem(2, {0: Scalar.rational(1, 2), 3: -ONE})
 
 
+def test_one_constructor_checks_keys_coerces_and_drops_zeros():
+    from spinbits.forms import ExtForm
+
+    cases = [
+        (lambda: Spinor(2, {4: ONE}), "index 4 out of range for k=2"),
+        (lambda: Spinor(2, {-1: ONE}), "index -1 out of range for k=2"),
+        (lambda: CliffordElem(3, {8: ONE}), "monomial mask 8 out of range for n=3"),
+        (lambda: ExtForm(2, {(2, 1): 1}), "bad index subset (2, 1) for degree 2"),
+        (lambda: ExtForm(2, {(1,): 1}), "bad index subset (1,) for degree 2"),
+        (lambda: ExtForm(2, {(0, 3): 1}), "index out of range in (0, 3)"),
+        (lambda: ExtForm(9), "degree out of range"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+    with pytest.raises(TypeError):  # a coefficient outside the field
+        Spinor(2, {1: 0.5})
+    # keys kept (a form's as a tuple), coefficients coerced, zeros dropped, order kept
+    u = Spinor(3, {5: 2, 1: Fraction(1, 2), 2: 0})
+    assert list(u.terms.items()) == [(5, Scalar.rational(2)), (1, HALF)] and u.k == 3
+    w = ExtForm(2, {range(1, 3): 2, (2, 4): Fraction(0)})
+    assert list(w.terms.items()) == [((1, 2), Fraction(2))] and w.degree == 2
+    assert CliffordElem(2).terms == {} and CliffordElem(2).n == 2
+
+
 @st.composite
 def combination_terms(draw):
     k = draw(st.integers(1, 5))

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +17,7 @@ from spinbits.forms import (
     wedge,
 )
 from spinbits.matrices import Matrix
+from spinbits.scalars import SQRT3
 from spinbits.triality import g2_action_matrix_on, kappa_real_matrix
 
 
@@ -46,6 +50,9 @@ def test_dualize_examples():
     assert dualize_endomorphism(kappa_real_matrix([2, 3], "plus")) == f_form(2, 3)
     assert dualize_endomorphism(kappa_real_matrix([7, 8], "plus")) == f_form(7, 8)
     assert dualize_endomorphism(Matrix.zero(8, 8)).is_zero()
+    # a matrix over a denominator gives Fraction coefficients
+    half = kappa_real_matrix([2, 3], "plus").scale(Fraction(3, 2))
+    assert dualize_endomorphism(half) == f_form(2, 3).scale(Fraction(3, 2))
     assert f_form(2, 3) == ExtForm(2, {(1, 4): 1, (2, 3): 1, (5, 8): 1, (6, 7): 1})
 
 
@@ -100,6 +107,34 @@ def test_derivation_nonzero_outside_stabilizer():
         [[0, -1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]] + [[0] * 8] * 6
     )
     assert not derivation_action(G, spin7_four_form()).is_zero()
+
+
+def fraction_derivation_action(G, form):
+    """Oracle for derivation_action: each dx_m -> -sum_c G[m][c] dx_c, on the
+    Fraction entries of G, as a sum of wedge products."""
+    out = ExtForm.zero(form.degree)
+    for key, c in form.terms.items():
+        for slot, m in enumerate(key):
+            image = ExtForm.zero(1)
+            for col in range(8):
+                image = image + ExtForm.dx(col + 1).scale(-G[m - 1, col].as_fraction())
+            term = ExtForm(0, {(): c})
+            for t, i in enumerate(key):
+                term = wedge(term, image if t == slot else ExtForm.dx(i))
+            out = out + term
+    return out
+
+
+def test_derivation_action_reads_int_rows_over_the_denominator():
+    rng = random.Random(8)
+    forms = [spin7_four_form(), g2_three_form(), ExtForm.dx(1, 5) + ExtForm.dx(2, 3).scale(Fraction(1, 3))]
+    for den in (1, 2, 6):
+        G = Matrix.from_int_rows([[rng.randint(-2, 2) for _ in range(8)] for _ in range(8)], den)
+        for form in forms:
+            assert derivation_action(G, form) == fraction_derivation_action(G, form)
+    for bad in (Matrix.identity(7), Matrix([[SQRT3] * 8] * 8)):
+        with pytest.raises(ValueError):
+            derivation_action(bad, forms[0])
 
 
 subsets = st.lists(st.integers(min_value=1, max_value=8), min_size=0, max_size=3)

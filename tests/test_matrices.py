@@ -1,6 +1,7 @@
 import contextlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,14 +155,12 @@ def rational_det(M):
 
 def test_e_basis_decompose_examples():
     M = kappa_real_matrix([1, 2], "minus")
-    assert e_basis_decompose(M) == {
-        (1, 2): Fraction(-1), (3, 4): Fraction(-1), (5, 6): Fraction(-1), (7, 8): Fraction(-1)
-    }
+    assert e_basis_decompose(M) == ({(1, 2): -1, (3, 4): -1, (5, 6): -1, (7, 8): -1}, 1)
     M = kappa_real_matrix([1, 2], "plus")
-    assert e_basis_decompose(M) == {
-        (1, 2): Fraction(1), (3, 4): Fraction(1), (5, 6): Fraction(1), (7, 8): Fraction(1)
-    }
-    assert e_basis_decompose(Matrix.zero(8, 8)) == {}
+    assert e_basis_decompose(M) == ({(1, 2): 1, (3, 4): 1, (5, 6): 1, (7, 8): 1}, 1)
+    # int numerators over the matrix's denominator
+    assert e_basis_decompose(M.scale(Fraction(3, 2))) == ({(1, 2): 3, (3, 4): 3, (5, 6): 3, (7, 8): 3}, 2)
+    assert e_basis_decompose(Matrix.zero(8, 8)) == ({}, 1)
 
 
 def test_e_basis_round_trip():
@@ -173,8 +172,18 @@ def test_e_basis_round_trip():
                 if rng.random() < 0.3:
                     coeffs[(i, j)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         coeffs = {k: v for k, v in coeffs.items() if v}
-        M = e_basis_compose(8, coeffs)
-        assert e_basis_decompose(M) == coeffs
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        M = e_basis_compose(8, {p: c.numerator * (den // c.denominator) for p, c in coeffs.items()}, den)
+        assert M._data is None  # built on int rows
+        # the oracle: the antisymmetric matrix of Scalar entries
+        want = [[ZERO] * 8 for _ in range(8)]
+        for (i, j), c in coeffs.items():
+            want[j - 1][i - 1], want[i - 1][j - 1] = Scalar.from_fraction(c), Scalar.from_fraction(-c)
+        assert M == Matrix(want)
+        nums, d = e_basis_decompose(M)
+        assert M._int_form()[1] == d and all(type(c) is int for c in nums.values())
+        assert {p: Fraction(c, d) for p, c in nums.items()} == coeffs
+        assert e_basis_compose(8, nums, d) == M
 
 
 def test_e_basis_decompose_rejects_non_antisymmetric():
@@ -525,6 +534,21 @@ def test_rational_matrices_keep_the_int_form():
     half = Matrix.from_int_rows([[1, 2], [3, 4]]).scale(Scalar.rational(1, 2))
     assert half._int_form() == ([[1, 2], [3, 4]], 2)
     assert half.scale(Scalar.rational(2))._int_form() == ([[1, 2], [3, 4]], 1)
+
+
+@pytest.mark.parametrize("c", [2, -3, 0, Fraction(1, 2), Fraction(-4, 6), Scalar.rational(5, 3), ZERO,
+                               SQRT3, I, SQRT3 * I - ONE])
+def test_scale_takes_int_fraction_and_scalar_factors(c):
+    """Each entry times c, against the entrywise Scalar products; a rational
+    factor keeps a rational matrix on its int form."""
+    A = Matrix.from_int_rows([[1, -2, 0], [3, 4, 5]], 3)
+    B = Matrix([[SQRT3, ONE], [ZERO, I]])
+    x = c if isinstance(c, Scalar) else Scalar.from_fraction(Fraction(c))
+    for M in (A, B):
+        got = M.scale(c)
+        assert got == Matrix([[x * e for e in row] for row in M.data])
+    if x.is_rational():
+        assert A.scale(c)._data is None
 
 
 def test_irrational_matrices_take_the_scalar_route():

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from spinbits import reference as ref
 from spinbits import triality, verify
 from spinbits.clifford import CliffordElem, volume_element
-from spinbits.matrices import Matrix, Subspace, e_basis_decompose
-from spinbits.scalars import Angle, I, ONE, SQRT3, Scalar, INV_SQRT2, ZERO
+from spinbits import scalars
+from spinbits.matrices import Matrix, Subspace, e_basis_decompose, int_rows
+from spinbits.scalars import Angle, I, ONE, SQRT2, SQRT3, Scalar, INV_SQRT2, ZERO
 from spinbits.spinors import Spinor
 
 from dense_oracle import frame_kappa_real_matrix
@@ -36,23 +37,19 @@ from spinbits.triality import (
 )
 
 
-def halves(terms):
-    """A tabulated image line, whose int entries are twice the image's."""
-    return {q: Fraction(c, 2) for q, c in terms.items()}
-
-
 def test_sigma_star_matches_all_tabulated_lines():
+    # a tabulated line's int entries are the image's numerators over 2
     sig = build_outer("sigma")
     expected = ref.line_table(ref.SIGMA_LINES)
     for p in PAIR_ORDER:
-        assert image_coeffs(sig, p) == halves(expected[p])
+        assert image_coeffs(sig, p) == (expected[p], 2)
 
 
 def test_tau_star_matches_all_tabulated_lines():
     tau = build_outer("tau")
     expected = ref.line_table(ref.TAU_LINES)
     for p in PAIR_ORDER:
-        assert image_coeffs(tau, p) == halves(expected[p])
+        assert image_coeffs(tau, p) == (expected[p], 2)
 
 
 def test_outer_maps_match_printed_arrays():
@@ -69,8 +66,8 @@ def scalar_column_outer(name):
     source = "minus" if name == "sigma" else "plus"
     cols = []
     for p in PAIR_ORDER:
-        deco = e_basis_decompose(kappa_real_matrix(p, source))
-        cols.append(to_vector({q: Scalar.from_fraction(c / 2) for q, c in deco.items()}))
+        deco, den = e_basis_decompose(kappa_real_matrix(p, source))
+        cols.append(to_vector({q: Scalar.rational(c, 2 * den) for q, c in deco.items()}))
     return Matrix.from_columns(cols)
 
 
@@ -84,11 +81,14 @@ def test_outer_int_rows_equal_the_scalar_column_route(name):
 def test_sigma_star_iterates_example():
     sig = build_outer("sigma")
     first = image_coeffs(sig, (1, 2))
-    assert first == halves({(1, 2): -1, (3, 4): -1, (5, 6): -1, (7, 8): -1})
-    second = to_coeffs(sig.apply(to_vector(first)))
-    assert second == halves({(1, 2): -1, (3, 4): 1, (5, 6): 1, (7, 8): 1})
+    assert first == ({(1, 2): -1, (3, 4): -1, (5, 6): -1, (7, 8): -1}, 2)
+    # the next iterates, applied to the image column, and as columns of the powers
+    second = to_coeffs(sig.apply([Scalar.rational(c, first[1]) for c in to_vector(first[0], 0)]))
+    assert second == {p: Scalar.rational(c, 2) for p, c in {(1, 2): -1, (3, 4): 1, (5, 6): 1, (7, 8): 1}.items()}
+    assert image_coeffs(sig * sig, (1, 2)) == ({(1, 2): -1, (3, 4): 1, (5, 6): 1, (7, 8): 1}, 2)
     third = to_coeffs(sig.apply(to_vector(second)))
     assert third == {(1, 2): ONE}
+    assert image_coeffs(sig * sig * sig, (1, 2)) == ({(1, 2): 1}, 1)
 
 
 def test_orders():
@@ -100,7 +100,7 @@ def test_orders():
 
 def test_tau_star_line_example():
     tau = build_outer("tau")
-    assert image_coeffs(tau, (2, 3)) == halves({(1, 4): 1, (2, 3): 1, (5, 8): 1, (6, 7): 1})
+    assert image_coeffs(tau, (2, 3)) == ({(1, 4): 1, (2, 3): 1, (5, 8): 1, (6, 7): 1}, 2)
 
 
 def test_s3_relations_all_pass():
@@ -110,22 +110,21 @@ def test_s3_relations_all_pass():
 
 def test_eigenspace_dimensions_and_members():
     sig, tau = build_outer("sigma"), build_outer("tau")
-    dim, basis = eigenspace(sig, ONE)
-    assert dim == 14
+    basis = eigenspace(sig, ONE)
+    assert isinstance(basis, Matrix) and basis.rows == 14 and basis.cols == 28
     g1 = {(2, 3): ONE, (6, 7): ONE}
     assert span_contains(Subspace(basis), g1)
+    assert (sig - Matrix.identity(28)) * basis.transpose() == Matrix.zero(28, 14)
 
-    dim, basis = eigenspace(sig, omega_eigenvalue())
-    assert dim == 7
+    basis = eigenspace(sig, omega_eigenvalue())
+    assert basis.rows == 7
     member = {
         (6, 8): ONE, (5, 7): -ONE, (2, 4): ONE, (1, 3): I * SQRT3,
     }
     assert span_contains(Subspace(basis), member)
 
-    dim, _ = eigenspace(tau, ONE)
-    assert dim == 21
-    dim, _ = eigenspace(tau, -ONE)
-    assert dim == 7
+    assert eigenspace(tau, ONE).rows == 21
+    assert eigenspace(tau, -ONE).rows == 7
 
 
 def test_eigenspace_rejects_unsupported_values():
@@ -268,12 +267,26 @@ bivectors = st.dictionaries(
     st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)).map(Scalar.from_fraction),
     max_size=6,
 )
+# rational coefficients times a unit of the field, some of them irrational
+field_bivectors = st.dictionaries(
+    st.sampled_from(PAIR_ORDER),
+    st.builds(lambda f, u: Scalar.from_fraction(f) * u,
+              st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+              st.sampled_from([ONE, I, SQRT2, SQRT3, SQRT3 * I - ONE])),
+    max_size=6,
+)
 
 
-@given(bivectors, bivectors)
+def nonzero(combo):
+    return {p: c for p, c in combo.items() if c}
+
+
+@given(field_bivectors, field_bivectors)
 @settings(max_examples=80, deadline=None)
 def test_bracket_equals_the_clifford_commutator(a, b):
-    assert bivector_bracket(a, b) == clifford_bracket(a, b)
+    """On coefficients of the whole field, irrational ones included; the
+    bracket keeps a coefficient that sums to zero, the oracle drops it."""
+    assert nonzero(bivector_bracket(a, b)) == clifford_bracket(a, b)
 
 
 def test_int_membership_agrees_with_the_scalar_route():
@@ -281,8 +294,8 @@ def test_int_membership_agrees_with_the_scalar_route():
     Scalars, through Subspace.__contains__; every nonzero multiple agrees."""
     rng = random.Random(4)
     sig, tau = build_outer("sigma"), build_outer("tau")
-    spans = [bivector_span(g2_generators()), Subspace(eigenspace(tau, ONE)[1]),
-             Subspace(eigenspace(sig, omega_eigenvalue())[1])]
+    spans = [bivector_span(g2_generators()), Subspace(eigenspace(tau, ONE)),
+             Subspace(eigenspace(sig, omega_eigenvalue()))]
     for span in spans:
         for t in range(30):
             # members: int combinations of the basis rows; odd t adds e_p, mostly a non-member
@@ -294,7 +307,7 @@ def test_int_membership_agrees_with_the_scalar_route():
             want = span_contains(span, coeffs)
             assert want is (vec in span)
             if all(c.is_rational() for c in vec):
-                [nums], _ = triality._int_coeffs([vec])
+                [nums], _ = int_rows([vec])
                 for k in (1, -7):
                     ints = {p: k * x for p, x in zip(PAIR_ORDER, nums) if x}
                     assert span_contains(span, ints) is want
@@ -309,11 +322,11 @@ def test_int_membership_agrees_with_the_scalar_route():
 def test_int_bracket_is_the_rational_bracket_scaled(a, b, k):
     """Int coefficients give the int bracket: that of the Scalar combinations
     times d^2, for their int numerators over the common denominator d."""
-    [na, nb], d = triality._int_coeffs([list(a.values()), list(b.values())])
+    [na, nb], d = int_rows([list(a.values()), list(b.values())])
     ints = bivector_bracket(dict(zip(a, na)), dict(zip(b, nb)))
     assert all(type(c) is int for c in ints.values())
     assert {p: Scalar.rational(c) for p, c in ints.items() if c} == {
-        p: c * d * d for p, c in bivector_bracket(a, b).items()}
+        p: c * d * d for p, c in bivector_bracket(a, b).items() if c}
     assert bivector_bracket({p: k * x for p, x in zip(a, na)}, dict(zip(b, nb))) == {
         p: k * c for p, c in ints.items()}
 
@@ -400,10 +413,10 @@ def test_bracket_is_antisymmetric_and_satisfies_jacobi(a, b, c):
 
 
 def test_bracket_and_kappa_star_reject_bad_coefficients():
-    with pytest.raises(ValueError):
-        bivector_bracket({(1, 2): SQRT3}, {(2, 3): ONE})
-    with pytest.raises(ValueError):
-        triality.kappa_star_matrix({(1, 2): I}, "plus")
+    # kappa_star_matrix sums int numerators: a Scalar or Fraction one is no int
+    for c in (I, ONE, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            triality.kappa_star_matrix({(1, 2): c}, 1, "plus")
     with pytest.raises(KeyError):  # a pair outside PAIR_ORDER is no basis bivector
         bivector_bracket({(1, 2): ONE}, {(2, 1): ONE})
 
@@ -416,11 +429,13 @@ def scaled_sum_kappa_star(coeffs, sign):
     return out
 
 
-@given(bivectors)
+@given(st.dictionaries(st.sampled_from(PAIR_ORDER), st.integers(-6, 6), max_size=8), st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
-def test_kappa_star_matrix_equals_the_scaled_sum(coeffs):
+def test_kappa_star_matrix_equals_the_scaled_sum(nums, den):
+    coeffs = {p: Fraction(c, den) for p, c in nums.items()}
     for sign in ("plus", "minus"):
-        assert triality.kappa_star_matrix(coeffs, sign) == scaled_sum_kappa_star(coeffs, sign)
+        got = triality.kappa_star_matrix(nums, den, sign)
+        assert got == scaled_sum_kappa_star(coeffs, sign) and got._data is None
 
 
 def test_g2_action_equals_the_scaled_sum_of_its_generators():
@@ -480,3 +495,39 @@ def test_g2_brackets_and_actions_make_no_scalar_product(monkeypatch):
     # takes 56 actions and the 19 display trials 3 each
     assert entered == {"bivector_bracket": 2 * 686, "kappa_star_matrix": 56 + 3 * 19}
     assert products == []
+
+
+def test_rational_so8_work_constructs_no_scalar(monkeypatch):
+    """With sigma* and tau* built, the S3 relations, C4's display-trial actions
+    and C3's image-line, misprint and lambda* comparisons run on int
+    coefficients: no Scalar is constructed (every one goes through
+    scalars._new)."""
+    sig, tau = build_outer("sigma"), build_outer("tau")
+    sig_lines, tau_lines = ref.line_table(ref.SIGMA_LINES), ref.line_table(ref.TAU_LINES)
+    trials = []  # C4's display trials, as check_g2 passes them
+    on = verify.g2_action_matrix_on
+    monkeypatch.setattr(verify, "g2_action_matrix_on", lambda w, alphas: trials.append(alphas) or on(w, alphas))
+    report = verify.Report()
+    verify.check_g2(report, 5, random.Random(1))
+    assert report.fail_count == 0
+    trials = trials[::2]  # each trial runs on the plus and the minus frame
+    assert len(trials) == 19
+
+    made, new = [], scalars._new
+    monkeypatch.setattr(scalars, "_new", lambda n, d: made.append((n, d)) or new(n, d))
+    assert all(ok for _, ok in s3_relations())
+    assert made == []
+    for alphas in trials:
+        nums, den = triality.alpha_ints(alphas)
+        for sign in ("plus", "minus"):
+            assert g2_action_matrix_on(sign, alphas) == triality.kappa_star_matrix(
+                {p: sum(x * g.get(p, 0) for x, g in zip(nums, g2_generators())) for p in PAIR_ORDER},
+                den, sign)
+        assert g2_action_matrix(alphas) == g2_action_matrix_on("plus", alphas).transpose()
+    assert made == []
+    for outer, lines, half in ((sig, sig_lines, "minus"), (tau, tau_lines, "plus")):
+        for p in PAIR_ORDER:
+            assert image_coeffs(outer, p) == (lines[p], 2)
+            assert verify.lambda_of_coeffs(*image_coeffs(outer, p)) == kappa_real_matrix(list(p), half)
+    assert image_coeffs(sig, (2, 4)) != (sig_lines[(2, 3)], 2)
+    assert made == []
