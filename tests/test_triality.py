@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinbits import reference as ref
-from spinbits import triality, verify
+from spinbits import scalars, triality, verify
 from spinbits.clifford import CliffordElem, volume_element
-from spinbits import scalars
 from spinbits.matrices import Matrix, Subspace, e_basis_decompose, int_rows
 from spinbits.scalars import Angle, I, ONE, SQRT2, SQRT3, Scalar, INV_SQRT2, ZERO
 from spinbits.spinors import Spinor
@@ -384,6 +383,29 @@ def test_a_flipped_kappa_block_sign_fails_c3(monkeypatch, fresh_triality_caches)
     failed = [c.name for c in report.checks if not c.passed]
     assert "C3 tau* equals the tabulated 28x28 array" in failed
     assert "C3 sigma* equals the tabulated 28x28 array" not in failed
+    # the order checks are computed once and reported in both their places
+    assert failed.count("C3 tau*^2 = Id") == 2 and "C3 sigma*^3 = Id" not in failed
+
+
+def test_a_flipped_minus_block_fails_both_sigma_order_reports(monkeypatch, fresh_triality_caches):
+    real_block = triality.real_block
+
+    def flipped(r, word, which):
+        block = real_block(r, word, which)
+        return -block if (word, which) == ((2, 3), "minus") else block
+
+    monkeypatch.setattr(triality, "real_block", flipped)
+    report = verify.Report()
+    verify.check_triality(report)
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed.count("C3 sigma*^3 = Id") == 2 and "C3 tau*^2 = Id" not in failed
+
+
+def test_a_map_that_is_no_quarter_turn_has_no_group_lift(monkeypatch):
+    # the identity sends e_12 to e_12 itself, a coefficient 1 where a lift needs +-1/2
+    monkeypatch.setattr(triality, "build_outer", lambda which: Matrix.identity(28))
+    with pytest.raises(ValueError, match="quarter-turn"):
+        triality.group_automorphism("sigma", (1, 2))
 
 
 def test_bracket_table_equals_the_clifford_commutator_on_every_basis_pair():
