@@ -153,9 +153,11 @@ class Matrix:
                             acc[j] += x * y
                 out.append(acc)
             return Matrix._of_ints(out, ad * bd, other.cols)
-        # row i of the product is other's transpose applied to row i of self
-        T = other.transpose()
-        return Matrix._new(other.cols, data=[T.apply(lrow) for lrow in self.data])
+        # the Scalar loop: entry (i, j) sums row i's nonzero entries times column j
+        cols = other.transpose().data
+        return Matrix._new(other.cols, data=[
+            [sum((col[l] * x for l, x in enumerate(lrow) if x), ZERO) for col in cols] for lrow in self.data
+        ])
 
     def _shape_check(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -168,23 +170,6 @@ class Matrix:
             return Matrix._new(self.rows, ints=([[row[j] for row in num] for j in range(self.cols)], den))
         data = self.data
         return Matrix._new(self.rows, data=[[row[j] for row in data] for j in range(self.cols)])
-
-    def apply(self, vec: List[Scalar]) -> List[Scalar]:
-        if len(vec) != self.cols:
-            raise ValueError("length mismatch")
-        a = self._int_form()
-        v = a and int_rows([list(map(_coerce, vec))])
-        if v:
-            (num, ad), ([x], vd) = a, v
-            return [_ratio(sum(map(operator.mul, row, x)), ad * vd) for row in num]
-        nonzero = [(j, v) for j, v in enumerate(vec) if v]
-        out = []
-        for row in self.data:
-            acc = ZERO
-            for j, v in nonzero:
-                acc = acc + row[j] * v
-            out.append(acc)
-        return out
 
     def is_antisymmetric(self) -> bool:
         if self.rows != self.cols:
@@ -331,7 +316,8 @@ class Subspace:
     above and below them.  That form is unique, so two spans are equal
     exactly when their bases are, and a vector v is a member exactly when
     it equals the combination of the rows with its own pivot coordinates.
-    A rational span keeps its basis in int form throughout.
+    A rational span keeps its basis in int form throughout; membership is
+    asked of int vectors, and only of a rational span.
     """
 
     __slots__ = ("n", "basis", "pivots")
@@ -351,34 +337,22 @@ class Subspace:
     def dim(self) -> int:
         return len(self.pivots)
 
-    @property
-    def rows(self) -> List[List[Scalar]]:
-        return self.basis.data
-
     def _residue(self, M: Matrix) -> Matrix:
         """Each row of M minus the combination of the basis rows with its
         pivot coordinates: a zero row exactly for a member of the span."""
         select = Matrix.from_int_rows([[int(p == q) for q in self.pivots] for p in range(self.n)])
         return M - M * select * self.basis
 
-    def __contains__(self, vec: Sequence[Scalar]) -> bool:
-        """Clear each pivot coordinate of ``vec``; a member leaves nothing."""
-        vec = list(vec)
-        v = int_rows([vec])
-        if v and self.basis._int_form():
-            return self.contains_ints(v[0][0])
-        return self._clears(vec, self.rows, vec)
-
-    def contains_ints(self, x: Sequence[int]) -> bool:
-        """Membership of the int vector x, and of every nonzero multiple of it: on a
-        rational span, whose rows are R / d, clear d x with x[p] R."""
+    def __contains__(self, x: Sequence[int]) -> bool:
+        """Membership of the int vector x, and of every nonzero multiple of it:
+        the basis rows are R / d, so d x minus x[p] R, p each row's pivot, is zero."""
         a = self.basis._int_form()
         if not a:
-            return [_coerce(t) for t in x] in self
-        return self._clears([a[1] * t for t in x], a[0], x)
-
-    def _clears(self, vec: list, rows, x) -> bool:
-        """Whether vec minus x[p] times each row, p its pivot, is zero."""
+            raise ValueError("membership is asked of a rational span")
+        if len(x) != self.n:
+            raise ValueError("length mismatch")
+        rows, d = a
+        vec = [d * t for t in x]
         for row, p in zip(rows, self.pivots):
             c = x[p]
             if c:
@@ -680,7 +654,7 @@ def real_rep_matrix(r: int, word: Sequence[int], source: str) -> Matrix:
             coords = dst.expand(img)
         except ValueError as e:
             raise ValueError(f"word {list(word)} does not preserve the real spans: {e}")
-        cols.append([Scalar.from_fraction(f) if f else ZERO for f in coords])
+        cols.append(list(map(Scalar.rational, coords)))
     return Matrix.from_columns(cols)
 
 

@@ -121,10 +121,6 @@ class Scalar:
         return _coerce(Fraction(p, q))
 
     @staticmethod
-    def from_fraction(f: Fraction) -> "Scalar":
-        return _coerce(_frac(f))
-
-    @staticmethod
     def sqrt(r: int) -> "Scalar":
         if r not in (2, 3, 6):
             raise ValueError("only sqrt2, sqrt3, sqrt6 are representable")

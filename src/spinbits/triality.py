@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import CliffordElem, blade_product, volume_element
 from .matrices import Matrix, Monomial, Subspace, e_basis_decompose, real_block
-from .scalars import Angle, HALF, I, ONE, SQRT3, Scalar, ZERO, INV_SQRT2
+from .scalars import Angle, HALF, I, ONE, SQRT3, Scalar, INV_SQRT2
 from .spinors import Spinor
 
 PAIR_ORDER: List[Tuple[int, int]] = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
@@ -31,9 +31,9 @@ _PAIR_POS = {p: n for n, p in enumerate(PAIR_ORDER)}
 BivectorCoeffs = Dict[Tuple[int, int], object]  # int numerators, or Scalars
 
 
-def to_vector(coeffs: BivectorCoeffs, zero=ZERO) -> List[Scalar]:
-    """Coordinates of a bivector combination over PAIR_ORDER."""
-    vec = [zero] * 28
+def to_vector(coeffs: BivectorCoeffs) -> List[int]:
+    """Coordinates of a bivector combination over PAIR_ORDER, 0 off its pairs."""
+    vec = [0] * 28
     for p, c in coeffs.items():
         vec[_PAIR_POS[p]] = c
     return vec
@@ -46,7 +46,7 @@ def to_coeffs(vec: Sequence[Scalar]) -> BivectorCoeffs:
 
 def bivector_span(vectors: Iterable[BivectorCoeffs]) -> Subspace:
     """The span of some int bivector combinations, in PAIR_ORDER coordinates."""
-    return Subspace(Matrix.from_int_rows([to_vector(v, 0) for v in vectors]), 28)
+    return Subspace(Matrix.from_int_rows([to_vector(v) for v in vectors]), 28)
 
 
 def image_coeffs(outer: Matrix, pair: Tuple[int, int]) -> Tuple[BivectorCoeffs, int]:
@@ -88,7 +88,7 @@ def build_outer(name: str) -> Matrix:
         raise ValueError("name must be sigma or tau")
     source = "minus" if name == "sigma" else "plus"
     # kappa is an int matrix, so its E_kl coefficients are ints: the columns over 2
-    cols = [to_vector(e_basis_decompose(kappa_real_matrix(p, source))[0], 0) for p in PAIR_ORDER]
+    cols = [to_vector(e_basis_decompose(kappa_real_matrix(p, source))[0]) for p in PAIR_ORDER]
     return Matrix.from_int_rows(zip(*cols), 2)
 
 
@@ -145,10 +145,7 @@ def s3_relations() -> List[Tuple[str, bool]]:
 
 
 def span_contains(span: Subspace, vec: BivectorCoeffs) -> bool:
-    """Exact membership of a bivector combination in a span, on ints when its
-    coefficients are ints."""
-    if all(type(c) is int for c in vec.values()):
-        return span.contains_ints(to_vector(vec, 0))
+    """Exact membership of an int bivector combination in a rational span."""
     return to_vector(vec) in span
 
 

@@ -86,9 +86,9 @@ def gamma_oracle_matrix(n: int) -> Matrix:
 def gamma_oracle_apply(n: int, psi: Spinor) -> Spinor:
     """gamma_n via the dense tensor matrix: conjugate coordinates, then multiply."""
     k = n // 2
-    vec = [psi.coeff(a).conjugate() for a in range(1 << k)]
-    out = gamma_oracle_matrix(n).apply(vec)
-    return Spinor(k, {a: c for a, c in enumerate(out) if c})
+    column = Matrix([[psi.coeff(a).conjugate()] for a in range(1 << k)])
+    out = gamma_oracle_matrix(n) * column
+    return Spinor(k, {a: c for a, [c] in enumerate(out.data) if c})
 
 
 def frame_kappa_real_matrix(word: Sequence[int], sign: str) -> Matrix:

@@ -69,8 +69,8 @@ def field_formula_value(r, p, x, y):
     k = r // 2
     out = Spinor.zero(k)
     for a in idx:
-        xa = Scalar.from_fraction(Fraction(x.get(a, 0)))
-        ya = Scalar.from_fraction(Fraction(y.get(a, 0)))
+        xa = Scalar.rational(Fraction(x.get(a, 0)))
+        ya = Scalar.rational(Fraction(y.get(a, 0)))
         if not (xa or ya):
             continue
         coeff, b = e1ep_closed_form(r, p, a)
@@ -87,8 +87,8 @@ def frame_point_spinor(r, x, y):
     k = r // 2
     out = Spinor.zero(k)
     for a in sorted(set(x) | set(y)):
-        xa = Scalar.from_fraction(Fraction(x.get(a, 0)))
-        ya = Scalar.from_fraction(Fraction(y.get(a, 0)))
+        xa = Scalar.rational(Fraction(x.get(a, 0)))
+        ya = Scalar.rational(Fraction(y.get(a, 0)))
         term = Spinor.basis(k, a, xa + I * ya)
         if r % 8 in (0, 1):
             term = (term + real_structure(r, term)).scale(INV_SQRT2)

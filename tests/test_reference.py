@@ -1,5 +1,6 @@
+import pytest
+
 from spinbits import reference as ref
-from spinbits.scalars import I, SQRT3
 
 
 def test_signed_ints_keeps_the_sign_of_zero():
@@ -32,7 +33,13 @@ def test_outer_arrays_decode_to_28x28():
 
 def test_bivector_terms():
     assert ref.bivector_terms("+123 -145") == {(2, 3): 1, (4, 5): -1}
-    assert ref.bivector_terms("-1j13 +168") == {(1, 3): -I * SQRT3, (6, 8): 1}
+    with pytest.raises(ValueError, match="i\\*sqrt3"):
+        ref.bivector_terms("-1j13 +168")
+
+
+def test_bivector_parts_split_the_unit_and_the_i_sqrt3_terms():
+    assert ref.bivector_parts("-1j13 +168 -157") == ({(6, 8): 1, (5, 7): -1}, {(1, 3): -1})
+    assert ref.bivector_parts("+123 -145") == ({(2, 3): 1, (4, 5): -1}, {})
 
 
 def test_line_tables_decode_to_lines_of_four_terms():
@@ -51,7 +58,6 @@ def test_generator_lists_decode_to_lines_of_two_terms():
 
 def test_each_eigenvector_line_has_one_i_sqrt3_term():
     for line in ref.SIGMA_OMEGA_EIGENVECTORS + ref.SIGMA_OMEGABAR_EIGENVECTORS:
-        coeffs = list(ref.bivector_terms(line).values())
-        assert len(coeffs) == 4
-        assert sum(c in (I * SQRT3, -I * SQRT3) for c in coeffs) == 1
-        assert sum(c in (1, -1) for c in coeffs) == 3
+        a, b = ref.bivector_parts(line)
+        assert len(a) == 3 and len(b) == 1
+        assert set(a.values()) | set(b.values()) <= {1, -1}

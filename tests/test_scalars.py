@@ -150,6 +150,14 @@ def test_real_part():
     assert x.real_part() == Scalar.rational(3, 4) + SQRT3
 
 
+def test_rational_takes_ints_and_fractions_and_rejects_floats():
+    assert Scalar.rational(Fraction(-4, 6)) == Scalar.rational(-2, 3) == Scalar.rational(Fraction(2), -3)
+    assert Scalar.rational(Fraction(0)) is ZERO
+    for bad in ((0.5,), (1, 2.0)):
+        with pytest.raises(TypeError):
+            Scalar.rational(*bad)
+
+
 def test_rationality_queries():
     assert Scalar.rational(7, 3).is_rational()
     assert Scalar.rational(7, 3).as_fraction() == Fraction(7, 3)

@@ -66,7 +66,7 @@ def scalar_column_outer(name):
     cols = []
     for p in PAIR_ORDER:
         deco, den = e_basis_decompose(kappa_real_matrix(p, source))
-        cols.append(to_vector({q: Scalar.rational(c, 2 * den) for q, c in deco.items()}))
+        cols.append([Scalar.rational(deco.get(q, 0), 2 * den) for q in PAIR_ORDER])
     return Matrix.from_columns(cols)
 
 
@@ -81,11 +81,12 @@ def test_sigma_star_iterates_example():
     sig = build_outer("sigma")
     first = image_coeffs(sig, (1, 2))
     assert first == ({(1, 2): -1, (3, 4): -1, (5, 6): -1, (7, 8): -1}, 2)
-    # the next iterates, applied to the image column, and as columns of the powers
-    second = to_coeffs(sig.apply([Scalar.rational(c, first[1]) for c in to_vector(first[0], 0)]))
+    # the next iterates, sigma* times the image column, and as columns of the powers
+    column = Matrix.from_int_rows([[c] for c in to_vector(first[0])], first[1])
+    second = to_coeffs([x for [x] in (sig * column).data])
     assert second == {p: Scalar.rational(c, 2) for p, c in {(1, 2): -1, (3, 4): 1, (5, 6): 1, (7, 8): 1}.items()}
     assert image_coeffs(sig * sig, (1, 2)) == ({(1, 2): -1, (3, 4): 1, (5, 6): 1, (7, 8): 1}, 2)
-    third = to_coeffs(sig.apply(to_vector(second)))
+    third = to_coeffs([x for [x] in (sig * sig * column).data])
     assert third == {(1, 2): ONE}
     assert image_coeffs(sig * sig * sig, (1, 2)) == ({(1, 2): 1}, 1)
 
@@ -111,7 +112,7 @@ def test_eigenspace_dimensions_and_members():
     sig, tau = build_outer("sigma"), build_outer("tau")
     basis = eigenspace(sig, ONE)
     assert isinstance(basis, Matrix) and basis.rows == 14 and basis.cols == 28
-    g1 = {(2, 3): ONE, (6, 7): ONE}
+    g1 = {(2, 3): 1, (6, 7): 1}
     assert span_contains(Subspace(basis), g1)
     assert (sig - Matrix.identity(28)) * basis.transpose() == Matrix.zero(28, 14)
 
@@ -120,7 +121,7 @@ def test_eigenspace_dimensions_and_members():
     member = {
         (6, 8): ONE, (5, 7): -ONE, (2, 4): ONE, (1, 3): I * SQRT3,
     }
-    assert span_contains(Subspace(basis), member)
+    assert Matrix(basis.data + [[member.get(p, ZERO) for p in PAIR_ORDER]]).rank() == 7
 
     assert eigenspace(tau, ONE).rows == 21
     assert eigenspace(tau, -ONE).rows == 7
@@ -131,13 +132,41 @@ def test_eigenspace_rejects_unsupported_values():
         eigenspace(build_outer("sigma"), I)
 
 
-def test_tabulated_eigenvectors_satisfy_equations():
-    sig = build_outer("sigma")
-    for line, conj in ((ref.SIGMA_OMEGA_EIGENVECTORS, False), (ref.SIGMA_OMEGABAR_EIGENVECTORS, True)):
-        lam = omega_eigenvalue(conj)
-        for text in line:
-            coeffs = ref.bivector_terms(text)
-            assert to_coeffs(sig.apply(to_vector(coeffs))) == {p: lam * c for p, c in coeffs.items()}
+EIGENVECTOR_TABLES = [
+    ("sigma", "SIGMA_OMEGA_EIGENVECTORS", omega_eigenvalue(), "C3 all 14 tabulated complex eigenvectors verified"),
+    ("sigma", "SIGMA_OMEGABAR_EIGENVECTORS", omega_eigenvalue(True),
+     "C3 all 14 tabulated complex eigenvectors verified"),
+    ("tau", "SPIN7_GENERATORS", ONE, "C3 the 21 tabulated spin7 generators are tau*-fixed"),
+    ("tau", "TAU_MINUS_EIGENVECTORS", -ONE, "C3 the 7 tabulated tau-minus eigenvectors verified"),
+]
+
+
+def test_tabulated_eigenvectors_satisfy_equations(monkeypatch):
+    """Oracle for C3's int-row eigenvector checks: each line rebuilt as the
+    Scalar column a + i sqrt3 b and multiplied through the Scalar product."""
+    outers = {name: build_outer(name) for name in ("sigma", "tau")}
+    monkeypatch.setattr(Matrix, "_int_form", lambda self: False)  # the Scalar loop, on the int tables too
+    for name, table, lam, _ in EIGENVECTOR_TABLES:
+        for text in getattr(ref, table):
+            a, b = ref.bivector_parts(text)
+            column = Matrix([[a.get(p, 0) + I * SQRT3 * b.get(p, 0)] for p in PAIR_ORDER])
+            assert outers[name] * column == column.scale(lam), text
+
+
+@pytest.mark.parametrize("table, old, new", [
+    ("SIGMA_OMEGA_EIGENVECTORS", "+1j13", "-1j13"),  # an i sqrt3 sign
+    ("SIGMA_OMEGABAR_EIGENVECTORS", "+168", "-168"),  # a unit term
+    ("SPIN7_GENERATORS", "+123", "-123"),
+    ("TAU_MINUS_EIGENVECTORS", "+124", "-124"),
+])
+def test_a_flipped_eigenvector_token_fails_its_c3_check_alone(monkeypatch, table, old, new):
+    lines = getattr(ref, table)
+    assert old in lines[0]
+    monkeypatch.setattr(ref, table, [lines[0].replace(old, new)] + lines[1:])
+    report = verify.Report()
+    verify.check_triality(report)
+    [check] = [t[3] for t in EIGENVECTOR_TABLES if t[1] == table]
+    assert [c.name for c in report.checks if not c.passed] == [check]
 
 
 def test_g2_structure_checks():
@@ -156,8 +185,8 @@ def test_g2_annihilation_directly():
 
 def test_g2_bracket_example():
     gens = g2_generators()
-    a = {(2, 3): ONE, (6, 7): ONE}
-    b = {(2, 4): ONE, (6, 8): -ONE}
+    a = {(2, 3): 1, (6, 7): 1}
+    b = {(2, 4): 1, (6, 8): -1}
     assert span_contains(bivector_span(gens), bivector_bracket(a, b))
 
 
@@ -182,7 +211,7 @@ def test_g2_action_matrix_display():
             for c in range(1, 9):
                 combo = ref.signed_ints(ref.G2_ACTION_DISPLAY.get((r, c), ""))
                 want = sum(s * alphas[m - 1] for s, m in combo)
-                assert M.data[r - 1][c - 1] == Scalar.from_fraction(2 * want)
+                assert M.data[r - 1][c - 1] == Scalar.rational(2 * want)
 
 
 def test_g2_action_same_on_both_frames():
@@ -263,13 +292,13 @@ def clifford_bracket(a, b):
 
 bivectors = st.dictionaries(
     st.sampled_from(PAIR_ORDER),
-    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)).map(Scalar.from_fraction),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)).map(Scalar.rational),
     max_size=6,
 )
 # rational coefficients times a unit of the field, some of them irrational
 field_bivectors = st.dictionaries(
     st.sampled_from(PAIR_ORDER),
-    st.builds(lambda f, u: Scalar.from_fraction(f) * u,
+    st.builds(lambda f, u: Scalar.rational(f) * u,
               st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
               st.sampled_from([ONE, I, SQRT2, SQRT3, SQRT3 * I - ONE])),
     max_size=6,
@@ -288,32 +317,26 @@ def test_bracket_equals_the_clifford_commutator(a, b):
     assert nonzero(bivector_bracket(a, b)) == clifford_bracket(a, b)
 
 
-def test_int_membership_agrees_with_the_scalar_route():
-    """Oracle for span_contains on int combinations: the same combination as
-    Scalars, through Subspace.__contains__; every nonzero multiple agrees."""
+def test_span_contains_agrees_with_the_rank_oracle():
+    """Oracle for span_contains: a member adds nothing to the rank of the
+    span's Scalar basis rows; every nonzero multiple of an int combination
+    agrees.  A span with irrational rows has no int membership."""
     rng = random.Random(4)
     sig, tau = build_outer("sigma"), build_outer("tau")
-    spans = [bivector_span(g2_generators()), Subspace(eigenspace(tau, ONE)),
-             Subspace(eigenspace(sig, omega_eigenvalue()))]
-    for span in spans:
+    for span in (bivector_span(g2_generators()), Subspace(eigenspace(tau, ONE))):
+        rows = span.basis.data
         for t in range(30):
             # members: int combinations of the basis rows; odd t adds e_p, mostly a non-member
-            vec = [sum((Scalar.rational(rng.randint(-3, 3)) * row[c] for row in span.rows), ZERO)
+            vec = [sum((Scalar.rational(rng.randint(-3, 3)) * row[c] for row in rows), ZERO)
                    for c in range(28)]
             if t % 2:
                 vec[rng.randrange(28)] += ONE
-            coeffs = triality.to_coeffs(vec)
-            want = span_contains(span, coeffs)
-            assert want is (vec in span)
-            if all(c.is_rational() for c in vec):
-                [nums], _ = int_rows([vec])
-                for k in (1, -7):
-                    ints = {p: k * x for p, x in zip(PAIR_ORDER, nums) if x}
-                    assert span_contains(span, ints) is want
-                    assert span.contains_ints([k * x for x in nums]) is want
-            else:  # an int vector against a span with irrational rows
-                e12 = [1] + [0] * 27
-                assert span.contains_ints(e12) is ([ONE] + [ZERO] * 27 in span)
+            want = Matrix(rows + [vec]).rank() == span.dim
+            [nums], _ = int_rows([vec])
+            for k in (1, -7):
+                assert span_contains(span, {p: k * x for p, x in zip(PAIR_ORDER, nums) if x}) is want
+    with pytest.raises(ValueError, match="rational span"):
+        span_contains(Subspace(eigenspace(sig, omega_eigenvalue())), {(1, 2): 1})
 
 
 @given(bivectors, bivectors, st.integers(1, 12))
@@ -463,7 +486,7 @@ def test_kappa_star_matrix_equals_the_scaled_sum(nums, den):
 def test_g2_action_equals_the_scaled_sum_of_its_generators():
     alphas = [Fraction(m - 6, m % 4 + 1) for m in range(14)]
     for sign in ("plus", "minus"):
-        combo = add(*({p: Scalar.from_fraction(a) * c for p, c in g.items()}
+        combo = add(*({p: Scalar.rational(a) * c for p, c in g.items()}
                       for a, g in zip(alphas, g2_generators())))
         assert g2_action_matrix_on(sign, alphas) == scaled_sum_kappa_star(combo, sign)
 
