@@ -12,11 +12,9 @@ from .spinors import (
     Spinor,
     chirality,
     hermitian,
-    index_from_signs,
     real_form_basis,
     real_structure,
     signs_from_index,
-    weight,
 )
 from .clifford import (
     CliffordElem,

@@ -13,7 +13,7 @@ using e_i e_j = -e_j e_i and e_i^2 = -1.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .scalars import Angle, Combination, ONE, Scalar, accumulate
 from .spinors import Spinor, parity
@@ -125,16 +125,6 @@ class CliffordElem(Combination):
         return CliffordElem(n, {1 << (i - 1): ONE})
 
     @staticmethod
-    def blade(n: int, indices: Iterable[int], coeff: Scalar = ONE) -> "CliffordElem":
-        mask = 0
-        for i in indices:
-            b = 1 << (i - 1)
-            if mask & b:
-                raise ValueError("repeated index in blade")
-            mask |= b
-        return CliffordElem(n, {mask: coeff})
-
-    @staticmethod
     def from_word(n: int, word: Sequence[int]) -> "CliffordElem":
         out = CliffordElem.one(n)
         for p in word:
@@ -167,9 +157,6 @@ class CliffordElem(Combination):
             word = [i + 1 for i in range(self.n) if (m >> i) & 1]
             out = out + word_apply(self.n, word, psi).scale(c)
         return out
-
-    def _latex_name(self, m: int) -> str:
-        return "".join(f"e_{{{i+1}}}" for i in range(self.n) if (m >> i) & 1)
 
     def _repr_name(self, m: int) -> str:
         return "".join(f"e{i+1}" for i in range(self.n) if (m >> i) & 1) or "1"

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import lambda_vector, word_apply, word_phase, CliffordElem
-from .scalars import ONE, Scalar, ZERO, _coerce, _ratio
+from .scalars import ONE, Scalar, ZERO, _ratio
 from .spinors import Spinor, chirality, frame_index_set, hermitian, real_form_basis, real_structure_phase
 
 
@@ -29,8 +29,9 @@ class Matrix:
     over one positive denominator, in lowest terms, read off the entries'
     numerators once.  Products, sums, rational scaling, equality and
     elimination run on that form, and Scalar entries are built only when
-    ``data`` is read.  A matrix with an irrational entry runs the same
-    operations as Scalar loops; each operation picks its route from the
+    ``data`` is read.  A matrix with an irrational entry runs sums,
+    scaling, equality and elimination as Scalar loops, and its product or
+    transpose is a ValueError; each operation picks its route from the
     entries of its operands.  A Matrix and its rows are never changed
     after construction, so the two forms cannot disagree.
     """
@@ -76,10 +77,6 @@ class Matrix:
         return self._data
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix._new(cols, ints=([[0] * cols for _ in range(rows)], 1))
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix.from_int_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
@@ -93,9 +90,6 @@ class Matrix:
     def from_columns(cols: List[List[Scalar]]) -> "Matrix":
         rows = len(cols[0])
         return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(rows)])
-
-    def __getitem__(self, rc: Tuple[int, int]) -> Scalar:
-        return self.data[rc[0]][rc[1]]
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, Matrix) and self.rows == other.rows and self.cols == other.cols):
@@ -125,39 +119,33 @@ class Matrix:
         op = operator.add if sign > 0 else operator.sub
         return Matrix._new(self.cols, data=[list(map(op, r, s)) for r, s in zip(self.data, other.data)])
 
-    def __neg__(self) -> "Matrix":
-        return self.scale(-ONE)
-
     def scale(self, c) -> "Matrix":
         """This matrix times a Scalar, int or Fraction c."""
-        c, a = _coerce(c), self._int_form()
-        if a and c.is_rational():
-            num, den = a
-            k = c._n[0] if c._n else 0
-            return Matrix._of_ints([[k * x for x in row] for row in num], den * c._d, self.cols)
+        a = self._int_form()
+        if a and type(c) is Scalar and c.is_rational():
+            c = c.as_fraction()
+        if a and type(c) is not Scalar:  # an int or a Fraction: its numerator over its denominator
+            (num, den), k = a, c.numerator
+            return Matrix._of_ints([[k * x for x in row] for row in num], den * c.denominator, self.cols)
         return Matrix._new(self.cols, data=[[c * x for x in row] for row in self.data])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
         a, b = self._int_form(), other._int_form()
-        if a and b:
-            (an, ad), (bn, bd) = a, b
-            bnz = [[(j, y) for j, y in enumerate(row) if y] for row in bn]
-            out = []
-            for lrow in an:
-                acc = [0] * other.cols
-                for l, x in enumerate(lrow):
-                    if x:
-                        for j, y in bnz[l]:
-                            acc[j] += x * y
-                out.append(acc)
-            return Matrix._of_ints(out, ad * bd, other.cols)
-        # the Scalar loop: entry (i, j) sums row i's nonzero entries times column j
-        cols = other.transpose().data
-        return Matrix._new(other.cols, data=[
-            [sum((col[l] * x for l, x in enumerate(lrow) if x), ZERO) for col in cols] for lrow in self.data
-        ])
+        if not (a and b):
+            raise ValueError("a product is taken of rational matrices")
+        (an, ad), (bn, bd) = a, b
+        bnz = [[(j, y) for j, y in enumerate(row) if y] for row in bn]
+        out = []
+        for lrow in an:
+            acc = [0] * other.cols
+            for l, x in enumerate(lrow):
+                if x:
+                    for j, y in bnz[l]:
+                        acc[j] += x * y
+            out.append(acc)
+        return Matrix._of_ints(out, ad * bd, other.cols)
 
     def _shape_check(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -165,11 +153,10 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         a = self._int_form()
-        if a:
-            num, den = a
-            return Matrix._new(self.rows, ints=([[row[j] for row in num] for j in range(self.cols)], den))
-        data = self.data
-        return Matrix._new(self.rows, data=[[row[j] for row in data] for j in range(self.cols)])
+        if not a:
+            raise ValueError("a transpose is taken of a rational matrix")
+        num, den = a
+        return Matrix._new(self.rows, ints=([[row[j] for row in num] for j in range(self.cols)], den))
 
     def is_antisymmetric(self) -> bool:
         if self.rows != self.cols:
@@ -181,9 +168,6 @@ class Matrix:
             for i in range(self.rows)
             for j in range(i, self.cols)
         )
-
-    def is_rational(self) -> bool:
-        return bool(self._int_form())
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -330,7 +314,7 @@ class Subspace:
         if self.n is None:
             raise ValueError("the span of no vectors needs its dimension n")
         if not vectors.rows:
-            vectors = Matrix.zero(0, self.n)
+            vectors = Matrix._new(self.n, ints=([], 1))
         self.basis, self.pivots = vectors._echelon()
 
     @property

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .clifford import clifford_apply
 from .matrices import real_basis_frame
@@ -97,20 +97,10 @@ class Octonion:
 
     Held as eight int numerators over one positive denominator, in lowest
     terms, so equal octonions have equal numerators and denominators and
-    every operation runs on ints.  ``coeffs`` gives the coefficients as
-    Fractions.
+    every operation runs on ints.
     """
 
     __slots__ = ("_n", "_d")
-
-    def __init__(self, coeffs: Sequence[Fraction]):
-        if len(coeffs) != 8:
-            raise ValueError("need 8 coefficients")
-        fracs = [Fraction(c) for c in coeffs]
-        # canonical Fractions over the lcm of their denominators share no factor
-        d = lcm(*(f.denominator for f in fracs))
-        self._n = tuple(f.numerator * (d // f.denominator) for f in fracs)
-        self._d = d
 
     @staticmethod
     def _of(n: List[int], d: int) -> "Octonion":
@@ -120,31 +110,9 @@ class Octonion:
         out._n, out._d = tuple(x // g for x in n), d // g
         return out
 
-    @property
-    def coeffs(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(x, self._d) for x in self._n)
-
     @staticmethod
     def unit(i: int) -> "Octonion":
         return Octonion._of([int(j == i) for j in range(8)], 1)
-
-    def _combine(self, other: "Octonion", sign: int) -> "Octonion":
-        g = gcd(self._d, other._d)
-        fa, fb = other._d // g, sign * (self._d // g)
-        return Octonion._of([x * fa + y * fb for x, y in zip(self._n, other._n)], self._d * fa)
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "Octonion":
-        return Octonion._of([-x for x in self._n], self._d)
-
-    def scale(self, c) -> "Octonion":
-        c = Fraction(c)
-        return Octonion._of([c.numerator * x for x in self._n], self._d * c.denominator)
 
     def dot(self, other: "Octonion") -> Fraction:
         """The Euclidean inner product of the coefficient vectors."""
@@ -158,10 +126,6 @@ class Octonion:
 
     def __hash__(self):
         return hash((self._n, self._d))
-
-    def __repr__(self):
-        parts = [f"{c}*e{i}" for i, c in enumerate(self.coeffs) if c]
-        return " + ".join(parts) if parts else "0"
 
 
 @lru_cache(maxsize=None)

@@ -23,8 +23,8 @@ that spinors, Clifford algebra elements and exterior forms all are.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Dict, List, Sequence, Tuple
+from math import gcd
+from typing import List, Sequence, Tuple
 
 RADICALS = (1, 2, 3, 6)
 
@@ -61,14 +61,6 @@ _ZERO = Fraction(0)
 _UNITS = {(1,): (0, (1, 1)), (0, 1): (1, (-1, 1)), (-1,): (0, (-1, -1)), (0, -1): (1, (1, -1))}
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
-
-
 def _new(n: tuple, d: int) -> "Scalar":
     # (n, d) must already be canonical
     out = object.__new__(Scalar)
@@ -102,17 +94,6 @@ class Scalar:
     """An element of Q(i, sqrt2, sqrt3) with exact field operations."""
 
     __slots__ = ("_n", "_d")
-
-    def __init__(self, components: Dict[int, Tuple[Fraction, Fraction]] | None = None):
-        fracs = [_ZERO] * 8
-        for rad, (re, im) in (components or {}).items():
-            if rad not in RADICALS:
-                raise ValueError(f"unsupported radical {rad}")
-            k = 2 * RADICALS.index(rad)
-            fracs[k], fracs[k + 1] = _frac(re), _frac(im)
-        d = lcm(*(f.denominator for f in fracs))
-        x = _make([f.numerator * (d // f.denominator) for f in fracs], d)
-        self._n, self._d = x._n, x._d
 
     # -- constructors ------------------------------------------------
 
@@ -190,12 +171,6 @@ class Scalar:
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def __rsub__(self, other) -> "Scalar":
-        return _coerce(other) - self
-
-    def __truediv__(self, other) -> "Scalar":
-        return self * _coerce(other).inverse()
-
     def _signed(self, mask) -> "Scalar":
         return _new(tuple([s * x for s, x in zip(mask, self._n)]), self._d)
 
@@ -250,9 +225,6 @@ class Scalar:
         if not self.is_rational():
             raise ValueError(f"not a rational scalar: {self}")
         return Fraction(self._n[0], self._d)
-
-    def component(self, rad: int) -> Tuple[Fraction, Fraction]:
-        return next(((re, im) for r, re, im in self._pairs() if r == rad), (_ZERO, _ZERO))
 
     def _pairs(self):
         """(rad, re, im) as Fractions for every nonzero radical, in RADICALS order."""
@@ -344,7 +316,7 @@ class Combination:
     bit width ``k``, an algebra's dimension ``n``, a form's ``degree``);
     combinations add only within one space.  It supplies ``_key``, which
     checks a key and returns it in its stored form, and each key's name in
-    LaTeX and in ``repr``.
+    ``repr``; one that prints as LaTeX names its keys there too.
     """
 
     __slots__ = ("terms",)
@@ -468,21 +440,6 @@ class Angle:
 
     def sin(self) -> Scalar:
         return Angle(6 - self.k).cos()
-
-    def __add__(self, other: "Angle") -> "Angle":
-        return Angle(self.k + other.k)
-
-    def __neg__(self) -> "Angle":
-        return Angle(-self.k)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Angle) and self.k == other.k
-
-    def __hash__(self):
-        return hash(("Angle", self.k))
-
-    def __repr__(self):
-        return f"Angle({self.k}*pi/12)"
 
 
 def draw_ints(rng, ranges: Sequence[Tuple[int, int]], count: int = 1) -> List[int]:

@@ -12,26 +12,13 @@ coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .scalars import Combination, I, INV_SQRT2, ONE, Scalar, ZERO
 
 
-def index_from_signs(signs: Sequence[int]) -> int:
-    """Sign tuple (+-1, ..., +-1) -> basis index."""
-    a = 0
-    for s in signs:
-        if s == 1:
-            a = a << 1
-        elif s == -1:
-            a = (a << 1) | 1
-        else:
-            raise ValueError(f"sign entries must be +-1, got {s}")
-    return a
-
 def signs_from_index(a: int, k: int) -> Tuple[int, ...]:
-    """Basis index -> sign tuple of length k (inverse of index_from_signs)."""
+    """Basis index -> sign tuple of length k."""
     if not 0 <= a < (1 << k):
         raise ValueError(f"index {a} out of range for {k} bits")
     return tuple(-1 if (a >> (k - j)) & 1 else 1 for j in range(1, k + 1))
@@ -43,10 +30,6 @@ def parity(a: int) -> int:
 def chirality(a: int) -> int:
     """+1 on even bit-parity indices, -1 on odd ones."""
     return -1 if parity(a) else 1
-
-def weight(a: int, k: int) -> Tuple[Fraction, ...]:
-    """Weight of u_a under the standard maximal torus: component j is s_j/2."""
-    return tuple(Fraction(s, 2) for s in signs_from_index(a, k))
 
 
 class Spinor(Combination):
@@ -67,9 +50,6 @@ class Spinor(Combination):
     @staticmethod
     def zero(k: int) -> "Spinor":
         return Spinor(k)
-
-    def __rmul__(self, c) -> "Spinor":
-        return self.scale(c)
 
     def coeff(self, a: int) -> Scalar:
         return self.terms.get(a, ZERO)

@@ -12,7 +12,10 @@ against an independent slow one:
 * ``SignedPermMatrix`` is a signed permutation held as dicts both ways;
 * ``scalar_kernel`` builds a kernel basis as ``Scalar`` rows off the
   reduced echelon rows, the route ``Matrix.nullspace`` takes for
-  irrational matrices only.
+  irrational matrices only;
+* ``scalar_product`` and ``scalar_transpose`` are the ``Scalar`` loops of
+  a matrix product and a transpose, which ``Matrix`` runs on int rows
+  only.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def gamma_oracle_apply(n: int, psi: Spinor) -> Spinor:
     """gamma_n via the dense tensor matrix: conjugate coordinates, then multiply."""
     k = n // 2
     column = Matrix([[psi.coeff(a).conjugate()] for a in range(1 << k)])
-    out = gamma_oracle_matrix(n) * column
+    out = scalar_product(gamma_oracle_matrix(n), column)
     return Spinor(k, {a: c for a, [c] in enumerate(out.data) if c})
 
 
@@ -168,3 +171,19 @@ def scalar_kernel(M: Matrix) -> List[List[Scalar]]:
             vec[pc] = -row[f]
         basis.append(vec)
     return basis
+
+
+def scalar_transpose(M: Matrix) -> Matrix:
+    """M transposed, on its Scalar entries."""
+    data = M.data
+    return Matrix._new(M.rows, data=[[row[j] for row in data] for j in range(M.cols)])
+
+
+def scalar_product(A: Matrix, B: Matrix) -> Matrix:
+    """A times B on Scalar entries: entry (i, j) sums row i's nonzero entries times column j."""
+    if A.cols != B.rows:
+        raise ValueError("inner dimension mismatch")
+    cols = scalar_transpose(B).data
+    return Matrix._new(B.cols, data=[
+        [sum((col[l] * x for l, x in enumerate(lrow) if x), ZERO) for col in cols] for lrow in A.data
+    ])

@@ -4,7 +4,8 @@
 as a map from the radical r to an exact ``Fraction`` pair, zero pairs
 omitted.  It is the representation ``Scalar`` had before it moved to
 integer numerators over one denominator, and it is deliberately naive:
-every product runs the radical rule on ``Fraction`` pairs.
+every product runs the radical rule on ``Fraction`` pairs.  ``scalar_of``
+builds the ``Scalar`` of the same components through the field operations.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from spinbits.scalars import RADICALS, _RADMUL
+from spinbits.scalars import I, ONE, RADICALS, ZERO, Scalar, _RADMUL
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -30,6 +31,15 @@ def _frac_tex(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"\\frac{{{f.numerator}}}{{{f.denominator}}}"
+
+
+def scalar_of(components: Dict[int, Tuple[Fraction, Fraction]]) -> Scalar:
+    """The Scalar sum of (re + im i) sqrt(rad) over the {rad: (re, im)} components."""
+    total = ZERO
+    for rad, (re, im) in components.items():
+        unit = ONE if rad == 1 else Scalar.sqrt(rad)
+        total = total + (Scalar.rational(re) + I * Scalar.rational(im)) * unit
+    return total
 
 
 class DictScalar:

@@ -7,6 +7,8 @@ import random
 import time
 
 from spinbits import verify
+from spinbits.clifford import clifford_apply, word_apply
+from spinbits.spinors import Spinor
 from spinbits.verify import (
     Report,
     check_center,
@@ -103,7 +105,7 @@ def failed_checks(fn, *args):
 def test_a_wrong_kappa_block_fails_c2(monkeypatch):
     kappa_matrix = verify.kappa_matrix
     monkeypatch.setattr(verify, "kappa_matrix", lambda n, word: (
-        -kappa_matrix(n, word) if word == [1] else kappa_matrix(n, word)))
+        kappa_matrix(n, word).scale(-1) if word == [1] else kappa_matrix(n, word)))
     assert list(failed_checks(check_golden_matrices)) == ["C2 kappa_6(e1) block pattern"]
 
 
@@ -140,6 +142,9 @@ def test_a_flipped_octonion_cell_fails_c7(monkeypatch):
         "C7 octonion table matches the tabulated 64 cells"]
 
 
+C9 = "C9 the odd-to-even embedding is equivariant for all generator pairs, k <= 5"
+
+
 def test_a_nonlinear_embedding_fails_c9_with_a_witness(monkeypatch):
     # negating the image of u_0 alone keeps every image a basic spinor
     # but breaks equivariance wherever a generator pair moves u_0
@@ -147,5 +152,21 @@ def test_a_nonlinear_embedding_fails_c9_with_a_witness(monkeypatch):
     monkeypatch.setattr(verify, "delta_iso",
                         lambda k, u: -delta_iso(k, u) if 0 in u.terms else delta_iso(k, u))
     failed = failed_checks(check_delta_iso)
-    name = "C9 the odd-to-even embedding is equivariant for all generator pairs, k <= 5"
-    assert list(failed) == [name] and failed[name] is not None
+    # the witness is the first (k, a, p, q), in the check's loop order, whose sides differ
+    first = next(
+        {"k": k, "a": a, "p": p, "q": q}
+        for k in range(2, 6)
+        for a in range(1 << (k - 1))
+        for p in range(1, 2 * k)
+        for q in range(p + 1, 2 * k)
+        if verify.delta_iso(k, word_apply(2 * k - 1, [p, q], Spinor.basis(k - 1, a)))
+        != word_apply(2 * k, [p, q], verify.delta_iso(k, Spinor.basis(k - 1, a)))
+    )
+    assert failed == {C9: first}
+
+
+def test_an_odd_parity_embedding_fails_c9_with_a_parity_witness(monkeypatch):
+    # e_1 after the embedding flips one bit of every image, and commutes with no pair
+    delta_iso = verify.delta_iso
+    monkeypatch.setattr(verify, "delta_iso", lambda k, u: clifford_apply(2 * k, 1, delta_iso(k, u)))
+    assert failed_checks(check_delta_iso) == {C9: {"k": 2, "a": 0, "parity": 1}}

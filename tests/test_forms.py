@@ -49,7 +49,7 @@ def test_f23_squared_has_six_terms():
 def test_dualize_examples():
     assert dualize_endomorphism(kappa_real_matrix([2, 3], "plus")) == f_form(2, 3)
     assert dualize_endomorphism(kappa_real_matrix([7, 8], "plus")) == f_form(7, 8)
-    assert dualize_endomorphism(Matrix.zero(8, 8)).is_zero()
+    assert dualize_endomorphism(Matrix.from_int_rows([[0] * 8] * 8)).is_zero()
     # a matrix over a denominator gives Fraction coefficients
     half = kappa_real_matrix([2, 3], "plus").scale(Fraction(3, 2))
     assert dualize_endomorphism(half) == f_form(2, 3).scale(Fraction(3, 2))
@@ -117,7 +117,7 @@ def fraction_derivation_action(G, form):
         for slot, m in enumerate(key):
             image = ExtForm.zero(1)
             for col in range(8):
-                image = image + ExtForm.dx(col + 1).scale(-G[m - 1, col].as_fraction())
+                image = image + ExtForm.dx(col + 1).scale(-G.data[m - 1][col].as_fraction())
             term = ExtForm(0, {(): c})
             for t, i in enumerate(key):
                 term = wedge(term, image if t == slot else ExtForm.dx(i))

@@ -30,7 +30,9 @@ from spinbits.matrices import (
 from spinbits.scalars import Angle, I, ONE, SQRT3, Scalar, ZERO
 from spinbits.triality import build_outer, kappa_real_matrix
 
-from dense_oracle import SignedPermMatrix, dense_tensor_oracle, gamma_oracle_matrix, scalar_kernel
+from dense_oracle import (
+    SignedPermMatrix, dense_tensor_oracle, gamma_oracle_matrix, scalar_kernel, scalar_product, scalar_transpose,
+)
 
 
 def diag(entries):
@@ -63,7 +65,7 @@ def test_kappa_matrix_against_oracle_words():
             M = kappa_matrix(n, word)
             O = Matrix.identity(1 << (n // 2))
             for p in word:
-                O = O * oracle[p - 1].to_matrix()
+                O = scalar_product(O, oracle[p - 1].to_matrix())
             assert M == O
 
 
@@ -104,7 +106,7 @@ def test_real_rep_matrix_examples():
 
     M = real_rep_matrix(8, [2, 3], "plus")
     assert M.is_antisymmetric()
-    assert M.is_rational()
+    assert M._int_form()
     assert M * M == Matrix.identity(8).scale(-ONE)
 
     # stage 10: the matrix of e1e2 on the full real frame is the first
@@ -161,7 +163,7 @@ def test_e_basis_decompose_examples():
     assert e_basis_decompose(M) == ({(1, 2): 1, (3, 4): 1, (5, 6): 1, (7, 8): 1}, 1)
     # int numerators over the matrix's denominator
     assert e_basis_decompose(M.scale(Fraction(3, 2))) == ({(1, 2): 3, (3, 4): 3, (5, 6): 3, (7, 8): 3}, 2)
-    assert e_basis_decompose(Matrix.zero(8, 8)) == ({}, 1)
+    assert e_basis_decompose(Matrix.from_int_rows([[0] * 8] * 8)) == ({}, 1)
 
 
 def test_e_basis_round_trip():
@@ -212,7 +214,7 @@ def test_nullspace_vectors_are_in_kernel():
     M = Matrix(rows)
     rank, kernel = M.nullspace()
     assert rank + kernel.rows == 6
-    assert M * kernel.transpose() == Matrix.zero(4, kernel.rows)
+    assert M * kernel.transpose() == Matrix.from_int_rows([[0] * kernel.rows] * 4)
 
 
 def kernel_cases():
@@ -229,7 +231,7 @@ def kernel_cases():
             rows.append([sum(k * row[j] for k, row in zip(ks, rows)) for j in range(c)])
         cases.append(Matrix([[Scalar.rational(x) for x in row] for row in rows]))
     cases += [
-        Matrix.zero(0, 5), Matrix([[], [], []]), Matrix.zero(3, 4),
+        Subspace([], 5).basis, Matrix([[], [], []]), Matrix.from_int_rows([[0] * 4] * 3),
         Matrix.from_int_rows([[2, 1, 0], [0, 3, 1], [1, 0, 5]], 7),
         build_outer("sigma") - Matrix.identity(28), build_outer("tau") + Matrix.identity(28),
     ]
@@ -241,7 +243,7 @@ def test_rational_kernel_is_built_on_ints_and_matches_the_scalar_loop(monkeypatc
         raise AssertionError("a Scalar was built")
 
     for M in kernel_cases():
-        assert M.is_rational()
+        assert M._int_form()
         with monkeypatch.context() as mp:
             mp.setattr(scalars, "_new", built)
             rank, K = M.nullspace()
@@ -310,12 +312,12 @@ def test_monomial_operations_are_matrix_operations(data):
     x = data.draw(monomials(n=data.draw(st.integers(1, 6))))
     y = data.draw(monomials(n=len(x.perm)))
     w = data.draw(monomials(n=data.draw(st.integers(1, 3))))
-    assert x.compose(y).to_matrix() == x.to_matrix() * y.to_matrix()
-    assert (-x).to_matrix() == -x.to_matrix()
-    assert x.transpose().to_matrix() == x.to_matrix().transpose()
+    assert x.compose(y).to_matrix() == scalar_product(x.to_matrix(), y.to_matrix())
+    assert (-x).to_matrix() == x.to_matrix().scale(-1)
+    assert x.transpose().to_matrix() == scalar_transpose(x.to_matrix())
     assert x.kron(w).to_matrix() == Matrix(_kron_rows(x.to_matrix().data, w.to_matrix().data))
     z = [Scalar.rational(t + 1) for t in range(len(x.perm))]
-    assert [x.apply(z)] == (x.to_matrix() * Matrix.from_columns([z])).transpose().data
+    assert [x.apply(z)] == scalar_transpose(scalar_product(x.to_matrix(), Matrix.from_columns([z]))).data
 
 
 def _int_product(a, b):
@@ -458,6 +460,10 @@ def test_subspace_agrees_with_rank_oracle(case):
     assert (A == B) == (rank(a) == rank(b) == rank(a + b))
     if rational:
         assert (ints(v) in A) == member(v, a)
+    if not (A.basis._int_form() and B.basis._int_form()):
+        with pytest.raises(ValueError, match="rational"):  # a product of irrational rows
+            A & B
+        return
     assert (A & B).dim == rank(a) + rank(b) - rank(a + b)
     assert all(member(u, a) and member(u, b) for u in (A & B).basis.data)
 
@@ -492,9 +498,12 @@ def test_membership_rejects_a_wrong_length_and_an_irrational_span():
 
 @contextlib.contextmanager
 def scalar_route():
-    """Run every Matrix operation as the Scalar loop, as for irrational entries."""
+    """Run every Matrix operation as the Scalar loop, as for irrational entries,
+    with the product and the transpose taken by the dense oracle."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Matrix, "_int_form", lambda self: False)
+        mp.setattr(Matrix, "__mul__", scalar_product)
+        mp.setattr(Matrix, "transpose", scalar_transpose)
         yield
 
 
@@ -532,7 +541,7 @@ def test_int_route_equals_scalar_route(data):
         ]
 
     fast = run()
-    assert A.is_rational() and A._int_form()
+    assert A._int_form()
     with scalar_route():
         slow = run()
     for x, y in zip(fast, slow):
@@ -572,9 +581,30 @@ def test_scale_takes_int_fraction_and_scalar_factors(c):
 
 def test_irrational_matrices_take_the_scalar_route():
     M = Matrix([[ONE, SQRT3], [ZERO, I]])
-    assert M._int_form() is False and not M.is_rational()
-    assert M * Matrix.identity(2) == M and M.rank() == 2
+    assert M._int_form() is False
+    assert scalar_product(M, Matrix.identity(2)) == M and M.rank() == 2
     assert Matrix.identity(2).scale(I) != Matrix.identity(2)
+
+
+def test_a_product_or_transpose_of_an_irrational_matrix_raises():
+    M, one = Matrix([[ONE, SQRT3], [ZERO, I]]), Matrix.identity(2)
+    for op in (lambda: M * one, lambda: one * M, lambda: M * M, lambda: M.transpose()):
+        with pytest.raises(ValueError, match="rational matrix|rational matrices"):
+            op()
+    assert scalar_transpose(M) == Matrix([[ONE, ZERO], [SQRT3, I]])
+
+
+@pytest.mark.parametrize("c", [-1, Fraction(-3, 2)])
+def test_scaling_by_an_int_or_fraction_builds_no_scalar(monkeypatch, c):
+    A = Matrix.from_int_rows([[1, -2, 0], [3, 4, 5]], 3)
+    want = A.scale(Scalar.rational(c))
+    built = []
+    new = scalars._new
+    monkeypatch.setattr(scalars, "_new", lambda *args: built.append(args) or new(*args))
+    got = A.scale(c)
+    assert built == [] and got._data is None
+    monkeypatch.undo()
+    assert got == want and got._int_form() == want._int_form()
 
 
 @given(st.data())

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,18 @@ from spinbits.octonions import (
     random_octonion,
     real_clifford_table,
 )
+
+
+def octonion(coeffs):
+    """The Octonion of eight ints or Fractions, over the lcm of their denominators."""
+    fracs = [Fraction(c) for c in coeffs]
+    d = lcm(*(f.denominator for f in fracs))
+    return Octonion._of([f.numerator * (d // f.denominator) for f in fracs], d)
+
+
+def coeffs(x):
+    """The Octonion's eight coefficients as Fractions."""
+    return tuple(Fraction(n, x._d) for n in x._n)
 
 
 def test_real_clifford_table_matches_tabulated():
@@ -55,24 +68,24 @@ def test_octonion_table_spot_cells():
 
 
 def test_octonion_mul_examples():
-    x = Octonion([Fraction(k, 3) for k in range(1, 9)])
+    x = octonion([Fraction(k, 3) for k in range(1, 9)])
     assert octonion_mul(Octonion.unit(0), x) == x
-    assert octonion_mul(Octonion.unit(1), Octonion.unit(1)) == -Octonion.unit(0)
+    assert octonion_mul(Octonion.unit(1), Octonion.unit(1)) == octonion([-1] + [0] * 7)
 
     e1, e2, e4 = Octonion.unit(1), Octonion.unit(2), Octonion.unit(4)
     lhs = octonion_mul(octonion_mul(e1, e2), e4)
     rhs = octonion_mul(e1, octonion_mul(e2, e4))
     assert lhs == Octonion.unit(7)
-    assert rhs == -Octonion.unit(7)
+    assert rhs == octonion([0] * 7 + [-1])
 
 
 def test_norm_multiplicativity_example():
-    e1, e2, e4 = Octonion.unit(1), Octonion.unit(2), Octonion.unit(4)
-    x = e1 + e2
+    e4 = Octonion.unit(4)
+    x = octonion([0, 1, 1, 0, 0, 0, 0, 0])  # e1 + e2
     prod = octonion_mul(x, e4)
     assert prod.norm() == Fraction(2)
     assert x.norm() * e4.norm() == Fraction(2)
-    assert prod == -Octonion.unit(5) - Octonion.unit(6)
+    assert prod == octonion([0, 0, 0, 0, 0, -1, -1, 0])
 
 
 def test_algebra_checks_all_pass():
@@ -112,17 +125,17 @@ def fraction_octonion_mul(x, y):
     """The Fraction loop that octonion_mul replaced: 64 Fraction multiply-adds."""
     table = octonion_table()
     out = [Fraction(0)] * 8
-    for i, a in enumerate(x.coeffs):
-        for j, b in enumerate(y.coeffs):
+    for i, a in enumerate(coeffs(x)):
+        for j, b in enumerate(coeffs(y)):
             cell = table[i][j]
             out[cell.index] += cell.sign * a * b
-    return Octonion(out)
+    return octonion(out)
 
 
 octonions = st.lists(
     st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=30)),
     min_size=8, max_size=8,
-).map(Octonion)
+).map(octonion)
 
 
 @given(octonions, octonions)
@@ -130,12 +143,11 @@ octonions = st.lists(
 def test_int_octonion_mul_agrees_with_fraction_loop(x, y):
     xy = octonion_mul(x, y)
     assert xy == fraction_octonion_mul(x, y)
-    assert all(type(c) is Fraction for c in xy.coeffs)
 
 
 def test_int_octonion_mul_on_coprime_denominators():
-    x = Octonion([Fraction(k + 1, p) for k, p in enumerate((2, 3, 5, 7, 11, 13, 17, 19))])
-    y = Octonion([Fraction(-k - 2, p) for k, p in enumerate((23, 29, 31, 37, 41, 43, 47, 53))])
+    x = octonion([Fraction(k + 1, p) for k, p in enumerate((2, 3, 5, 7, 11, 13, 17, 19))])
+    y = octonion([Fraction(-k - 2, p) for k, p in enumerate((23, 29, 31, 37, 41, 43, 47, 53))])
     assert octonion_mul(x, y) == fraction_octonion_mul(x, y)
     assert octonion_mul(x, y).norm() == x.norm() * y.norm()
 
@@ -144,30 +156,14 @@ class FractionOctonion:
     """Oracle for the int-numerator Octonion: eight Fractions, each operation
     on its own coefficients."""
 
-    def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-
-    def __add__(self, other):
-        return FractionOctonion(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return FractionOctonion(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return FractionOctonion(-a for a in self.coeffs)
-
-    def scale(self, c):
-        return FractionOctonion(Fraction(c) * a for a in self.coeffs)
+    def __init__(self, values):
+        self.coeffs = tuple(Fraction(c) for c in values)
 
     def norm(self):
         return sum((c * c for c in self.coeffs), Fraction(0))
 
     def __mul__(self, other):
-        return FractionOctonion(fraction_octonion_mul(Octonion(self.coeffs), Octonion(other.coeffs)).coeffs)
-
-    def __repr__(self):
-        parts = [f"{c}*e{i}" for i, c in enumerate(self.coeffs) if c]
-        return " + ".join(parts) if parts else "0"
+        return FractionOctonion(coeffs(fraction_octonion_mul(octonion(self.coeffs), octonion(other.coeffs))))
 
 
 # non-unit denominators throughout
@@ -176,17 +172,15 @@ fraction_coeffs = st.lists(
 )
 
 
-@given(fraction_coeffs, fraction_coeffs, st.fractions(min_value=-5, max_value=5, max_denominator=12))
+@given(fraction_coeffs, fraction_coeffs)
 @settings(max_examples=150, deadline=None)
-def test_int_octonion_agrees_with_the_fraction_oracle(a, b, c):
-    x, y = Octonion(a), Octonion(b)
+def test_int_octonion_agrees_with_the_fraction_oracle(a, b):
+    x, y = octonion(a), octonion(b)
     fx, fy = FractionOctonion(a), FractionOctonion(b)
-    assert x.coeffs == fx.coeffs and all(type(t) is Fraction for t in x.coeffs)
-    for got, want in ((x + y, fx + fy), (x - y, fx - fy), (-x, -fx), (x.scale(c), fx.scale(c)),
-                      (octonion_mul(x, y), fx * fy), (x - x, fx - fx)):
-        assert got.coeffs == want.coeffs
-        assert repr(got) == repr(want)
-        assert got == Octonion(want.coeffs) and hash(got) == hash(Octonion(want.coeffs))
+    assert coeffs(x) == fx.coeffs
+    got, want = octonion_mul(x, y), fx * fy
+    assert coeffs(got) == want.coeffs
+    assert got == octonion(want.coeffs) and hash(got) == hash(octonion(want.coeffs))
     assert x.norm() == fx.norm() and type(x.norm()) is Fraction
     assert x.dot(y) == sum((s * t for s, t in zip(a, b)), Fraction(0))
     assert (x == y) == (fx.coeffs == fy.coeffs)
@@ -212,7 +206,7 @@ def test_real_clifford_tables_are_built_once_per_n(monkeypatch):
 
 def fraction_random_octonion(rng, span=9):
     """Oracle for random_octonion: eight Fractions, numerator drawn before denominator."""
-    return Octonion([Fraction(rng.randint(-span, span), rng.randint(1, span)) for _ in range(8)])
+    return octonion([Fraction(rng.randint(-span, span), rng.randint(1, span)) for _ in range(8)])
 
 
 @given(st.integers(0, 2**32), st.integers(1, 12))
@@ -221,7 +215,7 @@ def test_random_octonion_equals_the_fraction_route(seed, span):
     fast, slow = random.Random(seed), random.Random(seed)
     for _ in range(5):
         x, y = random_octonion(fast, span), fraction_random_octonion(slow, span)
-        assert x == y and x.coeffs == y.coeffs
+        assert x == y and coeffs(x) == coeffs(y)
     assert fast.random() == slow.random()  # the same draws, in the same order
 
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from spinbits import reference as ref
 from spinbits import verify
 from spinbits.clifford import clifford_apply, exp_bivector
 from spinbits.scalars import Angle, HALF, I, INV_SQRT2, ONE, SQRT2, SQRT3, Scalar, ZERO
@@ -14,15 +13,37 @@ from spinbits.spinors import (
     frame_index_set,
     gamma_squares_to,
     hermitian,
-    index_from_signs,
     real_form_basis,
     real_structure,
     real_structure_phase,
     signs_from_index,
-    weight,
 )
 
 from dense_oracle import gamma_oracle_apply
+
+# Sign-tuple correspondence table at k = 3.
+SIGN_TABLE_K3 = [
+    ((1, 1, 1), 0), ((1, 1, -1), 1), ((1, -1, 1), 2), ((1, -1, -1), 3),
+    ((-1, 1, 1), 4), ((-1, 1, -1), 5), ((-1, -1, 1), 6), ((-1, -1, -1), 7),
+]
+
+# Half-spinor index sets at n = 8.
+DELTA8_PLUS_INDICES = [0, 3, 5, 6, 9, 10, 12, 15]
+DELTA8_MINUS_INDICES = [1, 2, 4, 7, 8, 11, 13, 14]
+
+# Ordered real basis of the positive half-spinor form at stage 8
+# (coefficients carry a 1/sqrt2 normalization not written here), and
+# its image under the first generator, used as the negative frame.
+REAL_PLUS_8 = ["u0-u15", "iu0+iu15", "u3+u12", "iu3-iu12",
+               "u5-u10", "iu5+iu10", "u6+u9", "iu6-iu9"]
+REAL_MINUS_8 = ["iu1-iu14", "-u1-u14", "iu2+iu13", "-u2+u13",
+                "iu4-iu11", "-u4-u11", "iu7+iu8", "-u7+u8"]
+
+
+def index_of_signs(signs) -> int:
+    """a = sum_j (1 - s_j)/2 * 2**(k-j), the encoding signs_from_index inverts."""
+    k = len(signs)
+    return sum((1 - s) // 2 << (k - j) for j, s in enumerate(signs, start=1))
 
 
 def parse_spinor(text: str, k: int = 4) -> Spinor:
@@ -37,30 +58,30 @@ def parse_spinor(text: str, k: int = 4) -> Spinor:
 
 
 def test_sign_table_k3():
-    for signs, a in ref.SIGN_TABLE_K3:
-        assert index_from_signs(signs) == a
+    for signs, a in SIGN_TABLE_K3:
         assert signs_from_index(a, 3) == signs
 
 
 def test_sign_bijection_examples():
-    assert index_from_signs((1, 1, -1)) == 1
-    assert index_from_signs((-1, -1, -1)) == 7
+    assert signs_from_index(1, 3) == (1, 1, -1)
+    assert signs_from_index(7, 3) == (-1, -1, -1)
     for k in (1, 4, 9):
-        assert index_from_signs((1,) * k) == 0
+        assert signs_from_index(0, k) == (1,) * k
 
 
 def test_sign_bijection_round_trip():
     for k in range(1, 11):
         for a in range(1 << k):
-            assert index_from_signs(signs_from_index(a, k)) == a
+            assert index_of_signs(signs_from_index(a, k)) == a
     k = 16
     for a in (0, 1, 37, 40000, (1 << 16) - 1):
-        assert index_from_signs(signs_from_index(a, k)) == a
+        assert index_of_signs(signs_from_index(a, k)) == a
 
 
-def test_invalid_sign_entry():
-    with pytest.raises(ValueError):
-        index_from_signs((1, 0, -1))
+def test_sign_index_out_of_range():
+    for a, k in ((8, 3), (-1, 3), (1, 0)):
+        with pytest.raises(ValueError, match=f"index {a} out of range for {k} bits"):
+            signs_from_index(a, k)
 
 
 def test_hermitian_product():
@@ -80,8 +101,8 @@ def test_hermitian_width_mismatch():
 def test_chirality_index_sets_at_stage_8():
     plus = [a for a in range(16) if chirality(a) == 1]
     minus = [a for a in range(16) if chirality(a) == -1]
-    assert plus == ref.DELTA8_PLUS_INDICES
-    assert minus == ref.DELTA8_MINUS_INDICES
+    assert plus == DELTA8_PLUS_INDICES
+    assert minus == DELTA8_MINUS_INDICES
     assert chirality(0) == 1
 
 
@@ -151,9 +172,9 @@ def test_gamma_pairing_identities():
 def test_real_form_basis_stage_8_matches_tabulated_frames():
     plus = real_form_basis(8, "plus")
     minus = real_form_basis(8, "minus")
-    for got, text in zip(plus, ref.REAL_PLUS_8):
+    for got, text in zip(plus, REAL_PLUS_8):
         assert got == parse_spinor(text).scale(INV_SQRT2)
-    for got, text in zip(minus, ref.REAL_MINUS_8):
+    for got, text in zip(minus, REAL_MINUS_8):
         assert got == parse_spinor(text).scale(INV_SQRT2)
     assert [clifford_apply(8, 1, v) for v in plus] == minus
 
@@ -179,12 +200,6 @@ def test_real_form_basis_rejects_aliased_stages():
         real_form_basis(8, "full")
     with pytest.raises(ValueError):
         real_form_basis(10, "plus")
-
-
-def test_weight_examples():
-    assert weight(0, 3) == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-    assert weight(5, 3) == (Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 2))
-    assert weight(1, 1) == (Fraction(-1, 2),)
 
 
 def test_basic_spinors_are_torus_eigenvectors():

@@ -5,8 +5,9 @@ import sys
 from fractions import Fraction
 
 from spinbits import verify
-from spinbits.scalars import Scalar
 from spinbits.verify import Check, Report
+
+from scalar_oracle import scalar_of
 
 # every module perfbench/tracer.py wraps a function of
 TRACED = ("scalars", "clifford", "spinors", "matrices", "triality", "forms", "octonions", "fields", "verify")
@@ -55,7 +56,7 @@ def fraction_rand_scalar(rng):
                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
             )
-    return Scalar(comps)
+    return scalar_of(comps)
 
 
 def test_rand_scalar_equals_the_fraction_route_and_keeps_the_stream():
