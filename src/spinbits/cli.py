@@ -168,9 +168,9 @@ def cmd_rep(args) -> int:
         raise UsageError(f"--n {n} is above {MAX_DENSE_N} for the n x n vector matrix")
     try:
         if space == "full":
-            M = kappa_matrix(n, word)
+            M = kappa_matrix(n, word).to_matrix()
         elif space in ("plus", "minus"):
-            M = kappa_pm_matrix(n, word, 1 if space == "plus" else -1)
+            M = kappa_pm_matrix(n, word, 1 if space == "plus" else -1).to_matrix()
         elif space in ("real-plus", "real-minus"):
             source = "plus" if space == "real-plus" else "minus"
             if n % 8 in (1, 2) and space == "real-plus":
@@ -219,7 +219,7 @@ def cmd_g2(args) -> int:
         return _emit(args.format, payload, text="\n".join(str(p) for p in payload))
     if args.matrix is not None:
         return _emit(args.format, g2_action_matrix(args.matrix))
-    return _emit(args.format, Report(g2_structure()["checks"]))
+    return _emit(args.format, Report(g2_structure()))
 
 
 def cmd_s3(args) -> int:

@@ -16,10 +16,8 @@ survive only in the tests, as oracles.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -30,15 +28,8 @@ from .spinors import frame_index_set, real_structure_phase
 
 
 class IrrepInfo(NamedTuple):
-    r: int
     d: int
     count: int
-    field_type: str
-
-
-_TYPE_BY_RESIDUE = {
-    1: "R", 2: "C", 3: "H", 4: "H+H", 5: "H", 6: "C", 7: "R", 0: "R+R",
-}
 
 
 def _stage_dim(r: int) -> int:
@@ -51,7 +42,7 @@ def irrep_info(r: int) -> IrrepInfo:
     if r < 1:
         raise ValueError("stage must be positive")
     count = 2 if r % 4 == 0 else 1
-    return IrrepInfo(r, _stage_dim(r), count, _TYPE_BY_RESIDUE[r % 8])
+    return IrrepInfo(_stage_dim(r), count)
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +84,6 @@ class FieldSystem(NamedTuple):
 
     N: int
     r: int
-    multiplicities: Tuple[int, int]
     J: List[Monomial]
 
     def field_count(self) -> int:
@@ -132,7 +122,7 @@ def build_field_system(N: int, split: Optional[Tuple[int, int]] = None) -> Field
     signs = Monomial(range(m1 + m2), [0] * m1 + [2] * m2)
     which = "plus" if info.count == 2 else "full"
     Js = [signs.kron(real_block(rr, (1, p), which)) for p in range(2, rr + 1)]
-    return FieldSystem(N=N, r=rr, multiplicities=(m1, m2), J=Js)
+    return FieldSystem(N=N, r=rr, J=Js)
 
 
 def e1ep_phase(r: int, p: int, a: int) -> Tuple[int, int]:
@@ -254,23 +244,16 @@ def structure_failure(system: FieldSystem) -> Optional[dict]:
     return None
 
 
-def gram_is_scaled_identity(system: FieldSystem, Z: Sequence[Fraction]) -> bool:
-    """Gram matrix of (Z, V_1(Z), ..., V_{r-1}(Z)) equals |Z|^2 Id, exactly.
+def gram_is_scaled_identity(system: FieldSystem, z: Sequence[int]) -> bool:
+    """Gram matrix G of (z, V_1(z), ..., V_{r-1}(z)) at the int point z equals |z|^2 Id, exactly.
 
-    Z times the lcm of its denominators is an int z with Gram matrix G, a
-    multiple of Z's.  Each entry of u_b = J_b z is some +-z_j, so with
-    m = max|z_j| every |G_ab| and |z|^2 are below 2^(k-1), k = (N m^2).bit_length() + 1.
+    Each entry of u_b = J_b z is some +-z_j, so with m = max|z_j| every
+    |G_ab| and |z|^2 are below 2^(k-1), k = (N m^2).bit_length() + 1.
     Row a is one dot u_a . P, P = sum over b >= a of u_b 2^(k(b-a)): it is the sum
     of G_ab 2^(k(b-a)), whose balanced base-2^k digits are unique, so it equals
     |z|^2 exactly when G_aa = |z|^2 and G_ab = 0 for b > a.  A J with an odd
     phase makes Scalar entries, caught before a shift: not a real frame, False.
     """
-    if all(type(v) is int for v in Z):
-        z = list(Z)
-    else:
-        fracs = [Fraction(v) for v in Z]
-        D = math.lcm(*(f.denominator for f in fracs))
-        z = [f.numerator * (D // f.denominator) for f in fracs]
     norm = sum(map(mul, z, z))
     k = (len(z) * max(map(abs, z), default=0) ** 2).bit_length() + 1
     P = [0] * len(z)
@@ -282,11 +265,11 @@ def gram_is_scaled_identity(system: FieldSystem, Z: Sequence[Fraction]) -> bool:
     return True
 
 
-def random_point(N: int, rng: random.Random, span: int = 9) -> List[int]:
-    """A nonzero point of Z^N with coordinates in [-span, span]."""
-    if N < 1 or span < 1:
-        raise ValueError("a nonzero point needs N >= 1 and span >= 1")
+def random_point(N: int, rng: random.Random) -> List[int]:
+    """A nonzero point of Z^N with coordinates in [-9, 9]."""
+    if N < 1:
+        raise ValueError("a nonzero point needs N >= 1")
     while True:
-        z = draw_ints(rng, ((-span, span),), N)
+        z = draw_ints(rng, ((-9, 9),), N)
         if any(z):
             return z

@@ -10,7 +10,7 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .matrices import Matrix, e_basis_decompose
-from .scalars import Combination, accumulate
+from .scalars import LatexCombination, accumulate
 
 DIM = 8
 
@@ -31,7 +31,7 @@ def canonical_term(indices: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
     return sign, tuple(idx)
 
 
-class ExtForm(Combination):
+class ExtForm(LatexCombination):
     """Homogeneous exterior form with Fraction coefficients on sorted index subsets."""
 
     __slots__ = ("degree",)

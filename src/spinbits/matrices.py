@@ -86,11 +86,6 @@ class Matrix:
         num = [list(row) for row in rows]
         return Matrix._of_ints(num, den, len(num[0]) if num else 0)
 
-    @staticmethod
-    def from_columns(cols: List[List[Scalar]]) -> "Matrix":
-        rows = len(cols[0])
-        return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(rows)])
-
     def __eq__(self, other) -> bool:
         if not (isinstance(other, Matrix) and self.rows == other.rows and self.cols == other.cols):
             return False
@@ -158,22 +153,11 @@ class Matrix:
         num, den = a
         return Matrix._new(self.rows, ints=([[row[j] for row in num] for j in range(self.cols)], den))
 
-    def is_antisymmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        a = self._int_form()
-        rows = a[0] if a else self.data
-        return all(
-            rows[i][j] == -rows[j][i]
-            for i in range(self.rows)
-            for j in range(i, self.cols)
-        )
-
     def rank(self) -> int:
         return len(self._echelon()[1])
 
-    def nullspace(self) -> Tuple[int, "Matrix"]:
-        """Exact (rank, kernel basis as the rows of a Matrix); rank + basis rows == cols.
+    def nullspace(self) -> "Matrix":
+        """The exact kernel basis as the rows of a Matrix; rank + basis rows == cols.
 
         Each free column f gives the basis row e_f minus, at the pivot of each
         reduced echelon row, that row's entry f.  For a rational matrix, whose
@@ -191,8 +175,8 @@ class Matrix:
                 vec[pc] = -row[f]
             basis.append(vec)
         if a:
-            return len(pivots), Matrix._of_ints(basis, a[1], self.cols)
-        return len(pivots), Matrix._new(self.cols, data=basis)
+            return Matrix._of_ints(basis, a[1], self.cols)
+        return Matrix._new(self.cols, data=basis)
 
     def _echelon(self) -> Tuple["Matrix", List[int]]:
         """The nonzero rows of the reduced row echelon form, and their pivot columns.
@@ -306,10 +290,8 @@ class Subspace:
 
     __slots__ = ("n", "basis", "pivots")
 
-    def __init__(self, vectors, n: int | None = None):
-        """The span of a sequence of vectors, or of the rows of a Matrix."""
-        if not isinstance(vectors, Matrix):
-            vectors = Matrix([list(v) for v in vectors])
+    def __init__(self, vectors: Matrix, n: int | None = None):
+        """The span of the rows of a Matrix; n is the dimension when it has no rows."""
         self.n = vectors.cols if vectors.rows else n
         if self.n is None:
             raise ValueError("the span of no vectors needs its dimension n")
@@ -355,7 +337,7 @@ class Subspace:
         """Intersection: c . A lies in B exactly when c annihilates the
         residue R of A's rows against B, so A & B is spanned by K A for
         the kernel K of R transposed."""
-        _, K = other._residue(self.basis).transpose().nullspace()
+        K = other._residue(self.basis).transpose().nullspace()
         return Subspace(K * self.basis, self.n)
 
     def complement_in(self, outer: "Subspace") -> "Subspace":
@@ -363,7 +345,7 @@ class Subspace:
         coordinate product (no complex conjugation)."""
         if not self.pivots:
             return outer
-        _, K = (self.basis * outer.basis.transpose()).nullspace()
+        K = (self.basis * outer.basis.transpose()).nullspace()
         return Subspace(K * outer.basis, self.n)
 
 
@@ -501,10 +483,6 @@ def gamma_oracle(n: int) -> Monomial:
     return reduce(Monomial.kron, (_block("alpha" if s % 2 else "beta") for s in range(1, n // 2 + 1)))
 
 
-def spinor_to_column(psi: Spinor) -> List[Scalar]:
-    return [psi.coeff(a) for a in range(1 << psi.k)]
-
-
 def _word_monomial(n: int, word: Sequence[int], idx: Sequence[int]) -> Monomial:
     """The word's action on the span of u_a, a in idx, by the bit rule, as a
     Monomial on the positions in idx."""
@@ -515,9 +493,9 @@ def _word_monomial(n: int, word: Sequence[int], idx: Sequence[int]) -> Monomial:
     return Monomial([pos[b] for _, b in images], [e for e, _ in images])
 
 
-def kappa_matrix(n: int, word: Sequence[int]) -> Matrix:
-    """Matrix of the word's spinor action; column a is the image of u_a."""
-    return _word_monomial(n, word, range(1 << (n // 2))).to_matrix()
+def kappa_matrix(n: int, word: Sequence[int]) -> Monomial:
+    """The word's spinor action as a Monomial; as a matrix, column a is the image of u_a."""
+    return _word_monomial(n, word, range(1 << (n // 2)))
 
 
 def chirality_indices(n: int, sign: int) -> List[int]:
@@ -526,21 +504,19 @@ def chirality_indices(n: int, sign: int) -> List[int]:
     return [a for a in range(1 << k) if chirality(a) == sign]
 
 
-def kappa_pm_matrix(n: int, word: Sequence[int], sign: int) -> Matrix:
-    """Half-spinor matrix of an even word, in the chirality-filtered basis."""
+def kappa_pm_matrix(n: int, word: Sequence[int], sign: int) -> Monomial:
+    """Half-spinor action of an even word as a Monomial, in the chirality-filtered basis."""
     if n % 2:
         raise ValueError("half-spinor spaces need even n")
     if len(word) % 2:
         raise ValueError("odd words reverse chirality")
-    return _word_monomial(n, word, chirality_indices(n, sign)).to_matrix()
+    return _word_monomial(n, word, chirality_indices(n, sign))
 
 
 class RealBasisFrame:
     """An ordered real basis together with fast expansion of span members."""
 
     def __init__(self, r: int, which: str):
-        self.r = r
-        self.which = which
         self.vectors = real_form_basis(r, which)
         self.support: Dict[int, List[int]] = {}
         for m, v in enumerate(self.vectors):
@@ -635,24 +611,30 @@ def real_rep_matrix(r: int, word: Sequence[int], source: str) -> Matrix:
     for v in src.vectors:
         img = word_apply(r, word, v)
         try:
-            coords = dst.expand(img)
+            cols.append(dst.expand(img))
         except ValueError as e:
             raise ValueError(f"word {list(word)} does not preserve the real spans: {e}")
-        cols.append(list(map(Scalar.rational, coords)))
-    return Matrix.from_columns(cols)
+    nums, den = ints_over_lcm([x for row in zip(*cols) for x in row])
+    n = len(cols)
+    return Matrix.from_int_rows([nums[i:i + n] for i in range(0, len(nums), n)], den)
+
+
+def ints_over_lcm(values: Sequence) -> Tuple[List[int], int]:
+    """Int numerators of rationals (ints or Fractions) over the lcm of their denominators."""
+    fracs = [Fraction(a) for a in values]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 def lambda_matrix(n: int, g) -> Matrix:
     """n x n matrix of the conjugation action on vectors of an even word
     or of an even CliffordElem (see clifford.lambda_vector)."""
-    cols = []
-    for i in range(1, n + 1):
-        img = lambda_vector(n, g, CliffordElem.generator(n, i))
-        col = [ZERO] * n
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        img = lambda_vector(n, g, CliffordElem.generator(n, i + 1))
         for m, c in img.terms.items():
-            col[m.bit_length() - 1] = c
-        cols.append(col)
-    return Matrix.from_columns(cols)
+            rows[m.bit_length() - 1][i] = c
+    return Matrix(rows)
 
 
 def e_basis_decompose(M: Matrix) -> Tuple[Dict[Tuple[int, int], int], int]:
@@ -663,12 +645,12 @@ def e_basis_decompose(M: Matrix) -> Tuple[Dict[Tuple[int, int], int], int]:
     minus the i-th, so c_ij is read off at entry (j, i); inputs must be
     antisymmetric with rational entries.
     """
-    if not M.is_antisymmetric():
-        raise ValueError("matrix is not antisymmetric")
     a = M._int_form()
     if not a:
         raise ValueError("non-rational entry in decomposition")
     (num, den), n = a, M.rows
+    if M.cols != n or any(num[i][j] != -num[j][i] for i in range(n) for j in range(i, n)):
+        raise ValueError("matrix is not antisymmetric")
     return {(i + 1, j + 1): num[j][i] for i in range(n) for j in range(i + 1, n) if num[j][i]}, den
 
 

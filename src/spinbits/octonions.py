@@ -148,9 +148,9 @@ def octonion_mul(x: Octonion, y: Octonion) -> Octonion:
     return Octonion._of(out, x._d * y._d)
 
 
-def random_octonion(rng: random.Random, span: int = 9) -> Octonion:
-    """Coefficients p/q with p drawn from [-span, span], then q from [1, span]."""
-    draws = draw_ints(rng, ((-span, span), (1, span)), 8)
+def random_octonion(rng: random.Random) -> Octonion:
+    """Coefficients p/q with p drawn from [-9, 9], then q from [1, 9]."""
+    draws = draw_ints(rng, ((-9, 9), (1, 9)), 8)
     d = lcm(*draws[1::2])
     return Octonion._of([p * (d // q) for p, q in zip(draws[0::2], draws[1::2])], d)
 

@@ -315,8 +315,7 @@ class Combination:
     A subclass names the slot that holds its space in ``_space`` (a spinor's
     bit width ``k``, an algebra's dimension ``n``, a form's ``degree``);
     combinations add only within one space.  It supplies ``_key``, which
-    checks a key and returns it in its stored form, and each key's name in
-    ``repr``; one that prints as LaTeX names its keys there too.
+    checks a key and returns it in its stored form, and ``_repr_name``.
     """
 
     __slots__ = ("terms",)
@@ -373,6 +372,19 @@ class Combination:
         return hash((getattr(self, self._space), terms))
 
     @staticmethod
+    def _repr_term(c, name: str) -> str:
+        return f"({c}){name}"
+
+    def __repr__(self):
+        return " + ".join(
+            self._repr_term(c, self._repr_name(key)) for key, c in sorted(self.terms.items())
+        ) or "0"
+
+
+class LatexCombination(Combination):
+    __slots__ = ()
+
+    @staticmethod
     def _latex_term(c, name: str) -> str:
         # a unit coefficient drops to its sign unless the term is a bare scalar;
         # a coefficient with an inner sign is parenthesized
@@ -389,15 +401,6 @@ class Combination:
             term = self._latex_term(c, self._latex_name(key))
             out += term if not out or term.startswith("-") else "+" + term
         return out or "0"
-
-    @staticmethod
-    def _repr_term(c, name: str) -> str:
-        return f"({c}){name}"
-
-    def __repr__(self):
-        return " + ".join(
-            self._repr_term(c, self._repr_name(key)) for key, c in sorted(self.terms.items())
-        ) or "0"
 
 
 ZERO = _new((), 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .scalars import Combination, I, INV_SQRT2, ONE, Scalar, ZERO
+from .scalars import I, INV_SQRT2, LatexCombination, ONE, Scalar, ZERO
 
 
 def signs_from_index(a: int, k: int) -> Tuple[int, ...]:
@@ -32,7 +32,7 @@ def chirality(a: int) -> int:
     return -1 if parity(a) else 1
 
 
-class Spinor(Combination):
+class Spinor(LatexCombination):
     """Sparse exact linear combination of basic spinors u_a, a < 2**k."""
 
     __slots__ = ("k",)
@@ -50,9 +50,6 @@ class Spinor(Combination):
     @staticmethod
     def zero(k: int) -> "Spinor":
         return Spinor(k)
-
-    def coeff(self, a: int) -> Scalar:
-        return self.terms.get(a, ZERO)
 
     def to_json(self) -> dict:
         return {

@@ -15,13 +15,11 @@ for every rational element of so(8), and Scalars only where omega is.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import CliffordElem, blade_product, volume_element
-from .matrices import Matrix, Monomial, Subspace, e_basis_decompose, real_block
+from .matrices import Matrix, Monomial, Subspace, e_basis_decompose, ints_over_lcm, real_block
 from .scalars import Angle, HALF, I, ONE, SQRT3, Scalar, INV_SQRT2
 from .spinors import Spinor
 
@@ -96,7 +94,7 @@ def eigenspace(outer: Matrix, lam: Scalar) -> Matrix:
     """The exact kernel of (map - lambda Id), its basis as the rows of a Matrix."""
     if lam not in (ONE, -ONE, (SQRT3 * I - ONE) * HALF, (-SQRT3 * I - ONE) * HALF):
         raise ValueError("unsupported eigenvalue")
-    return (outer - Matrix.identity(28).scale(lam)).nullspace()[1]
+    return (outer - Matrix.identity(28).scale(lam)).nullspace()
 
 
 def omega_eigenvalue(conj: bool = False) -> Scalar:
@@ -204,8 +202,8 @@ def apply_bivector_to_spinor(coeffs: BivectorCoeffs, psi: Spinor) -> Spinor:
     return CliffordElem(8, terms).apply(psi)
 
 
-def g2_structure() -> Dict[str, object]:
-    """The g2 generators plus the full battery of structural checks."""
+def g2_structure() -> List[Tuple[str, bool]]:
+    """The full battery of structural checks of the g2 generators."""
     sig, tau = build_outer("sigma"), build_outer("tau")
     sig2, ts = sig * sig, tau * sig
     gens = g2_generators()
@@ -270,7 +268,7 @@ def g2_structure() -> Dict[str, object]:
         ("symmetric pair (spin8, spin7) from the tau* involution", sym_mm and sym_gm)
     )
 
-    return {"generators": gens, "checks": checks}
+    return checks
 
 
 def g2_action_matrix(alphas: Sequence) -> Matrix:
@@ -280,18 +278,11 @@ def g2_action_matrix(alphas: Sequence) -> Matrix:
     return g2_action_matrix_on("plus", alphas).transpose()
 
 
-def alpha_ints(alphas: Sequence) -> Tuple[List[int], int]:
-    """Int numerators of rational (int or Fraction) alphas over their lcm denominator."""
-    fracs = [Fraction(a) for a in alphas]
-    den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
-
-
 def g2_action_matrix_on(which: str, alphas: Sequence) -> Matrix:
     """Column-convention action of sum(alpha_m G_m) on a real frame, summed on ints."""
     if len(alphas) != 14:
         raise ValueError("need 14 coefficients")
-    nums, den = alpha_ints(alphas)
+    nums, den = ints_over_lcm(alphas)
     acc: Dict[Tuple[int, int], int] = {}
     for x, g in zip(nums, g2_generators()):
         for p, y in g.items():

@@ -45,9 +45,9 @@ from .matrices import (
     Monomial,
     e_basis_compose,
     gamma_oracle,
+    ints_over_lcm,
     kappa_matrix,
     lambda_matrix,
-    spinor_to_column,
     tensor_oracle,
 )
 from .octonions import algebra_checks, octonion_table, quaternion_checks
@@ -65,7 +65,6 @@ from .spinors import (
 )
 from .triality import (
     PAIR_ORDER,
-    alpha_ints,
     build_outer,
     center_images,
     g2_action_matrix,
@@ -133,9 +132,9 @@ def _rand_scalar(rng: random.Random) -> Scalar:
     return _make([n * (den // d) for n, d in zip(nums, dens)], den)
 
 
-def _rand_spinor(rng: random.Random, k: int, nterms: int = 3) -> Spinor:
+def _rand_spinor(rng: random.Random, k: int) -> Spinor:
     out = Spinor.zero(k)
-    for _ in range(nterms):
+    for _ in range(3):
         [a] = draw_ints(rng, ((0, (1 << k) - 1),))
         out = out + Spinor.basis(k, a, _rand_scalar(rng))
     return out
@@ -160,43 +159,32 @@ def check_kernel_oracle(report: Report, max_n: int = 12):
 # -- criterion 2 -----------------------------------------------------
 
 
-def _diag_matrix(entries: List[Scalar]) -> Matrix:
-    n = len(entries)
-    return Matrix([[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)])
-
-
 def check_golden_matrices(report: Report):
     # four copies of the 2x2 blocks [[0, i], [i, 0]] and [[0, -1], [1, 0]]
     for p, phase in ((1, (1, 1)), (2, (0, 2))):
         want = Monomial.identity(4).kron(Monomial((1, 0), phase))
-        ok = kappa_matrix(6, [p]) == want.to_matrix()
-        report.add(f"C2 kappa_6(e{p}) block pattern", ok)
+        report.add(f"C2 kappa_6(e{p}) block pattern", kappa_matrix(6, [p]) == want)
 
-    k6e12 = kappa_matrix(6, [1, 2])
-    want = _diag_matrix([I, -I, I, -I, I, -I, I, -I])
-    report.add("C2 kappa_6(e1 e2) diagonal", k6e12 == want)
+    # the diagonal i, -i, i, -i, i, -i, i, -i
+    report.add("C2 kappa_6(e1 e2) diagonal", kappa_matrix(6, [1, 2]) == Monomial(range(8), (1, 3) * 4))
 
-    l6 = lambda_matrix(6, [1, 2])
-    want = _diag_matrix([-ONE, -ONE, ONE, ONE, ONE, ONE])
-    report.add("C2 lambda_6(e1 e2) diagonal", l6 == want)
+    signs = (-1, -1, 1, 1, 1, 1)
+    want = Matrix.from_int_rows([[s * (i == j) for j in range(6)] for i, s in enumerate(signs)])
+    report.add("C2 lambda_6(e1 e2) diagonal", lambda_matrix(6, [1, 2]) == want)
 
-    # one-parameter torus factors at exact angles: the half-angle matrix
-    # for pair t reads bit t-1, the vector side rotates by the full angle
+    # one-parameter torus factors at exact angles: u_a is a weight vector whose
+    # half-angle phase for pair t reads bit t-1, and the vector side rotates by
+    # the full angle
     ok = True
     for t, pair in ((1, (1, 2)), (2, (3, 4)), (3, (5, 6))):
         for kk in (1, 2, 3, 6):
             theta = Angle(kk)
             elem = exp_bivector(6, [(theta, pair)])
-            got = Matrix.from_columns(
-                [spinor_to_column(elem.apply(Spinor.basis(3, a))) for a in range(8)]
-            )
-            entries = []
             for a in range(8):
                 sgn = -1 if (a >> (t - 1)) & 1 else 1
-                entries.append(theta.cos() + I * theta.sin() * Scalar.rational(sgn))
-            if got != _diag_matrix(entries):
-                ok = False
-            rot = lambda_matrix(6, elem)
+                phase = theta.cos() + I * theta.sin() * Scalar.rational(sgn)
+                if elem.apply(Spinor.basis(3, a)) != Spinor.basis(3, a, phase):
+                    ok = False
             dbl = Angle(2 * kk)
             expected = [[ONE if i == j else ZERO for j in range(6)] for i in range(6)]
             lo, hi = pair[0] - 1, pair[1] - 1
@@ -204,7 +192,7 @@ def check_golden_matrices(report: Report):
             expected[hi][hi] = dbl.cos()
             expected[lo][hi] = -dbl.sin()
             expected[hi][lo] = dbl.sin()
-            if rot != Matrix(expected):
+            if lambda_matrix(6, elem).data != expected:
                 ok = False
     report.add("C2 one-parameter torus matrices at exact angles", ok)
 
@@ -311,8 +299,7 @@ def lambda_of_coeffs(coeffs, den: int) -> Matrix:
 def check_g2(report: Report, samples: int, rng: random.Random):
     from . import reference as ref
 
-    res = g2_structure()
-    report.extend((f"C4 {name}", ok) for name, ok in res["checks"])
+    report.extend((f"C4 {name}", ok) for name, ok in g2_structure())
 
     display_ok = True
     trials = [
@@ -325,7 +312,7 @@ def check_g2(report: Report, samples: int, rng: random.Random):
     for alphas in trials:
         got = g2_action_matrix(alphas)
         # the display's entries, 2 * (sum of +-alpha_m), on the alphas' int numerators over den
-        nums, den = alpha_ints(alphas)
+        nums, den = ints_over_lcm(alphas)
         want = Matrix.from_int_rows([
             [2 * sum(s * nums[m - 1] for s, m in ref.signed_ints(ref.G2_ACTION_DISPLAY.get((r, c), "")))
              for c in range(1, 9)]

@@ -15,7 +15,9 @@ against an independent slow one:
   irrational matrices only;
 * ``scalar_product`` and ``scalar_transpose`` are the ``Scalar`` loops of
   a matrix product and a transpose, which ``Matrix`` runs on int rows
-  only.
+  only;
+* ``from_columns`` and ``spinor_to_column`` build a ``Scalar`` matrix
+  column by column, from coordinate lists and from spinors.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def gamma_oracle_matrix(n: int) -> Matrix:
 def gamma_oracle_apply(n: int, psi: Spinor) -> Spinor:
     """gamma_n via the dense tensor matrix: conjugate coordinates, then multiply."""
     k = n // 2
-    column = Matrix([[psi.coeff(a).conjugate()] for a in range(1 << k)])
+    column = from_columns([[c.conjugate() for c in spinor_to_column(psi)]])
     out = scalar_product(gamma_oracle_matrix(n), column)
     return Spinor(k, {a: c for a, [c] in enumerate(out.data) if c})
 
@@ -187,3 +189,13 @@ def scalar_product(A: Matrix, B: Matrix) -> Matrix:
     return Matrix._new(B.cols, data=[
         [sum((col[l] * x for l, x in enumerate(lrow) if x), ZERO) for col in cols] for lrow in A.data
     ])
+
+
+def from_columns(cols: List[List[Scalar]]) -> Matrix:
+    """The Scalar matrix whose column j is cols[j]."""
+    return Matrix([list(row) for row in zip(*cols)])
+
+
+def spinor_to_column(psi: Spinor) -> List[Scalar]:
+    """The coordinates of psi over u_0, ..., u_{2^k - 1}."""
+    return [psi.terms.get(a, ZERO) for a in range(1 << psi.k)]

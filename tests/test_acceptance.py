@@ -6,8 +6,10 @@ line per criterion.
 import random
 import time
 
+import pytest
+
 from spinbits import verify
-from spinbits.clifford import clifford_apply, word_apply
+from spinbits.clifford import CliffordElem, clifford_apply, word_apply
 from spinbits.spinors import Spinor
 from spinbits.verify import (
     Report,
@@ -102,11 +104,39 @@ def failed_checks(fn, *args):
     return {c.name: c.witness for c in report.checks if not c.passed}
 
 
-def test_a_wrong_kappa_block_fails_c2(monkeypatch):
-    kappa_matrix = verify.kappa_matrix
-    monkeypatch.setattr(verify, "kappa_matrix", lambda n, word: (
-        kappa_matrix(n, word).scale(-1) if word == [1] else kappa_matrix(n, word)))
-    assert list(failed_checks(check_golden_matrices)) == ["C2 kappa_6(e1) block pattern"]
+# (check name, builder in verify's namespace, corruption of that builder): each
+# swaps a word for another (e1^3 = -e1, e2 e1 = -e1 e2), reverses a rotation, or
+# negates a torus element, which negates its spinor images but not its rotation
+C2_CORRUPTIONS = {
+    "kappa_e1": ("C2 kappa_6(e1) block pattern", "kappa_matrix",
+                 lambda f, n, w: f(n, [1, 1, 1] if w == [1] else w)),
+    "kappa_e2": ("C2 kappa_6(e2) block pattern", "kappa_matrix",
+                 lambda f, n, w: f(n, [2, 2, 2] if w == [2] else w)),
+    "kappa_e1e2": ("C2 kappa_6(e1 e2) diagonal", "kappa_matrix",
+                   lambda f, n, w: f(n, [2, 1] if w == [1, 2] else w)),
+    "lambda_e1e2": ("C2 lambda_6(e1 e2) diagonal", "lambda_matrix",
+                    lambda f, n, g: f(n, [1, 3] if g == [1, 2] else g)),
+    "torus_rotation": ("C2 one-parameter torus matrices at exact angles", "lambda_matrix",
+                       lambda f, n, g: f(n, g.reverse() if isinstance(g, CliffordElem) else g)),
+    "torus_spinor": ("C2 one-parameter torus matrices at exact angles", "exp_bivector",
+                     lambda f, n, factors: -f(n, factors) if len(factors) == 1 else f(n, factors)),
+    "general_torus": ("C2 general torus element acts by exact weight phases", "exp_bivector",
+                      lambda f, n, factors: -f(n, factors) if len(factors) == 3 else f(n, factors)),
+}
+
+
+def test_every_c2_check_has_a_corruption():
+    report = Report()
+    check_golden_matrices(report)
+    assert [c.name for c in report.checks] == list(dict.fromkeys(name for name, _, _ in C2_CORRUPTIONS.values()))
+
+
+@pytest.mark.parametrize("case", C2_CORRUPTIONS)
+def test_each_c2_corruption_fails_exactly_its_check(monkeypatch, case):
+    name, builder, corrupt = C2_CORRUPTIONS[case]
+    original = getattr(verify, builder)
+    monkeypatch.setattr(verify, builder, lambda *args: corrupt(original, *args))
+    assert list(failed_checks(check_golden_matrices)) == [name]
 
 
 def test_swapped_center_images_fail_c5(monkeypatch):

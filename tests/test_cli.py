@@ -108,7 +108,7 @@ def test_rep_matrix_json(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload == kappa_matrix(6, [1, 2]).to_json()
+    assert payload == kappa_matrix(6, [1, 2]).to_matrix().to_json()
     assert payload["rows"] == payload["cols"] == 8
 
 
@@ -131,7 +131,7 @@ def test_rep_matrix_chirality_spaces(capsys):
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload == kappa_pm_matrix(8, [1, 2], sign).to_json()
+        assert payload == kappa_pm_matrix(8, [1, 2], sign).to_matrix().to_json()
         assert payload["rows"] == payload["cols"] == 8
 
 

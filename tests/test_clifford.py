@@ -21,9 +21,11 @@ from spinbits.clifford import (
     word_apply,
     word_phase,
 )
-from spinbits.matrices import spinor_to_column, tensor_oracle
+from spinbits.matrices import tensor_oracle
 from spinbits.scalars import Angle, HALF, I, ONE, SQRT2, Scalar, accumulate
 from spinbits.spinors import Spinor, chirality, hermitian, parity, real_structure, real_structure_phase
+
+from dense_oracle import spinor_to_column
 
 
 def test_generator_action_examples():
@@ -200,6 +202,15 @@ def test_clifford_repr_of_a_sum():
     for c, text in ((ONE, "(1)1"), (-ONE, "(-1)1"), (I, "(1i)1")):
         assert repr(CliffordElem(2, {0: c})) == text
     assert repr(CliffordElem(2)) == "0"
+
+
+def test_only_spinors_and_forms_print_as_latex():
+    """CliffordElem names no key in LaTeX, so it has no latex() to raise AttributeError."""
+    from spinbits.forms import ExtForm
+
+    assert not hasattr(CliffordElem(2, {0: 1}), "latex")
+    assert not hasattr(CliffordElem, "_latex_term")
+    assert Spinor(2, {1: 1}).latex() == "u_{1}" and ExtForm.dx(1, 2).latex() == "dx_{1}\\wedge dx_{2}"
 
 
 def test_int_and_fraction_coefficients_become_scalars():

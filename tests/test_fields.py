@@ -117,12 +117,17 @@ def old_max_stage(N):
     return best
 
 
+def scaled(Z):
+    """The int multiple of the rational point Z by the lcm of its denominators."""
+    fracs = [Fraction(v) for v in Z]
+    D = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (D // f.denominator) for f in fracs]
+
+
 def pairwise_gram(system, Z):
     """Oracle for gram_is_scaled_identity: every one of the r(r+1)/2 inner
     products on the int multiple of Z, one at a time."""
-    fracs = [Fraction(v) for v in Z]
-    D = math.lcm(*(f.denominator for f in fracs))
-    z = [f.numerator * (D // f.denominator) for f in fracs]
+    z = scaled(Z)
     vecs = [z] + [J.apply(z) for J in system.J]
     norm = sum(map(mul, z, z))
     for a, u in enumerate(vecs):
@@ -154,28 +159,28 @@ def flip_one_sign(system, j, col):
     phase[col] += 2
     Js = list(system.J)
     Js[j - 1] = Monomial(J.perm, phase)
-    return FieldSystem(system.N, system.r, system.multiplicities, Js)
+    return system._replace(J=Js)
 
 
 def test_irrep_info_examples():
-    assert (irrep_info(3).d, irrep_info(3).count, irrep_info(3).field_type) == (4, 1, "H")
-    assert (irrep_info(8).d, irrep_info(8).count, irrep_info(8).field_type) == (8, 2, "R+R")
-    assert (irrep_info(10).d, irrep_info(10).count, irrep_info(10).field_type) == (32, 1, "C")
+    assert (irrep_info(3).d, irrep_info(3).count) == (4, 1)
+    assert (irrep_info(8).d, irrep_info(8).count) == (8, 2)
+    assert (irrep_info(10).d, irrep_info(10).count) == (32, 1)
     assert irrep_info(1).d == 1
     with pytest.raises(ValueError):
         irrep_info(0)
 
 
 def test_records_keep_positional_construction_and_attributes():
-    info = IrrepInfo(8, 8, 2, "R+R")
+    info = IrrepInfo(8, 2)
     assert info == irrep_info(8)
-    assert (info.r, info.d, info.count, info.field_type) == (8, 8, 2, "R+R")
-    assert repr(info) == "IrrepInfo(r=8, d=8, count=2, field_type='R+R')"
+    assert (info.d, info.count) == (8, 2)
+    assert repr(info) == "IrrepInfo(d=8, count=2)"
     system = build_field_system(16)
-    clone = FieldSystem(system.N, system.r, system.multiplicities, system.J)
-    assert (clone.N, clone.r, clone.multiplicities, clone.J) == (16, 9, (1, 0), system.J)
+    clone = FieldSystem(system.N, system.r, system.J)
+    assert (clone.N, clone.r, clone.J) == (16, 9, system.J)
     assert clone.field_count() == 8
-    assert FieldSystem(N=4, r=3, multiplicities=(1, 0), J=[]).field_count() == 2
+    assert FieldSystem(N=4, r=3, J=[]).field_count() == 2
 
 
 def test_max_stage_examples():
@@ -258,11 +263,11 @@ def test_int_gram_equals_fraction_gram(data):
     dens = data.draw(st.lists(st.integers(1, 12), min_size=N, max_size=N)
                      .filter(lambda ds: any(d > 1 for d in ds)))
     z = [Fraction(n, d) for n, d in zip(nums, dens)]
-    assert gram_is_scaled_identity(system, z) is fraction_gram(system, z) is True
+    assert gram_is_scaled_identity(system, scaled(z)) is fraction_gram(system, z) is True
     j = data.draw(st.integers(1, len(system.J)))
     col = data.draw(st.integers(0, N - 1))
     broken = flip_one_sign(system, j, col)
-    assert gram_is_scaled_identity(broken, z) is fraction_gram(broken, z) is False
+    assert gram_is_scaled_identity(broken, scaled(z)) is fraction_gram(broken, z) is False
 
 
 def both_oracles(system, z):
@@ -285,10 +290,10 @@ def test_packed_gram_equals_both_oracles(data):
     N = data.draw(st.sampled_from(sorted(_GRAM_SYSTEMS)))
     system = _GRAM_SYSTEMS[N]
     z = data.draw(st.lists(_POINTS[data.draw(st.sampled_from(sorted(_POINTS)))], min_size=N, max_size=N))
-    assert gram_is_scaled_identity(system, z) is both_oracles(system, z) is True
+    assert gram_is_scaled_identity(system, scaled(z)) is both_oracles(system, z) is True
     j = data.draw(st.integers(1, len(system.J)))
     broken = flip_one_sign(system, j, data.draw(st.integers(0, N - 1)))
-    got = gram_is_scaled_identity(broken, z)
+    got = gram_is_scaled_identity(broken, scaled(z))
     assert got is both_oracles(broken, z)
     if all(z):  # the flipped entry makes <Z, V_j(Z)> = +-2 z_a z_b
         assert got is False
@@ -301,7 +306,7 @@ def real_monomial_systems(draw):
     N = draw(st.integers(1, 6))
     Js = [Monomial(draw(st.permutations(range(N))), draw(st.lists(st.sampled_from([0, 2]), min_size=N, max_size=N)))
           for _ in range(draw(st.integers(0, 5)))]
-    return FieldSystem(N, len(Js) + 1, (1, 0), Js)
+    return FieldSystem(N, len(Js) + 1, Js)
 
 
 @settings(max_examples=400, deadline=None)
@@ -319,7 +324,7 @@ def test_packed_gram_is_false_where_narrower_digits_would_cancel(Js, z):
     """Row 0 of these Gram matrices is |Z|^2, G_01, G_02 with G_01 = -2^j G_02 != 0
     for a j at most (N m^2).bit_length() - 1, so packing with that few bits per
     digit would read |Z|^2."""
-    system = FieldSystem(len(z), len(Js) + 1, (1, 0), [Monomial(*J) for J in Js])
+    system = FieldSystem(len(z), len(Js) + 1, [Monomial(*J) for J in Js])
     assert gram_is_scaled_identity(system, z) is both_oracles(system, z) is False
 
 
@@ -347,7 +352,7 @@ def test_packed_gram_calls_a_j_with_an_odd_phase_not_real(z):
     for j in range(len(system.J)):
         Js = list(system.J)
         Js[j] = odd
-        assert gram_is_scaled_identity(system._replace(J=Js), z) is False
+        assert gram_is_scaled_identity(system._replace(J=Js), scaled(z)) is False
         assert structure_failure(system._replace(J=Js)) is not None
 
 
@@ -395,17 +400,19 @@ def test_symmetric_draws_are_randint_draws(seed, count, span):
 
 def test_random_point_rejects_an_all_zero_range():
     rng = random.Random(1)
-    for N, span in ((0, 9), (-3, 9), (4, 0), (4, -2)):
+    for N in (0, -3):
         with pytest.raises(ValueError):
-            random_point(N, rng, span)
+            random_point(N, rng)
     with pytest.raises(ValueError):
         draw_ints(rng, ((1, -1),), 3)
     assert rng.getstate() == random.Random(1).getstate()
-    mine, theirs = random.Random(2), random.Random(2)
-    z = random_point(3, mine, 1)
-    want = [theirs.randint(-1, 1) for _ in range(3)]
+    # seed 23 draws 0 first, so a one-coordinate point is drawn again
+    mine, theirs = random.Random(23), random.Random(23)
+    z = random_point(1, mine)
+    want = [theirs.randint(-9, 9)]
+    assert want == [0]
     while not any(want):
-        want = [theirs.randint(-1, 1) for _ in range(3)]
+        want = [theirs.randint(-9, 9)]
     assert z == want and mine.getstate() == theirs.getstate()
 
 
@@ -422,7 +429,7 @@ def block_diagonal(blocks):
                                       (32, None), (48, None), (64, None), (128, (1, 0)), (256, None)])
 def test_field_system_is_the_block_diagonal_of_frame_blocks(N, split):
     system = build_field_system(N, split)
-    m1, m2 = system.multiplicities
+    m1, m2 = split or (N // irrep_info(system.r).d, 0)
     which = "plus" if irrep_info(system.r).count == 2 else "full"
     for p, J in enumerate(system.J, start=2):
         blocks = [real_block(system.r, (1, p), which)] * m1 + [real_block(system.r, (1, p), "minus")] * m2
@@ -595,7 +602,8 @@ def test_multiplicity_split():
     # stage 8 carries two inequivalent real forms; N = 24 allows mixed splits
     for split in ((3, 0), (2, 1), (1, 2), (0, 3)):
         system = build_field_system(24, split=split)
-        assert system.r == 8 and system.multiplicities == split
+        plus, minus = real_block(8, (1, 2), "plus"), real_block(8, (1, 2), "minus")
+        assert system.r == 8 and system.J[0] == block_diagonal([plus] * split[0] + [minus] * split[1])
         assert_structure(system)
         for _ in range(2):
             assert gram_is_scaled_identity(system, random_point(24, rng))

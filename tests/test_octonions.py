@@ -192,29 +192,31 @@ def test_real_clifford_tables_are_built_once_per_n(monkeypatch):
 
     expansions = []
     expand = RealBasisFrame.expand
-    monkeypatch.setattr(RealBasisFrame, "expand", lambda self, psi: expansions.append(self.r) or expand(self, psi))
+    monkeypatch.setattr(RealBasisFrame, "expand",
+                        lambda self, psi: expansions.append(len(self.vectors)) or expand(self, psi))
     real_clifford_table.cache_clear()
     report = verify.Report()
     verify.check_octonions(report, 0)
     assert report.fail_count == 0
-    # one 8x8 table at stage 8 and one 4x4 at stage 4, each cell expanded once
+    # one 8x8 table on the 8 stage-8 frame vectors and one 4x4 on the 4 at stage 4,
+    # each cell expanded once
     assert sorted(expansions) == [4] * 16 + [8] * 64
     assert real_clifford_table(8) is real_clifford_table(8)
     assert isinstance(real_clifford_table(8)[0], tuple)
     assert division_table(8) is not division_table(8)
 
 
-def fraction_random_octonion(rng, span=9):
+def fraction_random_octonion(rng):
     """Oracle for random_octonion: eight Fractions, numerator drawn before denominator."""
-    return octonion([Fraction(rng.randint(-span, span), rng.randint(1, span)) for _ in range(8)])
+    return octonion([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)])
 
 
-@given(st.integers(0, 2**32), st.integers(1, 12))
+@given(st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
-def test_random_octonion_equals_the_fraction_route(seed, span):
+def test_random_octonion_equals_the_fraction_route(seed):
     fast, slow = random.Random(seed), random.Random(seed)
     for _ in range(5):
-        x, y = random_octonion(fast, span), fraction_random_octonion(slow, span)
+        x, y = random_octonion(fast), fraction_random_octonion(slow)
         assert x == y and coeffs(x) == coeffs(y)
     assert fast.random() == slow.random()  # the same draws, in the same order
 

@@ -17,6 +17,11 @@ command reaches fails, and so does an allowed one that becomes reached.
 Print the never-entered set of the current tree with
 
     PYTHONPATH=src python tests/test_reachability.py
+
+and, with ``--lines``, the statements the corpus never executes instead:
+a ``sys.settrace`` line trace of the same corpus, listing every statement
+under ``src/spinbits`` but ``raise`` and docstrings whose lines it never
+reached.  That list is not a gate: most of it is failure branches.
 """
 
 import ast
@@ -48,13 +53,23 @@ ALLOWED = {
 }
 
 # Runs in the fresh interpreter: the corpus comes on stdin, and the code
-# objects entered go to stdout as "filename:first line" keys.
+# objects entered go to stdout as "filename:first line" keys; with the
+# argument "lines", the package lines executed go there as "filename:line".
 TRACE = r"""
 import contextlib, io, json, sys
-seen = set()
-def hook(frame, event, arg, add=seen.add):
-    add(frame.f_code)
-sys.setprofile(hook)
+seen, lines = set(), sys.argv[1:] == ["lines"]
+if lines:
+    def line(frame, event, arg, add=seen.add):
+        if event == "line":
+            add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+    def call(frame, event, arg):
+        return line if "spinbits" in frame.f_code.co_filename else None
+    sys.settrace(call)
+else:
+    def hook(frame, event, arg, add=seen.add):
+        add(frame.f_code)
+    sys.setprofile(hook)
 import spinbits.cli
 for command in json.load(sys.stdin):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -63,7 +78,9 @@ for command in json.load(sys.stdin):
         except SystemExit:
             pass
 sys.setprofile(None)
-print(json.dumps(sorted({f"{c.co_filename}:{c.co_firstlineno}" for c in seen})))
+sys.settrace(None)
+keys = seen if lines else {(c.co_filename, c.co_firstlineno) for c in seen}
+print(json.dumps(sorted(f"{f}:{n}" for f, n in keys)))
 """
 
 
@@ -87,11 +104,13 @@ def defined_functions():
     return out
 
 
-def entered_keys():
-    """The "file:line" keys of the package's code objects that the corpus entered."""
+def entered_keys(*mode):
+    """The "file:line" keys of the package's code objects that the corpus entered,
+    or with mode "lines", of the package lines it executed."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", TRACE], input=json.dumps(CORPUS), capture_output=True, text=True, env=env, cwd=ROOT,
+        [sys.executable, "-c", TRACE, *mode], input=json.dumps(CORPUS), capture_output=True, text=True, env=env,
+        cwd=ROOT,
     )
     if proc.returncode:
         raise AssertionError(f"the traced corpus stopped:\n{proc.stderr}")
@@ -108,6 +127,36 @@ def never_entered():
     """{"file:line": "file:qualified name"} of the defs that no corpus command entered."""
     entered = entered_keys()
     return {key: name for key, name in defined_functions().items() if key not in entered}
+
+
+def statements():
+    """{"file:line": (the lines that execute it, its first source line)} for each
+    statement under the package but ``raise`` and docstrings: a compound
+    statement executes on its header's lines, and a decorated def's start at
+    its first decorator."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.stmt) or isinstance(node, ast.Raise):
+                continue
+            if isinstance(node, ast.Expr) and isinstance(getattr(node.value, "value", None), str):
+                continue
+            first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+            body = getattr(node, "body", None)
+            last = body[0].lineno - 1 if isinstance(body, list) else node.end_lineno
+            out[f"{path.name}:{first}"] = (range(first, max(first, last) + 1), lines[first - 1].strip())
+    return out
+
+
+def never_executed():
+    """{"file:line": source line} of the statements no corpus command executed."""
+    executed = entered_keys("lines")
+    return {
+        key: text for key, (span, text) in statements().items()
+        if not any(f"{key.split(':')[0]}:{n}" in executed for n in span)
+    }
 
 
 def in_file_order(defs):
@@ -155,12 +204,27 @@ def test_the_report_names_each_unexpected_def_and_each_stale_entry():
     assert report({key: name for key, name in defined_functions().items() if name in ALLOWED}) == ""
 
 
+def test_the_statement_finder_skips_raises_and_docstrings_and_starts_at_a_decorator():
+    import spinbits.matrices as matrices
+
+    found = statements()
+    assert not any(text.startswith(("raise ", '"""')) for _, text in found.values())
+    line = matrices.tensor_oracle.__wrapped__.__code__.co_firstlineno
+    span, text = found[f"matrices.py:{line}"]
+    assert text == "@lru_cache(maxsize=None)" and list(span) == [line, line + 1]
+
+
 def test_every_function_is_entered_by_some_command():
     message = report(never_entered())
     assert not message, message
 
 
-if __name__ == "__main__":
+if __name__ == "__main__" and sys.argv[1:] == ["--lines"]:
+    missed = never_executed()
+    for key, text in in_file_order(missed):
+        print(f"{key} {text}")
+    print(f"{len(missed)} statements never executed", file=sys.stderr)
+elif __name__ == "__main__":
     missed = never_entered()
     for key, name in in_file_order(missed):
         tag = "  (allowed)" if name in ALLOWED else ""
