@@ -72,13 +72,6 @@ def hurwitz_radon(N: int) -> int:
     return 8 * a + (1 << b)
 
 
-def _aliased_stage(r: int) -> int:
-    """Reduce to the stages carrying their own real frame (0,1,2,4 mod 8)."""
-    while r % 8 not in (0, 1, 2, 4):
-        r -= 1
-    return r
-
-
 class FieldSystem(NamedTuple):
     """The r-1 exact orthogonal almost-complex structures on R^N."""
 
@@ -93,20 +86,19 @@ class FieldSystem(NamedTuple):
 def build_field_system(N: int, split: Optional[Tuple[int, int]] = None) -> FieldSystem:
     """Maximal system of tangent fields on S^(N-1).
 
-    The stage is r = max_stage(N); the module is m copies of the real
-    irreducible frame (m1 plus- and m2 minus-copies when there are two
-    inequivalent ones, all-plus by default).  The block of e_1 e_p on a
-    minus copy is minus its block on a plus copy (``real_block``), so each
-    J is diag(1 m1 times, -1 m2 times) Kronecker that plus block.
+    The stage is r = max_stage(N), so d(r) < d(r + 1), which holds only
+    at r = 0, 1, 2, 4 mod 8: the stages with their own real frame.  The
+    module is m copies of the real irreducible frame (m1 plus- and m2
+    minus-copies when there are two inequivalent ones, all-plus by
+    default).  The block of e_1 e_p on a minus copy is minus its block on
+    a plus copy (``real_block``), so each J is diag(1 m1 times, -1 m2
+    times) Kronecker that plus block.
     """
     if N < 2:
         raise ValueError("need N >= 2")
     r = max_stage(N)
-    rr = _aliased_stage(r)
-    info = irrep_info(rr)
+    info = irrep_info(r)
     d = info.d
-    if r != rr and irrep_info(r).d != d:
-        raise AssertionError("aliased stage changed the module dimension")
     if info.count == 2:
         if split is None:
             m1, m2 = N // d, 0
@@ -121,8 +113,8 @@ def build_field_system(N: int, split: Optional[Tuple[int, int]] = None) -> Field
 
     signs = Monomial(range(m1 + m2), [0] * m1 + [2] * m2)
     which = "plus" if info.count == 2 else "full"
-    Js = [signs.kron(real_block(rr, (1, p), which)) for p in range(2, rr + 1)]
-    return FieldSystem(N=N, r=rr, J=Js)
+    Js = [signs.kron(real_block(r, (1, p), which)) for p in range(2, r + 1)]
+    return FieldSystem(N=N, r=r, J=Js)
 
 
 def e1ep_phase(r: int, p: int, a: int) -> Tuple[int, int]:

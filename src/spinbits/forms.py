@@ -64,8 +64,6 @@ class ExtForm(LatexCombination):
 
     def coefficient(self, indices: Sequence[int]) -> Fraction:
         sign, key = canonical_term(indices)
-        if sign == 0:
-            return Fraction(0)
         return sign * self.terms.get(key, Fraction(0))
 
     @staticmethod

@@ -343,8 +343,6 @@ class Subspace:
     def complement_in(self, outer: "Subspace") -> "Subspace":
         """Members of ``outer`` orthogonal to this span under the bilinear
         coordinate product (no complex conjugation)."""
-        if not self.pivots:
-            return outer
         K = (self.basis * outer.basis.transpose()).nullspace()
         return Subspace(K * outer.basis, self.n)
 

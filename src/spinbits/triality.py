@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .clifford import CliffordElem, blade_product, volume_element
+from .clifford import CliffordElem, blade_product, exp_bivector
 from .matrices import Matrix, Monomial, Subspace, e_basis_decompose, ints_over_lcm, real_block
 from .scalars import Angle, HALF, I, ONE, SQRT3, Scalar, INV_SQRT2
 from .spinors import Spinor
@@ -298,21 +298,13 @@ def group_automorphism(which: str, pair: Tuple[int, int]) -> CliffordElem:
     the bivector image.
     """
     coeffs, den = image_coeffs(build_outer(which), pair)
-    quarter = Angle(3)  # pi/4
-    out = CliffordElem.one(8)
-    for (i, j), c in sorted(coeffs.items()):
-        if 2 * abs(c) != den:  # entries are +-1/2
-            raise ValueError("generator image is not a quarter-turn product")
-        sin = quarter.sin() if c > 0 else -quarter.sin()
-        out = out * CliffordElem(
-            8, {0: quarter.cos(), (1 << (i - 1)) | (1 << (j - 1)): sin}
-        )
-    return out
+    if any(2 * abs(c) != den for c in coeffs.values()):  # entries are +-1/2
+        raise ValueError("generator image is not a quarter-turn product")
+    return exp_bivector(8, [(Angle(3 if c > 0 else -3), p) for p, c in sorted(coeffs.items())])
 
 
 def center_images(which: str) -> Dict[str, CliffordElem]:
     """Images of the nontrivial central elements, computed inside Cl_8."""
-    vol = volume_element(8)
     g12 = group_automorphism(which, (1, 2))
     minus_one_img = g12 * g12
     vol_img = CliffordElem.one(8)

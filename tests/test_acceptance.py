@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from spinbits import verify
+from spinbits import fields, triality, verify
 from spinbits.clifford import CliffordElem, clifford_apply, word_apply
+from spinbits.matrices import Monomial
 from spinbits.spinors import Spinor
 from spinbits.verify import (
     Report,
@@ -137,6 +138,120 @@ def test_each_c2_corruption_fails_exactly_its_check(monkeypatch, case):
     original = getattr(verify, builder)
     monkeypatch.setattr(verify, builder, lambda *args: corrupt(original, *args))
     assert list(failed_checks(check_golden_matrices)) == [name]
+
+
+def assert_table_covers(check, table, implied):
+    """Every check that ``check`` reports is failed by a row of ``table`` or
+    listed in ``implied``, and an implied check fails in no row unless a
+    check that implies it fails there too."""
+    report = Report()
+    check(report)
+    names = {c.name for c in report.checks}
+    reached = set().union(*(row[0] for row in table.values()))
+    assert reached | set(implied) == names
+    for name, (implying, _reason) in implied.items():
+        assert set(implying) <= names
+        for row in table.values():
+            assert name not in row[0] or row[0] & set(implying), (name, row[0])
+
+
+SIG_MINUS_ONE, SIG_VOL, SIG_MINUS_VOL = "C5 sigma(-1) = vol", "C5 sigma(vol) = -vol", "C5 sigma(-vol) = -1"
+TAU_MINUS_ONE, TAU_VOL = "C5 tau(-1) = vol", "C5 tau(vol) = -1"
+
+# (exact failing set, lift, generator, image pairs whose sign is flipped): each
+# row reads one wrong sign (or two) off the bivector image of one generator,
+# so its lift has that rotation factor turned the other way
+C5_CORRUPTIONS = {
+    "sigma_e1e2_one_sign": ({SIG_MINUS_ONE, SIG_VOL, SIG_MINUS_VOL}, "sigma", (1, 2), {(7, 8)}),
+    "sigma_e1e2_two_signs": ({SIG_VOL, SIG_MINUS_VOL}, "sigma", (1, 2), {(5, 6), (7, 8)}),
+    "sigma_e3e4_one_sign": ({SIG_VOL, SIG_MINUS_VOL}, "sigma", (3, 4), {(1, 2)}),
+    "tau_e1e2_one_sign": ({TAU_MINUS_ONE, TAU_VOL}, "tau", (1, 2), {(7, 8)}),
+    "tau_e5e6_one_sign": ({TAU_VOL}, "tau", (5, 6), {(1, 2)}),
+}
+
+C5_IMPLIED = {
+    SIG_MINUS_VOL: ((SIG_MINUS_ONE, SIG_VOL),
+                    "center_images builds the image of -vol as the product of the images "
+                    "of -1 and vol, and vol * (-vol) = -1"),
+}
+
+
+def test_every_c5_check_is_reached_or_implied():
+    assert_table_covers(check_center, C5_CORRUPTIONS, C5_IMPLIED)
+
+
+@pytest.mark.parametrize("case", C5_CORRUPTIONS)
+def test_each_c5_corruption_fails_exactly_its_set(monkeypatch, case):
+    expected, which, pair, flipped = C5_CORRUPTIONS[case]
+    image, outer = triality.image_coeffs, triality.build_outer(which)
+
+    def corrupt(m, p):
+        coeffs, den = image(m, p)
+        if m is outer and p == pair:
+            coeffs = {q: -c if q in flipped else c for q, c in coeffs.items()}
+        return coeffs, den
+
+    monkeypatch.setattr(triality, "image_coeffs", corrupt)
+    assert set(failed_checks(check_center)) == expected
+
+
+C8_STAGE = "C8 maximal stage equals the Hurwitz-Radon count for N <= 4096"
+C8_ROWS = "C8 the nine emitted rows match the tabulated rows outside the two flagged misprints"
+C8_FRAMES = "C8 structure equations and exact Gram frames for N in {2,...,128}"
+C8_CLOSED = "C8 closed-form field values agree with the matrix route (r = 8, 9, 10, 12)"
+C8_BITS = "C8 composite bit rules equal two generator applications for r <= 12"
+
+
+def c8_system(N, change):
+    """A corruption of the field builder that changes the J list of the size-N system."""
+    def corrupt(build, n, split=None):
+        system = build(n, split)
+        return system._replace(J=change(system.J)) if n == N else system
+    return corrupt
+
+
+def flip_first_sign(J):
+    """The J list with the first entry of J_2 negated."""
+    phase = list(J[1].phase)
+    phase[0] += 2
+    return [J[0], Monomial(J[1].perm, phase), *J[2:]]
+
+
+# (exact failing set, module, builder, corruption of that builder): the field
+# builder is read by C8's Gram frames and closed forms through verify, and by
+# its emitted rows through fields.emit_coordinates; the stage and the bit rule
+# are read through verify
+C8_CORRUPTIONS = {
+    "stage_one_too_high": ({C8_STAGE}, verify, "max_stage",
+                           lambda f, N: f(N) + 1 if N == 24 else f(N)),
+    "emitted_sign": ({C8_ROWS}, fields, "build_field_system", c8_system(32, flip_first_sign)),
+    "repeated_J": ({C8_FRAMES}, verify, "build_field_system",
+                   c8_system(128, lambda J: [J[1], *J[1:]])),
+    "flipped_J_entry": ({C8_FRAMES, C8_CLOSED}, verify, "build_field_system",
+                        c8_system(16, flip_first_sign)),
+    "negated_J": ({C8_CLOSED}, verify, "build_field_system", c8_system(16, lambda J: [-J[0], *J[1:]])),
+    "swapped_Js": ({C8_CLOSED}, verify, "build_field_system",
+                   c8_system(32, lambda J: [J[1], J[0], *J[2:]])),
+    "bit_rule_sign": ({C8_BITS}, verify, "e1ep_phase",
+                      lambda f, r, p, a: ((f(r, p, a)[0] + 2) % 4, f(r, p, a)[1])
+                      if (r, p, a) == (12, 12, 0) else f(r, p, a)),
+}
+
+
+def run_c8(report):
+    check_fields(report, 3, random.Random(SEED))
+
+
+def test_every_c8_check_is_reached():
+    assert_table_covers(run_c8, C8_CORRUPTIONS, {})
+
+
+@pytest.mark.parametrize("case", C8_CORRUPTIONS)
+def test_each_c8_corruption_fails_exactly_its_set(monkeypatch, case):
+    expected, module, builder, corrupt = C8_CORRUPTIONS[case]
+    original = getattr(module, builder)
+    monkeypatch.setattr(module, builder, lambda *args, **kw: corrupt(original, *args, **kw))
+    assert set(failed_checks(run_c8)) == expected
 
 
 def test_swapped_center_images_fail_c5(monkeypatch):

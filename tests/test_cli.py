@@ -393,6 +393,13 @@ def test_a_stage_without_a_real_frame_is_named(capsys):
     assert captured.err == "error: stage 1 has no real frame; the real frames start at stage 2\n"
 
 
+def test_an_odd_word_with_no_real_form_to_move_to_is_named(capsys):
+    assert main("rep matrix --n 9 --word e1 --space real-plus".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: odd words need plus/minus forms on both sides\n"
+
+
 def exit_code(argv):
     """main's exit code, whether it returns it or argparse raises it."""
     try:

@@ -28,6 +28,10 @@ COMMANDS = [
     *(f"rep matrix --n 6 --word e1e2 --space full --format {f}" for f in FORMATS),
     *(f"rep matrix --n 8 --word e2e3 --space {s} --format text"
       for s in ("plus", "minus", "real-plus", "real-minus", "vector")),
+    # odd words move between the real forms, and have none to move to at n = 9
+    "rep matrix --n 8 --word e1 --space real-plus",
+    "rep matrix --n 8 --word e1e2e3 --space real-minus",
+    "rep matrix --n 9 --word e1 --space real-plus",
     *(f"triality {w} --format {f}" for w in ("sigma", "tau") for f in FORMATS),
     *(f"triality {w} --check-order --format {f}" for w in ("sigma", "tau") for f in FORMATS),
     *(f"triality sigma --eigen {e} --format {f}" for e in ("omega", "omega-bar") for f in FORMATS),

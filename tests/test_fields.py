@@ -190,9 +190,15 @@ def test_max_stage_examples():
         assert max_stage(N) == 1
 
 
+# d(r) < d(r + 1) only at r = 0, 1, 2, 4 mod 8, so the largest stage whose d
+# divides N is always one of those: the stages with their own real frame
+FRAMED_STAGES = (0, 1, 2, 4)
+
+
 def test_max_stage_equals_the_stage_walk():
     for N in range(1, (1 << 16) + 1):
         assert max_stage(N) == old_max_stage(N), N
+        assert max_stage(N) % 8 in FRAMED_STAGES, N
     for odd in (1, 3, 5, 77, 2**31 - 1, 3**40):
         N = (1 << 40) * odd
         assert max_stage(N) == old_max_stage(N) == hurwitz_radon(N) == 8 * 10 + 1
@@ -202,11 +208,13 @@ def test_max_stage_equals_the_stage_walk():
 def test_max_stage_equals_the_stage_walk_below_2_200(N, twos):
     N = ((N >> twos) | 1) << twos  # 2-part exactly 2^twos, still below 2^200
     assert max_stage(N) == old_max_stage(N) == hurwitz_radon(N)
+    assert max_stage(N) % 8 in FRAMED_STAGES
 
 
 def test_max_stage_equals_hurwitz_radon():
     for N in range(1, 4097):
         assert max_stage(N) == hurwitz_radon(N)
+        assert N == 1 or build_field_system(N).r == max_stage(N), N
 
 
 def test_hurwitz_radon_closed_form():

@@ -241,6 +241,39 @@ def test_group_automorphism_sign_patterns():
     assert group_automorphism("sigma", (3, 4)) == product((1, 1, -1, -1))
 
 
+def quarter_turn_lift(which, pair):
+    """Oracle for group_automorphism: one rotation exp(+-pi/4 e_i e_j) per
+    entry of the bivector image, multiplied out factor by factor."""
+    coeffs, den = triality.image_coeffs(build_outer(which), pair)
+    quarter = Angle(3)
+    out = CliffordElem.one(8)
+    for (i, j), c in sorted(coeffs.items()):
+        if 2 * abs(c) != den:
+            raise ValueError("generator image is not a quarter-turn product")
+        sin = quarter.sin() if c > 0 else -quarter.sin()
+        out = out * CliffordElem(8, {0: quarter.cos(), (1 << (i - 1)) | (1 << (j - 1)): sin})
+    return out
+
+
+@pytest.mark.parametrize("which", ["sigma", "tau"])
+def test_group_automorphism_equals_the_quarter_turn_product(which):
+    for pair in PAIR_ORDER:
+        assert group_automorphism(which, pair) == quarter_turn_lift(which, pair), pair
+
+
+def test_group_automorphism_rejects_an_image_off_the_quarter_turns(monkeypatch):
+    image = triality.image_coeffs
+
+    def doubled(outer, pair):
+        coeffs, den = image(outer, pair)
+        return {p: 2 * c for p, c in coeffs.items()}, den
+
+    monkeypatch.setattr(triality, "image_coeffs", doubled)
+    for lift in (group_automorphism, quarter_turn_lift):
+        with pytest.raises(ValueError, match="generator image is not a quarter-turn product"):
+            lift("sigma", (1, 2))
+
+
 def test_group_automorphism_unit_norm():
     g = group_automorphism("sigma", (2, 5))
     assert g * g.reverse() == CliffordElem.one(8)
