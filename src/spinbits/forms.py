@@ -153,9 +153,9 @@ def derivation_action(G: Matrix, form: ExtForm) -> ExtForm:
     """Lie-derivative style action of a linear vector-space map on a
     constant-coefficient form: dx_m -> -sum_c G[m][c] dx_c, extended as
     a derivation across each wedge monomial."""
-    a = G.rows == G.cols == DIM and G._int_form()
+    a = G.rows == G.cols == DIM and G.ints
     if not a:
-        raise ValueError("need a rational 8x8 matrix")
+        raise ValueError("need an int-form 8x8 matrix")
     rows, den = a
 
     def images():

@@ -25,18 +25,20 @@ from .spinors import Spinor, chirality, frame_index_set, hermitian, real_form_ba
 class Matrix:
     """Rectangular matrix with Scalar entries and exact elimination.
 
-    A matrix whose entries are all rational also has an int form: int rows
-    over one positive denominator, in lowest terms, read off the entries'
-    numerators once.  Products, sums, rational scaling, equality and
-    elimination run on that form, and Scalar entries are built only when
-    ``data`` is read.  A matrix with an irrational entry runs sums,
-    scaling, equality and elimination as Scalar loops, and its product or
-    transpose is a ValueError; each operation picks its route from the
-    entries of its operands.  A Matrix and its rows are never changed
-    after construction, so the two forms cannot disagree.
+    A matrix holds one of two forms, fixed where it is built.  The int
+    builders (``from_int_rows``, ``identity``, and every operation whose
+    operands are all in int form) give int rows over one positive
+    denominator, in lowest terms, in ``ints``; Scalar entries are built
+    from them only when ``data`` is read.  ``Matrix(rows)`` and any
+    operation with a Scalar-form operand give Scalar rows, and ``ints``
+    is False, even when every entry is rational.  Sums, scaling, equality
+    and elimination run on either form; a product or a transpose is taken
+    of int forms only, and raises ValueError otherwise.  A Matrix and its
+    rows are never changed after construction, so the two forms cannot
+    disagree.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_ints")
+    __slots__ = ("rows", "cols", "_data", "ints")
 
     def __init__(self, data: List[List[Scalar]]):
         self.rows = len(data)
@@ -45,13 +47,13 @@ class Matrix:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
         self._data = data
-        self._ints = None  # the int form, or False; read through _int_form
+        self.ints = False
 
     @staticmethod
-    def _new(cols: int, data=None, ints=None) -> "Matrix":
+    def _new(cols: int, data=None, ints=False) -> "Matrix":
         m = object.__new__(Matrix)
-        m.rows = len(data if ints is None else ints[0])
-        m.cols, m._data, m._ints = cols, data, ints
+        m.rows = len(ints[0] if ints else data)
+        m.cols, m._data, m.ints = cols, data, ints
         return m
 
     @staticmethod
@@ -63,16 +65,10 @@ class Matrix:
             den //= g
         return Matrix._new(cols, ints=(num, den))
 
-    def _int_form(self):
-        """(int rows, denominator) when every entry is rational, else False."""
-        if self._ints is None:
-            self._ints = int_rows(self._data)
-        return self._ints
-
     @property
     def data(self) -> List[List[Scalar]]:
         if self._data is None:
-            num, den = self._ints
+            num, den = self.ints
             self._data = [[_ratio(x, den) for x in row] for row in num]
         return self._data
 
@@ -89,8 +85,8 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not (isinstance(other, Matrix) and self.rows == other.rows and self.cols == other.cols):
             return False
-        a, b = self._int_form(), other._int_form()
-        if a or b:  # both canonical, or a rational matrix against an irrational one
+        a, b = self.ints, other.ints
+        if a and b:  # both in lowest terms
             return a == b
         return self.data == other.data
 
@@ -102,7 +98,7 @@ class Matrix:
 
     def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         self._shape_check(other)
-        a, b = self._int_form(), other._int_form()
+        a, b = self.ints, other.ints
         if a and b:
             (an, ad), (bn, bd) = a, b
             g = gcd(ad, bd)
@@ -116,7 +112,7 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         """This matrix times a Scalar, int or Fraction c."""
-        a = self._int_form()
+        a = self.ints
         if a and type(c) is Scalar and c.is_rational():
             c = c.as_fraction()
         if a and type(c) is not Scalar:  # an int or a Fraction: its numerator over its denominator
@@ -127,9 +123,9 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        a, b = self._int_form(), other._int_form()
+        a, b = self.ints, other.ints
         if not (a and b):
-            raise ValueError("a product is taken of rational matrices")
+            raise ValueError("a product is taken of int-form matrices")
         (an, ad), (bn, bd) = a, b
         bnz = [[(j, y) for j, y in enumerate(row) if y] for row in bn]
         out = []
@@ -147,9 +143,9 @@ class Matrix:
             raise ValueError("shape mismatch")
 
     def transpose(self) -> "Matrix":
-        a = self._int_form()
+        a = self.ints
         if not a:
-            raise ValueError("a transpose is taken of a rational matrix")
+            raise ValueError("a transpose is taken of an int-form matrix")
         num, den = a
         return Matrix._new(self.rows, ints=([[row[j] for row in num] for j in range(self.cols)], den))
 
@@ -160,11 +156,11 @@ class Matrix:
         """The exact kernel basis as the rows of a Matrix; rank + basis rows == cols.
 
         Each free column f gives the basis row e_f minus, at the pivot of each
-        reduced echelon row, that row's entry f.  For a rational matrix, whose
+        reduced echelon row, that row's entry f.  For an int-form matrix, whose
         echelon rows are R / d, that is d e_f - R[.][f] over d, built on ints.
         """
         ech, pivots = self._echelon()
-        a = ech._int_form()
+        a = ech.ints
         rows, zero, unit = (a[0], 0, a[1]) if a else (ech.data, ZERO, ONE)
         pivot_cols = set(pivots)
         basis = []
@@ -181,12 +177,12 @@ class Matrix:
     def _echelon(self) -> Tuple["Matrix", List[int]]:
         """The nonzero rows of the reduced row echelon form, and their pivot columns.
 
-        That form is unique.  A rational matrix reaches it by fraction-free
+        That form is unique.  An int-form matrix reaches it by fraction-free
         elimination on its int rows: each update p * row - f * pivot_row is
         divided by its content, and the pivot rows are scaled to a common
         pivot value d at the end, which is the form's denominator.
         """
-        a = self._int_form()
+        a = self.ints
         if a:
             m = [_primitive(row) for row in a[0]]
             pivots = _eliminate(m, self.cols, _int_clear)
@@ -258,18 +254,6 @@ def _int_clear(row, prow, c):
     return _primitive([p * x - f * y for x, y in zip(row, prow)])
 
 
-def int_rows(rows: Sequence[Sequence[Scalar]]):
-    """(int rows, one positive denominator) of Scalar rows whose entries
-    are all rational, in lowest terms; False when an entry is irrational."""
-    nonzero = [x for row in rows for x in row if x._n]
-    if any([len(x._n) > 1 for x in nonzero]):
-        return False
-    # canonical entries over the lcm of their denominators leave no common
-    # factor, so this form is already in lowest terms
-    den = lcm(*{x._d for x in nonzero})
-    return [[x._n[0] * (den // x._d) if x._n else 0 for x in row] for row in rows], den
-
-
 def _primitive(row: List[int]) -> List[int]:
     """The int row divided by the gcd of its entries."""
     g = gcd(*row)
@@ -277,45 +261,33 @@ def _primitive(row: List[int]) -> List[int]:
 
 
 class Subspace:
-    """The span of some vectors in an n-dimensional coordinate space.
+    """The span of the rows of a Matrix, in the coordinate space of its columns.
 
     The span is held as its reduced row echelon form, computed once: the
     rows of ``basis`` have unit pivots in the ``pivots`` columns and zeros
     above and below them.  That form is unique, so two spans are equal
     exactly when their bases are, and a vector v is a member exactly when
     it equals the combination of the rows with its own pivot coordinates.
-    A rational span keeps its basis in int form throughout; membership is
-    asked of int vectors, and only of a rational span.
+    An int-form Matrix gives an int-form basis; membership is asked of int
+    vectors, and only of an int-form span.
     """
 
-    __slots__ = ("n", "basis", "pivots")
+    __slots__ = ("basis", "pivots")
 
-    def __init__(self, vectors: Matrix, n: int | None = None):
-        """The span of the rows of a Matrix; n is the dimension when it has no rows."""
-        self.n = vectors.cols if vectors.rows else n
-        if self.n is None:
-            raise ValueError("the span of no vectors needs its dimension n")
-        if not vectors.rows:
-            vectors = Matrix._new(self.n, ints=([], 1))
+    def __init__(self, vectors: Matrix):
         self.basis, self.pivots = vectors._echelon()
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
-    def _residue(self, M: Matrix) -> Matrix:
-        """Each row of M minus the combination of the basis rows with its
-        pivot coordinates: a zero row exactly for a member of the span."""
-        select = Matrix.from_int_rows([[int(p == q) for q in self.pivots] for p in range(self.n)])
-        return M - M * select * self.basis
-
     def __contains__(self, x: Sequence[int]) -> bool:
         """Membership of the int vector x, and of every nonzero multiple of it:
         the basis rows are R / d, so d x minus x[p] R, p each row's pivot, is zero."""
-        a = self.basis._int_form()
+        a = self.basis.ints
         if not a:
-            raise ValueError("membership is asked of a rational span")
-        if len(x) != self.n:
+            raise ValueError("membership is asked of an int-form span")
+        if len(x) != self.basis.cols:
             raise ValueError("length mismatch")
         rows, d = a
         vec = [d * t for t in x]
@@ -326,25 +298,7 @@ class Subspace:
         return not any(vec)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.n == other.n
-            and self.pivots == other.pivots
-            and self.basis == other.basis
-        )
-
-    def __and__(self, other: "Subspace") -> "Subspace":
-        """Intersection: c . A lies in B exactly when c annihilates the
-        residue R of A's rows against B, so A & B is spanned by K A for
-        the kernel K of R transposed."""
-        K = other._residue(self.basis).transpose().nullspace()
-        return Subspace(K * self.basis, self.n)
-
-    def complement_in(self, outer: "Subspace") -> "Subspace":
-        """Members of ``outer`` orthogonal to this span under the bilinear
-        coordinate product (no complex conjugation)."""
-        K = (self.basis * outer.basis.transpose()).nullspace()
-        return Subspace(K * outer.basis, self.n)
+        return isinstance(other, Subspace) and self.pivots == other.pivots and self.basis == other.basis
 
 
 class Monomial:
@@ -641,11 +595,11 @@ def e_basis_decompose(M: Matrix) -> Tuple[Dict[Tuple[int, int], int], int]:
 
     E_ij maps the i-th coordinate vector to the j-th and the j-th to
     minus the i-th, so c_ij is read off at entry (j, i); inputs must be
-    antisymmetric with rational entries.
+    antisymmetric and in int form.
     """
-    a = M._int_form()
+    a = M.ints
     if not a:
-        raise ValueError("non-rational entry in decomposition")
+        raise ValueError("a decomposition is taken of an int-form matrix")
     (num, den), n = a, M.rows
     if M.cols != n or any(num[i][j] != -num[j][i] for i in range(n) for j in range(i, n)):
         raise ValueError("matrix is not antisymmetric")

@@ -44,13 +44,19 @@ def to_coeffs(vec: Sequence[Scalar]) -> BivectorCoeffs:
 
 def bivector_span(vectors: Iterable[BivectorCoeffs]) -> Subspace:
     """The span of some int bivector combinations, in PAIR_ORDER coordinates."""
-    return Subspace(Matrix.from_int_rows([to_vector(v) for v in vectors]), 28)
+    return Subspace(Matrix.from_int_rows([to_vector(v) for v in vectors]))
+
+
+def kernel(*maps: Matrix) -> Subspace:
+    """The common kernel of some int-form matrices on bivectors: the kernel of
+    their stacked int rows, since a positive denominator scales no kernel."""
+    return Subspace(Matrix.from_int_rows([row for m in maps for row in m.ints[0]]).nullspace())
 
 
 def image_coeffs(outer: Matrix, pair: Tuple[int, int]) -> Tuple[BivectorCoeffs, int]:
     """The image of e_pair under a rational map: its column's int numerators, and the map's denominator."""
     c = _PAIR_POS[pair]
-    num, den = outer._int_form()
+    num, den = outer.ints
     return {PAIR_ORDER[r]: row[c] for r, row in enumerate(num) if row[c]}, den
 
 
@@ -108,7 +114,7 @@ def kappa_star_matrix(coeffs: BivectorCoeffs, den: int, sign: str) -> Matrix:
     numerators ``coeffs`` over ``den``, summed on the generators' int rows."""
     acc = [[0] * 8 for _ in range(8)]
     for p, x in coeffs.items():
-        rows, _ = kappa_real_matrix(p, sign)._int_form()  # a signed permutation: denominator 1
+        rows, _ = kappa_real_matrix(p, sign).ints  # a signed permutation: denominator 1
         for out, row in zip(acc, rows):
             for j, y in enumerate(row):
                 if y:
@@ -143,7 +149,7 @@ def s3_relations() -> List[Tuple[str, bool]]:
 
 
 def span_contains(span: Subspace, vec: BivectorCoeffs) -> bool:
-    """Exact membership of an int bivector combination in a rational span."""
+    """Exact membership of an int bivector combination in an int-form span."""
     return to_vector(vec) in span
 
 
@@ -226,23 +232,27 @@ def g2_structure() -> List[Tuple[str, bool]]:
     checks.append(("fixed space of sigma* has dimension 14", fix_sigma.rows == 14))
     checks.append(("generators span the fixed space of sigma*", g2 == Subspace(fix_sigma)))
 
+    # each span below is a kernel: spin7(e2..e8) that of the seven e1 e_j
+    # coordinates, and Fix(tau*) intersect Fix(X) that of tau* - Id over X - Id
+    ident = Matrix.identity(28)
+    e1_coords = Matrix.from_int_rows([to_vector({(1, j): 1}) for j in range(2, 9)])
+    tau_eq = tau - ident
     fix_tau = Subspace(eigenspace(tau, ONE))
-    spin7_low = bivector_span({(i, j): 1} for (i, j) in PAIR_ORDER if i >= 2)
-    inter = fix_tau & spin7_low
+    spin7_low = kernel(e1_coords)
+    inter = kernel(tau_eq, e1_coords)
     checks.append(("g2 = spin7(e2..e8) intersect Fix(tau*)", inter.dim == 14 and g2 == inter))
 
     fix_ts = Subspace(eigenspace(ts, ONE))
-    fix_ts2 = Subspace(eigenspace(tau * sig2, ONE))
     checks.append(("Fix(tau* sigma*) = spin7(e2..e8)", fix_ts == spin7_low))
-    for label, fix in (("tau* sigma*^2", fix_ts2), ("tau* sigma*", fix_ts)):
-        inter = fix_tau & fix
+    for label, X in (("tau* sigma*^2", tau * sig2), ("tau* sigma*", ts)):
+        inter = kernel(tau_eq, X - ident)
         checks.append((f"g2 = Fix(tau*) intersect Fix({label})", inter.dim == 14 and g2 == inter))
 
-    image = Subspace(fix_ts.basis * sig2.transpose(), 28)
+    image = Subspace(fix_ts.basis * sig2.transpose())
     checks.append(("sigma*^2 maps Fix(tau* sigma*) onto Fix(tau*)", image == fix_tau))
 
     def ints(span):  # its int echelon rows: the bracket is bilinear, so membership stays
-        return [to_coeffs(row) for row in span.basis._int_form()[0]]
+        return [to_coeffs(row) for row in span.basis.ints[0]]
 
     g2_ints, fix_tau_ints = ints(g2), ints(fix_tau)
     closure = all(span_contains(g2, bivector_bracket(a, b)) for a in g2_ints for b in g2_ints)
@@ -250,9 +260,12 @@ def g2_structure() -> List[Tuple[str, bool]]:
 
     # bracket structure of the pair (spin7, g2): reductive complement in
     # both spin7 copies, symmetric pair only one level up via the tau*
-    # involution (spin8 = Fix(tau*) + m with [m, m] inside Fix(tau*))
-    for label, copy in (("e2..e8 copy", spin7_low), ("Fix(tau*) copy", fix_tau)):
-        m = g2.complement_in(copy)
+    # involution (spin8 = Fix(tau*) + m with [m, m] inside Fix(tau*)); m is
+    # the members of the copy orthogonal to g2 under the coordinate product:
+    # the kernel of g2's basis rows over the copy's equations
+    copies = (("e2..e8 copy", spin7_low, e1_coords), ("Fix(tau*) copy", fix_tau, tau_eq))
+    for label, copy, equations in copies:
+        m = kernel(g2.basis, equations)
         m_ints = ints(m)
         gm = all(span_contains(m, bivector_bracket(g, x)) for g in g2_ints for x in m_ints)
         mm = all(span_contains(copy, bivector_bracket(x, y)) for x in m_ints for y in m_ints)

@@ -12,19 +12,22 @@ against an independent slow one:
 * ``SignedPermMatrix`` is a signed permutation held as dicts both ways;
 * ``scalar_kernel`` builds a kernel basis as ``Scalar`` rows off the
   reduced echelon rows, the route ``Matrix.nullspace`` takes for
-  irrational matrices only;
+  Scalar-form matrices only;
 * ``scalar_product`` and ``scalar_transpose`` are the ``Scalar`` loops of
   a matrix product and a transpose, which ``Matrix`` runs on int rows
   only;
 * ``from_columns`` and ``spinor_to_column`` build a ``Scalar`` matrix
-  column by column, from coordinate lists and from spinors.
+  column by column, from coordinate lists and from spinors;
+* ``intersect`` and ``complement_in`` reduce one span's basis against
+  another (the residue route), where ``spinbits.triality`` builds each
+  intersection and complement as the kernel of stacked equations.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from spinbits.matrices import Matrix, real_rep_matrix
+from spinbits.matrices import Matrix, Subspace, real_rep_matrix
 from spinbits.scalars import I, ONE, Scalar, ZERO
 from spinbits.spinors import Spinor
 from spinbits.triality import FRAME_SIGNS
@@ -199,3 +202,24 @@ def from_columns(cols: List[List[Scalar]]) -> Matrix:
 def spinor_to_column(psi: Spinor) -> List[Scalar]:
     """The coordinates of psi over u_0, ..., u_{2^k - 1}."""
     return [psi.terms.get(a, ZERO) for a in range(1 << psi.k)]
+
+
+def residue(span: Subspace, M: Matrix) -> Matrix:
+    """Each row of M minus the combination of the span's basis rows with its
+    pivot coordinates: a zero row exactly for a member of the span."""
+    select = Matrix.from_int_rows([[int(p == q) for q in span.pivots] for p in range(span.basis.cols)])
+    return M - M * select * span.basis
+
+
+def intersect(A: Subspace, B: Subspace) -> Subspace:
+    """A intersect B: c . A lies in B exactly when c annihilates the residue R
+    of A's rows against B, so the span of K A for the kernel K of R transposed."""
+    K = residue(B, A.basis).transpose().nullspace()
+    return Subspace(K * A.basis)
+
+
+def complement_in(A: Subspace, outer: Subspace) -> Subspace:
+    """Members of ``outer`` orthogonal to A under the bilinear coordinate
+    product (no complex conjugation)."""
+    K = (A.basis * outer.basis.transpose()).nullspace()
+    return Subspace(K * outer.basis)

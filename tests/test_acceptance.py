@@ -3,6 +3,7 @@ stated tolerance (exact structural equality throughout), one summary
 line per criterion.
 """
 
+import functools
 import random
 import time
 
@@ -10,7 +11,8 @@ import pytest
 
 from spinbits import fields, triality, verify
 from spinbits.clifford import CliffordElem, clifford_apply, word_apply
-from spinbits.matrices import Monomial
+from spinbits.matrices import Matrix, Monomial, Subspace
+from spinbits.scalars import ONE
 from spinbits.spinors import Spinor
 from spinbits.verify import (
     Report,
@@ -25,6 +27,8 @@ from spinbits.verify import (
     check_structure_maps,
     check_triality,
 )
+
+from dense_oracle import complement_in
 
 SEED = 1
 SAMPLES = 100
@@ -252,6 +256,110 @@ def test_each_c8_corruption_fails_exactly_its_set(monkeypatch, case):
     original = getattr(module, builder)
     monkeypatch.setattr(module, builder, lambda *args, **kw: corrupt(original, *args, **kw))
     assert set(failed_checks(run_c8)) == expected
+
+
+C4 = {key: f"C4 {name}" for key, name in (
+    ("plus", "annihilates the basic positive spinor"),
+    ("minus", "annihilates the basic negative spinor"),
+    ("dim", "fixed space of sigma* has dimension 14"),
+    ("span", "generators span the fixed space of sigma*"),
+    ("low", "g2 = spin7(e2..e8) intersect Fix(tau*)"),
+    ("ts", "Fix(tau* sigma*) = spin7(e2..e8)"),
+    ("ts2_meet", "g2 = Fix(tau*) intersect Fix(tau* sigma*^2)"),
+    ("ts_meet", "g2 = Fix(tau*) intersect Fix(tau* sigma*)"),
+    ("image", "sigma*^2 maps Fix(tau* sigma*) onto Fix(tau*)"),
+    ("closure", "bracket closure of g2"),
+    ("low_pair", "reductive pair (spin7, g2) in the e2..e8 copy: [g2,m] in m, [m,m] in spin7"),
+    ("tau_pair", "reductive pair (spin7, g2) in the Fix(tau*) copy: [g2,m] in m, [m,m] in spin7"),
+    ("symmetric", "symmetric pair (spin8, spin7) from the tau* involution"),
+    ("display", "general action matrix matches the display on both frames"),
+)}
+
+
+@functools.lru_cache(maxsize=None)
+def c4_spans():
+    """The spans C4's bracket checks test membership in, built by the residue route."""
+    tau = triality.build_outer("tau")
+    g2 = triality.bivector_span(triality.g2_generators())
+    fix_tau = Subspace(triality.eigenspace(tau, ONE))
+    spin7_low = triality.bivector_span({(i, j): 1} for (i, j) in triality.PAIR_ORDER if i >= 2)
+    return {
+        "g2": g2,
+        "m in e2..e8": complement_in(g2, spin7_low),
+        "m in Fix(tau*)": complement_in(g2, fix_tau),
+        "Fix(tau*) at -1": Subspace(triality.eigenspace(tau, -ONE)),
+    }
+
+
+def sigma_fixed_rows(change):
+    """A corruption of eigenspace that changes the rows of Fix(sigma*) alone."""
+    def corrupt(eigenspace, outer, lam):
+        K = eigenspace(outer, lam)
+        return Matrix(change(K.data)) if outer is triality.build_outer("sigma") and lam == ONE else K
+    return corrupt
+
+
+def outer_maps(**images):
+    """A corruption of build_outer that returns, for a name, a product of the true maps."""
+    def corrupt(build_outer, name):
+        return images[name](build_outer("sigma"), build_outer("tau")) if name in images else build_outer(name)
+    return corrupt
+
+
+def not_in(span):
+    """A corruption of span_contains that finds no member of one span."""
+    return lambda f, s, vec: False if s == c4_spans()[span] else f(s, vec)
+
+
+def flip_generator_sign(gens):
+    """The generators with the e2e6 term of the fourth negated ("-126 +137" -> "+126 +137")."""
+    bad = list(gens)
+    bad[3] = {p: -c if p == (2, 6) else c for p, c in bad[3].items()}
+    return bad
+
+
+# (exact failing set, module, builder, corruption of that builder): each row
+# corrupts an input that g2_structure's kernels and the residue route of
+# dense_oracle read alike, so it fails the same set whichever route builds the
+# spans; sigma* -> tau* is the only row that reaches the sigma*^2 image check,
+# which the S3 relations tie to Fix(tau* sigma*) = spin7(e2..e8) for true maps
+C4_CORRUPTIONS = {
+    "positive_spinor_kept": ({C4["plus"]}, triality, "apply_bivector_to_spinor",
+                             lambda f, g, psi: psi if 0 in psi.terms else f(g, psi)),
+    "negative_spinor_kept": ({C4["minus"]}, triality, "apply_bivector_to_spinor",
+                             lambda f, g, psi: psi if 1 in psi.terms else f(g, psi)),
+    "repeated_fixed_row": ({C4["dim"]}, triality, "eigenspace", sigma_fixed_rows(lambda rows: rows + rows[:1])),
+    "replaced_fixed_row": ({C4["span"]}, triality, "eigenspace",
+                           sigma_fixed_rows(lambda rows: [[ONE] + rows[0][1:]] + rows[1:])),
+    "tau_as_tau_sigma": ({C4["low"], C4["ts"]}, triality, "build_outer", outer_maps(tau=lambda s, t: t * s)),
+    "tau_as_tau_sigma2": ({C4["ts"]}, triality, "build_outer", outer_maps(tau=lambda s, t: t * s * s)),
+    "sigma_as_tau": ({C4[k] for k in ("dim", "span", "ts", "ts2_meet", "ts_meet", "image")}, triality,
+                     "build_outer", outer_maps(sigma=lambda s, t: t)),
+    "flipped_generator_sign": ({C4[k] for k in ("plus", "minus", "span", "low", "ts2_meet", "ts_meet", "closure",
+                                                "low_pair", "tau_pair", "display")},
+                               triality, "g2_generators", lambda f: flip_generator_sign(f())),
+    "g2_not_closed": ({C4["closure"]}, triality, "span_contains", not_in("g2")),
+    "low_complement_open": ({C4["low_pair"]}, triality, "span_contains", not_in("m in e2..e8")),
+    "tau_complement_open": ({C4["tau_pair"]}, triality, "span_contains", not_in("m in Fix(tau*)")),
+    "tau_minus_open": ({C4["symmetric"]}, triality, "span_contains", not_in("Fix(tau*) at -1")),
+    "doubled_display": ({C4["display"]}, verify, "g2_action_matrix", lambda f, alphas: f(alphas).scale(2)),
+}
+
+
+def run_c4(report):
+    check_g2(report, 0, random.Random(SEED))
+
+
+def test_every_c4_check_is_reached():
+    assert_table_covers(run_c4, C4_CORRUPTIONS, {})
+
+
+@pytest.mark.parametrize("case", C4_CORRUPTIONS)
+def test_each_c4_corruption_fails_exactly_its_set(monkeypatch, case):
+    expected, module, builder, corrupt = C4_CORRUPTIONS[case]
+    original = getattr(module, builder)
+    monkeypatch.setattr(module, builder, lambda *args: corrupt(original, *args))
+    assert set(failed_checks(run_c4)) == expected
 
 
 def test_swapped_center_images_fail_c5(monkeypatch):

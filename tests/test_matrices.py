@@ -22,7 +22,7 @@ from spinbits.matrices import (
     lambda_matrix,
     real_basis_frame,
     gamma_oracle,
-    int_rows,
+    ints_over_lcm,
     real_block,
     real_rep_matrix,
     tensor_oracle,
@@ -31,8 +31,8 @@ from spinbits.scalars import Angle, I, ONE, SQRT3, Scalar, ZERO
 from spinbits.triality import build_outer, kappa_real_matrix
 
 from dense_oracle import (
-    SignedPermMatrix, dense_tensor_oracle, from_columns, gamma_oracle_matrix, scalar_kernel, scalar_product,
-    scalar_transpose,
+    SignedPermMatrix, complement_in, dense_tensor_oracle, from_columns, gamma_oracle_matrix, intersect,
+    scalar_kernel, scalar_product, scalar_transpose,
 )
 
 
@@ -107,7 +107,7 @@ def test_real_rep_matrix_examples():
 
     M = real_rep_matrix(8, [2, 3], "plus")
     assert M.transpose() == M.scale(-1)
-    assert M._int_form()
+    assert M.ints
     assert M * M == Matrix.identity(8).scale(-ONE)
 
     # stage 10: the matrix of e1e2 on the full real frame is the first
@@ -134,8 +134,8 @@ def test_lambda_matrices_are_special_orthogonal():
     for _ in range(10):
         n = rng.choice([4, 6, 8])
         word = [rng.randint(1, n) for _ in range(2 * rng.randint(1, 2))]
-        M = lambda_matrix(n, word)
-        assert M * M.transpose() == Matrix.identity(n)
+        M = lambda_matrix(n, word)  # Scalar rows: multiplied by the Scalar loops
+        assert scalar_product(M, scalar_transpose(M)) == Matrix.identity(n)
         assert rational_det(M) == 1
 
 
@@ -185,7 +185,7 @@ def test_e_basis_round_trip():
             want[j - 1][i - 1], want[i - 1][j - 1] = Scalar.rational(c), Scalar.rational(-c)
         assert M == Matrix(want)
         nums, d = e_basis_decompose(M)
-        assert M._int_form()[1] == d and all(type(c) is int for c in nums.values())
+        assert M.ints[1] == d and all(type(c) is int for c in nums.values())
         assert {p: Fraction(c, d) for p, c in nums.items()} == coeffs
         assert e_basis_compose(8, nums, d) == M
 
@@ -195,9 +195,10 @@ def test_e_basis_decompose_rejects_non_antisymmetric():
         e_basis_decompose(Matrix.identity(4))
     with pytest.raises(ValueError, match="not antisymmetric"):  # not square
         e_basis_decompose(Matrix.from_int_rows([[0, 1, 0], [-1, 0, 0]]))
-    # the int form is read first: an irrational entry is named before the symmetry
-    with pytest.raises(ValueError, match="non-rational"):
-        e_basis_decompose(Matrix([[SQRT3, ONE], [ONE, ZERO]]))
+    # the form is read first: Scalar rows are refused before the symmetry, rational or not
+    for rows in ([[SQRT3, ONE], [ONE, ZERO]], [[ZERO, ONE], [-ONE, ZERO]]):
+        with pytest.raises(ValueError, match="int-form"):
+            e_basis_decompose(Matrix(rows))
 
 
 def test_nullspace_examples():
@@ -216,8 +217,7 @@ def test_nullspace_examples():
 
 def test_nullspace_vectors_are_in_kernel():
     rng = random.Random(31)
-    rows = [[Scalar.rational(rng.randint(-3, 3)) for _ in range(6)] for _ in range(4)]
-    M = Matrix(rows)
+    M = Matrix.from_int_rows([[rng.randint(-3, 3) for _ in range(6)] for _ in range(4)])
     kernel = M.nullspace()
     assert M.rank() + kernel.rows == 6
     assert M * kernel.transpose() == Matrix.from_int_rows([[0] * kernel.rows] * 4)
@@ -235,9 +235,9 @@ def kernel_cases():
         while len(rows) < r:
             ks = [rng.randint(-2, 2) for _ in rows]
             rows.append([sum(k * row[j] for k, row in zip(ks, rows)) for j in range(c)])
-        cases.append(Matrix([[Scalar.rational(x) for x in row] for row in rows]))
+        cases.append(int_matrix(rows, c))
     cases += [
-        Subspace(Matrix([]), 5).basis, Matrix([[], [], []]), Matrix.from_int_rows([[0] * 4] * 3),
+        Matrix.identity(5).nullspace(), Matrix.from_int_rows([[], [], []]), Matrix.from_int_rows([[0] * 4] * 3),
         Matrix.from_int_rows([[2, 1, 0], [0, 3, 1], [1, 0, 5]], 7),
         build_outer("sigma") - Matrix.identity(28), build_outer("tau") + Matrix.identity(28),
     ]
@@ -249,13 +249,14 @@ def test_rational_kernel_is_built_on_ints_and_matches_the_scalar_loop(monkeypatc
         raise AssertionError("a Scalar was built")
 
     for M in kernel_cases():
-        assert M._int_form()
+        assert M.ints
         with monkeypatch.context() as mp:
             mp.setattr(scalars, "_new", built)
             K, rank = M.nullspace(), M.rank()
-        assert K._data is None and K._int_form()
+        assert K._data is None and K.ints
         assert (K.cols, rank + K.rows) == (M.cols, M.cols)
-        assert K.data == scalar_kernel(M)
+        twin = Matrix._new(M.cols, data=M.data)  # the same entries as Scalar rows, at any row count
+        assert K.data == scalar_kernel(twin) == twin.nullspace().data and rank == twin.rank()
 
 
 def test_tensor_oracle_structure():
@@ -421,9 +422,19 @@ def rank(vectors):
     return Matrix([list(v) for v in vectors]).rank() if vectors else 0
 
 
-def span(vectors, n=None):
-    """The Subspace spanned by a list of Scalar vectors."""
-    return Subspace(Matrix([list(v) for v in vectors]), n)
+def int_matrix(rows, n):
+    """The int-form n-column matrix of rational rows (Fractions or rational
+    Scalars): their int numerators over the lcm of their denominators."""
+    nums, den = ints_over_lcm([x.as_fraction() if isinstance(x, Scalar) else x for row in rows for x in row])
+    return Matrix._of_ints([nums[i:i + n] for i in range(0, len(nums), n)], den, n)
+
+
+def span(vectors, n):
+    """The Subspace spanned by a list of Scalar vectors of length n: of their
+    int-form matrix when every entry is rational, else of their Scalar rows."""
+    if all(x.is_rational() for v in vectors for x in v):
+        return Subspace(int_matrix(vectors, n))
+    return Subspace(Matrix([list(v) for v in vectors]))
 
 
 def member(u, vectors):
@@ -433,7 +444,7 @@ def member(u, vectors):
 
 def ints(vec):
     """The int numerators of a rational Scalar vector over its common denominator."""
-    return int_rows([vec])[0][0]
+    return int_matrix([vec], len(vec)).ints[0][0]
 
 
 def dot(u, v):
@@ -465,57 +476,51 @@ def vector_sets(draw):
 @given(vector_sets())
 @settings(max_examples=150, deadline=None)
 def test_subspace_agrees_with_rank_oracle(case):
+    """Spans, equality and membership against the rank oracle; on rational
+    spans, the residue route's intersection and complement as well."""
     n, rational, a, b, v = case
     A, B = span(a, n), span(b, n)
     assert A.dim == rank(a) and B.dim == rank(b)
     assert (A == B) == (rank(a) == rank(b) == rank(a + b))
+    if not (A.basis.ints and B.basis.ints):
+        with pytest.raises(ValueError, match="int-form"):  # a product of Scalar rows
+            intersect(A, B)
+        return
     if rational:
         assert (ints(v) in A) == member(v, a)
-    if not (A.basis._int_form() and B.basis._int_form()):
-        with pytest.raises(ValueError, match="rational"):  # a product of irrational rows
-            A & B
-        return
-    assert (A & B).dim == rank(a) + rank(b) - rank(a + b)
-    assert all(member(u, a) and member(u, b) for u in (A & B).basis.data)
+    assert intersect(A, B).dim == rank(a) + rank(b) - rank(a + b)
+    assert all(member(u, a) and member(u, b) for u in intersect(A, B).basis.data)
 
-    C = A.complement_in(B)
+    C = complement_in(A, B)
     assert all(member(u, b) for u in C.basis.data)
     assert all(dot(u, w) == ZERO for u in C.basis.data for w in a)
     gram = [[dot(s, t) for t in B.basis.data] for s in A.basis.data]
     assert C.dim == B.dim - rank(gram)
-    if rational and all(member(u, b) for u in a):
+    if all(member(u, b) for u in a):
         assert C.dim == B.dim - A.dim
 
 
 def test_subspace_of_no_vectors():
-    Z = span([], 3)
-    assert Z.dim == 0 and [0] * 3 in Z and [1, 0, 0] not in Z
-    with pytest.raises(ValueError):
-        span([])
+    """A span takes its width from the Matrix, which nullspace keeps at 0 rows."""
+    Z = Subspace(Matrix.identity(3).nullspace())
+    assert Z.dim == 0 and Z.basis.cols == 3 and [0] * 3 in Z and [1, 0, 0] not in Z
+    assert Z == span([], 3) != Subspace(Matrix.identity(2).nullspace())
+    with pytest.raises(ValueError, match="length"):
+        [0, 0] in Z
 
 
-def test_membership_rejects_a_wrong_length_and_an_irrational_span():
-    S = span([[ONE, ZERO, ZERO]])
+def test_membership_rejects_a_wrong_length_and_a_scalar_form_span():
+    S = span([[ONE, ZERO, ZERO]], 3)
     assert [5, 0, 0] in S and [0, 1, 0] not in S
     for x in ([1, 0, 0, 5], [1, 0]):  # the clearing zip stopped at the shorter and called both members
         with pytest.raises(ValueError, match="length"):
             x in S
-    with pytest.raises(ValueError, match="rational span"):
-        [1, 0] in span([[ONE, SQRT3]])
+    for rows in ([[ONE, SQRT3]], [[ONE, ZERO]]):  # Scalar rows, irrational or not
+        with pytest.raises(ValueError, match="int-form span"):
+            [1, 0] in Subspace(Matrix(rows))
 
 
-# -- the int route of rational matrices against the Scalar route ----------
-
-
-@contextlib.contextmanager
-def scalar_route():
-    """Run every Matrix operation as the Scalar loop, as for irrational entries,
-    with the product and the transpose taken by the dense oracle."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Matrix, "_int_form", lambda self: False)
-        mp.setattr(Matrix, "__mul__", scalar_product)
-        mp.setattr(Matrix, "transpose", scalar_transpose)
-        yield
+# -- the int form of rational matrices against their Scalar form ------------
 
 
 fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
@@ -536,30 +541,29 @@ def rational_rows(draw, rows, cols):
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_int_route_equals_scalar_route(data):
+    """Each operation on int-form operands against the same operation on their
+    Scalar-form twins (the product and the transpose by the dense oracle)."""
     r, k, c = (data.draw(st.integers(1, 6)) for _ in range(3))
-    A = Matrix(data.draw(rational_rows(r, k)))
-    B = Matrix(data.draw(rational_rows(k, c)))
-    A2 = Matrix(data.draw(rational_rows(r, k)))
+    a_rows, b_rows, a2_rows = (data.draw(rational_rows(p, q)) for p, q in ((r, k), (k, c), (r, k)))
     lam = Scalar.rational(data.draw(fraction))
-    a = [row.copy() for row in A.data] + data.draw(rational_rows(data.draw(st.integers(1, 3)), k))
+    a = a_rows + data.draw(rational_rows(data.draw(st.integers(1, 3)), k))
     b = data.draw(rational_rows(data.draw(st.integers(1, 4)), k)) + a[: data.draw(st.integers(0, len(a)))]
 
-    def run():
-        S, T = span(a, k), span(b, k)
-        return [
-            A * B, A + A2, A - A2, A.scale(lam), A.transpose(), A == A2, A.rank(), A.nullspace(),
-            S == T, S & T, T & S, S.complement_in(T), T.complement_in(S),
-        ]
+    def run(build, product, transpose):
+        A, B, A2 = build(a_rows), build(b_rows), build(a2_rows)
+        S, T = Subspace(build(a)), Subspace(build(b))
+        return [product(A, B), A + A2, A - A2, A.scale(lam), transpose(A), A == A2, A.rank(), A.nullspace(),
+                S == T, S, T]
 
-    fast = run()
-    assert A._int_form()
-    with scalar_route():
-        slow = run()
+    fast = run(lambda rows: int_matrix(rows, len(rows[0])), Matrix.__mul__, Matrix.transpose)
+    slow = run(Matrix, scalar_product, scalar_transpose)
     for x, y in zip(fast, slow):
         if isinstance(x, Subspace):
-            assert (x.n, x.pivots, x.basis.data) == (y.n, y.pivots, y.basis.data)
-        else:
-            assert x == y
+            assert x.pivots == y.pivots
+            x, y = x.basis, y.basis
+        if isinstance(x, Matrix):
+            assert x.ints and y.ints is False
+        assert x == y and y == x
 
 
 def test_rational_matrices_keep_the_int_form():
@@ -571,8 +575,8 @@ def test_rational_matrices_keep_the_int_form():
     rref, pivots = (sig - Matrix.identity(28))._echelon()
     assert rref._data is None and len(pivots) == 14
     half = Matrix.from_int_rows([[1, 2], [3, 4]]).scale(Scalar.rational(1, 2))
-    assert half._int_form() == ([[1, 2], [3, 4]], 2)
-    assert half.scale(Scalar.rational(2))._int_form() == ([[1, 2], [3, 4]], 1)
+    assert half.ints == ([[1, 2], [3, 4]], 2)
+    assert half.scale(Scalar.rational(2)).ints == ([[1, 2], [3, 4]], 1)
 
 
 @pytest.mark.parametrize("c", [2, -3, 0, Fraction(1, 2), Fraction(-4, 6), Scalar.rational(5, 3), ZERO,
@@ -592,17 +596,33 @@ def test_scale_takes_int_fraction_and_scalar_factors(c):
 
 def test_irrational_matrices_take_the_scalar_route():
     M = Matrix([[ONE, SQRT3], [ZERO, I]])
-    assert M._int_form() is False
+    assert M.ints is False
     assert scalar_product(M, Matrix.identity(2)) == M and M.rank() == 2
     assert Matrix.identity(2).scale(I) != Matrix.identity(2)
 
 
-def test_a_product_or_transpose_of_an_irrational_matrix_raises():
-    M, one = Matrix([[ONE, SQRT3], [ZERO, I]]), Matrix.identity(2)
+def test_matrix_form_is_fixed_where_it_is_built():
+    """Matrix(rows) keeps Scalar rows even when every entry is rational, and
+    equality across the two forms compares entries, both ways round."""
+    rows = [[Scalar.rational(1, 2), ZERO, Scalar.rational(-3)], [ONE, Scalar.rational(2, 3), ZERO]]
+    S, T = Matrix(rows), Matrix.from_int_rows([[3, 0, -18], [6, 4, 0]], 6)
+    assert S.ints is False and T.ints == ([[3, 0, -18], [6, 4, 0]], 6)
+    assert S == T and T == S and S.data == T.data
+    changed = Matrix([rows[0], [ONE, Scalar.rational(2, 3), ONE]])
+    assert changed != T and T != changed
+    assert (S + T).ints is False and (T + T).ints and S.scale(2).ints is False
+
+
+@pytest.mark.parametrize("M", [
+    Matrix([[ONE, SQRT3], [ZERO, I]]), Matrix([[ONE, ZERO], [Scalar.rational(1, 2), ONE]]),
+], ids=["irrational", "rational"])
+def test_a_product_or_transpose_of_a_scalar_form_matrix_raises(M):
+    one = Matrix.identity(2)
     for op in (lambda: M * one, lambda: one * M, lambda: M * M, lambda: M.transpose()):
-        with pytest.raises(ValueError, match="rational matrix|rational matrices"):
+        with pytest.raises(ValueError, match="int-form matri"):
             op()
-    assert scalar_transpose(M) == Matrix([[ONE, ZERO], [SQRT3, I]])
+    assert scalar_transpose(M) == Matrix([[M.data[j][i] for j in range(2)] for i in range(2)])
+    assert scalar_transpose(Matrix([[ONE, SQRT3], [ZERO, I]])) == Matrix([[ONE, ZERO], [SQRT3, I]])
 
 
 @pytest.mark.parametrize("c", [-1, Fraction(-3, 2)])
@@ -615,7 +635,7 @@ def test_scaling_by_an_int_or_fraction_builds_no_scalar(monkeypatch, c):
     got = A.scale(c)
     assert built == [] and got._data is None
     monkeypatch.undo()
-    assert got == want and got._int_form() == want._int_form()
+    assert got == want and got.ints == want.ints
 
 
 @given(st.data())
@@ -633,7 +653,7 @@ def test_int_membership_agrees_with_the_rank_oracle(data):
 
 def test_rational_membership_builds_no_matrix_and_no_scalar(monkeypatch):
     S = Subspace(build_outer("sigma") - Matrix.identity(28))
-    inside = S.basis._int_form()[0][3]
+    inside = S.basis.ints[0][3]
     outside = list(range(28))
     assert not member([Scalar.rational(x) for x in outside], S.basis.data)
 

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from spinbits import reference as ref
 from spinbits import scalars, triality, verify
 from spinbits.clifford import CliffordElem, volume_element
-from spinbits.matrices import Matrix, Subspace, e_basis_decompose, int_rows, ints_over_lcm
+from spinbits.matrices import Matrix, Subspace, e_basis_decompose, ints_over_lcm
 from spinbits.scalars import Angle, I, ONE, SQRT2, SQRT3, Scalar, INV_SQRT2, ZERO
 from spinbits.spinors import Spinor
 
-from dense_oracle import frame_kappa_real_matrix, from_columns, scalar_product
+from dense_oracle import complement_in, frame_kappa_real_matrix, from_columns, intersect, scalar_product
 from spinbits.triality import (
     PAIR_ORDER,
     apply_bivector_to_spinor,
@@ -74,7 +74,7 @@ def scalar_column_outer(name):
 def test_outer_int_rows_equal_the_scalar_column_route(name):
     got, want = build_outer(name), scalar_column_outer(name)
     assert got == want and got.data == want.data
-    assert got._int_form() == want._int_form() and got._int_form()[1] == 2
+    assert got.ints[1] == 2 and want.ints is False
 
 
 def test_sigma_star_iterates_example():
@@ -141,11 +141,10 @@ EIGENVECTOR_TABLES = [
 ]
 
 
-def test_tabulated_eigenvectors_satisfy_equations(monkeypatch):
+def test_tabulated_eigenvectors_satisfy_equations():
     """Oracle for C3's int-row eigenvector checks: each line rebuilt as the
     Scalar column a + i sqrt3 b and multiplied through the Scalar product."""
     outers = {name: build_outer(name) for name in ("sigma", "tau")}
-    monkeypatch.setattr(Matrix, "_int_form", lambda self: False)  # the Scalar loop, on the int tables too
     for name, table, lam, _ in EIGENVECTOR_TABLES:
         for text in getattr(ref, table):
             a, b = ref.bivector_parts(text)
@@ -364,10 +363,10 @@ def test_span_contains_agrees_with_the_rank_oracle():
             if t % 2:
                 vec[rng.randrange(28)] += ONE
             want = Matrix(rows + [vec]).rank() == span.dim
-            [nums], _ = int_rows([vec])
+            nums, _ = ints_over_lcm([x.as_fraction() for x in vec])
             for k in (1, -7):
                 assert span_contains(span, {p: k * x for p, x in zip(PAIR_ORDER, nums) if x}) is want
-    with pytest.raises(ValueError, match="rational span"):
+    with pytest.raises(ValueError, match="int-form span"):
         span_contains(Subspace(eigenspace(sig, omega_eigenvalue())), {(1, 2): 1})
 
 
@@ -376,7 +375,8 @@ def test_span_contains_agrees_with_the_rank_oracle():
 def test_int_bracket_is_the_rational_bracket_scaled(a, b, k):
     """Int coefficients give the int bracket: that of the Scalar combinations
     times d^2, for their int numerators over the common denominator d."""
-    [na, nb], d = int_rows([list(a.values()), list(b.values())])
+    nums, d = ints_over_lcm([c.as_fraction() for c in (*a.values(), *b.values())])
+    na, nb = nums[:len(a)], nums[len(a):]
     ints = bivector_bracket(dict(zip(a, na)), dict(zip(b, nb)))
     assert all(type(c) is int for c in ints.values())
     assert {p: Scalar.rational(c) for p, c in ints.items() if c} == {
@@ -390,7 +390,7 @@ def test_corrupt_sigma_fails_c3_on_the_int_route(monkeypatch, flipped_sigma_tabl
     real_eq = Matrix.__eq__
 
     def eq(self, other):
-        compared.append((self._int_form() is not False, other._int_form() is not False))
+        compared.append((bool(self.ints), bool(other.ints)))
         return real_eq(self, other)
 
     monkeypatch.setattr(Matrix, "__eq__", eq)
@@ -401,16 +401,45 @@ def test_corrupt_sigma_fails_c3_on_the_int_route(monkeypatch, flipped_sigma_tabl
     assert compared[0] == (True, True)  # that first comparison ran on ints
 
 
-def test_corrupt_g2_generator_fails_c4_span_checks(monkeypatch):
-    bad = g2_generators()
-    bad[3] = {p: -c if p == (2, 6) else c for p, c in bad[3].items()}  # "-126 +137" -> "+126 +137"
-    monkeypatch.setattr(triality, "g2_generators", lambda: bad)
+def test_a_tau_star_that_fixes_nothing_fails_c4_by_name(monkeypatch):
+    """With tau* = -Id, Fix(tau*) is a span of no rows in 28 columns: C4
+    raises nothing, and exactly the checks that read Fix(tau*) or a span
+    built with it FAIL."""
+    outer = triality.build_outer
+    monkeypatch.setattr(triality, "build_outer",
+                        lambda name: Matrix.identity(28).scale(-1) if name == "tau" else outer(name))
     report = verify.Report()
     verify.check_g2(report, 0, random.Random(1))
-    failed = {c.name for c in report.checks if not c.passed}
-    assert "C4 generators span the fixed space of sigma*" in failed
-    assert "C4 g2 = spin7(e2..e8) intersect Fix(tau*)" in failed
-    assert "C4 bracket closure of g2" in failed
+    assert {c.name for c in report.checks if not c.passed} == {
+        "C4 g2 = spin7(e2..e8) intersect Fix(tau*)",
+        "C4 g2 = Fix(tau*) intersect Fix(tau* sigma*^2)",
+        "C4 g2 = Fix(tau*) intersect Fix(tau* sigma*)",
+        "C4 Fix(tau* sigma*) = spin7(e2..e8)",
+        "C4 reductive pair (spin7, g2) in the Fix(tau*) copy: [g2,m] in m, [m,m] in spin7",
+        "C4 symmetric pair (spin8, spin7) from the tau* involution",
+    }
+
+
+def test_g2_kernels_equal_the_residue_route(monkeypatch):
+    """g2_structure builds spin7(e2..e8), its three intersections with Fix(tau*)
+    and both complements of g2 as kernels of stacked equations; the residue
+    route reduces one span against another and gives the same pivots and basis."""
+    made, kernel = [], triality.kernel
+    monkeypatch.setattr(triality, "kernel", lambda *maps: made.append(kernel(*maps)) or made[-1])
+    assert all(ok for _, ok in g2_structure())
+    spin7_low, *spans = made
+    sig, tau = build_outer("sigma"), build_outer("tau")
+    fix_tau, g2 = Subspace(eigenspace(tau, ONE)), bivector_span(g2_generators())
+    assert spin7_low == bivector_span({(i, j): 1} for (i, j) in PAIR_ORDER if i >= 2)
+    want = [
+        intersect(fix_tau, spin7_low),
+        intersect(fix_tau, Subspace(eigenspace(tau * sig * sig, ONE))),
+        intersect(fix_tau, Subspace(eigenspace(tau * sig, ONE))),
+        complement_in(g2, spin7_low),
+        complement_in(g2, fix_tau),
+    ]
+    assert [s.dim for s in spans] == [14, 14, 14, 7, 7]
+    assert [(s.pivots, s.basis.ints) for s in spans] == [(w.pivots, w.basis.ints) for w in want]
 
 
 @pytest.fixture
@@ -531,7 +560,7 @@ def test_warm_g2_structure_reads_no_rational_matrix_as_scalars(monkeypatch):
     data = Matrix.data
 
     def read(self):
-        if self._int_form():
+        if self.ints:
             reads.append((self.rows, self.cols))
         return data.fget(self)
 
