@@ -7,22 +7,29 @@ J_r Z is an exact orthogonal frame at every point Z of the sphere.
 
 Everything runs on integers.  e_1 e_p sends each basic spinor to a power
 of i times one basic spinor, so each J block is read straight off the bit
-rule as a real ``Monomial`` (``matrices.real_block``), and the Gram check
-reads each Gram row off one dot product of packed ints.  ``e1ep_phase`` is
-the same action as one closed formula, used by the closed-form field values.
-The real-frame route (``RealBasisFrame.expand``) and the pairwise Gram loop
-survive only in the tests, as oracles.
+rule as a real ``Monomial`` (``matrices.real_block``): a signed
+permutation, a bit flip with a sign.  Every such fixed map is evaluated as
+a signed pick, one C-level ``itemgetter`` from a vector followed by its
+negation, built once per map.  ``FieldSystem.frame_pick`` stacks z, J_1 z,
+... of a system into one pick; the Gram check packs each coordinate of that frame
+into one int of byte digits and reads each Gram row off one dot product;
+``closed_form_pick`` compiles ``e1ep_phase``, the same action as one
+closed formula, and ``frame_placement_pick`` the frame's placement of J z.
+The real-frame route (``RealBasisFrame.expand``), the pairwise Gram loop
+and the dict closed form survive only in the tests, as oracles.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from bisect import bisect_right
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .matrices import Monomial, real_block
+from .matrices import Monomial, real_block, signed_pick
 from .scalars import draw_ints
 from .spinors import frame_index_set, real_structure_phase
 
@@ -72,15 +79,33 @@ def hurwitz_radon(N: int) -> int:
     return 8 * a + (1 << b)
 
 
-class FieldSystem(NamedTuple):
-    """The r-1 exact orthogonal almost-complex structures on R^N."""
-
+class _FieldSystem(NamedTuple):
     N: int
     r: int
     J: List[Monomial]
 
+
+class FieldSystem(_FieldSystem):
+    """The r-1 exact orthogonal almost-complex structures on R^N.
+
+    A named tuple that keeps its stacked pick, built at first use from J;
+    ``_replace`` makes a new system, which builds its own.
+    """
+
     def field_count(self) -> int:
         return self.r - 1
+
+    @cached_property
+    def frame_pick(self) -> Optional[Callable[[Sequence[int]], tuple]]:
+        """The stacked signed pick: from z + (-z) it gives z_j, (J_1 z)_j, ...,
+        (J_{r-1} z)_j for j = 0, 1, ... in turn, the frame at z in column-major
+        order.  None when some J has an odd phase: the system is not a real frame.
+        """
+        try:
+            sources = [J.signed_source() for J in self.J]
+        except ValueError:
+            return None
+        return signed_pick([s for column in zip(range(self.N), *sources) for s in column])
 
 
 def build_field_system(N: int, split: Optional[Tuple[int, int]] = None) -> FieldSystem:
@@ -134,65 +159,60 @@ def e1ep_phase(r: int, p: int, a: int) -> Tuple[int, int]:
     return (1 - p + 2 * exp2) % 4, a ^ (1 << (j - 1)) ^ 1
 
 
-@lru_cache(maxsize=None)
-def _e1ep_table(r: int, p: int) -> Tuple[Tuple[int, int, int], ...]:
-    """(a, e, b) for e_1 e_p u_a = i^e u_b over the stage-r frame indices a."""
-    return tuple((a, *e1ep_phase(r, p, a)) for a in frame_index_set(r))
+def _gauss_pick(r: int, n: int, terms) -> Callable[[Sequence[int]], tuple]:
+    """The spinor sum of (X + i Y) i^e u_b over ``terms`` = (x, y, e, b), with X and
+    Y the entries x and y of a real vector v of length n, compiled into one signed
+    pick: from v + (-v) + (0,), the dense coordinates (re_0, im_0, re_1, ...).
 
-
-@lru_cache(maxsize=None)
-def _gamma_table(r: int) -> Tuple[Tuple[int, int], ...]:
-    """real_structure_phase(r, b) for every b < 2^(r // 2)."""
-    return tuple(real_structure_phase(r, b) for b in range(1 << (r // 2)))
-
-
-GaussCoords = Dict[int, Tuple[int, int]]
-
-
-def _symmetrized(r: int, terms) -> GaussCoords:
-    """The spinor sum of (re + i im) u_b over ``terms`` = (b, re, im), as b -> (re, im).
-
-    At stages 0, 1 mod 8 each term w becomes w + gamma w, which is sqrt2
-    times the frame's 1/sqrt2 symmetrization, so the coordinates stay
-    Gaussian integers; zero coordinates are dropped.
+    At stages 0, 1 mod 8 each term w also puts gamma w at c, where gamma u_b =
+    i^g u_c is conjugate-linear: that is sqrt2 times the frame's 1/sqrt2
+    symmetrization, so the coordinates stay Gaussian integers.  Every
+    coordinate comes from at most one term, or the sum is not a pick.
     """
-    gamma = _gamma_table(r) if r % 8 in (0, 1) else None
-    out: Dict[int, List[int]] = {}
-    for b, re, im in terms:
-        acc = out.setdefault(b, [0, 0])
-        acc[0] += re
-        acc[1] += im
-        if gamma:  # gamma u_b = i^g u_c and gamma is conjugate-linear
-            g, c = gamma[b]
-            acc = out.setdefault(c, [0, 0])
-            re2, im2 = _times_i_power(re, -im, g)
-            acc[0] += re2
-            acc[1] += im2
-    return {b: (re, im) for b, (re, im) in out.items() if re or im}
+    zero, out = 2 * n, [2 * n] * (2 << (r // 2))
+    symmetrize = r % 8 in (0, 1)
+
+    def place(b: int, re: int, im: int, e: int):
+        for _ in range(e % 4):  # times i: (re, im) -> (-im, re), an index past n negates
+            re, im = (im + n) % (2 * n), re
+        if out[2 * b] != zero or out[2 * b + 1] != zero:
+            raise ValueError(f"two terms meet at u_{b}")
+        out[2 * b], out[2 * b + 1] = re, im
+
+    for x, y, e, b in terms:
+        place(b, x, y, e)
+        if symmetrize:  # conj((X + i Y) i^e) i^g = (X - i Y) i^(g - e)
+            g, c = real_structure_phase(r, b)
+            place(c, x, (y + n) % (2 * n), g - e)
+    return signed_pick(out)
 
 
-def _times_i_power(re: int, im: int, e: int) -> Tuple[int, int]:
-    """(re + i im) i^e as (re', im')."""
-    return ((re, im), (-im, re), (-re, -im), (im, -re))[e % 4]
+@lru_cache(maxsize=None)
+def closed_form_pick(r: int, p: int) -> Callable[[Sequence[int]], tuple]:
+    """The closed-form value of the field for e_1 e_p as a signed pick.
 
-
-def field_formula_coords(r: int, p: int, x: Dict[int, int], y: Dict[int, int]) -> GaussCoords:
-    """The closed-form value of the field for e_1 e_p at the point with frame
-    coordinates X_a = x[a], Y_a = y[a] (ints), as Gaussian-int spinor
-    coordinates b -> (re, im), times sqrt2 at stages 0, 1 mod 8.
-
-    Follows the per-residue recipes: e_1 e_p (X_a + i Y_a) u_a =
-    (X_a + i Y_a) i^e u_b by the bit rule, gamma-symmetrized at stages
-    0, 1 mod 8.
+    From z + (-z) + (0,), where z lists X_a, Y_a for each a of
+    ``frame_index_set(r)`` in turn, it gives the dense Gaussian-int spinor
+    coordinates of e_1 e_p (X_a + i Y_a) u_a = (X_a + i Y_a) i^e u_b (the
+    bit rule), gamma-symmetrized at stages 0, 1 mod 8 (times sqrt2 there).
     """
-    terms = [(b, *_times_i_power(x.get(a, 0), y.get(a, 0), e)) for a, e, b in _e1ep_table(r, p)]
-    return _symmetrized(r, terms)
+    idx = frame_index_set(r)
+    return _gauss_pick(r, 2 * len(idx), (
+        (2 * t, 2 * t + 1, *e1ep_phase(r, p, a)) for t, a in enumerate(idx)))
 
 
-def frame_point_coords(r: int, x: Dict[int, int], y: Dict[int, int]) -> GaussCoords:
-    """The point with int coordinates (X_a, Y_a) in the stage-r real frame, as
-    Gaussian-int spinor coordinates b -> (re, im), times sqrt2 at stages 0, 1 mod 8."""
-    return _symmetrized(r, ((a, x.get(a, 0), y.get(a, 0)) for a in sorted(set(x) | set(y))))
+@lru_cache(maxsize=None)
+def frame_placement_pick(r: int, stride: int, offset: int) -> Callable[[Sequence[int]], tuple]:
+    """The point of the stage-r real frame with coordinates X_a, Y_a as a signed pick.
+
+    X_a and Y_a of the t-th a of ``frame_index_set(r)`` are entries
+    (2t) stride + offset and (2t + 1) stride + offset of v, so a column of
+    a stacked ``FieldSystem.frame_pick`` is read in place.  From
+    v + (-v) + (0,) it gives the dense coordinates ``closed_form_pick`` gives.
+    """
+    idx = frame_index_set(r)
+    return _gauss_pick(r, 2 * len(idx) * stride, (
+        (2 * t * stride + offset, (2 * t + 1) * stride + offset, 0, a) for t, a in enumerate(idx)))
 
 
 def emit_coordinates(N: int, fmt: str = "text",
@@ -236,23 +256,49 @@ def structure_failure(system: FieldSystem) -> Optional[dict]:
     return None
 
 
+# unsigned array codes by digit width in bytes, narrowest first
+_DIGIT_CODES = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
+
+
 def gram_is_scaled_identity(system: FieldSystem, z: Sequence[int]) -> bool:
     """Gram matrix G of (z, V_1(z), ..., V_{r-1}(z)) at the int point z equals |z|^2 Id, exactly.
 
-    Each entry of u_b = J_b z is some +-z_j, so with m = max|z_j| every
-    |G_ab| and |z|^2 are below 2^(k-1), k = (N m^2).bit_length() + 1.
-    Row a is one dot u_a . P, P = sum over b >= a of u_b 2^(k(b-a)): it is the sum
-    of G_ab 2^(k(b-a)), whose balanced base-2^k digits are unique, so it equals
-    |z|^2 exactly when G_aa = |z|^2 and G_ab = 0 for b > a.  A J with an odd
-    phase makes Scalar entries, caught before a shift: not a real frame, False.
+    The stacked pick reads the frame off z + m, m - z (m = max|z_j|): every
+    entry is u + m in [0, 2m].  Each u_b is a signed permutation of z, so
+    |G_ab| <= |z|^2 (Cauchy-Schwarz), and digits of base B = 256^w with
+    B > 2 |z|^2 hold both those offsets and the balanced G_ab uniquely; w is
+    the narrowest array width that fits, or any width by ``int.to_bytes``.
+    Column j packs into P_j = sum over b of (u_b[j] + m) B^b, one
+    ``int.from_bytes``.  Row a's dot D_a = (u_a + m) . P is sum over b of
+    (G_ab + m S_a + m S_b + N m^2) B^b with S_b = sum(u_b), so with
+    Q = sum(P), R = sum of B^b and T_a = sum(u_a + m), D_a - m T_a R -
+    m (Q - N m R) = sum over b of G_ab B^b, which is |z|^2 B^a exactly when
+    row a of G is |z|^2 on the diagonal and 0 elsewhere.  A J with an odd
+    phase has no pick: not a real frame, False.
     """
+    pick = system.frame_pick
+    if pick is None:
+        return False
+    N, R = len(z), len(system.J) + 1
     norm = sum(map(mul, z, z))
-    k = (len(z) * max(map(abs, z), default=0) ** 2).bit_length() + 1
-    P = [0] * len(z)
-    for u in reversed([z] + [J.apply(z) for J in system.J]):
-        P = [(p << k) + x for p, x in zip(P, u)]
-        dot = sum(map(mul, u, P))
-        if type(dot) is not int or dot != norm:
+    m = max(map(abs, z), default=0)
+    picked = pick([x + m for x in z] + [m - x for x in z])
+    width = max(1, ((2 * norm).bit_length() + 7) // 8)
+    code = next((c for w, c in _DIGIT_CODES if w >= width), None)
+    if code is None:
+        data = b"".join(v.to_bytes(width, "little") for v in picked)
+    else:
+        digits = array(code, picked)
+        if sys.byteorder == "big":
+            digits.byteswap()
+        data, width = digits.tobytes(), digits.itemsize
+    step, shift = R * width, 8 * width
+    P = [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
+    rep = ((1 << shift * R) - 1) // ((1 << shift) - 1)
+    base, mrep = m * (sum(P) - N * m * rep), m * rep
+    for a in range(R):
+        row = picked[a::R]
+        if sum(map(mul, row, P)) - sum(row) * mrep - base != norm << shift * a:
             return False
     return True
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import lambda_vector, word_apply, word_phase, CliffordElem
 from .scalars import ONE, Scalar, ZERO, _ratio
@@ -310,12 +310,17 @@ class Monomial:
     is a permutation, the phases are ints mod 4, and neither changes after
     construction.  Only the constructor checks its input: the operations
     build valid results from valid operands.
+
+    A real monomial acts on a coordinate column z as a signed pick: entry
+    b of its image is entry ``signed_source()[b]`` of z + (-z), the
+    column followed by its negation, so ``signed_pick`` gathers a whole
+    image in one C-level call with no multiplication.
     """
 
-    __slots__ = ("perm", "phase", "_gather")
+    __slots__ = ("perm", "phase")
 
     def __init__(self, perm: Iterable[int], phase: Iterable[int]):
-        self.perm, self.phase, self._gather = tuple(perm), tuple(e % 4 for e in phase), None
+        self.perm, self.phase = tuple(perm), tuple(e % 4 for e in phase)
         if len(self.phase) != len(self.perm) or set(self.perm) != set(range(len(self.perm))):
             raise ValueError("not a monomial map")
 
@@ -323,7 +328,7 @@ class Monomial:
     def _of(perm: Sequence[int], phase: Sequence[int]) -> "Monomial":
         """The monomial of a permutation and phases in 0..3, unchecked."""
         m = object.__new__(Monomial)
-        m.perm, m.phase, m._gather = tuple(perm), tuple(phase), None
+        m.perm, m.phase = tuple(perm), tuple(phase)
         return m
 
     @staticmethod
@@ -352,16 +357,24 @@ class Monomial:
             perm[b], phase[b] = a, e
         return Monomial._of(perm, phase)
 
+    def signed_source(self) -> Tuple[int, ...]:
+        """Of a real monomial: entry b of the image of z is entry source[b] of
+        z + (-z), so z[a] lands in slot perm[a], from the second half at phase 2."""
+        n = len(self.perm)
+        source = [0] * n
+        for a, (b, e) in enumerate(zip(self.perm, self.phase)):
+            if e & 1:
+                raise ValueError("the monomial has imaginary entries")
+            source[b] = a + n * (e >> 1)
+        return tuple(source)
+
     def apply(self, z: Sequence) -> List:
-        """The image of the coordinate column z: entry perm[a] is z[a] i^phase[a], read by a
-        gather kept from the first call; an even phase is the int 1 - phase[a], so ints stay ints."""
+        """The image of the coordinate column z under a real monomial, read off its
+        signed source: every entry is some +-z[a], so ints stay ints."""
         if len(z) != len(self.perm):
             raise ValueError("length mismatch")
-        if self._gather is None:
-            T = self.transpose()
-            self._gather = T.perm, [Scalar.i_power(e) if e & 1 else 1 - e for e in T.phase]
-        source, factor = self._gather
-        return list(map(operator.mul, map(z.__getitem__, source), factor))
+        signed = [*z, *(-v for v in z)]
+        return [signed[s] for s in self.signed_source()]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.perm == other.perm and self.phase == other.phase
@@ -383,6 +396,14 @@ class Monomial:
         for a, (b, e) in enumerate(zip(self.perm, self.phase)):
             rows[b][a] = Scalar.i_power(e)
         return Matrix(rows)
+
+
+def signed_pick(source: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The map v -> (v[s] for s in source) as one C-level ``itemgetter``, always
+    returning a tuple: an itemgetter of one index returns the item itself."""
+    if len(source) == 1:
+        return lambda v, s=source[0]: (v[s],)
+    return operator.itemgetter(*source)
 
 
 # the largest n the tensor oracles build: 2^12-square monomials

@@ -14,10 +14,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import List, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .clifford import clifford_apply
-from .matrices import real_basis_frame
+from .matrices import real_basis_frame, signed_pick
 from .scalars import draw_ints
 from .spinors import Spinor
 
@@ -107,7 +107,7 @@ class Octonion:
         """The octonion n / d for int numerators n and d > 0."""
         g = gcd(d, *n)
         out = object.__new__(Octonion)
-        out._n, out._d = tuple(x // g for x in n), d // g
+        out._n, out._d = (tuple(n), d) if g == 1 else (tuple(x // g for x in n), d // g)
         return out
 
     @staticmethod
@@ -133,19 +133,23 @@ def _table() -> List[List[SignedIndex]]:
     return octonion_table()
 
 
+@lru_cache(maxsize=None)
+def _product_picks() -> Tuple[Callable[[Sequence[int]], tuple], ...]:
+    """Pick k sends y + (-y) to the signed y_j that multiply x_0, ..., x_7 into
+    unit k: row i of the table is a signed permutation, so e_i e_j = +-e_k at
+    exactly one j."""
+    sources = [[0] * 8 for _ in range(8)]
+    for i, row in enumerate(_table()):
+        for j, (sign, k) in enumerate(row):
+            sources[k][i] = j if sign > 0 else j + 8
+    return tuple(map(signed_pick, sources))
+
+
 def octonion_mul(x: Octonion, y: Octonion) -> Octonion:
-    """The product, summed on integer numerators over one denominator."""
-    table = _table()
-    out = [0] * 8
-    for i, a in enumerate(x._n):
-        if not a:
-            continue
-        row = table[i]
-        for j, b in enumerate(y._n):
-            if b:
-                sign, k = row[j]
-                out[k] += sign * a * b
-    return Octonion._of(out, x._d * y._d)
+    """The product on integer numerators over one denominator: coefficient k is
+    x dotted with one signed pick of y."""
+    signed_y = (*y._n, *(-b for b in y._n))
+    return Octonion._of([sum(map(mul, x._n, pick(signed_y))) for pick in _product_picks()], x._d * y._d)
 
 
 def random_octonion(rng: random.Random) -> Octonion:

@@ -28,10 +28,10 @@ from .clifford import (
 )
 from .fields import (
     build_field_system,
+    closed_form_pick,
     e1ep_phase,
     emit_coordinates,
-    field_formula_coords,
-    frame_point_coords,
+    frame_placement_pick,
     gram_is_scaled_identity,
     hurwitz_radon,
     irrep_info,
@@ -461,19 +461,24 @@ def check_fields(report: Report, samples: int, rng: random.Random):
     )
 
     # both routes carry the frame's 1/sqrt2 at stages 0, 1 mod 8, so both
-    # are compared times sqrt2, as Gaussian-int coordinates
+    # are compared times sqrt2, as dense Gaussian-int coordinates: the closed
+    # form picked off the point, and J z picked off the system's stacked
+    # frame, placed in the real frame
     ok = True
     for r in (8, 9, 10, 12):
-        idx = frame_index_set(r)
+        n = len(frame_index_set(r))
         system = build_field_system(irrep_info(r).d)
+        stacked, R = system.frame_pick, len(system.J) + 1
         for _ in range(max(3, min(10, samples)) if samples else 2):
-            xv, yv = draw_ints(rng, ((-5, 5),), len(idx)), draw_ints(rng, ((-5, 5),), len(idx))
-            x, y = dict(zip(idx, xv)), dict(zip(idx, yv))
+            xv, yv = draw_ints(rng, ((-5, 5),), n), draw_ints(rng, ((-5, 5),), n)
             z = [t for xy in zip(xv, yv) for t in xy]  # X_a, Y_a frame coordinate pairs
+            if stacked is None:  # a J with an odd phase: no real frame to place
+                ok = False
+                continue
+            frame = stacked(z + [-t for t in z])
+            signed_z, signed_frame = (*z, *(-t for t in z), 0), (*frame, *(-t for t in frame), 0)
             for p in range(2, r + 1):
-                viaJ = system.J[p - 2].apply(z)
-                xs, ys = dict(zip(idx, viaJ[0::2])), dict(zip(idx, viaJ[1::2]))
-                if field_formula_coords(r, p, x, y) != frame_point_coords(r, xs, ys):
+                if closed_form_pick(r, p)(signed_z) != frame_placement_pick(r, R, p - 1)(signed_frame):
                     ok = False
     report.add("C8 closed-form field values agree with the matrix route (r = 8, 9, 10, 12)", ok)
 

@@ -50,6 +50,9 @@ COMMANDS = [
     *(f"fields --sphere 15 --format {f}" for f in FORMATS),
     *(f"fields --sphere 23 --split 2,1 --emit matrices --format {f}" for f in FORMATS),
     *(f"fields --sphere 15 --verify --samples 3 --format {f}" for f in FORMATS),
+    # |z|^2 <= 16 * 81 fits the Gram check's 2-byte digits at N = 16; at N = 2048
+    # the points' |z|^2 exceed 2^15, so the digits take 4 bytes
+    *(f"fields --sphere 2047 --verify --samples 3 --format {f}" for f in FORMATS),
     "fields --sphere 2 --format text",
     "fields --sphere 2 --emit matrices --format text",
     *(f"verify-all --samples 0 --max-n 4 --format {f}" for f in ("text", "json")),

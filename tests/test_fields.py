@@ -13,10 +13,10 @@ from spinbits.fields import (
     FieldSystem,
     IrrepInfo,
     build_field_system,
+    closed_form_pick,
     e1ep_phase,
     emit_coordinates,
-    field_formula_coords,
-    frame_point_coords,
+    frame_placement_pick,
     gram_is_scaled_identity,
     hurwitz_radon,
     irrep_info,
@@ -26,7 +26,7 @@ from spinbits.fields import (
 )
 from spinbits.matrices import Monomial, real_basis_frame, real_block
 from spinbits.scalars import I, INV_SQRT2, ONE, Scalar, draw_ints
-from spinbits.spinors import Spinor, frame_index_set, real_structure
+from spinbits.spinors import Spinor, frame_index_set, real_structure, real_structure_phase
 
 
 def e1ep_closed_form(r, p, a):
@@ -58,6 +58,62 @@ def assert_structure(system):
     for a in range(len(system.J)):
         for b in range(a + 1, len(system.J)):
             assert system.J[a].compose(system.J[b]) == -system.J[b].compose(system.J[a])
+
+
+def _times_i_power(re, im, e):
+    """(re + i im) i^e as (re', im')."""
+    return ((re, im), (-im, re), (-re, -im), (im, -re))[e % 4]
+
+
+def _symmetrized(r, terms):
+    """The spinor sum of (re + i im) u_b over ``terms`` = (b, re, im), as b -> (re, im).
+
+    At stages 0, 1 mod 8 each term w becomes w + gamma w, which is sqrt2
+    times the frame's 1/sqrt2 symmetrization, so the coordinates stay
+    Gaussian integers; zero coordinates are dropped.
+    """
+    symmetrize = r % 8 in (0, 1)
+    out = {}
+    for b, re, im in terms:
+        acc = out.setdefault(b, [0, 0])
+        acc[0] += re
+        acc[1] += im
+        if symmetrize:  # gamma u_b = i^g u_c and gamma is conjugate-linear
+            g, c = real_structure_phase(r, b)
+            acc = out.setdefault(c, [0, 0])
+            re2, im2 = _times_i_power(re, -im, g)
+            acc[0] += re2
+            acc[1] += im2
+    return {b: (re, im) for b, (re, im) in out.items() if re or im}
+
+
+def field_formula_coords(r, p, x, y):
+    """Oracle for closed_form_pick, the dict route it replaced: the closed-form
+    value of the field for e_1 e_p at the point with frame coordinates
+    X_a = x[a], Y_a = y[a] (ints), as Gaussian-int spinor coordinates
+    b -> (re, im), times sqrt2 at stages 0, 1 mod 8."""
+    terms = []
+    for a in frame_index_set(r):
+        e, b = e1ep_phase(r, p, a)
+        terms.append((b, *_times_i_power(x.get(a, 0), y.get(a, 0), e)))
+    return _symmetrized(r, terms)
+
+
+def frame_point_coords(r, x, y):
+    """Oracle for frame_placement_pick, the dict route it replaced: the point with
+    int coordinates (X_a, Y_a) in the stage-r real frame, as Gaussian-int spinor
+    coordinates b -> (re, im), times sqrt2 at stages 0, 1 mod 8."""
+    return _symmetrized(r, ((a, x.get(a, 0), y.get(a, 0)) for a in sorted(set(x) | set(y))))
+
+
+def dense(r, coords):
+    """The dict coordinates b -> (re, im) as the picks give them: re_0, im_0, re_1, ..."""
+    return tuple(v for b in range(1 << (r // 2)) for v in coords.get(b, (0, 0)))
+
+
+def signed(z):
+    """z + (-z) + (0,): the vector every compiled pick reads."""
+    return (*z, *(-v for v in z), 0)
 
 
 def field_formula_value(r, p, x, y):
@@ -364,6 +420,81 @@ def test_packed_gram_calls_a_j_with_an_odd_phase_not_real(z):
         assert structure_failure(system._replace(J=Js)) is not None
 
 
+def loop_frame(system, z):
+    """Oracle for FieldSystem.frame_pick: z and each J z by the per-entry loop, column-major."""
+    images = [z]
+    for J in system.J:
+        image = [None] * len(z)
+        for a, (b, e) in enumerate(zip(J.perm, J.phase)):
+            image[b] = -z[a] if e else z[a]
+        images.append(image)
+    return tuple(v for column in zip(*images) for v in column)
+
+
+@settings(max_examples=80, deadline=None)
+@given(real_monomial_systems(), st.data())
+def test_stacked_pick_equals_the_loop_on_any_real_monomials(system, data):
+    z = data.draw(st.lists(st.integers(-10**9, 10**9), min_size=system.N, max_size=system.N))
+    pick = system.frame_pick
+    assert pick(z + [-v for v in z]) == loop_frame(system, z)
+    assert system.frame_pick is pick  # built once per system
+    if system.J:  # an odd phase anywhere in any J: no pick
+        j = data.draw(st.integers(0, len(system.J) - 1))
+        J = system.J[j]
+        phase = list(J.phase)
+        phase[data.draw(st.integers(0, system.N - 1))] += 1
+        Js = list(system.J)
+        Js[j] = Monomial(J.perm, phase)
+        assert system._replace(J=Js).frame_pick is None
+
+
+def test_stage_one_has_a_frame_of_z_alone():
+    """r = 1 (S^2, and N = 1): no J, so the pick is z itself, even one index long,
+    and every Gram matrix is the 1 x 1 matrix |z|^2."""
+    system = build_field_system(3)
+    assert (system.r, system.J) == (1, [])
+    assert system.frame_pick([4, -5, 6, -4, 5, -6]) == (4, -5, 6)
+    one = FieldSystem(1, 1, [])
+    assert one.frame_pick([-7, 7]) == (-7,)
+    for z in ([0, 0, 0], [1, -2, 9], [10**9] * 3):
+        assert gram_is_scaled_identity(system, z) is both_oracles(system, z) is True
+    assert gram_is_scaled_identity(one, [-7]) is both_oracles(one, [-7]) is True
+    flip = FieldSystem(1, 2, [Monomial((0,), (2,))])  # J = -1: <z, Jz> = -|z|^2
+    assert gram_is_scaled_identity(flip, [3]) is both_oracles(flip, [3]) is False
+
+
+def greedy_squares(t):
+    """Non-negative ints whose squares sum to t, each the largest that fits."""
+    out = []
+    while t:
+        out.append(math.isqrt(t))
+        t -= out[-1] ** 2
+    return out
+
+
+# |z|^2 on each side of every switch of the digit width: 2|z|^2 needs 8, 16, 32,
+# 64 and 72 bits, where the digits go from 1 to 2, 4 and 8 bytes, then past the
+# widest array code to int.to_bytes
+DIGIT_SWITCHES = [t for bits in (8, 16, 32, 64, 72) for t in ((1 << (bits - 1)) - 1, 1 << (bits - 1))]
+
+
+@pytest.mark.parametrize("norm", DIGIT_SWITCHES)
+@pytest.mark.parametrize("N", [16, 32])
+def test_packed_gram_on_both_sides_of_each_digit_width(norm, N):
+    system = _GRAM_SYSTEMS[N]
+    roots = greedy_squares(norm)
+    pad = [0] * (N - len(roots))
+    for z in (roots + pad, pad + [(-1) ** t * v for t, v in enumerate(roots)]):
+        assert sum(v * v for v in z) == norm
+        assert gram_is_scaled_identity(system, z) is both_oracles(system, z) is True
+        for negate in (False, True):  # G_01 = +-|z|^2, the largest entry a digit holds
+            Js = [-system.J[0] if negate else system.J[0], *system.J]
+            twin = system._replace(J=Js)
+            assert gram_is_scaled_identity(twin, z) is both_oracles(twin, z) is False
+        broken = flip_one_sign(system, 1, next(t for t, v in enumerate(z) if v))
+        assert gram_is_scaled_identity(broken, z) is both_oracles(broken, z)
+
+
 def test_structure_failure_names_the_first_broken_equation():
     system = build_field_system(32)
     assert structure_failure(system) is None
@@ -506,6 +637,25 @@ def test_c8_witness_names_the_failing_point(monkeypatch):
     verify.check_fields(report, 3, random.Random(1))
     check = next(c for c in report.checks if c.name.startswith("C8 structure equations"))
     assert check.witness == {"N": 8, "point": 1}
+
+
+@pytest.mark.parametrize("samples", [0, 7, 100])
+def test_c8_draws_its_points_then_its_closed_form_coordinates(samples):
+    """C8 leaves the generator where a replay of its draws does, so the checks
+    after it draw the same numbers: min(50, samples) points for each N, then two
+    coordinate lists for each closed-form sample."""
+    rng, replay = random.Random(samples), random.Random(samples)
+    report = verify.Report()
+    verify.check_fields(report, samples, rng)
+    assert all(c.passed for c in report.checks)
+    for N in (2, 4, 8, 16, 32, 64, 128):
+        for _ in range(min(50, samples)):
+            random_point(N, replay)
+    for r in (8, 9, 10, 12):
+        for _ in range(max(3, min(10, samples)) if samples else 2):
+            for _ in "xy":
+                draw_ints(replay, ((-5, 5),), len(frame_index_set(r)))
+    assert rng.getstate() == replay.getstate()
 
 
 def c8_rows_check(monkeypatch, trim):
@@ -655,6 +805,43 @@ def test_gaussian_int_routes_equal_the_scalar_spinor_routes(data):
     p = data.draw(st.integers(2, r))
     assert gauss_spinor(r, field_formula_coords(r, p, x, y)) == field_formula_value(r, p, x, y)
     assert gauss_spinor(r, frame_point_coords(r, x, y)) == frame_point_spinor(r, x, y)
+
+
+# every stage from 2 to 12; only those at 0, 1, 2, 4 mod 8 have a real frame
+@pytest.mark.parametrize("r", range(2, 13))
+def test_compiled_closed_form_equals_the_dict_route(r):
+    if r % 8 not in FRAMED_STAGES:
+        for p in range(2, r + 1):
+            with pytest.raises(ValueError):
+                closed_form_pick(r, p)
+        with pytest.raises(ValueError):
+            frame_placement_pick(r, 1, 0)
+        return
+    rng = random.Random(r)
+    idx = frame_index_set(r)
+    for _ in range(4):
+        x = {a: rng.randint(-9, 9) for a in idx}
+        y = {a: rng.randint(-9, 9) for a in idx}
+        z = [v for a in idx for v in (x[a], y[a])]
+        assert frame_placement_pick(r, 1, 0)(signed(z)) == dense(r, frame_point_coords(r, x, y))
+        for p in range(2, r + 1):
+            assert closed_form_pick(r, p)(signed(z)) == dense(r, field_formula_coords(r, p, x, y))
+
+
+@pytest.mark.parametrize("r", [2, 4, 8, 9, 10, 12])
+def test_frame_placement_reads_a_column_of_the_stacked_frame(r):
+    """Placed at stride R, offset q, the pick reads J_{q+1} z out of the stacked
+    frame: the frame point of J z, as the dict route places it."""
+    rng = random.Random(100 + r)
+    idx = frame_index_set(r)
+    system = build_field_system(irrep_info(r).d)
+    R = len(system.J) + 1
+    z = [rng.randint(-9, 9) for _ in range(system.N)]
+    frame = system.frame_pick(z + [-v for v in z])
+    for q in range(R):
+        Jz = frame[q::R]
+        want = frame_point_coords(r, dict(zip(idx, Jz[0::2])), dict(zip(idx, Jz[1::2])))
+        assert frame_placement_pick(r, R, q)(signed(frame)) == dense(r, want)
 
 
 def test_c8_closed_form_check_fails_on_a_flipped_j_block(monkeypatch):

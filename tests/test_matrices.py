@@ -2,6 +2,7 @@ import contextlib
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from spinbits.matrices import (
     ints_over_lcm,
     real_block,
     real_rep_matrix,
+    signed_pick,
     tensor_oracle,
 )
 from spinbits.scalars import Angle, I, ONE, SQRT3, Scalar, ZERO
@@ -324,7 +326,10 @@ def test_monomial_operations_are_matrix_operations(data):
     assert x.transpose().to_matrix() == scalar_transpose(x.to_matrix())
     assert x.kron(w).to_matrix() == Matrix(_kron_rows(x.to_matrix().data, w.to_matrix().data))
     z = [Scalar.rational(t + 1) for t in range(len(x.perm))]
-    assert [x.apply(z)] == scalar_transpose(scalar_product(x.to_matrix(), from_columns([z]))).data
+    image = scalar_transpose(scalar_product(x.to_matrix(), from_columns([z]))).data
+    assert [gather_apply(x, z)] == image
+    if all(e % 2 == 0 for e in x.phase):
+        assert [x.apply(z)] == image
 
 
 def _int_product(a, b):
@@ -360,21 +365,51 @@ def loop_apply(m, z):
     return out
 
 
+def gather_apply(m, z):
+    """Oracle for Monomial.apply: the gather its signed pick replaced, which
+    multiplies entry a of the transpose's gather by i^phase, so it also takes
+    an odd phase (and gives Scalar entries)."""
+    T = m.transpose()
+    return list(map(mul, map(z.__getitem__, T.perm), [Scalar.i_power(e) if e & 1 else 1 - e for e in T.phase]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_gather_apply_agrees_with_the_loop(data):
+    """The signed pick applies real monomials as both oracles do, keeping ints
+    ints; a monomial with an odd phase has no signed pick."""
     x = data.draw(monomials(real=data.draw(st.booleans())))
     n = len(x.perm)
     ints = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
     fracs = [Fraction(v, 3) for v in ints]
     scalars = [Scalar.rational(v) + I * Scalar.rational(v - 1) for v in ints]
-    for z in (ints, fracs, scalars, ints):  # the last call reuses the kept gather
-        got = x.apply(z)
-        assert got == loop_apply(x, z)
-        if z is ints and all(e % 2 == 0 for e in x.phase):
-            assert all(type(v) is int for v in got)
+    real = all(e % 2 == 0 for e in x.phase)
+    for z in (ints, fracs, scalars):
+        want = loop_apply(x, z)
+        assert gather_apply(x, z) == want
+        if real:
+            got = x.apply(z)
+            assert got == want
+            assert z is not ints or all(type(v) is int for v in got)
+            assert list(signed_pick(x.signed_source())([*z, *(-v for v in z)])) == want
+        else:
+            with pytest.raises(ValueError):
+                x.apply(z)
     with pytest.raises(ValueError):
         x.apply(ints + [0])
+
+
+@pytest.mark.parametrize("source", [(0,), (1,), (3, 0), (2, 2, 1)])
+def test_signed_pick_returns_a_tuple_for_any_number_of_indices(source):
+    v = (10, 11, 12, 13)
+    assert signed_pick(source)(v) == tuple(v[s] for s in source)
+    assert signed_pick(list(source))(list(v)) == tuple(v[s] for s in source)
+
+
+def test_a_one_slot_monomial_applies_by_a_one_index_pick():
+    assert Monomial((0,), (0,)).apply([7]) == [7]
+    assert Monomial((0,), (2,)).apply([7]) == [-7]
+    assert Monomial((0,), (2,)).signed_source() == (1,)
 
 
 def _kron_rows(a, b):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -150,6 +151,45 @@ def test_int_octonion_mul_on_coprime_denominators():
     y = octonion([Fraction(-k - 2, p) for k, p in enumerate((23, 29, 31, 37, 41, 43, 47, 53))])
     assert octonion_mul(x, y) == fraction_octonion_mul(x, y)
     assert octonion_mul(x, y).norm() == x.norm() * y.norm()
+
+
+def loop_octonion_mul(x, y):
+    """Oracle for octonion_mul: the 64-cell loop its signed picks replaced, on
+    the int numerators, skipping zero coefficients."""
+    table = octonion_table()
+    out = [0] * 8
+    for i, a in enumerate(x._n):
+        if not a:
+            continue
+        for j, b in enumerate(y._n):
+            if b:
+                sign, k = table[i][j]
+                out[k] += sign * a * b
+    return Octonion._of(out, x._d * y._d)
+
+
+units = st.integers(0, 7).map(Octonion.unit)
+signed_units = st.tuples(units, st.sampled_from([1, -1])).map(
+    lambda us: octonion([us[1] * c for c in coeffs(us[0])]))
+
+
+@given(st.one_of(octonions, units, signed_units), st.one_of(octonions, units, signed_units))
+@settings(max_examples=60, deadline=None)
+def test_octonion_picks_agree_with_the_cell_loop(x, y):
+    xy = octonion_mul(x, y)
+    assert xy == loop_octonion_mul(x, y)
+    assert xy._d > 0 and math.gcd(xy._d, *xy._n) == 1  # lowest terms, with or without a division
+    assert type(xy._n) is tuple and all(type(c) is int for c in xy._n)
+
+
+def test_unit_products_are_the_table():
+    table = octonion_table()
+    for i in range(8):
+        for j in range(8):
+            sign, k = table[i][j]
+            want = octonion([sign * (t == k) for t in range(8)])
+            assert octonion_mul(Octonion.unit(i), Octonion.unit(j)) == want
+            assert loop_octonion_mul(Octonion.unit(i), Octonion.unit(j)) == want
 
 
 class FractionOctonion:
