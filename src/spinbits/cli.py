@@ -31,7 +31,7 @@ from .matrices import (
     lambda_matrix,
     real_rep_matrix,
 )
-from .octonions import algebra_checks, octonion_table, quaternion_table
+from .octonions import algebra_checks, cells, octonion_table, quaternion_table
 from .scalars import ONE, Scalar
 from .spinors import Spinor
 from .triality import (
@@ -237,7 +237,7 @@ def cmd_center(args) -> int:
 
 
 def cmd_octonion_table(args) -> int:
-    table = octonion_table()
+    table = list(map(cells, octonion_table()))
     body = " \\\\\n".join(
         " & ".join(("-" if s < 0 else "") + f"\\hat e_{{{i}}}" for (s, i) in row)
         for row in table
@@ -251,7 +251,7 @@ def cmd_octonion_check(args) -> int:
 
 
 def cmd_quaternions(args) -> int:
-    table = quaternion_table()
+    table = list(map(cells, quaternion_table()))
     return _emit(args.format, table, text=_signed_rows(table))
 
 

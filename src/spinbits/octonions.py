@@ -5,6 +5,11 @@ sends each (frame vector, frame spinor) pair to exactly plus or minus a
 frame spinor; identifying the three frames with one coordinate space
 turns the table into the octonion multiplication table (and at stage 4,
 the quaternion one).
+
+Each row of a table is a real ``matrices.Monomial``, a signed permutation:
+row i of the unit table is left multiplication by unit i, so the product's
+signed picks are its rows' signed sources and associativity is a
+composition of rows.  ``cells`` reads a row as (sign, index) pairs.
 """
 
 from __future__ import annotations
@@ -14,82 +19,68 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .clifford import clifford_apply
-from .matrices import real_basis_frame, signed_pick
+from .matrices import Monomial, real_basis_frame, signed_pick
 from .scalars import draw_ints
 from .spinors import Spinor
 
 
-class SignedIndex(NamedTuple):
-    sign: int
-    index: int
-
-    def __neg__(self) -> "SignedIndex":
-        return SignedIndex(-self.sign, self.index)
-
-
-def _signed_expansion(frame, psi: Spinor) -> SignedIndex:
+def _signed_cell(frame, psi: Spinor) -> Tuple[int, int]:
+    """The (index, phase) of psi as a frame vector: psi is plus (phase 0) or
+    minus (phase 2) the frame vector at index."""
     coords = frame.expand(psi)
     hits = [(m, c) for m, c in enumerate(coords) if c]
     if len(hits) != 1 or abs(hits[0][1]) != 1:
-        raise AssertionError(
-            f"product is not a signed frame element: {hits}"
-        )
+        raise AssertionError(f"product is not a signed frame element: {hits}")
     m, c = hits[0]
-    return SignedIndex(1 if c > 0 else -1, m)
+    return m, 0 if c > 0 else 2
 
 
 @lru_cache(maxsize=None)
-def real_clifford_table(n: int = 8) -> Tuple[Tuple[SignedIndex, ...], ...]:
-    """Cell (i, j) holds the signed negative-frame index of e_{i+1} acting
-    on the j-th positive-frame spinor.
+def real_clifford_table(n: int = 8) -> Tuple[Monomial, ...]:
+    """Row i is e_{i+1} from the positive to the negative real frame: a real
+    Monomial sending column j to the signed negative-frame index of e_{i+1}
+    acting on the j-th positive-frame spinor.
 
-    Built once per n: callers share the rows, which are tuples.
+    Built once per n: callers share the rows, which never change.
     """
     plus = real_basis_frame(n, "plus")
     minus = real_basis_frame(n, "minus")
-    d = len(plus.vectors)
     return tuple(
-        tuple(_signed_expansion(minus, clifford_apply(n, i + 1, plus.vectors[j])) for j in range(d))
-        for i in range(d)
+        Monomial(*zip(*(_signed_cell(minus, clifford_apply(n, i + 1, v)) for v in plus.vectors)))
+        for i in range(len(plus.vectors))
     )
 
 
-def identification_signs(n: int = 8) -> List[int]:
-    """Signs s_i with (frame vector i) identified to s_i times unit i.
+def division_table(n: int = 8) -> List[Monomial]:
+    """Unit multiplication table after identifying the three frames: row i is
+    left multiplication by unit i.
 
-    Forced by the first column: e_{i+1} psi_0 = s_i phi_i, and unit 0 is
-    the two-sided identity.
+    Frame vector i is identified with plus or minus unit i as its column 0
+    forces, e_{i+1} psi_0 = +-phi_i with unit 0 the two-sided identity, so
+    row i is negated when its column 0 has phase 2.
     """
-    table = real_clifford_table(n)
-    signs = []
-    for i, row in enumerate(table):
-        cell = row[0]
-        if cell.index != i:
+    rows = []
+    for i, row in enumerate(real_clifford_table(n)):
+        if row.perm[0] != i:
             raise AssertionError("first column is not a signed permutation fixing labels")
-        signs.append(cell.sign)
-    return signs
+        rows.append(-row if row.phase[0] else row)
+    return rows
 
 
-def division_table(n: int = 8) -> List[List[SignedIndex]]:
-    """Unit multiplication table after identifying the three frames."""
-    table = real_clifford_table(n)
-    signs = identification_signs(n)
-    d = len(table)
-    return [
-        [SignedIndex(signs[i] * table[i][j].sign, table[i][j].index) for j in range(d)]
-        for i in range(d)
-    ]
-
-
-def octonion_table() -> List[List[SignedIndex]]:
+def octonion_table() -> List[Monomial]:
     return division_table(8)
 
 
-def quaternion_table() -> List[List[SignedIndex]]:
+def quaternion_table() -> List[Monomial]:
     return division_table(4)
+
+
+def cells(row: Monomial) -> List[Tuple[int, int]]:
+    """The row's cells as (sign, index) pairs: column j goes to sign times basis vector index."""
+    return [(1 - e, k) for k, e in zip(row.perm, row.phase)]
 
 
 class Octonion:
@@ -129,20 +120,11 @@ class Octonion:
 
 
 @lru_cache(maxsize=None)
-def _table() -> List[List[SignedIndex]]:
-    return octonion_table()
-
-
-@lru_cache(maxsize=None)
 def _product_picks() -> Tuple[Callable[[Sequence[int]], tuple], ...]:
     """Pick k sends y + (-y) to the signed y_j that multiply x_0, ..., x_7 into
-    unit k: row i of the table is a signed permutation, so e_i e_j = +-e_k at
-    exactly one j."""
-    sources = [[0] * 8 for _ in range(8)]
-    for i, row in enumerate(_table()):
-        for j, (sign, k) in enumerate(row):
-            sources[k][i] = j if sign > 0 else j + 8
-    return tuple(map(signed_pick, sources))
+    unit k: entry k of row i's signed source, since row i is left
+    multiplication by unit i."""
+    return tuple(map(signed_pick, zip(*(row.signed_source() for row in octonion_table()))))
 
 
 def octonion_mul(x: Octonion, y: Octonion) -> Octonion:
@@ -163,11 +145,12 @@ def _unit_laws(table) -> Tuple[bool, bool, bool]:
     """The unit-table laws of a division algebra of any size: unit 0 is a
     two-sided identity, the imaginary units square to -1, and distinct
     imaginary units anticommute."""
-    d = len(table)
-    identity = all(table[0][j] == SignedIndex(1, j) == table[j][0] for j in range(d))
-    squares = all(table[i][i] == SignedIndex(-1, 0) for i in range(1, d))
+    c = [cells(row) for row in table]
+    d = len(c)
+    identity = all(c[0][j] == (1, j) == c[j][0] for j in range(d))
+    squares = all(c[i][i] == (-1, 0) for i in range(1, d))
     anticommute = all(
-        table[i][j] == -table[j][i] for i in range(1, d) for j in range(1, d) if i != j
+        c[i][j] == (-c[j][i][0], c[j][i][1]) for i in range(1, d) for j in range(1, d) if i != j
     )
     return identity, squares, anticommute
 
@@ -179,7 +162,7 @@ def algebra_checks(samples: int = 100, seed: int = 1) -> List[Tuple[str, bool]]:
         ("unit 0 is a two-sided identity",
          "imaginary units square to minus the identity",
          "distinct imaginary units anticommute"),
-        _unit_laws(_table()),
+        _unit_laws(octonion_table()),
     ))
 
     norm_ok = alt_left = alt_right = True
@@ -230,18 +213,15 @@ def quaternion_checks() -> List[Tuple[str, bool]]:
     results.append(
         ("product of two distinct imaginary units is the third",
          all(
-             table[i][j].index not in (0, i, j)
+             table[i].perm[j] not in (0, i, j)
              for i in range(1, 4) for j in range(1, 4) if i != j
          ))
     )
-
-    def mul(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
-        cell = table[x[1]][y[1]]
-        return (x[0] * y[0] * cell.sign, cell.index)
-
+    # (e_a e_b) e_c = e_a (e_b e_c) for every c: left multiplication by e_a
+    # after e_b is left multiplication by e_a e_b = +-e_k
     assoc = all(
-        mul(mul((1, a), (1, b)), (1, c)) == mul((1, a), mul((1, b), (1, c)))
-        for a in range(4) for b in range(4) for c in range(4)
+        table[a].compose(table[b]) == (-table[k] if e else table[k])
+        for a, row in enumerate(table) for b, (k, e) in enumerate(zip(row.perm, row.phase))
     )
     results.append(("associativity on all 64 basis triples", assoc))
     return results

@@ -43,14 +43,15 @@ def to_coeffs(vec: Sequence[Scalar]) -> BivectorCoeffs:
 
 
 def bivector_span(vectors: Iterable[BivectorCoeffs]) -> Subspace:
-    """The span of some int bivector combinations, in PAIR_ORDER coordinates."""
-    return Subspace(Matrix.from_int_rows([to_vector(v) for v in vectors]))
+    """The span of some int bivector combinations, in PAIR_ORDER coordinates:
+    28 columns, even when there is no vector."""
+    return Subspace(Matrix._of_ints([to_vector(v) for v in vectors], 1, 28))
 
 
 def kernel(*maps: Matrix) -> Subspace:
     """The common kernel of some int-form matrices on bivectors: the kernel of
     their stacked int rows, since a positive denominator scales no kernel."""
-    return Subspace(Matrix.from_int_rows([row for m in maps for row in m.ints[0]]).nullspace())
+    return Subspace(Matrix._of_ints([row for m in maps for row in m.ints[0]], 1, 28).nullspace())
 
 
 def image_coeffs(outer: Matrix, pair: Tuple[int, int]) -> Tuple[BivectorCoeffs, int]:
@@ -153,16 +154,13 @@ def span_contains(span: Subspace, vec: BivectorCoeffs) -> bool:
     return to_vector(vec) in span
 
 
-def g2_generators() -> List[BivectorCoeffs]:
+@lru_cache(maxsize=None)
+def g2_generators() -> Tuple[BivectorCoeffs, ...]:
     """The 14 spanning bivectors of the fixed subalgebra of sigma*, on ints.
 
-    Parsed once: callers share the combinations and never mutate them.
+    Parsed once: callers share the tuple and its combinations and never
+    mutate them.
     """
-    return list(_g2_generators())
-
-
-@lru_cache(maxsize=None)
-def _g2_generators() -> Tuple[BivectorCoeffs, ...]:
     from . import reference
 
     return tuple(map(reference.bivector_terms, reference.G2_GENERATORS))

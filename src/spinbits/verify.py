@@ -50,7 +50,7 @@ from .matrices import (
     lambda_matrix,
     tensor_oracle,
 )
-from .octonions import algebra_checks, octonion_table, quaternion_checks
+from .octonions import algebra_checks, cells, octonion_table, quaternion_checks, real_clifford_table
 from .scalars import Angle, I, ONE, Scalar, ZERO, _make, draw_ints
 from .spinors import (
     Spinor,
@@ -390,22 +390,11 @@ def check_forms(report: Report):
 def check_octonions(report: Report, samples: int):
     from . import reference as ref
 
-    table = octonion_table()
     gold = [ref.signed_ints(r) for r in ref.OCT_TABLE]
-    ok = all(
-        (table[i][j].sign, table[i][j].index) == gold[i][j]
-        for i in range(8)
-        for j in range(8)
-    )
+    ok = list(map(cells, octonion_table())) == gold
     report.add("C7 octonion table matches the tabulated 64 cells", ok)
-
-    from .octonions import real_clifford_table
-
-    rc = real_clifford_table(8)
     goldp = [ref.signed_ints(r) for r in ref.PHI_TABLE]
-    ok = all(
-        (rc[i][j].sign, rc[i][j].index) == goldp[i][j] for i in range(8) for j in range(8)
-    )
+    ok = list(map(cells, real_clifford_table(8))) == goldp
     report.add("C7 real multiplication table matches the tabulated 64 cells", ok)
 
     n = max(samples, 100)

@@ -20,14 +20,21 @@ against an independent slow one:
   column by column, from coordinate lists and from spinors;
 * ``intersect`` and ``complement_in`` reduce one span's basis against
   another (the residue route), where ``spinbits.triality`` builds each
-  intersection and complement as the kernel of stacked equations.
+  intersection and complement as the kernel of stacked equations;
+* ``signed_index_table`` and ``signed_index_division_table`` hold the
+  real Clifford and unit tables as ``SignedIndex`` cells, each re-signed
+  cell by cell by its row's identification sign, where
+  ``spinbits.octonions`` holds each row as a ``Monomial``;
+* ``triple_loop_associative`` multiplies signed units through the cells
+  on all d^3 triples, where ``quaternion_checks`` composes rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from spinbits.matrices import Matrix, Subspace, real_rep_matrix
+from spinbits.clifford import clifford_apply
+from spinbits.matrices import Matrix, Subspace, real_basis_frame, real_rep_matrix
 from spinbits.scalars import I, ONE, Scalar, ZERO
 from spinbits.spinors import Spinor
 from spinbits.triality import FRAME_SIGNS
@@ -223,3 +230,48 @@ def complement_in(A: Subspace, outer: Subspace) -> Subspace:
     product (no complex conjugation)."""
     K = (A.basis * outer.basis.transpose()).nullspace()
     return Subspace(K * outer.basis)
+
+
+class SignedIndex(NamedTuple):
+    sign: int
+    index: int
+
+
+def signed_index_table(n: int) -> List[List[SignedIndex]]:
+    """Cell (i, j): e_{i+1} acting on the j-th positive-frame spinor, expanded
+    in the negative frame, as the sign and index of its one +-1 coordinate."""
+    plus, minus = real_basis_frame(n, "plus"), real_basis_frame(n, "minus")
+    table = []
+    for i in range(len(plus.vectors)):
+        row = []
+        for v in plus.vectors:
+            hits = [(m, c) for m, c in enumerate(minus.expand(clifford_apply(n, i + 1, v))) if c]
+            assert len(hits) == 1 and abs(hits[0][1]) == 1, hits
+            row.append(SignedIndex(1 if hits[0][1] > 0 else -1, hits[0][0]))
+        table.append(row)
+    return table
+
+
+def signed_index_division_table(n: int) -> List[List[SignedIndex]]:
+    """The unit table: each cell of row i times the sign s_i of cell (i, 0),
+    which identifies frame vector i with s_i times unit i."""
+    table = signed_index_table(n)
+    signs = []
+    for i, row in enumerate(table):
+        assert row[0].index == i, "first column is not a signed permutation fixing labels"
+        signs.append(row[0].sign)
+    return [[SignedIndex(s * cell.sign, cell.index) for cell in row] for s, row in zip(signs, table)]
+
+
+def triple_loop_associative(table: Sequence[Sequence[Tuple[int, int]]]) -> bool:
+    """(e_a e_b) e_c == e_a (e_b e_c) on all d^3 unit triples, multiplying
+    signed units (sign, index) through the (sign, index) cells."""
+    def mul(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
+        sign, index = table[x[1]][y[1]]
+        return (x[0] * y[0] * sign, index)
+
+    d = len(table)
+    return all(
+        mul(mul((1, a), (1, b)), (1, c)) == mul((1, a), mul((1, b), (1, c)))
+        for a in range(d) for b in range(d) for c in range(d)
+    )

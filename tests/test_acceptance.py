@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from spinbits import fields, triality, verify
+from spinbits import fields, octonions, triality, verify
 from spinbits.clifford import CliffordElem, clifford_apply, word_apply
 from spinbits.matrices import Matrix, Monomial, Subspace
 from spinbits.scalars import ONE
@@ -382,17 +382,91 @@ def test_a_rescaled_four_form_fails_c6(monkeypatch):
         "C6 the 4-form equals the tabulated 14-term display (factor 6)"]
 
 
+def table_rows(i, flips=(), swaps=()):
+    """A corruption of a table builder: row i with the phase of each column in
+    ``flips`` turned by 2, then the images of each column pair in ``swaps``
+    exchanged."""
+    def corrupt(build, *args):
+        rows = list(build(*args))
+        perm, phase = list(rows[i].perm), list(rows[i].phase)
+        for c in flips:
+            phase[c] ^= 2
+        for c, k in swaps:
+            perm[c], perm[k] = perm[k], perm[c]
+        rows[i] = Monomial(perm, phase)
+        return rows
+    return corrupt
+
+
 def test_a_flipped_octonion_cell_fails_c7(monkeypatch):
-    octonion_table = verify.octonion_table
-
-    def flipped():
-        table = [row[:] for row in octonion_table()]
-        table[1][2] = -table[1][2]
-        return table
-
-    monkeypatch.setattr(verify, "octonion_table", flipped)
+    corrupt, octonion_table = table_rows(1, flips=[2]), verify.octonion_table
+    monkeypatch.setattr(verify, "octonion_table", lambda: corrupt(octonion_table))
     assert list(failed_checks(check_octonions, 0)) == [
         "C7 octonion table matches the tabulated 64 cells"]
+
+
+C7 = {key: f"C7 {name}" for key, name in (
+    ("table", "octonion table matches the tabulated 64 cells"),
+    ("real", "real multiplication table matches the tabulated 64 cells"),
+    ("identity", "unit 0 is a two-sided identity"),
+    ("squares", "imaginary units square to minus the identity"),
+    ("anticommute", "distinct imaginary units anticommute"),
+    ("norm", "norm multiplicativity on 100 samples"),
+    ("left", "left alternativity on 100 samples"),
+    ("right", "right alternativity on 100 samples"),
+    ("witness", "non-associativity witness (units 1, 2, 4)"),
+    ("orthonormal", "left multiplication columns scale orthonormally"),
+    ("q_identity", "quaternions: identity row and column"),
+    ("q_squares", "quaternions: imaginary units square to minus identity"),
+    ("q_anticommute", "quaternions: imaginary units anticommute pairwise"),
+    ("q_third", "quaternions: product of two distinct imaginary units is the third"),
+    ("q_assoc", "quaternions: associativity on all 64 basis triples"),
+)}
+C7_LAWS = {C7[k] for k in ("norm", "left", "right", "orthonormal")}
+
+# (exact failing set, module, builder, corruption of that builder): verify reads
+# the two tables C7 compares with the tabulated cells; octonions reads the unit
+# table that the unit laws and octonion_mul's picks are built from, the
+# quaternion table, and the real table both division tables are read off.  A
+# flipped phase in row 1 is a wrong sign of e_1 e_j, a swap a wrong unit.
+C7_CORRUPTIONS = {
+    "octonion_cell": ({C7["table"]}, verify, "octonion_table", table_rows(1, flips=[2])),
+    "real_cell": ({C7["real"]}, verify, "real_clifford_table", table_rows(3, flips=[5])),
+    "identity_cell": ({C7["identity"]} | C7_LAWS, octonions, "octonion_table", table_rows(0, flips=[0])),
+    "square_cell": ({C7["squares"]} | C7_LAWS, octonions, "octonion_table", table_rows(1, flips=[1])),
+    "swapped_units": ({C7["anticommute"]} | C7_LAWS, octonions, "octonion_table", table_rows(1, swaps=[(2, 3)])),
+    "flipped_pair": ({C7["anticommute"], C7["witness"]} | C7_LAWS, octonions, "octonion_table",
+                     table_rows(1, flips=[2, 3])),
+    "flipped_real_pair": ({C7["table"], C7["anticommute"], C7["witness"], C7["q_anticommute"], C7["q_assoc"]}
+                          | C7_LAWS, octonions, "real_clifford_table", table_rows(1, flips=[2, 3])),
+    "q_identity_cell": ({C7["q_identity"], C7["q_assoc"]}, octonions, "quaternion_table",
+                        table_rows(0, flips=[0])),
+    "q_square_cell": ({C7["q_squares"], C7["q_assoc"]}, octonions, "quaternion_table", table_rows(1, flips=[1])),
+    "q_flipped_pair": ({C7["q_anticommute"], C7["q_assoc"]}, octonions, "quaternion_table",
+                       table_rows(1, flips=[2, 3])),
+    "q_swapped_units": ({C7["q_anticommute"], C7["q_third"], C7["q_assoc"]}, octonions, "quaternion_table",
+                        table_rows(1, swaps=[(2, 3)])),
+}
+
+
+def run_c7(report):
+    check_octonions(report, 0)
+
+
+def test_every_c7_check_is_reached():
+    assert_table_covers(run_c7, C7_CORRUPTIONS, {})
+
+
+@pytest.mark.parametrize("case", C7_CORRUPTIONS)
+def test_each_c7_corruption_fails_exactly_its_set(monkeypatch, case):
+    expected, module, builder, corrupt = C7_CORRUPTIONS[case]
+    original = getattr(module, builder)
+    monkeypatch.setattr(module, builder, lambda *args: corrupt(original, *args))
+    octonions._product_picks.cache_clear()  # octonion_mul's picks are read off the unit table once
+    try:
+        assert set(failed_checks(run_c7)) == expected
+    finally:
+        octonions._product_picks.cache_clear()
 
 
 C9 = "C9 the odd-to-even embedding is equivariant for all generator pairs, k <= 5"

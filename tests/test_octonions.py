@@ -2,16 +2,18 @@ import math
 import random
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinbits import reference as ref
+from spinbits import octonions as octonion_module, reference as ref
+from spinbits.matrices import Monomial
 from spinbits.octonions import (
     Octonion,
-    SignedIndex,
     algebra_checks,
+    cells,
     division_table,
-    identification_signs,
     octonion_mul,
     octonion_table,
     quaternion_checks,
@@ -19,6 +21,8 @@ from spinbits.octonions import (
     random_octonion,
     real_clifford_table,
 )
+
+from dense_oracle import signed_index_division_table, signed_index_table, triple_loop_associative
 
 
 def octonion(coeffs):
@@ -36,36 +40,35 @@ def coeffs(x):
 def test_real_clifford_table_matches_tabulated():
     table = real_clifford_table(8)
     gold = [ref.signed_ints(r) for r in ref.PHI_TABLE]
-    for i in range(8):
-        for j in range(8):
-            assert (table[i][j].sign, table[i][j].index) == gold[i][j]
+    assert [cells(row) for row in table] == gold
 
 
 def test_real_clifford_table_spot_cells():
     table = real_clifford_table(8)
-    assert table[0][0] == SignedIndex(1, 0)
-    assert table[1][0] == SignedIndex(-1, 1)
-    assert table[6][6] == SignedIndex(1, 0)
+    assert cells(table[0])[0] == (1, 0)
+    assert cells(table[1])[0] == (-1, 1)
+    assert cells(table[6])[6] == (1, 0)
 
 
 def test_identification_signs():
-    assert identification_signs(8) == [1, -1, -1, 1, 1, -1, -1, -1]
+    """Column 0 of the real table fixes labels, with the signs that identify
+    each frame vector with a unit."""
+    signs = [1, -1, -1, 1, 1, -1, -1, -1]
+    assert [cells(row)[0] for row in real_clifford_table(8)] == [(s, i) for i, s in enumerate(signs)]
 
 
 def test_octonion_table_matches_tabulated():
     table = octonion_table()
     gold = [ref.signed_ints(r) for r in ref.OCT_TABLE]
-    for i in range(8):
-        for j in range(8):
-            assert (table[i][j].sign, table[i][j].index) == gold[i][j]
+    assert [cells(row) for row in table] == gold
 
 
 def test_octonion_table_spot_cells():
     table = octonion_table()
-    assert table[1][2] == SignedIndex(-1, 3)
-    assert table[4][5] == SignedIndex(-1, 1)
+    assert cells(table[1])[2] == (-1, 3)
+    assert cells(table[4])[5] == (-1, 1)
     for j in range(8):
-        assert table[0][j] == SignedIndex(1, j)
+        assert cells(table[0])[j] == (1, j)
 
 
 def test_octonion_mul_examples():
@@ -110,26 +113,77 @@ def test_quaternion_table_structure():
 def test_quaternion_identity_row():
     table = quaternion_table()
     for j in range(4):
-        assert table[0][j] == SignedIndex(1, j)
-        assert table[j][0] == SignedIndex(1, j)
+        assert cells(table[0])[j] == (1, j)
+        assert cells(table[j])[0] == (1, j)
 
 
 def test_division_table_cells_are_unit_signed():
     for n in (4, 8):
         for row in division_table(n):
-            for cell in row:
-                assert cell.sign in (1, -1)
-                assert 0 <= cell.index < len(row)
+            for sign, index in cells(row):
+                assert sign in (1, -1)
+                assert 0 <= index < len(row.perm)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_cells_equal_the_signed_index_route(n):
+    """The Monomial rows read as cells equal the SignedIndex cells, re-signed
+    cell by cell by the identification signs."""
+    assert [cells(row) for row in real_clifford_table(n)] == signed_index_table(n)
+    assert [cells(row) for row in division_table(n)] == signed_index_division_table(n)
+
+
+def test_a_first_column_that_moves_a_label_is_an_error(monkeypatch):
+    rows = list(real_clifford_table(8))
+    rows[1], rows[2] = rows[2], rows[1]
+    monkeypatch.setattr(octonion_module, "real_clifford_table", lambda n: rows)
+    with pytest.raises(AssertionError, match="fixing labels"):
+        division_table(8)
+
+
+def test_a_negated_real_row_leaves_the_unit_table(monkeypatch):
+    """Row i of the unit table is row i of the real table times the sign of its
+    column 0, so negating a whole real row changes no unit product."""
+    units, rows = division_table(8), list(real_clifford_table(8))
+    rows[3] = -rows[3]
+    monkeypatch.setattr(octonion_module, "real_clifford_table", lambda n: rows)
+    assert division_table(8) == units
+
+
+def corrupted(table, flips, swaps):
+    """The table with the phase of each (row, column) in ``flips`` turned by 2,
+    then the images of each (row, column, column) in ``swaps`` exchanged."""
+    perm, phase = [list(r.perm) for r in table], [list(r.phase) for r in table]
+    for r, c in flips:
+        phase[r][c] ^= 2
+    for r, c, k in swaps:
+        perm[r][c], perm[r][k] = perm[r][k], perm[r][c]
+    return [Monomial(p, e) for p, e in zip(perm, phase)]
+
+
+cell_of_4 = st.integers(0, 3)
+
+
+@given(st.lists(st.tuples(cell_of_4, cell_of_4), max_size=3),
+       st.lists(st.tuples(cell_of_4, cell_of_4, cell_of_4), max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_row_composition_associativity_equals_the_triple_loop(flips, swaps):
+    table = corrupted(quaternion_table(), flips, swaps)
+    with mock.patch.object(octonion_module, "quaternion_table", lambda: table):
+        (assoc,) = [ok for name, ok in quaternion_checks() if name.startswith("associativity")]
+    assert assoc == triple_loop_associative([cells(row) for row in table])
+    if not flips and not swaps:
+        assert assoc
 
 
 def fraction_octonion_mul(x, y):
     """The Fraction loop that octonion_mul replaced: 64 Fraction multiply-adds."""
-    table = octonion_table()
+    table = [cells(row) for row in octonion_table()]
     out = [Fraction(0)] * 8
     for i, a in enumerate(coeffs(x)):
         for j, b in enumerate(coeffs(y)):
-            cell = table[i][j]
-            out[cell.index] += cell.sign * a * b
+            sign, k = table[i][j]
+            out[k] += sign * a * b
     return octonion(out)
 
 
@@ -156,7 +210,7 @@ def test_int_octonion_mul_on_coprime_denominators():
 def loop_octonion_mul(x, y):
     """Oracle for octonion_mul: the 64-cell loop its signed picks replaced, on
     the int numerators, skipping zero coefficients."""
-    table = octonion_table()
+    table = [cells(row) for row in octonion_table()]
     out = [0] * 8
     for i, a in enumerate(x._n):
         if not a:
@@ -183,7 +237,7 @@ def test_octonion_picks_agree_with_the_cell_loop(x, y):
 
 
 def test_unit_products_are_the_table():
-    table = octonion_table()
+    table = [cells(row) for row in octonion_table()]
     for i in range(8):
         for j in range(8):
             sign, k = table[i][j]
@@ -242,7 +296,7 @@ def test_real_clifford_tables_are_built_once_per_n(monkeypatch):
     # each cell expanded once
     assert sorted(expansions) == [4] * 16 + [8] * 64
     assert real_clifford_table(8) is real_clifford_table(8)
-    assert isinstance(real_clifford_table(8)[0], tuple)
+    assert isinstance(real_clifford_table(8)[0], Monomial)
     assert division_table(8) is not division_table(8)
 
 

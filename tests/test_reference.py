@@ -119,11 +119,11 @@ def test_a_poisoned_table_fails_a_named_check_of_its_criterion(monkeypatch, name
     assert name in OWNERS, f"no check is known to read reference.{name}: add its owner, or delete the table"
     criterion = OWNERS[name]
     monkeypatch.setattr(ref, name, poisoned(getattr(ref, name)))
-    triality._g2_generators.cache_clear()  # the one cache that parses a table
+    triality.g2_generators.cache_clear()  # the one cache that parses a table
     try:
         report = verify.Report()
         CHECKS[criterion](report)
     finally:
-        triality._g2_generators.cache_clear()
+        triality.g2_generators.cache_clear()
     failed = [c.name for c in report.checks if not c.passed]
     assert failed and all(n.startswith(f"{criterion} ") for n in failed), failed

@@ -24,7 +24,6 @@ from spinbits.triality import (
     g2_action_matrix_on,
     g2_generators,
     g2_structure,
-    _g2_generators,
     group_automorphism,
     image_coeffs,
     kappa_real_matrix,
@@ -306,9 +305,8 @@ def test_kappa_real_matrix_rejects_odd_words():
 
 def test_g2_generators_are_parsed_once():
     fresh = [ref.bivector_terms(line) for line in ref.G2_GENERATORS]
-    assert g2_generators() == fresh
-    assert _g2_generators() is _g2_generators()
-    assert all(a is b for a, b in zip(g2_generators(), g2_generators()))
+    assert list(g2_generators()) == fresh
+    assert g2_generators() is g2_generators()
 
 
 def clifford_bracket(a, b):
@@ -440,6 +438,22 @@ def test_g2_kernels_equal_the_residue_route(monkeypatch):
     ]
     assert [s.dim for s in spans] == [14, 14, 14, 7, 7]
     assert [(s.pivots, s.basis.ints) for s in spans] == [(w.pivots, w.basis.ints) for w in want]
+
+
+def test_spans_of_no_rows_keep_their_28_columns():
+    """The span of no bivector is the zero space of bivector coordinates, and
+    the kernel of maps with no rows is all of them: both answer a
+    28-coordinate member query."""
+    e12 = to_vector({(1, 2): 1})
+    zero = bivector_span([])
+    assert (zero.dim, zero.basis.rows, zero.basis.cols) == (0, 0, 28)
+    assert [0] * 28 in zero and e12 not in zero
+    assert not span_contains(zero, {(3, 4): -2})
+    for everything in (triality.kernel(zero.basis), triality.kernel(zero.basis, zero.basis)):
+        assert (everything.dim, everything.basis.cols) == (28, 28)
+        assert e12 in everything and span_contains(everything, {(3, 4): -2, (7, 8): 5})
+    with pytest.raises(ValueError, match="length mismatch"):
+        [0] * 27 in zero
 
 
 @pytest.fixture
