@@ -265,9 +265,10 @@ def gram_is_scaled_identity(system: FieldSystem, z: Sequence[int]) -> bool:
 
     The stacked pick reads the frame off z + m, m - z (m = max|z_j|): every
     entry is u + m in [0, 2m].  Each u_b is a signed permutation of z, so
-    |G_ab| <= |z|^2 (Cauchy-Schwarz), and digits of base B = 256^w with
-    B > 2 |z|^2 hold both those offsets and the balanced G_ab uniquely; w is
-    the narrowest array width that fits, or any width by ``int.to_bytes``.
+    G_bb = |z|^2 and |G_ab| <= |z|^2 (Cauchy-Schwarz); digits of base
+    B = 256^w with B > |z|^2 hold those offsets (2m <= |z|^2 once |z|^2 >= 4)
+    and each G_ab - |z|^2 delta_ab, all under B in size, uniquely; w is the
+    narrowest array width that fits, or any width by ``int.to_bytes``.
     Column j packs into P_j = sum over b of (u_b[j] + m) B^b, one
     ``int.from_bytes``.  Row a's dot D_a = (u_a + m) . P is sum over b of
     (G_ab + m S_a + m S_b + N m^2) B^b with S_b = sum(u_b), so with
@@ -283,7 +284,7 @@ def gram_is_scaled_identity(system: FieldSystem, z: Sequence[int]) -> bool:
     norm = sum(map(mul, z, z))
     m = max(map(abs, z), default=0)
     picked = pick([x + m for x in z] + [m - x for x in z])
-    width = max(1, ((2 * norm).bit_length() + 7) // 8)
+    width = max(1, (norm.bit_length() + 7) // 8)
     code = next((c for w, c in _DIGIT_CODES if w >= width), None)
     if code is None:
         data = b"".join(v.to_bytes(width, "little") for v in picked)

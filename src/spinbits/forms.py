@@ -121,11 +121,7 @@ def contract_first(form: ExtForm) -> ExtForm:
 def _two_form_frames() -> List[ExtForm]:
     from .triality import PAIR_ORDER, kappa_real_matrix
 
-    out = []
-    for (i, j) in PAIR_ORDER:
-        if i >= 2:
-            out.append(dualize_endomorphism(kappa_real_matrix([i, j], "plus")))
-    return out
+    return [dualize_endomorphism(kappa_real_matrix(p, "plus")) for p in PAIR_ORDER if p[0] >= 2]
 
 
 @lru_cache(maxsize=None)

@@ -12,8 +12,8 @@ A Scalar is eight integer numerators over one common denominator d > 0,
 kept canonical (gcd(n0, ..., n7, d) = 1, trailing zero numerators
 dropped), so equal values have equal (numerators, d) and a rational
 value has at most one numerator.  Products run a fixed 8 x 8 table built
-from sqrt(a) sqrt(b) = f sqrt(c); rational operands and the units 1, i,
--1, -i skip it.  Values are immutable after construction.
+from sqrt(a) sqrt(b) = f sqrt(c); only rational operands skip it.  Values
+are immutable after construction.
 
 Combination is the sparse exact linear combination over binary-coded keys
 that spinors, Clifford algebra elements and exterior forms all are.
@@ -55,10 +55,6 @@ _CONJ = (1, -1) * 4
 _FLIP = {3: (1, 1, 1, 1, -1, -1, -1, -1), 2: (1, 1, -1, -1, 1, 1, -1, -1)}
 
 _ZERO = Fraction(0)
-
-# the numerators of the units 1, i, -1, -i (denominator 1): times one of them,
-# slot k takes slot k ^ swap times signs[k % 2]
-_UNITS = {(1,): (0, (1, 1)), (0, 1): (1, (-1, 1)), (-1,): (0, (-1, -1)), (0, -1): (1, (1, -1))}
 
 
 def _new(n: tuple, d: int) -> "Scalar":
@@ -151,13 +147,6 @@ class Scalar:
             return ZERO
         if len(an) == 1 == len(bn):
             return _ratio(an[0] * bn[0], self._d * other._d)
-        if self._d == 1 and an in _UNITS:  # the unit, if either is one, goes on the right
-            self, other, an, bn = other, self, bn, an
-        if other._d == 1 and bn in _UNITS:  # a unit turns each (re, im) pair; the gcd stays
-            swap, signs = _UNITS[bn]
-            n = an + (0,) * (len(an) & 1)
-            n = [signs[k & 1] * n[k ^ swap] for k in range(len(n))]
-            return _new(tuple(n if n[-1] else n[:-1]), self._d)
         n = [0] * 8
         for a, x in enumerate(an):
             if x:

@@ -69,17 +69,14 @@ def image_coeffs(outer: Matrix, pair: Tuple[int, int]) -> Tuple[BivectorCoeffs, 
 FRAME_SIGNS = (1, 1, 1, -1, -1, 1, 1, 1)
 
 
-def kappa_real_matrix(word: Sequence[int], sign: str) -> Matrix:
-    """Real half-spinor matrix of an even word at stage 8, read off the bit rule
-    (``real_block``), in this module's frame orientation.
+@lru_cache(maxsize=None)
+def kappa_real_matrix(word: Tuple[int, ...], sign: str) -> Matrix:
+    """Real half-spinor matrix of an even word (a tuple, such as a PAIR_ORDER
+    pair) at stage 8, read off the bit rule (``real_block``), in this module's
+    frame orientation.
 
     Built once per (word, sign): callers share the Matrix and never mutate it.
     """
-    return _kappa_real_matrix(tuple(word), sign)
-
-
-@lru_cache(maxsize=None)
-def _kappa_real_matrix(word: Tuple[int, ...], sign: str) -> Matrix:
     frame = Monomial(range(8), [1 - s for s in FRAME_SIGNS])
     return Matrix.from_int_rows(frame.compose(real_block(8, word, sign)).compose(frame).to_int_rows())
 
@@ -137,11 +134,11 @@ def s3_relations() -> List[Tuple[str, bool]]:
         ("(sigma* tau*)^2 = Id", st * st == ident),
     ]
     ok_minus = all(
-        kappa_star_matrix(*image_coeffs(ts, p), "minus") == kappa_real_matrix(list(p), "plus")
+        kappa_star_matrix(*image_coeffs(ts, p), "minus") == kappa_real_matrix(p, "plus")
         for p in PAIR_ORDER
     )
     ok_plus = all(
-        kappa_star_matrix(*image_coeffs(ts, p), "plus") == kappa_real_matrix(list(p), "minus")
+        kappa_star_matrix(*image_coeffs(ts, p), "plus") == kappa_real_matrix(p, "minus")
         for p in PAIR_ORDER
     )
     results.append(("kappa-* (tau* sigma*) = kappa+*", ok_minus))

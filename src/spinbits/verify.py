@@ -258,7 +258,7 @@ def check_triality(report: Report):
 
     for name, outer, half in (("sigma", sig, "minus"), ("tau", tau, "plus")):
         ok = all(
-            lambda_of_coeffs(*image_coeffs(outer, p)) == kappa_real_matrix(list(p), half)
+            lambda_of_coeffs(*image_coeffs(outer, p)) == kappa_real_matrix(p, half)
             for p in PAIR_ORDER
         )
         report.add(f"C3 lambda* after {name}* equals the {half} half-spinor action", ok)
@@ -378,7 +378,7 @@ def check_forms(report: Report):
 
     lines = ref.line_table(ref.F_FORMS)
     ok = all(
-        dualize_endomorphism(kappa_real_matrix(list(p), "plus")) == ExtForm(2, lines[p])
+        dualize_endomorphism(kappa_real_matrix(p, "plus")) == ExtForm(2, lines[p])
         for p in ((2, 3), (7, 8), (4, 6))
     )
     report.add("C6 dualized 2-forms match the tabulated lines", ok)

@@ -12,7 +12,7 @@ import pytest
 from spinbits import fields, octonions, triality, verify
 from spinbits.clifford import CliffordElem, clifford_apply, word_apply
 from spinbits.matrices import Matrix, Monomial, Subspace
-from spinbits.scalars import ONE
+from spinbits.scalars import I, ONE
 from spinbits.spinors import Spinor
 from spinbits.verify import (
     Report,
@@ -428,7 +428,8 @@ C7_LAWS = {C7[k] for k in ("norm", "left", "right", "orthonormal")}
 # the two tables C7 compares with the tabulated cells; octonions reads the unit
 # table that the unit laws and octonion_mul's picks are built from, the
 # quaternion table, and the real table both division tables are read off.  A
-# flipped phase in row 1 is a wrong sign of e_1 e_j, a swap a wrong unit.
+# flipped phase in row 1 is a wrong sign of e_1 e_j, a swap a wrong unit; a swap
+# with column 0 moves a label, which the unit laws name and nothing raises.
 C7_CORRUPTIONS = {
     "octonion_cell": ({C7["table"]}, verify, "octonion_table", table_rows(1, flips=[2])),
     "real_cell": ({C7["real"]}, verify, "real_clifford_table", table_rows(3, flips=[5])),
@@ -439,6 +440,9 @@ C7_CORRUPTIONS = {
                      table_rows(1, flips=[2, 3])),
     "flipped_real_pair": ({C7["table"], C7["anticommute"], C7["witness"], C7["q_anticommute"], C7["q_assoc"]}
                           | C7_LAWS, octonions, "real_clifford_table", table_rows(1, flips=[2, 3])),
+    "moved_label": ({C7["table"], C7["identity"], C7["anticommute"], C7["q_identity"], C7["q_anticommute"],
+                     C7["q_third"], C7["q_assoc"]} | C7_LAWS, octonions, "real_clifford_table",
+                    table_rows(1, swaps=[(0, 3)])),
     "q_identity_cell": ({C7["q_identity"], C7["q_assoc"]}, octonions, "quaternion_table",
                         table_rows(0, flips=[0])),
     "q_square_cell": ({C7["q_squares"], C7["q_assoc"]}, octonions, "quaternion_table", table_rows(1, flips=[1])),
@@ -497,3 +501,41 @@ def test_an_odd_parity_embedding_fails_c9_with_a_parity_witness(monkeypatch):
     delta_iso = verify.delta_iso
     monkeypatch.setattr(verify, "delta_iso", lambda k, u: clifford_apply(2 * k, 1, delta_iso(k, u)))
     assert failed_checks(check_delta_iso) == {C9: {"k": 2, "a": 0, "parity": 1}}
+
+
+C10_TENSOR = "C10 binary structure maps equal the tensor definitions for n <= 12"
+C10_SQUARE = "C10 structure maps square to the residue-determined sign"
+C10_HERMITIAN = "C10 Hermitian compatibility identities on random pairs"
+C10_CHIRALITY = "C10 bit-parity chirality equals the volume involution eigenvalue"
+
+# (exact failing set, builder in verify's namespace, corruption of that builder):
+# a wrong gamma^2 sign at an odd n is read only by the squares, at an even n by
+# the pairing too; a doubled gamma keeps h(gamma v, w) = sgn conj h(v, gamma w)
+# but squares to 4 sgn and scales h(gamma v, gamma w) by 4; i e_p is no longer
+# skew for h; a negated chirality is a wrong eigenvalue
+C10_CORRUPTIONS = {
+    "gamma_phase": ({C10_TENSOR}, "real_structure_phase",
+                    lambda f, n, a: ((f(n, a)[0] + 2) % 4, f(n, a)[1]) if (n, a) == (9, 5) else f(n, a)),
+    "odd_square_sign": ({C10_SQUARE}, "gamma_squares_to", lambda f, n: -f(n) if n == 3 else f(n)),
+    "even_square_sign": ({C10_SQUARE, C10_HERMITIAN}, "gamma_squares_to", lambda f, n: -f(n) if n == 6 else f(n)),
+    "doubled_gamma": ({C10_SQUARE, C10_HERMITIAN}, "real_structure",
+                      lambda f, n, psi: f(n, psi).scale(2) if n == 4 else f(n, psi)),
+    "turned_generator": ({C10_HERMITIAN}, "clifford_apply", lambda f, n, p, psi: f(n, p, psi).scale(I)),
+    "chirality_sign": ({C10_CHIRALITY}, "chirality", lambda f, a: -f(a) if a == 3 else f(a)),
+}
+
+
+def run_c10(report):
+    check_structure_maps(report, 20, random.Random(SEED))
+
+
+def test_every_c10_check_is_reached():
+    assert_table_covers(run_c10, C10_CORRUPTIONS, {})
+
+
+@pytest.mark.parametrize("case", C10_CORRUPTIONS)
+def test_each_c10_corruption_fails_exactly_its_set(monkeypatch, case):
+    expected, builder, corrupt = C10_CORRUPTIONS[case]
+    original = getattr(verify, builder)
+    monkeypatch.setattr(verify, builder, lambda *args: corrupt(original, *args))
+    assert set(failed_checks(run_c10)) == expected

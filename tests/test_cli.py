@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinbits import cli
+from spinbits import cli, octonions
 from spinbits.cli import MAX_DENSE_N, MAX_SPHERE, MAX_SPINOR_N, build_parser, main, parse_word
-from spinbits.matrices import MAX_ORACLE_N, kappa_matrix, kappa_pm_matrix, lambda_matrix
+from spinbits.matrices import MAX_ORACLE_N, Monomial, kappa_matrix, kappa_pm_matrix, lambda_matrix
 from spinbits.scalars import I, Scalar
 from spinbits.spinors import Spinor
 from spinbits.triality import g2_action_matrix
@@ -299,6 +299,31 @@ def test_verify_all_matches_golden(capsys):
     code, out = run(capsys, "verify-all")
     assert code == 0
     assert out.encode() == workloads.golden(["verify-all"])
+
+
+def test_verify_all_names_a_moved_label_as_c7_fails(capsys, monkeypatch):
+    """Row 1 of both real tables with the images of columns 0 and 3 exchanged
+    moves a label: every check still runs and prints, 11 of C7's FAIL, exit 1."""
+    real_table = octonions.real_clifford_table
+
+    def moved_label(n):
+        rows = list(real_table(n))
+        perm = list(rows[1].perm)
+        perm[0], perm[3] = perm[3], perm[0]
+        rows[1] = Monomial(perm, rows[1].phase)
+        return rows
+
+    monkeypatch.setattr(octonions, "real_clifford_table", moved_label)
+    octonions._product_picks.cache_clear()  # octonion_mul's picks are read off the unit table once
+    try:
+        code, out = run(capsys, "verify-all")
+    finally:
+        octonions._product_picks.cache_clear()
+    lines, golden = out.splitlines(), workloads.golden(["verify-all"]).decode().splitlines()
+    assert code == 1 and lines[-1] == "70 passed, 11 failed"
+    assert [line[7:] for line in lines[:-1]] == [line[7:] for line in golden[:-1]]  # the 81 names
+    failed = [line[7:] for line in lines if line.startswith("[FAIL] ")]
+    assert len(failed) == 11 and all(name.startswith("C7 ") for name in failed)
 
 
 @pytest.mark.parametrize("value", ["1", "abc", "40"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -392,6 +393,31 @@ def test_packed_gram_is_false_where_narrower_digits_would_cancel(Js, z):
     assert gram_is_scaled_identity(system, z) is both_oracles(system, z) is False
 
 
+def test_packed_gram_is_false_where_digits_sized_for_the_offsets_would_cancel():
+    """Byte digits (B = 256) hold every offset here, m <= 127, but |z|^2 > B^2,
+    and G - |z|^2 Id is 8 (B^2 E_02 - B E_03 - B E_12 + E_13), symmetrized: each
+    row of it is 0 in base B, so only digits of base above |z| tell G from
+    |z|^2 Id.  The Js are sign flips: coordinate block p has signs (1, s1, s2, s3)
+    on (z, J_1 z, J_2 z, J_3 z) and squared length w_p, which makes
+    G_ab = sum over p of w_p s_a s_b."""
+    B, z, phases = 256, [], [[], [], []]
+    for signs in itertools.product((1, -1), repeat=3):
+        s1, s2, s3 = signs
+        w = 66049 + B * B * s2 - B * s3 - B * s1 * s2 + s1 * s3
+        while w:
+            z.append(min(math.isqrt(w), 127))
+            w -= z[-1] ** 2
+            for phase, s in zip(phases, signs):
+                phase.append(1 - s)
+    system = FieldSystem(len(z), 4, [Monomial(range(len(z)), phase) for phase in phases])
+    vecs = [z] + [J.apply(z) for J in system.J]
+    G = [[sum(map(mul, u, v)) - (a == b) * sum(map(mul, z, z)) for b, v in enumerate(vecs)]
+         for a, u in enumerate(vecs)]
+    assert max(map(abs, z)) <= 127 and sum(map(mul, z, z)) > B * B and any(map(any, G))
+    assert all(sum(c * B ** b for b, c in enumerate(row)) == 0 for row in G)
+    assert gram_is_scaled_identity(system, z) is both_oracles(system, z) is False
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(_GRAM_SYSTEMS)), st.integers(-10**6, 10**6).filter(bool),
        st.booleans(), st.data())
@@ -472,10 +498,10 @@ def greedy_squares(t):
     return out
 
 
-# |z|^2 on each side of every switch of the digit width: 2|z|^2 needs 8, 16, 32,
+# |z|^2 on each side of every switch of the digit width: |z|^2 needs 8, 16, 32,
 # 64 and 72 bits, where the digits go from 1 to 2, 4 and 8 bytes, then past the
 # widest array code to int.to_bytes
-DIGIT_SWITCHES = [t for bits in (8, 16, 32, 64, 72) for t in ((1 << (bits - 1)) - 1, 1 << (bits - 1))]
+DIGIT_SWITCHES = [t for bits in (8, 16, 32, 64, 72) for t in ((1 << bits) - 1, 1 << bits)]
 
 
 @pytest.mark.parametrize("norm", DIGIT_SWITCHES)

@@ -47,18 +47,18 @@ def test_f23_squared_has_six_terms():
 
 
 def test_dualize_examples():
-    assert dualize_endomorphism(kappa_real_matrix([2, 3], "plus")) == f_form(2, 3)
-    assert dualize_endomorphism(kappa_real_matrix([7, 8], "plus")) == f_form(7, 8)
+    assert dualize_endomorphism(kappa_real_matrix((2, 3), "plus")) == f_form(2, 3)
+    assert dualize_endomorphism(kappa_real_matrix((7, 8), "plus")) == f_form(7, 8)
     assert dualize_endomorphism(Matrix.from_int_rows([[0] * 8] * 8)).is_zero()
     # a matrix over a denominator gives Fraction coefficients
-    half = kappa_real_matrix([2, 3], "plus").scale(Fraction(3, 2))
+    half = kappa_real_matrix((2, 3), "plus").scale(Fraction(3, 2))
     assert dualize_endomorphism(half) == f_form(2, 3).scale(Fraction(3, 2))
     assert f_form(2, 3) == ExtForm(2, {(1, 4): 1, (2, 3): 1, (5, 8): 1, (6, 7): 1})
 
 
 def test_all_tabulated_two_forms():
     for p, terms in ref.line_table(ref.F_FORMS).items():
-        got = dualize_endomorphism(kappa_real_matrix(list(p), "plus"))
+        got = dualize_endomorphism(kappa_real_matrix(p, "plus"))
         assert got == ExtForm(2, terms)
 
 

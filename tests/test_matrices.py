@@ -160,9 +160,9 @@ def rational_det(M):
 
 
 def test_e_basis_decompose_examples():
-    M = kappa_real_matrix([1, 2], "minus")
+    M = kappa_real_matrix((1, 2), "minus")
     assert e_basis_decompose(M) == ({(1, 2): -1, (3, 4): -1, (5, 6): -1, (7, 8): -1}, 1)
-    M = kappa_real_matrix([1, 2], "plus")
+    M = kappa_real_matrix((1, 2), "plus")
     assert e_basis_decompose(M) == ({(1, 2): 1, (3, 4): 1, (5, 6): 1, (7, 8): 1}, 1)
     # int numerators over the matrix's denominator
     assert e_basis_decompose(M.scale(Fraction(3, 2))) == ({(1, 2): 3, (3, 4): 3, (5, 6): 3, (7, 8): 3}, 2)

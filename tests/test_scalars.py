@@ -271,7 +271,7 @@ def test_rational_fast_path_agrees_with_oracle(p, q, k):
 
 
 def table_product(x, y):
-    """Oracle for products with a unit: the 8 x 8 table, which the unit path skips."""
+    """Oracle for products with a unit: the 8 x 8 table product, written out on its own."""
     n = [0] * 8
     for a, v in enumerate(x._n):
         for b, w in enumerate(y._n):

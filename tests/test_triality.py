@@ -293,14 +293,14 @@ def test_kappa_real_matrix_cache_matches_a_fresh_build():
     # the 56 inputs verify-all uses: every generator pair on both half-spinors
     for p in PAIR_ORDER:
         for sign in ("plus", "minus"):
-            cached = kappa_real_matrix(list(p), sign)
+            cached = kappa_real_matrix(p, sign)
             assert kappa_real_matrix(p, sign) is cached
             assert cached == frame_kappa_real_matrix(p, sign)
 
 
 def test_kappa_real_matrix_rejects_odd_words():
     with pytest.raises(ValueError):
-        kappa_real_matrix([1, 2, 3], "plus")
+        kappa_real_matrix((1, 2, 3), "plus")
 
 
 def test_g2_generators_are_parsed_once():
@@ -460,7 +460,7 @@ def test_spans_of_no_rows_keep_their_28_columns():
 def fresh_triality_caches():
     """Clears the caches built from the kappa blocks before and after a test."""
     def clear():
-        triality._kappa_real_matrix.cache_clear()
+        triality.kappa_real_matrix.cache_clear()
         build_outer.cache_clear()
 
     clear()
@@ -544,8 +544,8 @@ def test_bracket_and_kappa_star_reject_bad_coefficients():
 def scaled_sum_kappa_star(coeffs, sign):
     """Oracle for kappa_star_matrix: the sum of the scaled generator matrices."""
     out = Matrix.from_int_rows([[0] * 8] * 8)
-    for (i, j), c in coeffs.items():
-        out = out + kappa_real_matrix([i, j], sign).scale(c)
+    for p, c in coeffs.items():
+        out = out + kappa_real_matrix(p, sign).scale(c)
     return out
 
 
@@ -648,6 +648,6 @@ def test_rational_so8_work_constructs_no_scalar(monkeypatch):
     for outer, lines, half in ((sig, sig_lines, "minus"), (tau, tau_lines, "plus")):
         for p in PAIR_ORDER:
             assert image_coeffs(outer, p) == (lines[p], 2)
-            assert verify.lambda_of_coeffs(*image_coeffs(outer, p)) == kappa_real_matrix(list(p), half)
+            assert verify.lambda_of_coeffs(*image_coeffs(outer, p)) == kappa_real_matrix(p, half)
     assert image_coeffs(sig, (2, 4)) != (sig_lines[(2, 3)], 2)
     assert made == []
