@@ -22,7 +22,7 @@ from .fields import (
     random_point,
     structure_failure,
 )
-from .forms import g2_three_form, omega_square, spin7_four_form
+from .forms import g2_three_form, omega_square_is_504_vol, spin7_four_form
 from .matrices import (
     MAX_ORACLE_N,
     Matrix,
@@ -257,10 +257,7 @@ def cmd_quaternions(args) -> int:
 
 def cmd_omega(args) -> int:
     if args.check_square:
-        sq = omega_square()
-        vol = sq.coefficient((1, 2, 3, 4, 5, 6, 7, 8))
-        ok = len(sq.terms) == 1 and vol == 504
-        return _emit("text", Report([("omega wedge omega = 504 vol", ok)]))
+        return _emit("text", Report([("omega wedge omega = 504 vol", omega_square_is_504_vol())]))
     return _emit("latex" if args.latex else "text", spin7_four_form())
 
 
@@ -297,8 +294,12 @@ def cmd_fields(args) -> int:
         )
         return _emit(args.format, {"sphere": N - 1, "stage": system.r, "matrices": payload},
                      text=text)
-    out = emit_coordinates(N, fmt=args.format, split=args.split)
-    return _emit(args.format, out, text=out)
+    rows = emit_coordinates(system)
+    name = "v_{{{}}}" if args.format == "latex" else "v{}"
+    tuples = ["(" + ", ".join("-" * (v < 0) + name.format(abs(v)) for v in row) + ")" for row in rows]
+    latex = "\n".join(f"V_{{{m}}} = {t}" for m, t in enumerate(tuples, start=1))
+    return _emit(args.format, {"sphere": N - 1, "stage": system.r, "fields": rows},
+                 text="\n".join(tuples), latex=latex)
 
 
 def cmd_verify_all(args) -> int:

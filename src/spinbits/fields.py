@@ -215,23 +215,11 @@ def frame_placement_pick(r: int, stride: int, offset: int) -> Callable[[Sequence
         (2 * t * stride + offset, (2 * t + 1) * stride + offset, 0, a) for t, a in enumerate(idx)))
 
 
-def emit_coordinates(N: int, fmt: str = "text",
-                     split: Optional[Tuple[int, int]] = None):
-    """Fields as signed coordinate tuples in variables v1..vN.
-
-    Text rows look like "(-v2, v1, ...)"; json gives signed 1-based
-    indices; latex wraps the text tuples.
-    """
-    system = build_field_system(N, split=split)
+def emit_coordinates(system: FieldSystem) -> List[List[int]]:
+    """The fields as signed 1-based coordinate rows: entry b of row m is +-j
+    when coordinate b of V_m is +-v_j."""
     # entry b of J (1, ..., N) is the signed 1-based column of row b's entry
-    rows = [J.apply(range(1, N + 1)) for J in system.J]
-    if fmt == "json":
-        return {"sphere": N - 1, "stage": system.r, "fields": rows}
-    name = "v_{{{}}}" if fmt == "latex" else "v{}"
-    tuples = ["(" + ", ".join("-" * (v < 0) + name.format(abs(v)) for v in row) + ")" for row in rows]
-    if fmt == "latex":
-        return "\n".join(f"V_{{{m}}} = {t}" for m, t in enumerate(tuples, start=1))
-    return "\n".join(tuples)
+    return [J.apply(range(1, system.N + 1)) for J in system.J]
 
 
 def structure_failure(system: FieldSystem) -> Optional[dict]:

@@ -1,6 +1,7 @@
 """Exterior algebra on eight coordinates with rational coefficients:
 dualization of antisymmetric endomorphisms to 2-forms, the invariant
-4-form built from them, its 3-form contraction, and the top-form square.
+4-form built from them, its 3-form contraction, and the top-form square
+with its one predicate, omega ^ omega = 504 vol.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ class ExtForm(LatexCombination):
     @staticmethod
     def zero(degree: int) -> "ExtForm":
         return ExtForm(degree)
-
-    def coefficient(self, indices: Sequence[int]) -> Fraction:
-        sign, key = canonical_term(indices)
-        return sign * self.terms.get(key, Fraction(0))
 
     @staticmethod
     def _latex_name(key: Tuple[int, ...]) -> str:
@@ -143,6 +140,11 @@ def g2_three_form() -> ExtForm:
 def omega_square() -> ExtForm:
     om = spin7_four_form()
     return wedge(om, om)
+
+
+def omega_square_is_504_vol() -> bool:
+    """omega ^ omega = 504 dx_1 ^ ... ^ dx_8, exactly."""
+    return omega_square() == ExtForm.dx(*range(1, DIM + 1)).scale(504)
 
 
 def derivation_action(G: Matrix, form: ExtForm) -> ExtForm:

@@ -171,8 +171,6 @@ class Scalar:
         """Multiplicative inverse, by successive rationalization over sqrt3, sqrt2, i."""
         if not self._n:
             raise ZeroDivisionError("inverse of zero scalar")
-        if len(self._n) == 1:
-            return _ratio(self._d, self._n[0])
         num = ONE
         x = self
         for mask in (_FLIP[3], _FLIP[2], _CONJ):

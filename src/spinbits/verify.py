@@ -39,7 +39,7 @@ from .fields import (
     random_point,
     structure_failure,
 )
-from .forms import ExtForm, derivation_action, dualize_endomorphism, g2_three_form, omega_square, spin7_four_form
+from .forms import ExtForm, derivation_action, dualize_endomorphism, g2_three_form, omega_square_is_504_vol, spin7_four_form
 from .matrices import (
     Matrix,
     Monomial,
@@ -67,7 +67,6 @@ from .triality import (
     PAIR_ORDER,
     build_outer,
     center_images,
-    g2_action_matrix,
     g2_action_matrix_on,
     g2_structure,
     image_coeffs,
@@ -310,7 +309,6 @@ def check_g2(report: Report, samples: int, rng: random.Random):
             draws = draw_ints(rng, ((-4, 4), (1, 3)), 14)
             trials.append([Fraction(p, q) for p, q in zip(draws[0::2], draws[1::2])])
     for alphas in trials:
-        got = g2_action_matrix(alphas)
         # the display's entries, 2 * (sum of +-alpha_m), on the alphas' int numerators over den
         nums, den = ints_over_lcm(alphas)
         want = Matrix.from_int_rows([
@@ -318,13 +316,9 @@ def check_g2(report: Report, samples: int, rng: random.Random):
              for c in range(1, 9)]
             for r in range(1, 9)
         ], den)
-        if got != want:
-            display_ok = False
+        # the display is in the row convention, the transpose of the column action
         plus = g2_action_matrix_on("plus", alphas)
-        minus = g2_action_matrix_on("minus", alphas)
-        if plus != minus:
-            display_ok = False
-        if got != plus.transpose():
+        if plus.transpose() != want or plus != g2_action_matrix_on("minus", alphas):
             display_ok = False
     report.add("C4 general action matrix matches the display on both frames", display_ok)
 
@@ -356,9 +350,7 @@ def check_forms(report: Report):
         gold = gold + ExtForm.dx(*quad).scale(6 * s)
     report.add("C6 the 4-form equals the tabulated 14-term display (factor 6)", om == gold)
 
-    sq = omega_square()
-    top = ExtForm.dx(1, 2, 3, 4, 5, 6, 7, 8).scale(504)
-    report.add("C6 the 4-form squares to 504 times the volume form", sq == top)
+    report.add("C6 the 4-form squares to 504 times the volume form", omega_square_is_504_vol())
 
     phi = g2_three_form()
     gold3 = ExtForm.zero(3)
@@ -415,7 +407,7 @@ def check_fields(report: Report, samples: int, rng: random.Random):
 
     # over the full 9 x 32 grid, so a missing row or slot is a mismatch
     # whose emitted value is None
-    emitted = emit_coordinates(32, fmt="json")["fields"]
+    emitted = emit_coordinates(build_field_system(32))
     gold = [[s * v for s, v in ref.signed_ints(row)] for row in ref.V_ROWS]
     mismatches = {
         (j, slot): mine

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from spinbits import fields, octonions, triality, verify
+from spinbits import forms, octonions, triality, verify
 from spinbits.clifford import CliffordElem, clifford_apply, word_apply
 from spinbits.matrices import Matrix, Monomial, Subspace
 from spinbits.scalars import I, ONE
@@ -100,7 +100,7 @@ def test_criterion_10_structure_maps():
 
 
 # -- every criterion can fail: one corrupted builder each ---------------
-# (C1, C3, C4, C8 and C10 have theirs next to their subsystems' tests)
+# (C1 and C3 have theirs next to their subsystems' tests)
 
 
 def failed_checks(fn, *args):
@@ -214,28 +214,30 @@ def c8_system(N, change):
     return corrupt
 
 
-def flip_first_sign(J):
-    """The J list with the first entry of J_2 negated."""
+def flip_first_sign(J, turn=2):
+    """The J list with the first entry of J_2 times i^turn (negated by default)."""
     phase = list(J[1].phase)
-    phase[0] += 2
+    phase[0] += turn
     return [J[0], Monomial(J[1].perm, phase), *J[2:]]
 
 
-# (exact failing set, module, builder, corruption of that builder): the field
-# builder is read by C8's Gram frames and closed forms through verify, and by
-# its emitted rows through fields.emit_coordinates; the stage and the bit rule
-# are read through verify
+# (exact failing set, module, builder, corruption of that builder): C8 reads
+# the field builder, the emitted rows, the stage and the bit rule through
+# verify; a J with an odd phase has no stacked pick, so no real frame to place
 C8_CORRUPTIONS = {
     "stage_one_too_high": ({C8_STAGE}, verify, "max_stage",
                            lambda f, N: f(N) + 1 if N == 24 else f(N)),
-    "emitted_sign": ({C8_ROWS}, fields, "build_field_system", c8_system(32, flip_first_sign)),
+    "emitted_sign": ({C8_ROWS}, verify, "emit_coordinates",
+                     lambda f, system: f(system._replace(J=flip_first_sign(system.J)))),
     "repeated_J": ({C8_FRAMES}, verify, "build_field_system",
                    c8_system(128, lambda J: [J[1], *J[1:]])),
     "flipped_J_entry": ({C8_FRAMES, C8_CLOSED}, verify, "build_field_system",
                         c8_system(16, flip_first_sign)),
     "negated_J": ({C8_CLOSED}, verify, "build_field_system", c8_system(16, lambda J: [-J[0], *J[1:]])),
-    "swapped_Js": ({C8_CLOSED}, verify, "build_field_system",
+    "swapped_Js": ({C8_ROWS, C8_CLOSED}, verify, "build_field_system",
                    c8_system(32, lambda J: [J[1], J[0], *J[2:]])),
+    "odd_J_phase": ({C8_FRAMES, C8_CLOSED}, verify, "build_field_system",
+                    c8_system(16, lambda J: flip_first_sign(J, turn=1))),
     "bit_rule_sign": ({C8_BITS}, verify, "e1ep_phase",
                       lambda f, r, p, a: ((f(r, p, a)[0] + 2) % 4, f(r, p, a)[1])
                       if (r, p, a) == (12, 12, 0) else f(r, p, a)),
@@ -342,7 +344,10 @@ C4_CORRUPTIONS = {
     "low_complement_open": ({C4["low_pair"]}, triality, "span_contains", not_in("m in e2..e8")),
     "tau_complement_open": ({C4["tau_pair"]}, triality, "span_contains", not_in("m in Fix(tau*)")),
     "tau_minus_open": ({C4["symmetric"]}, triality, "span_contains", not_in("Fix(tau*) at -1")),
-    "doubled_display": ({C4["display"]}, verify, "g2_action_matrix", lambda f, alphas: f(alphas).scale(2)),
+    "doubled_display": ({C4["display"]}, verify, "g2_action_matrix_on",
+                        lambda f, which, alphas: f(which, alphas).scale(2)),
+    "negated_minus_frame": ({C4["display"]}, verify, "g2_action_matrix_on",
+                            lambda f, which, alphas: f(which, alphas).scale(-1 if which == "minus" else 1)),
 }
 
 
@@ -375,11 +380,44 @@ def test_swapped_center_images_fail_c5(monkeypatch):
     assert set(failed_checks(check_center)) == {"C5 sigma(vol) = -vol", "C5 sigma(-vol) = -1"}
 
 
-def test_a_rescaled_four_form_fails_c6(monkeypatch):
-    four_form = verify.spin7_four_form
-    monkeypatch.setattr(verify, "spin7_four_form", lambda: four_form().scale(2))
-    assert list(failed_checks(check_forms)) == [
-        "C6 the 4-form equals the tabulated 14-term display (factor 6)"]
+C6 = {key: f"C6 {name}" for key, name in (
+    ("four", "the 4-form equals the tabulated 14-term display (factor 6)"),
+    ("square", "the 4-form squares to 504 times the volume form"),
+    ("three", "the 3-form equals the tabulated 7-term display (factor 6)"),
+    ("invariance", "derivation invariance of both forms under all 14 generators"),
+    ("two_forms", "dualized 2-forms match the tabulated lines"),
+)}
+
+
+def so8_action(pair):
+    """A corruption of g2_action_matrix_on: every g2 generator acts as the so(8) one of ``pair``."""
+    return lambda f, which, alphas: triality.kappa_real_matrix(pair, which)
+
+
+# (exact failing set, module, builder, corruption of that builder): the square
+# is read through forms, where its predicate lives, the rest through verify;
+# e2 e3 lies in the spin7 that fixes omega but not in g2, so it breaks phi
+# alone, and e1 e2 breaks both forms
+C6_CORRUPTIONS = {
+    "rescaled_four_form": ({C6["four"]}, verify, "spin7_four_form", lambda f: f().scale(2)),
+    "rescaled_square": ({C6["square"]}, forms, "omega_square", lambda f: f().scale(2)),
+    "rescaled_three_form": ({C6["three"]}, verify, "g2_three_form", lambda f: f().scale(2)),
+    "spin7_action": ({C6["invariance"]}, verify, "g2_action_matrix_on", so8_action((2, 3))),
+    "so8_action": ({C6["invariance"]}, verify, "g2_action_matrix_on", so8_action((1, 2))),
+    "negated_two_form": ({C6["two_forms"]}, verify, "kappa_real_matrix", lambda f, p, half: f(p, half).scale(-1)),
+}
+
+
+def test_every_c6_check_is_reached():
+    assert_table_covers(check_forms, C6_CORRUPTIONS, {})
+
+
+@pytest.mark.parametrize("case", C6_CORRUPTIONS)
+def test_each_c6_corruption_fails_exactly_its_set(monkeypatch, case):
+    expected, module, builder, corrupt = C6_CORRUPTIONS[case]
+    original = getattr(module, builder)
+    monkeypatch.setattr(module, builder, lambda *args: corrupt(original, *args))
+    assert set(failed_checks(check_forms)) == expected
 
 
 def table_rows(i, flips=(), swaps=()):

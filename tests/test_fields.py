@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinbits import reference as ref
 from spinbits import verify
+from spinbits.cli import main
 from spinbits.clifford import word_apply
 from spinbits.fields import (
     FieldSystem,
@@ -386,9 +388,12 @@ def test_packed_gram_equals_both_oracles_on_any_real_monomials(system, data):
     ([((1, 0, 2), (0, 0, 2)), ((0, 1, 2), (0, 0, 2))], [-2, 1, -2]),
 ])
 def test_packed_gram_is_false_where_narrower_digits_would_cancel(Js, z):
-    """Row 0 of these Gram matrices is |Z|^2, G_01, G_02 with G_01 = -2^j G_02 != 0
-    for a j at most (N m^2).bit_length() - 1, so packing with that few bits per
-    digit would read |Z|^2."""
+    """Row 0 of G - |z|^2 Id is (0, 12, -3) and (0, -8, 1) here, which is 0 in
+    base 4 and base 8, so a packed check that read row 0 alone with digits that
+    narrow would answer True; row 1 is (12, 0, 0) and (-8, 0, 0), which no base
+    reads as 0.  Pinned: the packed check answers False with both oracles.  No digit
+    width is pinned: byte digits are wider than these bases, and a check that
+    reads every row is sound for any base above |z|."""
     system = FieldSystem(len(z), len(Js) + 1, [Monomial(*J) for J in Js])
     assert gram_is_scaled_identity(system, z) is both_oracles(system, z) is False
 
@@ -615,12 +620,19 @@ def transpose_rows(system):
     return rows
 
 
+def printed_fields(capsys, N, *flags):
+    """What ``fields --sphere N-1`` prints with ``flags``; it must exit 0."""
+    assert main(["fields", "--sphere", str(N - 1), *flags]) == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("N, split", [(2, None), (16, None), (24, (2, 1)), (32, None), (64, (1, 0)), (72, (4, 5))])
-def test_emitted_rows_are_the_transposed_frames(N, split):
+def test_emitted_rows_are_the_transposed_frames(capsys, N, split):
     rows = transpose_rows(build_field_system(N, split))
-    assert emit_coordinates(N, "json", split)["fields"] == rows
-    text = emit_coordinates(N, "text", split).splitlines()
-    latex = emit_coordinates(N, "latex", split).splitlines()
+    assert emit_coordinates(build_field_system(N, split)) == rows
+    flags = ["--split", "%d,%d" % split] if split else []
+    text, latex = (printed_fields(capsys, N, *flags, "--format", fmt).splitlines() for fmt in ("text", "latex"))
+    assert len(text) == len(latex) == len(rows)
     for m, row in enumerate(rows, start=1):
         assert text[m - 1] == "(" + ", ".join(f"-v{-v}" if v < 0 else f"v{v}" for v in row) + ")"
         assert latex[m - 1] == f"V_{{{m}}} = (" + ", ".join(
@@ -688,10 +700,8 @@ def c8_rows_check(monkeypatch, trim):
     """C8's table check, run on the emitted rows as ``trim`` leaves them."""
     emit = verify.emit_coordinates
 
-    def trimmed(N, fmt="text", split=None):
-        out = emit(N, fmt, split)
-        out["fields"] = trim(out["fields"])
-        return out
+    def trimmed(system):
+        return trim(emit(system))
 
     monkeypatch.setattr(verify, "emit_coordinates", trimmed)
     report = verify.Report()
@@ -716,7 +726,7 @@ def test_c8_counts_a_missing_slot_as_a_mismatch(monkeypatch):
 
 
 def test_build_field_system_32_matches_tabulated_rows():
-    emitted = emit_coordinates(32, fmt="json")["fields"]
+    emitted = emit_coordinates(build_field_system(32))
     gold = [[s * v for s, v in ref.signed_ints(row)] for row in ref.V_ROWS]
     assert len(emitted) == 9 and all(len(row) == 32 for row in emitted)
     mismatches = {
@@ -737,13 +747,13 @@ def test_v1_and_v8_examples():
     assert v8 == [Fraction(-(t == 16)) for t in range(32)]
 
 
-def test_first_row_text():
-    first = emit_coordinates(32).splitlines()[0]
+def test_first_row_text(capsys):
+    first = printed_fields(capsys, 32).splitlines()[0]
     assert first.startswith("(-v2, v1, v4, -v3, v6, -v5, -v8, v7,")
 
 
-def test_smallest_sphere():
-    assert emit_coordinates(2) == "(-v2, v1)"
+def test_smallest_sphere(capsys):
+    assert printed_fields(capsys, 2) == "(-v2, v1)\n"
 
 
 def test_quaternionic_frame_on_s3():
@@ -904,8 +914,8 @@ def test_frame_closure_under_top_generator():
         assert sum(1 for c in coords if c) == 1
 
 
-def test_json_emission():
-    out = emit_coordinates(8, fmt="json")
+def test_json_emission(capsys):
+    out = json.loads(printed_fields(capsys, 8, "--format", "json"))
     assert out["sphere"] == 7 and out["stage"] == 8
     assert len(out["fields"]) == 7
     assert all(len(row) == 8 for row in out["fields"])

@@ -13,6 +13,7 @@ from spinbits.forms import (
     dualize_endomorphism,
     g2_three_form,
     omega_square,
+    omega_square_is_504_vol,
     spin7_four_form,
     wedge,
 )
@@ -42,8 +43,8 @@ def test_f23_squared_has_six_terms():
     f = f_form(2, 3)
     sq = wedge(f, f)
     assert len(sq.terms) == 6
-    assert sq.coefficient((1, 4, 2, 3)) == 2
-    assert sq.coefficient((1, 4, 5, 8)) == 2
+    assert sq.terms[(1, 2, 3, 4)] == 2  # dx14 ^ dx23 twice; the reorder has sign +1
+    assert sq.terms[(1, 4, 5, 8)] == 2
 
 
 def test_dualize_examples():
@@ -68,11 +69,12 @@ def test_four_form_display():
     for s, quad in ref.OMEGA_TERMS:
         gold = gold + ExtForm.dx(*quad).scale(6 * s)
     assert om == gold
-    assert om.coefficient((1, 2, 3, 4)) == -6
+    assert om.terms[(1, 2, 3, 4)] == -6
 
 
 def test_four_form_square_is_504_vol():
     assert omega_square() == ExtForm.dx(1, 2, 3, 4, 5, 6, 7, 8).scale(504)
+    assert omega_square_is_504_vol()
 
 
 def test_three_form_display():

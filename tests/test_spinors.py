@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from spinbits import verify
 from spinbits.clifford import clifford_apply, exp_bivector
 from spinbits.scalars import Angle, HALF, I, INV_SQRT2, ONE, SQRT2, SQRT3, Scalar, ZERO
 from spinbits.spinors import (
@@ -263,15 +262,3 @@ def test_real_frames_start_at_stage_2():
             frame_index_set(r)
     with pytest.raises(ValueError, match="stage 1 has no real frame"):
         real_form_basis(1, "full")
-
-
-def test_c10_fails_on_a_flipped_gamma_phase(monkeypatch):
-    def flipped(n, a):
-        e, b = real_structure_phase(n, a)
-        return ((e + 2) % 4 if (n, a) == (9, 5) else e), b
-
-    monkeypatch.setattr(verify, "real_structure_phase", flipped)
-    report = verify.Report()
-    verify.check_structure_maps(report, 0, random.Random(1), max_n=10)
-    fails = [c.name for c in report.checks if not c.passed]
-    assert fails == ["C10 binary structure maps equal the tensor definitions for n <= 10"]

@@ -612,8 +612,8 @@ def test_g2_brackets_and_actions_make_no_scalar_product(monkeypatch):
     verify.check_g2(report, 5, random.Random(1))
     assert report.fail_count == 0
     # g2_structure runs twice (once in check_g2): 686 brackets each; s3_relations
-    # takes 56 actions and the 19 display trials 3 each
-    assert entered == {"bivector_bracket": 2 * 686, "kappa_star_matrix": 56 + 3 * 19}
+    # takes 56 actions and the 19 display trials 2 each, one per frame
+    assert entered == {"bivector_bracket": 2 * 686, "kappa_star_matrix": 56 + 2 * 19}
     assert products == []
 
 
