@@ -7,8 +7,9 @@ generators can be applied in any ambient dimension.
 
 Algebra elements are normalized monomial maps: a basis monomial
 e_{i1}...e_{im} (indices increasing) is the bitmask with bits i-1 set,
-and products are computed by XOR with a transposition-counting sign,
-using e_i e_j = -e_j e_i and e_i^2 = -1.
+and a product is the XOR of the masks with a sign read off bit counts:
+one flip per shared generator (e_i^2 = -1) and one per pair that sorting
+transposes (e_i e_j = -e_j e_i).
 """
 
 from __future__ import annotations
@@ -84,21 +85,15 @@ def word_apply(n: int, word: Sequence[int], psi: Spinor) -> Spinor:
 def blade_product(mask_i: int, mask_j: int) -> Tuple[int, int]:
     """Product of basis monomials: returns (sign, xor mask).
 
-    Sign counts the transpositions needed to interleave the second
-    sorted monomial into the first, plus one flip per contracted pair
-    (e_i^2 = -1).
+    The sign counts one flip per shared generator (e_i^2 = -1) and, for
+    each generator of the right factor, one per generator of the left
+    factor above it: the transpositions that sort the product.
     """
-    count = 0
-    cur = mask_i
+    count = (mask_i & mask_j).bit_count()
     j = mask_j
     while j:
-        b = j & -j  # lowest set bit of the remaining right factor
-        bpos = b.bit_length() - 1
-        above = cur >> (bpos + 1)
-        count += above.bit_count()
-        if cur & b:
-            count += 1  # contraction with signature -1
-        cur ^= b
+        b = j & -j  # one generator of the right factor: it passes the left factor's ones above it
+        count += (mask_i >> b.bit_length()).bit_count()
         j ^= b
     return (-1 if count & 1 else 1), mask_i ^ mask_j
 
@@ -200,20 +195,18 @@ def lambda_vector(n: int, g, y: CliffordElem) -> CliffordElem:
     """Conjugation action g y g~ of an even element on a vector.
 
     ``g`` may be a word (sequence of generator indices, even length) or a
-    CliffordElem, in which case the reversal is the reversion
-    anti-automorphism.  The result must again have grade one.
+    CliffordElem; g~ is its reversion, which for a word is the word read
+    backwards, since reversion is an anti-automorphism.  The result must
+    again have grade one.
     """
     if y.grades() not in (set(), {1}):
         raise ValueError("lambda acts on grade-1 elements")
-    if isinstance(g, CliffordElem):
-        elem, rev = g, g.reverse()
-    else:
+    if not isinstance(g, CliffordElem):
         word = list(g)
         if len(word) % 2:
             raise ValueError("need an even word")
-        elem = CliffordElem.from_word(n, word)
-        rev = CliffordElem.from_word(n, list(reversed(word)))
-    out = elem * y * rev
+        g = CliffordElem.from_word(n, word)
+    out = g * y * g.reverse()
     if out.grades() not in (set(), {1}):
         raise ValueError("conjugation did not preserve grade 1")
     return out

@@ -17,19 +17,15 @@ DIM = 8
 
 
 def canonical_term(indices: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
-    """Sort wedge indices, tracking the permutation sign; repeated index kills the term."""
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(idx)):
-        if idx[i - 1] == idx[i]:
+    """Sort wedge indices with the permutation's sign, read off bits: each index
+    passes the indices already placed above it; a repeated index kills the term."""
+    placed = swaps = 0
+    for i in indices:
+        if placed >> i & 1:
             return 0, ()
-    return sign, tuple(idx)
+        swaps += (placed >> i).bit_count()
+        placed |= 1 << i
+    return (-1 if swaps & 1 else 1), tuple(sorted(indices))
 
 
 class ExtForm(LatexCombination):

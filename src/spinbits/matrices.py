@@ -447,7 +447,6 @@ def tensor_oracle(n: int) -> Tuple[Monomial, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def gamma_oracle(n: int) -> Monomial:
     """gamma_n from its tensor definition: conjugate the coordinates, then
     apply this tensor product, so on each basic spinor it is this monomial."""

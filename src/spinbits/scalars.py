@@ -11,8 +11,9 @@ A Scalar is eight integer numerators over one common denominator d > 0,
 
 kept canonical (gcd(n0, ..., n7, d) = 1, trailing zero numerators
 dropped), so equal values have equal (numerators, d) and a rational
-value has at most one numerator.  Products run a fixed 8 x 8 table built
-from sqrt(a) sqrt(b) = f sqrt(c); only rational operands skip it.  Values
+value has at most one numerator.  Slot k holds i^(k & 1) sqrt2^(k >> 1 & 1)
+sqrt3^(k >> 2), so slot a times slot b is slot a ^ b times the squares of the
+factors they share; only rational operands skip that 8 x 8 table.  Values
 are immutable after construction.
 
 Combination is the sparse exact linear combination over binary-coded keys
@@ -28,31 +29,17 @@ from typing import List, Sequence, Tuple
 
 RADICALS = (1, 2, 3, 6)
 
-# sqrt(a) * sqrt(b) = _RADMUL[a, b][0] * sqrt(_RADMUL[a, b][1])
-_RADMUL = {}
-for _a in RADICALS:
-    for _b in RADICALS:
-        _prod = _a * _b
-        _f = 1
-        for _s, _root in ((36, 6), (9, 3), (4, 2)):
-            if _prod % _s == 0:
-                _f = _root
-                _prod //= _s
-                break
-        _RADMUL[(_a, _b)] = (_f, _prod)
+# slot k holds i^(k & 1) sqrt2^(k >> 1 & 1) sqrt3^(k >> 2): slot a times slot b
+# is _MUL[a][b][1] times slot _MUL[a][b][0] = a ^ b, the factor being the
+# square of each factor the two slots share (i^2 = -1, sqrt2^2 = 2, sqrt3^2 = 3)
+_MUL = [
+    [(a ^ b, (-1) ** (a & b & 1) * 2 ** ((a & b) >> 1 & 1) * 3 ** ((a & b) >> 2)) for b in range(8)]
+    for a in range(8)
+]
 
-# slot k holds i^(k % 2) sqrt(RADICALS[k // 2]); slot a times slot b is
-# _MUL[a][b][1] times slot _MUL[a][b][0]
-_MUL = []
-for _a in range(8):
-    _MUL.append([])
-    for _b in range(8):
-        _f, _rad = _RADMUL[RADICALS[_a // 2], RADICALS[_b // 2]]
-        _MUL[_a].append((2 * RADICALS.index(_rad) + (_a + _b) % 2, -_f if _a & _b & 1 else _f))
-
-# sign masks of i -> -i and of sqrt3 -> -sqrt3, sqrt2 -> -sqrt2 (sqrt6 flips too)
-_CONJ = (1, -1) * 4
-_FLIP = {3: (1, 1, 1, 1, -1, -1, -1, -1), 2: (1, 1, -1, -1, 1, 1, -1, -1)}
+# _FLIP[bit] negates the slots holding that factor: i -> -i (bit 1), sqrt2 -> -sqrt2
+# (bit 2), sqrt3 -> -sqrt3 (bit 4); sqrt6 holds both radicals and flips with either
+_FLIP = {bit: tuple(-1 if k & bit else 1 for k in range(8)) for bit in (1, 2, 4)}
 
 _ZERO = Fraction(0)
 
@@ -165,7 +152,7 @@ class Scalar:
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation: i -> -i, radicals fixed."""
-        return self._signed(_CONJ)
+        return self._signed(_FLIP[1])
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse, by successive rationalization over sqrt3, sqrt2, i."""
@@ -173,8 +160,8 @@ class Scalar:
             raise ZeroDivisionError("inverse of zero scalar")
         num = ONE
         x = self
-        for mask in (_FLIP[3], _FLIP[2], _CONJ):
-            y = x._signed(mask)
+        for bit in (4, 2, 1):
+            y = x._signed(_FLIP[bit])
             num = num * y
             x = x * y
         assert len(x._n) == 1, "rationalization failed"

@@ -4,8 +4,11 @@
 as a map from the radical r to an exact ``Fraction`` pair, zero pairs
 omitted.  It is the representation ``Scalar`` had before it moved to
 integer numerators over one denominator, and it is deliberately naive:
-every product runs the radical rule on ``Fraction`` pairs.  ``scalar_of``
-builds the ``Scalar`` of the same components through the field operations.
+every product runs the radical rule on ``Fraction`` pairs, read off its own
+square-factor table.  ``scalar_of`` builds the ``Scalar`` of the same
+components through the field operations.  ``slot_table`` and ``FLIP_MASKS``
+are the product table and sign masks of ``Scalar``'s slots rebuilt from
+that radical rule, the route the slot bits replaced.
 """
 
 from __future__ import annotations
@@ -13,10 +16,44 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from spinbits.scalars import I, ONE, RADICALS, ZERO, Scalar, _RADMUL
+from spinbits.scalars import I, ONE, RADICALS, ZERO, Scalar
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# sqrt(a) * sqrt(b) = _RADMUL[a, b][0] * sqrt(_RADMUL[a, b][1]): the largest
+# square factor of a * b comes out of the root
+_RADMUL = {}
+for _a in RADICALS:
+    for _b in RADICALS:
+        _prod = _a * _b
+        _f = 1
+        for _s, _root in ((36, 6), (9, 3), (4, 2)):
+            if _prod % _s == 0:
+                _f = _root
+                _prod //= _s
+                break
+        _RADMUL[(_a, _b)] = (_f, _prod)
+
+
+def slot_table():
+    """Slot k of a Scalar holds i^(k % 2) sqrt(RADICALS[k // 2]); slot a times
+    slot b is table[a][b][1] times slot table[a][b][0], by the radical rule."""
+    table = []
+    for a in range(8):
+        table.append([])
+        for b in range(8):
+            f, rad = _RADMUL[RADICALS[a // 2], RADICALS[b // 2]]
+            table[a].append((2 * RADICALS.index(rad) + (a + b) % 2, -f if a & b & 1 else f))
+    return table
+
+
+# the slots' signs under i -> -i, sqrt2 -> -sqrt2 and sqrt3 -> -sqrt3 (sqrt6 flips with either radical)
+FLIP_MASKS = {
+    "i": (1, -1) * 4,
+    "sqrt2": tuple(-1 if rad % 2 == 0 else 1 for rad in RADICALS for _ in "ri"),
+    "sqrt3": tuple(-1 if rad % 3 == 0 else 1 for rad in RADICALS for _ in "ri"),
+}
 
 
 def _frac(x) -> Fraction:

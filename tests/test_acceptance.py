@@ -9,11 +9,10 @@ import time
 
 import pytest
 
-from spinbits import forms, octonions, triality, verify
-from spinbits.clifford import CliffordElem, clifford_apply, word_apply
+from spinbits import forms, octonions, reference as ref, triality, verify
+from spinbits.clifford import CliffordElem, clifford_apply
 from spinbits.matrices import Matrix, Monomial, Subspace
 from spinbits.scalars import I, ONE
-from spinbits.spinors import Spinor
 from spinbits.verify import (
     Report,
     check_center,
@@ -100,7 +99,6 @@ def test_criterion_10_structure_maps():
 
 
 # -- every criterion can fail: one corrupted builder each ---------------
-# (C1 and C3 have theirs next to their subsystems' tests)
 
 
 def failed_checks(fn, *args):
@@ -157,6 +155,160 @@ def assert_table_covers(check, table, implied):
         assert set(implying) <= names
         for row in table.values():
             assert name not in row[0] or row[0] & set(implying), (name, row[0])
+
+
+C1 = "C1 bit-flip kernel equals tensor oracle for n <= 8"
+
+# ({check name: witness}, builder in verify's namespace, corruption of that
+# builder): the witness is the first (n, p, a) whose images differ
+C1_CORRUPTIONS = {
+    "flipped_phase": ({C1: {"n": 7, "p": 5, "a": 3}}, "generator_phase",
+                      lambda f, n, p, a: ((f(n, p, a)[0] + 2) % 4, f(n, p, a)[1]) if (n, p, a) == (7, 5, 3)
+                      else f(n, p, a)),
+    # e_5 of Cl_5 acts diagonally, e_1 flips bit 0 of u_0
+    "reversed_oracle": ({C1: {"n": 5, "p": 1, "a": 0}}, "tensor_oracle",
+                        lambda f, n: f(n)[::-1] if n == 5 else f(n)),
+}
+
+
+def run_c1(report):
+    check_kernel_oracle(report, 8)
+
+
+def test_every_c1_check_is_reached():
+    assert_table_covers(run_c1, C1_CORRUPTIONS, {})
+
+
+@pytest.mark.parametrize("case", C1_CORRUPTIONS)
+def test_each_c1_corruption_fails_with_its_witness(monkeypatch, case):
+    expected, builder, corrupt = C1_CORRUPTIONS[case]
+    original = getattr(verify, builder)
+    monkeypatch.setattr(verify, builder, lambda *args: corrupt(original, *args))
+    assert failed_checks(run_c1) == expected
+
+
+C3 = {key: f"C3 {name}" for key, name in (
+    ("sig_array", "sigma* equals the tabulated 28x28 array"),
+    ("tau_array", "tau* equals the tabulated 28x28 array"),
+    ("sig_lines", "sigma* reproduces all 28 tabulated image lines"),
+    ("tau_lines", "tau* reproduces all 28 tabulated image lines"),
+    ("misprint", "flagged misprint: constructed sigma*(e2 e4) differs from the duplicated line"),
+    ("sig_order", "sigma*^3 = Id"),
+    ("tau_order", "tau*^2 = Id"),
+    ("sig_fixed", "eigenspace dimension: sigma fixed = 14"),
+    ("sig_omega", "eigenspace dimension: sigma omega = 7"),
+    ("sig_omegabar", "eigenspace dimension: sigma omega-bar = 7"),
+    ("tau_fixed", "eigenspace dimension: tau fixed = 21"),
+    ("tau_minus", "eigenspace dimension: tau minus = 7"),
+    ("st", "sigma* tau* = tau* sigma*^2"),
+    ("s2t", "sigma*^2 tau* = tau* sigma*"),
+    ("ts_order", "(tau* sigma*)^2 = Id"),
+    ("st_order", "(sigma* tau*)^2 = Id"),
+    ("kappa_minus", "kappa-* (tau* sigma*) = kappa+*"),
+    ("kappa_plus", "kappa+* (tau* sigma*) = kappa-*"),
+    ("sig_lambda", "lambda* after sigma* equals the minus half-spinor action"),
+    ("tau_lambda", "lambda* after tau* equals the plus half-spinor action"),
+    ("complex", "all 14 tabulated complex eigenvectors verified"),
+    ("spin7", "the 21 tabulated spin7 generators are tau*-fixed"),
+    ("tau_minus_vectors", "the 7 tabulated tau-minus eigenvectors verified"),
+)}
+
+
+def c3_set(*keys):
+    return {C3[key] for key in keys}
+
+
+def array_entry(name):
+    """The tabulated array of ``name`` with 1 added to its first entry."""
+    def corrupt(tabulated):
+        def rows(which):
+            out = tabulated(which)
+            if which == name:
+                out[0][0] += 1
+            return out
+        return rows
+    return corrupt
+
+
+def first_line(old, new):
+    """A tabulated line list with ``old`` replaced by ``new`` in its first line."""
+    def corrupt(lines):
+        assert old in lines[0]
+        return [lines[0].replace(old, new)] + lines[1:]
+    return corrupt
+
+
+def negated_block(word, which):
+    """real_block with the block of one word on one half-spinor frame negated."""
+    return lambda f: lambda r, w, wh: -f(r, w, wh) if (w, wh) == (word, which) else f(r, w, wh)
+
+
+def outer_map(name, change):
+    return lambda f: lambda which: change(f(which)) if which == name else f(which)
+
+
+# (exact failing set, module, attribute, replacement built from the original):
+# a wrong tabulated entry fails its comparison alone; -1 is no eigenvalue of
+# sigma* (sigma*^3 = Id); -tau* keeps every S3 relation but not the kappa ones;
+# a negated kappa block changes sigma* or tau* everywhere it is read; the
+# lambda* checks compose build_outer's E_kl decomposition back, so they fail
+# under a wrong composition and under no corrupted kappa block
+C3_CORRUPTIONS = {
+    "sigma_array_entry": (c3_set("sig_array"), ref, "outer_matrix_expected", array_entry("sigma")),
+    "tau_array_entry": (c3_set("tau_array"), ref, "outer_matrix_expected", array_entry("tau")),
+    "sigma_line_sign": (c3_set("sig_lines"), ref, "SIGMA_LINES", first_line("12: -112", "12: +112")),
+    "tau_line_sign": (c3_set("tau_lines"), ref, "TAU_LINES", first_line("12: +112", "12: -112")),
+    "omega_i_sqrt3_sign": (c3_set("complex"), ref, "SIGMA_OMEGA_EIGENVECTORS", first_line("+1j13", "-1j13")),
+    "omegabar_unit_term": (c3_set("complex"), ref, "SIGMA_OMEGABAR_EIGENVECTORS", first_line("+168", "-168")),
+    "spin7_generator": (c3_set("spin7"), ref, "SPIN7_GENERATORS", first_line("+123", "-123")),
+    "tau_minus_vector": (c3_set("tau_minus_vectors"), ref, "TAU_MINUS_EIGENVECTORS", first_line("+124", "-124")),
+    "misprinted_image": (c3_set("misprint", "sig_lines", "sig_lambda"), verify, "image_coeffs",
+                         lambda f: lambda m, p: f(m, (2, 3) if m is verify.build_outer("sigma") and p == (2, 4) else p)),
+    "omega_root": (c3_set("sig_omega"), verify, "omega_eigenvalue",
+                   lambda f: lambda conj=False: f(conj) if conj else -ONE),
+    "omegabar_root": (c3_set("sig_omegabar"), verify, "omega_eigenvalue",
+                      lambda f: lambda conj=False: -ONE if conj else f(conj)),
+    "identity_sigma": (c3_set("sig_array", "sig_lines", "sig_fixed", "sig_omega", "sig_omegabar", "sig_lambda",
+                              "complex"),
+                       verify, "build_outer", outer_map("sigma", lambda m: Matrix.identity(28))),
+    "negated_tau": (c3_set("tau_array", "tau_lines", "tau_fixed", "tau_minus", "tau_lambda", "spin7",
+                           "tau_minus_vectors"),
+                    verify, "build_outer", outer_map("tau", lambda m: m.scale(-1))),
+    "negated_tau_in_s3": (c3_set("kappa_minus", "kappa_plus"), triality, "build_outer",
+                          outer_map("tau", lambda m: m.scale(-1))),
+    "negated_compose": (c3_set("sig_lambda", "tau_lambda"), verify, "e_basis_compose",
+                        lambda f: lambda n, coeffs, den: f(n, {p: -c for p, c in coeffs.items()}, den)),
+    "plus_block_sign": (c3_set("tau_array", "tau_lines", "tau_order", "tau_fixed", "tau_minus", "st", "s2t",
+                               "ts_order", "st_order", "kappa_minus", "kappa_plus", "spin7", "tau_minus_vectors"),
+                        triality, "real_block", negated_block((2, 3), "plus")),
+    "minus_block_sign": (c3_set("sig_array", "sig_lines", "sig_order", "sig_fixed", "sig_omega", "sig_omegabar",
+                                "st", "s2t", "complex"),
+                         triality, "real_block", negated_block((2, 3), "minus")),
+}
+
+# computed once by s3_relations and reported both with the eigenspaces and with the relations
+C3_TWICE = c3_set("sig_order", "tau_order")
+
+
+def test_every_c3_check_is_reached():
+    assert_table_covers(check_triality, C3_CORRUPTIONS, {})
+
+
+@pytest.mark.parametrize("case", C3_CORRUPTIONS)
+def test_each_c3_corruption_fails_exactly_its_set(monkeypatch, case):
+    expected, module, name, replace = C3_CORRUPTIONS[case]
+    caches = (triality.kappa_real_matrix, triality.build_outer)  # built from the kappa blocks
+    monkeypatch.setattr(module, name, replace(getattr(module, name)))
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        report = Report()
+        check_triality(report)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    failed = [c.name for c in report.checks if not c.passed]
+    assert sorted(failed) == sorted([*expected, *(C3_TWICE & expected)])
 
 
 SIG_MINUS_ONE, SIG_VOL, SIG_MINUS_VOL = "C5 sigma(-1) = vol", "C5 sigma(vol) = -vol", "C5 sigma(-vol) = -1"
@@ -514,31 +666,28 @@ def test_each_c7_corruption_fails_exactly_its_set(monkeypatch, case):
 C9 = "C9 the odd-to-even embedding is equivariant for all generator pairs, k <= 5"
 
 
-def test_a_nonlinear_embedding_fails_c9_with_a_witness(monkeypatch):
-    # negating the image of u_0 alone keeps every image a basic spinor
-    # but breaks equivariance wherever a generator pair moves u_0
-    delta_iso = verify.delta_iso
-    monkeypatch.setattr(verify, "delta_iso",
-                        lambda k, u: -delta_iso(k, u) if 0 in u.terms else delta_iso(k, u))
-    failed = failed_checks(check_delta_iso)
-    # the witness is the first (k, a, p, q), in the check's loop order, whose sides differ
-    first = next(
-        {"k": k, "a": a, "p": p, "q": q}
-        for k in range(2, 6)
-        for a in range(1 << (k - 1))
-        for p in range(1, 2 * k)
-        for q in range(p + 1, 2 * k)
-        if verify.delta_iso(k, word_apply(2 * k - 1, [p, q], Spinor.basis(k - 1, a)))
-        != word_apply(2 * k, [p, q], verify.delta_iso(k, Spinor.basis(k - 1, a)))
-    )
-    assert failed == {C9: first}
+# ({check name: witness}, corruption of verify's delta_iso): the witness is the
+# first failure in loop order; negating the image of u_0 alone keeps every image
+# a basic spinor, and e1 e2 keeps u_0, so the first pair that moves it is (1, 3);
+# e_1 after the embedding flips one bit of every image
+C9_CORRUPTIONS = {
+    "nonlinear_embedding": ({C9: {"k": 2, "a": 0, "p": 1, "q": 3}},
+                            lambda f, k, u: -f(k, u) if 0 in u.terms else f(k, u)),
+    "odd_parity_embedding": ({C9: {"k": 2, "a": 0, "parity": 1}},
+                             lambda f, k, u: clifford_apply(2 * k, 1, f(k, u))),
+}
 
 
-def test_an_odd_parity_embedding_fails_c9_with_a_parity_witness(monkeypatch):
-    # e_1 after the embedding flips one bit of every image, and commutes with no pair
+def test_every_c9_check_is_reached():
+    assert_table_covers(check_delta_iso, C9_CORRUPTIONS, {})
+
+
+@pytest.mark.parametrize("case", C9_CORRUPTIONS)
+def test_each_c9_corruption_fails_with_its_witness(monkeypatch, case):
+    expected, corrupt = C9_CORRUPTIONS[case]
     delta_iso = verify.delta_iso
-    monkeypatch.setattr(verify, "delta_iso", lambda k, u: clifford_apply(2 * k, 1, delta_iso(k, u)))
-    assert failed_checks(check_delta_iso) == {C9: {"k": 2, "a": 0, "parity": 1}}
+    monkeypatch.setattr(verify, "delta_iso", lambda k, u: corrupt(delta_iso, k, u))
+    assert failed_checks(check_delta_iso) == expected
 
 
 C10_TENSOR = "C10 binary structure maps equal the tensor definitions for n <= 12"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -91,6 +92,32 @@ def test_contraction_and_canonicalization():
     assert (sign, key) == (-1, (1, 2, 7, 8))
     form = ExtForm.dx(1, 3, 4) + ExtForm.dx(2, 3, 4)
     assert contract_first(form) == ExtForm.dx(3, 4)
+
+
+def sorted_term(indices):
+    """Oracle for canonical_term: an insertion sort, one sign flip per swap,
+    and a term with a repeated index is zero."""
+    idx = list(indices)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    if any(a == b for a, b in zip(idx, idx[1:])):
+        return 0, ()
+    return sign, tuple(idx)
+
+
+def test_canonical_term_bit_counts_equal_the_insertion_sort():
+    for length in range(6):
+        for indices in itertools.product(range(1, 9), repeat=length):
+            assert canonical_term(indices) == sorted_term(indices)
+    rng = random.Random(8)
+    for _ in range(20000):
+        indices = [rng.randint(1, 8) for _ in range(rng.randint(0, 8))]
+        assert canonical_term(indices) == sorted_term(indices)
 
 
 def test_derivation_invariance():

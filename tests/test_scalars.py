@@ -189,7 +189,9 @@ def test_rational_scalars_find_int_and_fraction_keys():
 
 from math import gcd  # noqa: E402
 
-from spinbits.scalars import _MUL, _make  # noqa: E402
+from spinbits.scalars import _FLIP, _MUL, _make  # noqa: E402
+
+from scalar_oracle import FLIP_MASKS, slot_table  # noqa: E402
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -268,6 +270,13 @@ def test_rational_fast_path_agrees_with_oracle(p, q, k):
     if p:
         assert_same(a.inverse(), A.inverse())
     assert a * b == Fraction(p, q) * Fraction(k, 6)
+
+
+def test_slot_bits_give_the_radical_rule_table_and_masks():
+    # slot a times slot b is slot a ^ b times the squares of the shared factors,
+    # on all 64 slot pairs; one sign mask per slot bit
+    assert _MUL == slot_table()
+    assert _FLIP == {1: FLIP_MASKS["i"], 2: FLIP_MASKS["sqrt2"], 4: FLIP_MASKS["sqrt3"]}
 
 
 def table_product(x, y):

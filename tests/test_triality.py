@@ -132,11 +132,10 @@ def test_eigenspace_rejects_unsupported_values():
 
 
 EIGENVECTOR_TABLES = [
-    ("sigma", "SIGMA_OMEGA_EIGENVECTORS", omega_eigenvalue(), "C3 all 14 tabulated complex eigenvectors verified"),
-    ("sigma", "SIGMA_OMEGABAR_EIGENVECTORS", omega_eigenvalue(True),
-     "C3 all 14 tabulated complex eigenvectors verified"),
-    ("tau", "SPIN7_GENERATORS", ONE, "C3 the 21 tabulated spin7 generators are tau*-fixed"),
-    ("tau", "TAU_MINUS_EIGENVECTORS", -ONE, "C3 the 7 tabulated tau-minus eigenvectors verified"),
+    ("sigma", "SIGMA_OMEGA_EIGENVECTORS", omega_eigenvalue()),
+    ("sigma", "SIGMA_OMEGABAR_EIGENVECTORS", omega_eigenvalue(True)),
+    ("tau", "SPIN7_GENERATORS", ONE),
+    ("tau", "TAU_MINUS_EIGENVECTORS", -ONE),
 ]
 
 
@@ -144,27 +143,11 @@ def test_tabulated_eigenvectors_satisfy_equations():
     """Oracle for C3's int-row eigenvector checks: each line rebuilt as the
     Scalar column a + i sqrt3 b and multiplied through the Scalar product."""
     outers = {name: build_outer(name) for name in ("sigma", "tau")}
-    for name, table, lam, _ in EIGENVECTOR_TABLES:
+    for name, table, lam in EIGENVECTOR_TABLES:
         for text in getattr(ref, table):
             a, b = ref.bivector_parts(text)
             column = Matrix([[a.get(p, 0) + I * SQRT3 * b.get(p, 0)] for p in PAIR_ORDER])
             assert scalar_product(outers[name], column) == column.scale(lam), text
-
-
-@pytest.mark.parametrize("table, old, new", [
-    ("SIGMA_OMEGA_EIGENVECTORS", "+1j13", "-1j13"),  # an i sqrt3 sign
-    ("SIGMA_OMEGABAR_EIGENVECTORS", "+168", "-168"),  # a unit term
-    ("SPIN7_GENERATORS", "+123", "-123"),
-    ("TAU_MINUS_EIGENVECTORS", "+124", "-124"),
-])
-def test_a_flipped_eigenvector_token_fails_its_c3_check_alone(monkeypatch, table, old, new):
-    lines = getattr(ref, table)
-    assert old in lines[0]
-    monkeypatch.setattr(ref, table, [lines[0].replace(old, new)] + lines[1:])
-    report = verify.Report()
-    verify.check_triality(report)
-    [check] = [t[3] for t in EIGENVECTOR_TABLES if t[1] == table]
-    assert [c.name for c in report.checks if not c.passed] == [check]
 
 
 def test_g2_structure_checks():
@@ -454,49 +437,6 @@ def test_spans_of_no_rows_keep_their_28_columns():
         assert e12 in everything and span_contains(everything, {(3, 4): -2, (7, 8): 5})
     with pytest.raises(ValueError, match="length mismatch"):
         [0] * 27 in zero
-
-
-@pytest.fixture
-def fresh_triality_caches():
-    """Clears the caches built from the kappa blocks before and after a test."""
-    def clear():
-        triality.kappa_real_matrix.cache_clear()
-        build_outer.cache_clear()
-
-    clear()
-    yield
-    clear()
-
-
-def test_a_flipped_kappa_block_sign_fails_c3(monkeypatch, fresh_triality_caches):
-    real_block = triality.real_block
-
-    def flipped(r, word, which):
-        block = real_block(r, word, which)
-        return -block if (word, which) == ((2, 3), "plus") else block
-
-    monkeypatch.setattr(triality, "real_block", flipped)
-    report = verify.Report()
-    verify.check_triality(report)
-    failed = [c.name for c in report.checks if not c.passed]
-    assert "C3 tau* equals the tabulated 28x28 array" in failed
-    assert "C3 sigma* equals the tabulated 28x28 array" not in failed
-    # the order checks are computed once and reported in both their places
-    assert failed.count("C3 tau*^2 = Id") == 2 and "C3 sigma*^3 = Id" not in failed
-
-
-def test_a_flipped_minus_block_fails_both_sigma_order_reports(monkeypatch, fresh_triality_caches):
-    real_block = triality.real_block
-
-    def flipped(r, word, which):
-        block = real_block(r, word, which)
-        return -block if (word, which) == ((2, 3), "minus") else block
-
-    monkeypatch.setattr(triality, "real_block", flipped)
-    report = verify.Report()
-    verify.check_triality(report)
-    failed = [c.name for c in report.checks if not c.passed]
-    assert failed.count("C3 sigma*^3 = Id") == 2 and "C3 tau*^2 = Id" not in failed
 
 
 def test_a_map_that_is_no_quarter_turn_has_no_group_lift(monkeypatch):

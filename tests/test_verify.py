@@ -109,3 +109,27 @@ def test_sampled_checks_keep_the_randint_stream():
                 fraction_rand_scalar(theirs)
             theirs.randint(1, n)
         assert mine.getstate() == theirs.getstate()
+
+
+def test_a_criterion_that_raises_is_one_named_fail_and_the_rest_still_run(monkeypatch, capsys):
+    from spinbits.cli import main
+
+    names = [c.name for c in verify.verify_all().checks]
+
+    def broken(which):
+        raise ValueError(f"no {which} today")
+
+    monkeypatch.setattr(verify, "build_outer", broken)  # C3 alone reads it through verify
+    kept = [name for name in names if not name.startswith("C3 ")]
+    at = next(i for i, name in enumerate(names) if name.startswith("C3 "))
+    want = [f"[PASS] {name}" for name in kept]
+    want.insert(at, "[FAIL] C3 check_triality raised")
+    assert main(["verify-all"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == want + [f"{len(kept)} passed, 1 failed"] and err == ""
+
+    assert main(["verify-all", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [c for c in report["checks"] if c["status"] == "fail"] == [
+        {"name": "C3 check_triality raised", "status": "fail", "witness": {"error": "ValueError: no sigma today"}}]
+    assert (report["pass"], report["fail"]) == (len(kept), 1)
