@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from bisect import bisect_right
 from functools import cached_property, lru_cache
 from operator import mul
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -52,23 +51,16 @@ def irrep_info(r: int) -> IrrepInfo:
     return IrrepInfo(_stage_dim(r), count)
 
 
-@lru_cache(maxsize=None)
-def _stage_dims(bits: int) -> Tuple[int, ...]:
-    """d(1), d(2), ... for every stage whose dimension has at most ``bits`` bits."""
-    dims = []
-    while _stage_dim(len(dims) + 1).bit_length() <= bits:
-        dims.append(_stage_dim(len(dims) + 1))
-    return tuple(dims)
-
-
 def max_stage(N: int) -> int:
     """Largest r whose irreducible module dimension divides N."""
     if N < 1:
         raise ValueError("need N >= 1")
-    # a divisor of N has at most N's bit length, so the table holds them all;
-    # each d(r) is a power of two and d never falls as r grows, so d(r)
-    # divides N exactly when d(r) <= N & -N, the 2-part of N
-    return bisect_right(_stage_dims(N.bit_length()), N & -N)
+    # each d(r) is a power of two and d never falls as r grows, so the
+    # stages whose d divides N run from r = 1 up to the first that fails
+    r = 1
+    while N % _stage_dim(r + 1) == 0:
+        r += 1
+    return r
 
 
 def hurwitz_radon(N: int) -> int:

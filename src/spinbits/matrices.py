@@ -423,7 +423,6 @@ def _block(name: str) -> Monomial:
     return Monomial(perm, phase)
 
 
-@lru_cache(maxsize=None)
 def tensor_oracle(n: int) -> Tuple[Monomial, ...]:
     """Generator maps built purely from 2x2 tensor factors, as monomials.
 

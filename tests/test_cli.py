@@ -21,6 +21,8 @@ from spinbits.spinors import Spinor
 from spinbits.triality import g2_action_matrix
 from spinbits.verify import verify_all
 
+from criteria import fresh_caches
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -314,11 +316,8 @@ def test_verify_all_names_a_moved_label_as_c7_fails(capsys, monkeypatch):
         return rows
 
     monkeypatch.setattr(octonions, "real_clifford_table", moved_label)
-    octonions._product_picks.cache_clear()  # octonion_mul's picks are read off the unit table once
-    try:
+    with fresh_caches():  # octonion_mul's picks are read off the unit table once
         code, out = run(capsys, "verify-all")
-    finally:
-        octonions._product_picks.cache_clear()
     lines, golden = out.splitlines(), workloads.golden(["verify-all"]).decode().splitlines()
     assert code == 1 and lines[-1] == "70 passed, 11 failed"
     assert [line[7:] for line in lines[:-1]] == [line[7:] for line in golden[:-1]]  # the 81 names

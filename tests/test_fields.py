@@ -648,35 +648,6 @@ def test_hurwitz_radon_counts_the_twos():
         assert hurwitz_radon(N) == 8 * a + 2 ** b
 
 
-def test_c8_witness_names_a_broken_system(monkeypatch):
-    real_build = verify.build_field_system
-
-    def build(N, split=None):
-        system = real_build(N, split=split)
-        return flip_one_sign(system, 2, 0) if N == 16 else system
-
-    monkeypatch.setattr(verify, "build_field_system", build)
-    report = verify.Report()
-    verify.check_fields(report, 3, random.Random(1))
-    check = next(c for c in report.checks if c.name.startswith("C8 structure equations"))
-    assert not check.passed
-    assert check.witness == {"N": 16, "J": 2, "equation": "J^T = -J"}
-
-
-def test_c8_witness_names_the_failing_point(monkeypatch):
-    calls = []
-
-    def gram(system, z):
-        calls.append(system.N)
-        return not (system.N == 8 and calls.count(8) == 2)
-
-    monkeypatch.setattr(verify, "gram_is_scaled_identity", gram)
-    report = verify.Report()
-    verify.check_fields(report, 3, random.Random(1))
-    check = next(c for c in report.checks if c.name.startswith("C8 structure equations"))
-    assert check.witness == {"N": 8, "point": 1}
-
-
 @pytest.mark.parametrize("samples", [0, 7, 100])
 def test_c8_draws_its_points_then_its_closed_form_coordinates(samples):
     """C8 leaves the generator where a replay of its draws does, so the checks
@@ -694,35 +665,6 @@ def test_c8_draws_its_points_then_its_closed_form_coordinates(samples):
             for _ in "xy":
                 draw_ints(replay, ((-5, 5),), len(frame_index_set(r)))
     assert rng.getstate() == replay.getstate()
-
-
-def c8_rows_check(monkeypatch, trim):
-    """C8's table check, run on the emitted rows as ``trim`` leaves them."""
-    emit = verify.emit_coordinates
-
-    def trimmed(system):
-        return trim(emit(system))
-
-    monkeypatch.setattr(verify, "emit_coordinates", trimmed)
-    report = verify.Report()
-    verify.check_fields(report, 0, random.Random(1))
-    return next(c for c in report.checks if c.name.startswith("C8 the nine emitted rows"))
-
-
-def test_c8_counts_missing_rows_as_mismatches(monkeypatch):
-    check = c8_rows_check(monkeypatch, lambda rows: rows[:6])
-    assert not check.passed
-    cells = check.witness["corrected_cells"]
-    assert len(cells) == 2 + 3 * 32
-    assert cells["V7 slot 1"] is None and cells["V9 slot 32"] is None
-
-
-def test_c8_counts_a_missing_slot_as_a_mismatch(monkeypatch):
-    check = c8_rows_check(monkeypatch, lambda rows: rows[:-1] + [rows[-1][:-1]])
-    assert not check.passed
-    assert check.witness == {
-        "corrected_cells": {"V5 slot 6": 1, "V6 slot 8": -16, "V9 slot 32": None}
-    }
 
 
 def test_build_field_system_32_matches_tabulated_rows():
@@ -878,20 +820,6 @@ def test_frame_placement_reads_a_column_of_the_stacked_frame(r):
         Jz = frame[q::R]
         want = frame_point_coords(r, dict(zip(idx, Jz[0::2])), dict(zip(idx, Jz[1::2])))
         assert frame_placement_pick(r, R, q)(signed(frame)) == dense(r, want)
-
-
-def test_c8_closed_form_check_fails_on_a_flipped_j_block(monkeypatch):
-    real_build = verify.build_field_system
-
-    def build(N, split=None):
-        system = real_build(N, split=split)
-        return flip_one_sign(system, 3, 4) if N == irrep_info(10).d else system
-
-    monkeypatch.setattr(verify, "build_field_system", build)
-    report = verify.Report()
-    verify.check_fields(report, 3, random.Random(1))
-    failed = [c.name for c in report.checks if not c.passed]
-    assert "C8 closed-form field values agree with the matrix route (r = 8, 9, 10, 12)" in failed
 
 
 def test_random_point_is_int_and_gram_takes_ints():

@@ -186,7 +186,7 @@ def test_the_def_finder_keys_a_decorated_function_by_its_first_decorator():
     import spinbits.matrices as matrices
 
     found = defined_functions()
-    for fn in (matrices.tensor_oracle.__wrapped__, matrices.Matrix.identity, matrices.Matrix.data.fget):
+    for fn in (matrices.real_block.__wrapped__, matrices.Matrix.identity, matrices.Matrix.data.fget):
         code = fn.__code__
         assert found[f"matrices.py:{code.co_firstlineno}"] == f"matrices.py:{fn.__qualname__}"
 
@@ -209,7 +209,7 @@ def test_the_statement_finder_skips_raises_and_docstrings_and_starts_at_a_decora
 
     found = statements()
     assert not any(text.startswith(("raise ", '"""')) for _, text in found.values())
-    line = matrices.tensor_oracle.__wrapped__.__code__.co_firstlineno
+    line = matrices.real_block.__wrapped__.__code__.co_firstlineno
     span, text = found[f"matrices.py:{line}"]
     assert text == "@lru_cache(maxsize=None)" and list(span) == [line, line + 1]
 

@@ -1,9 +1,8 @@
-import random
-
 import pytest
 
 from spinbits import reference as ref
-from spinbits import triality, verify
+
+from criteria import failures
 
 
 def test_signed_ints_keeps_the_sign_of_zero():
@@ -68,15 +67,6 @@ def test_each_eigenvector_line_has_one_i_sqrt3_term():
 
 # -- every table is read by a named check: poisoning one entry fails it -----
 
-# each criterion's check_* that reads tables, run alone with no samples
-CHECKS = {
-    "C3": lambda report: verify.check_triality(report),
-    "C4": lambda report: verify.check_g2(report, 0, random.Random(1)),
-    "C6": lambda report: verify.check_forms(report),
-    "C7": lambda report: verify.check_octonions(report, 0),
-    "C8": lambda report: verify.check_fields(report, 0, random.Random(1)),
-}
-
 # the criterion that reads each table
 OWNERS = {
     **dict.fromkeys(("SIGMA_LINES", "TAU_LINES", "SIGMA_MATRIX", "TAU_MATRIX", "SPIN7_GENERATORS",
@@ -115,15 +105,8 @@ def poisoned(table):
 
 
 @pytest.mark.parametrize("name", TABLES)
-def test_a_poisoned_table_fails_a_named_check_of_its_criterion(monkeypatch, name):
+def test_a_poisoned_table_fails_a_named_check_of_its_criterion(name):
     assert name in OWNERS, f"no check is known to read reference.{name}: add its owner, or delete the table"
     criterion = OWNERS[name]
-    monkeypatch.setattr(ref, name, poisoned(getattr(ref, name)))
-    triality.g2_generators.cache_clear()  # the one cache that parses a table
-    try:
-        report = verify.Report()
-        CHECKS[criterion](report)
-    finally:
-        triality.g2_generators.cache_clear()
-    failed = [c.name for c in report.checks if not c.passed]
+    failed = failures(criterion, ref, name, poisoned)
     assert failed and all(n.startswith(f"{criterion} ") for n in failed), failed

@@ -382,25 +382,6 @@ def test_corrupt_sigma_fails_c3_on_the_int_route(monkeypatch, flipped_sigma_tabl
     assert compared[0] == (True, True)  # that first comparison ran on ints
 
 
-def test_a_tau_star_that_fixes_nothing_fails_c4_by_name(monkeypatch):
-    """With tau* = -Id, Fix(tau*) is a span of no rows in 28 columns: C4
-    raises nothing, and exactly the checks that read Fix(tau*) or a span
-    built with it FAIL."""
-    outer = triality.build_outer
-    monkeypatch.setattr(triality, "build_outer",
-                        lambda name: Matrix.identity(28).scale(-1) if name == "tau" else outer(name))
-    report = verify.Report()
-    verify.check_g2(report, 0, random.Random(1))
-    assert {c.name for c in report.checks if not c.passed} == {
-        "C4 g2 = spin7(e2..e8) intersect Fix(tau*)",
-        "C4 g2 = Fix(tau*) intersect Fix(tau* sigma*^2)",
-        "C4 g2 = Fix(tau*) intersect Fix(tau* sigma*)",
-        "C4 Fix(tau* sigma*) = spin7(e2..e8)",
-        "C4 reductive pair (spin7, g2) in the Fix(tau*) copy: [g2,m] in m, [m,m] in spin7",
-        "C4 symmetric pair (spin8, spin7) from the tau* involution",
-    }
-
-
 def test_g2_kernels_equal_the_residue_route(monkeypatch):
     """g2_structure builds spin7(e2..e8), its three intersections with Fix(tau*)
     and both complements of g2 as kernels of stacked equations; the residue
